@@ -9,11 +9,11 @@ hexagonal and octagonal 2-face relation holds.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lusztig
-from .cartan import CartanDatum, Coweight
+from .cartan import CartanDatum
+from .tables import Row, index_table
 from .weyl import Face, WeylElement, WeylGroup, weyl_group
 
 
@@ -62,19 +62,22 @@ def make_bz(group: WeylGroup, values: dict) -> BZDatum:
 # -- edge inequalities --------------------------------------------------------
 
 
+def _dot(row: Row, x) -> int:
+    total = 0
+    for t, c in row:
+        total += c * x[t]
+    return total
+
+
 def edge_length(group: WeylGroup, datum: BZDatum, w: WeylElement, i: int) -> int:
     """Lattice length of the polytope edge from vertex mu_w towards mu_{w s_i}.
 
     Requires l(w s_i) > l(w).  Nonnegative on valid data; the edge inequality
     at (w, i) is exactly "this length is >= 0".
     """
-    wsi = group.right(w, i)
-    val = -datum.value(group.w_lambda(w, i).coords)
-    val -= datum.value(group.w_lambda(wsi, i).coords)
-    for j in range(1, group.rank + 1):
-        if j != i:
-            val -= group.cartan.entry(j, i) * datum.value(group.w_lambda(w, j).coords)
-    return val
+    group.cartan._check_index(i)
+    table = index_table(group)
+    return _dot(table.edge_rows[table.index[w]][i - 1], datum.values)
 
 
 def edge_pairs(group: WeylGroup) -> tuple[tuple[WeylElement, int], ...]:
@@ -90,37 +93,29 @@ def edge_pairs(group: WeylGroup) -> tuple[tuple[WeylElement, int], ...]:
 # -- 2-face relations ---------------------------------------------------------
 
 
-def _face_residuals(group: WeylGroup, datum: BZDatum, face: Face) -> tuple[int, ...]:
-    """For each min-relation on the face, min(arguments) - lhs; all 0 iff it holds.
+def _residuals(v: tuple[int, ...]) -> tuple[int, ...]:
+    """For each min-relation on a face with values ``v`` at its chamber
+    weights (A..F of a hexagon, A..H of an octagon), min(arguments) - lhs;
+    all 0 iff it holds.
 
     Positive residual means the lhs undershoots the min (strict concavity
     excess); negative means the relation is violated in the convex direction.
     """
-    w, i, j = face.w, face.i, face.j
-    M = datum.value
-    wl = lambda u, t: M(group.w_lambda(u, t).coords)
-    wsi = group.right(w, i)
-    wsj = group.right(w, j)
-    A, B = wl(w, i), wl(w, j)
-    C, D = wl(wsi, i), wl(wsj, j)
-    if face.kind == "rectangle":
-        return ()
-    if face.kind == "hexagon":
-        E = wl(group.right(wsi, j), j)
-        F = wl(group.right(wsj, i), i)
+    if len(v) == 6:
+        A, B, C, D, E, F = v
         return (min(A + E, F + B) - (C + D),)
     # octagon, oriented so a_ij = -1 and a_ji = -2
-    E = wl(group.right(wsi, j), j)
-    F = wl(group.right(wsj, i), i)
-    G = wl(group.right(group.right(wsi, j), i), i)
-    H = wl(group.right(group.right(wsj, i), j), j)
+    A, B, C, D, E, F, G, H = v
     r1 = min(2 * E + A, 2 * B + G, B + H + C) - (D + E + C)
     r2 = min(2 * B + 2 * G, 2 * H + 2 * C, G + 2 * E + A) - (F + 2 * E + C)
     return (r1, r2)
 
 
 def face_relation_holds(group: WeylGroup, datum: BZDatum, face: Face) -> bool:
-    return all(r == 0 for r in _face_residuals(group, datum, face))
+    if face.kind == "rectangle":
+        return True
+    idx = index_table(group).face_indices(face)
+    return all(r == 0 for r in _residuals(tuple(datum.values[t] for t in idx)))
 
 
 # -- validation ----------------------------------------------------------------
@@ -150,16 +145,20 @@ class ValidationReport:
 
 
 def validate(group: WeylGroup, datum: BZDatum) -> ValidationReport:
+    table = index_table(group)
+    M = datum.values
     edge_bad = []
-    for w, i in edge_pairs(group):
-        c = edge_length(group, datum, w, i)
+    for word, i, row in table.edges:
+        c = 0
+        for t, coef in row:  # _dot, inlined: this loop is most of validate
+            c += coef * M[t]
         if c < 0:
-            edge_bad.append((w.word, i, c))
+            edge_bad.append((word, i, c))
     face_bad = []
-    for face in group.two_faces(("hexagon", "octagon")):
-        res = _face_residuals(group, datum, face)
-        if any(r != 0 for r in res):
-            face_bad.append((face.w.word, face.i, face.j, res))
+    for word, i, j, values_at in table.faces:
+        res = _residuals(values_at(M))
+        if any(res):
+            face_bad.append((word, i, j, res))
     return ValidationReport(tuple(edge_bad), tuple(face_bad))
 
 
@@ -173,60 +172,68 @@ def is_valid(group: WeylGroup, datum: BZDatum) -> bool:
 def from_lusztig(group: WeylGroup, word, n) -> BZDatum:
     """Datum of the polytope with Lusztig data ``n`` along ``word``.
 
-    Propagates n across the braid-move graph until every chamber weight has
-    received a value, cross-checking every revisited word and every shared
-    chamber weight; disagreement is an implementation error, not bad input.
+    Runs the group's transport plan (see :mod:`mvpolytopes.tables`): n moves
+    along parent braid edges to the reference word, then along a fixed chain
+    of braid edges through a few words whose chamber weights gamma_k cover
+    every chamber weight; at each of those words the values
+    M(gamma_k) = sum_{l <= k} <beta_l, gamma_k> n_l are read off, and a
+    chamber weight reached twice must get the same value both times.  The
+    result is then certified: it must pass :func:`validate`, and its Lusztig
+    data along ``word`` must be n again, because a valid datum is determined
+    by its Lusztig data along one word.  Failure of any of these checks is an
+    implementation error, not bad input.
     """
     word = tuple(word)
-    graph = group.braid_graph()
-    if word not in graph.adjacency:
+    table = index_table(group)
+    if word not in table.parent:
         raise ValueError(f"{word} is not a reduced word for the longest element")
-    total = len(group.chamber_weights())
-    values: dict[tuple[int, ...], int] = {}
-
-    def merge(w, nv):
-        for coords, val in lusztig.n_to_partial_M(group, w, nv).items():
-            if values.setdefault(coords, val) != val:
+    n = lusztig._check_lusztig(group, word, n)[1]
+    moved = n
+    edge = table.parent[word]
+    while edge is not None:
+        moved = lusztig.braid_transition(group, edge, moved)
+        edge = table.parent[edge.dst]
+    values: list[int | None] = [None] * len(group.chamber_weights())
+    for t in table.chamber[0]:
+        values[t] = 0  # bottom vertex at the origin
+    for stop in table.plan:
+        for edge in stop.edges:
+            moved = lusztig.braid_transition(group, edge, moved)
+        for t, row in stop.rows:
+            val = _dot(row, moved)
+            if values[t] is None:
+                values[t] = val
+            elif values[t] != val:
                 raise RuntimeError(
-                    f"inconsistent value at chamber weight {coords}: "
-                    f"{values[coords]} vs {val} from word {w}"
+                    f"inconsistent value at chamber weight "
+                    f"{group.chamber_weights()[t].weight.coords}: "
+                    f"{values[t]} vs {val} from word {stop.word}"
                 )
-
-    n_by_word = {word: lusztig._check_lusztig(group, word, n)[1]}
-    merge(word, n_by_word[word])
-    queue = deque([word])
-    while queue:
-        src = queue.popleft()
-        for e in graph.adjacency[src]:
-            known = e.dst in n_by_word
-            if not known and len(values) == total:
-                continue
-            moved = lusztig.braid_transition(group, e, n_by_word[src])
-            if known:
-                if n_by_word[e.dst] != moved:
-                    raise RuntimeError(
-                        f"path-dependent transport: word {e.dst} reached with "
-                        f"{moved} but previously {n_by_word[e.dst]}"
-                    )
-                continue
-            n_by_word[e.dst] = moved
-            merge(e.dst, moved)
-            queue.append(e.dst)
-    if len(values) != total:
-        raise AssertionError("braid moves did not reach every chamber weight")
-    datum = make_bz(group, values)
+    if None in values:
+        raise RuntimeError("transport plan did not reach every chamber weight")
+    datum = BZDatum(group.cartan, tuple(values))
     report = validate(group, datum)
     if not report.is_valid:
         raise RuntimeError(
             "transported data violates polytope conditions: " + "; ".join(report.lines())
+        )
+    back = lusztig_data(group, datum, word)
+    if back != n:
+        raise RuntimeError(
+            f"assembled datum has Lusztig data {back} along {word}, not {n}"
         )
     return datum
 
 
 def lusztig_data(group: WeylGroup, datum: BZDatum, word) -> tuple[int, ...]:
     """Edge lengths along the vertex path of ``word``; inverts from_lusztig."""
-    data = group.word_data(tuple(word))
-    return tuple(
-        edge_length(group, datum, data.prefixes[k], data.word[k])
-        for k in range(group.m)
-    )
+    word = tuple(word)
+    group.word_data(word)  # rejects anything but a reduced word for w0
+    table = index_table(group)
+    M = datum.values
+    out = []
+    t = 0
+    for i in word:
+        out.append(_dot(table.edge_rows[t][i - 1], M))
+        t = table.right[t][i - 1]
+    return tuple(out)

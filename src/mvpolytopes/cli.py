@@ -139,15 +139,23 @@ def cmd_collapse(args) -> int:
         entries = doc
         if not entries:
             raise ValueError("cannot infer n from an empty picture list")
-        n = max(int(e[1]) for e in entries)
+        n = None
     else:
         raise ValueError("picture must be a list or an object")
+    if not isinstance(entries, list):
+        raise ValueError("picture entries must be a list")
     picture = {}
     for e in entries:
-        if not (isinstance(e, list) and len(e) == 3):
-            raise ValueError(f"picture entry {e!r} is not [a, b, value]")
-        a, b, v = (int(x) for x in e)
+        if not (
+            isinstance(e, list)
+            and len(e) == 3
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+        ):
+            raise ValueError(f"picture entry {e!r} is not [a, b, value] of integers")
+        a, b, v = e
         picture[(a, b)] = picture.get((a, b), 0) + v
+    if n is None:
+        n = max(b for _, b in picture)
     out = sln.collapse(n, args.k, picture)
     _emit(
         args,

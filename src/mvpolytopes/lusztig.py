@@ -94,7 +94,11 @@ def braid_transition(group: WeylGroup, edge: BraidEdge, n) -> tuple[int, ...]:
             new = (n2 + 2 * n3 + n4 - p2, p2 - p1, 2 * p1 - p2, n1 + n2 + n3 - p1)
     else:  # pragma: no cover
         raise AssertionError(f"unsupported braid window length {d}")
-    assert all(v >= 0 for v in new), "braid transition produced a negative entry"
+    if any(v < 0 for v in new):
+        raise RuntimeError(
+            f"braid move {edge.src} -> {edge.dst} at positions {k}..{k + d - 1} "
+            f"sent window {window} to {new}, which has a negative entry"
+        )
     return n[:k] + new + n[k + d :]
 
 

@@ -7,19 +7,31 @@ from __future__ import annotations
 from . import bz, lusztig
 from .bz import BZDatum
 from .cartan import Coweight, Weight, pairing
+from .tables import index_table
 from .weyl import WeylElement, WeylGroup
+
+
+def _vertex(group: WeylGroup, w: WeylElement, M, chambers: tuple[int, ...]) -> Coweight:
+    # coordinate c is sum_i (w.alpha_i^vee)_c M_{w Lambda_i}, and w.alpha_i^vee
+    # is column i of comat
+    vals = [M[x] for x in chambers]
+    return Coweight(
+        group.cartan, tuple(sum(a * v for a, v in zip(row, vals)) for row in w.comat)
+    )
 
 
 def vertex(group: WeylGroup, datum: BZDatum, w: WeylElement) -> Coweight:
     """The vertex mu_w = sum_i M_{w Lambda_i} w.alpha_i^vee."""
-    total = group.cartan.zero_coweight()
-    for i in range(1, group.rank + 1):
-        total = total + datum.value(group.w_lambda(w, i).coords) * group.w_coroot(w, i)
-    return total
+    table = index_table(group)
+    return _vertex(group, w, datum.values, table.chamber[table.index[w]])
 
 
 def vertices(group: WeylGroup, datum: BZDatum) -> dict[WeylElement, Coweight]:
-    return {w: vertex(group, datum, w) for w in group.elements()}
+    chamber = index_table(group).chamber
+    return {
+        w: _vertex(group, w, datum.values, chamber[t])
+        for t, w in enumerate(group.elements())
+    }
 
 
 def mu1(group: WeylGroup, datum: BZDatum) -> Coweight:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import bz, cones, lusztig, polytope
 from .bz import BZDatum
 from .cartan import CartanDatum
+from .tables import index_table
 from .weyl import Face, WeylGroup
 
 Vec = tuple[int, ...]
@@ -87,38 +88,22 @@ def _sub(a: Vec, b: Vec) -> Vec:
 
 def edge_row(group: WeylGroup, w, i: int) -> Vec:
     """Coefficient vector of the edge length at (w, i) over the value tuple."""
-    size = len(group.chamber_weights())
-    wsi = group.right(w, i)
-    terms = [
-        (group.chamber_index(group.w_lambda(w, i).coords), -1),
-        (group.chamber_index(group.w_lambda(wsi, i).coords), -1),
-    ]
-    for j in range(1, group.rank + 1):
-        if j != i:
-            terms.append(
-                (
-                    group.chamber_index(group.w_lambda(w, j).coords),
-                    -group.cartan.entry(j, i),
-                )
-            )
-    return _add(size, *terms)
+    group.cartan._check_index(i)
+    table = index_table(group)
+    return _add(len(group.chamber_weights()), *table.edge_rows[table.index[w]][i - 1])
 
 
 def face_relations(group: WeylGroup, face: Face) -> tuple[Relation, ...]:
+    if face.kind == "rectangle":
+        return ()
     size = len(group.chamber_weights())
-    w, i, j = face.w, face.i, face.j
-    ix = lambda u, t: group.chamber_index(group.w_lambda(u, t).coords)
-    wsi, wsj = group.right(w, i), group.right(w, j)
-    iA, iB = ix(w, i), ix(w, j)
-    iC, iD = ix(wsi, i), ix(wsj, j)
-    iE = ix(group.right(wsi, j), j)
-    iF = ix(group.right(wsj, i), i)
+    idx = index_table(group).face_indices(face)
     if face.kind == "hexagon":
+        iA, iB, iC, iD, iE, iF = idx
         lhs = _add(size, (iC, 1), (iD, 1))
         args = (_add(size, (iA, 1), (iE, 1)), _add(size, (iF, 1), (iB, 1)))
         return (Relation(face, 0, lhs, args),)
-    iG = ix(group.right(group.right(wsi, j), i), i)
-    iH = ix(group.right(group.right(wsj, i), j), j)
+    iA, iB, iC, iD, iE, iF, iG, iH = idx
     lhs1 = _add(size, (iD, 1), (iE, 1), (iC, 1))
     args1 = (
         _add(size, (iE, 2), (iA, 1)),
@@ -138,11 +123,9 @@ def _choice_rows(
     group: WeylGroup, relations, choice
 ) -> tuple[list[Vec], list[Vec]]:
     size = len(group.chamber_weights())
-    eq = [
-        tuple(_unit(size, group.chamber_index(group.cartan.fundamental_weight(i).coords)))
-        for i in range(1, group.rank + 1)
-    ]
-    ineq = [edge_row(group, w, i) for w, i in bz.edge_pairs(group)]
+    table = index_table(group)
+    eq = [tuple(_unit(size, t)) for t in table.chamber[0]]
+    ineq = [_add(size, *row) for _, _, row in table.edges]
     for rel, k in zip(relations, choice):
         eq.append(_sub(rel.args[k], rel.lhs))
         for t, arg in enumerate(rel.args):

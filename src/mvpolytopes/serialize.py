@@ -116,7 +116,8 @@ def doc_to_datum(doc) -> tuple[WeylGroup, BZDatum]:
     values = {}
     for key, val in raw_values.items():
         coords = _parse_value_key(group, key)
-        if not isinstance(val, int):
+        # bool is a subclass of int, but JSON true is not a number
+        if not isinstance(val, int) or isinstance(val, bool):
             raise ValueError(f"value at {key!r} must be an integer")
         if coords in values and values[coords] != val:
             raise ValueError(f"conflicting values for chamber weight {key!r}")

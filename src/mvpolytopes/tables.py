@@ -1,0 +1,222 @@
+"""Integer index tables of a Weyl group, read by the inner loops.
+
+Every constraint on a datum, and every step of assembling one from Lusztig
+data, reads the values tuple at fixed chamber indices.  ``index_table``
+computes those indices once per group and keeps them on the group, so the
+loops in :mod:`bz`, :mod:`polytope` and :mod:`primes` touch ints only;
+``Weight`` and ``Coweight`` objects appear only at the API boundary.
+
+The table also holds the transport plan of :func:`bz.from_lusztig`.  A
+datum is fixed by its Lusztig data along one reduced word, and the value at
+gamma_k = w_k Lambda_{i_k} of a word is sum_{l <= k} <beta_l, gamma_k> n_l,
+so it suffices to move n to a few words whose gamma_k cover every chamber
+weight.  The plan is a parent braid edge per reduced word, each one step
+closer to the reference word, and a fixed chain of braid edges from the
+reference word through such covering words (its stops).  Pairing rows are
+kept for the stops only: rows for all 2316 reduced words of D4 would cost
+more memory than the rest of the table.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
+from operator import itemgetter
+
+from .weyl import BraidEdge, BraidGraph, Face, WeylElement, WeylGroup
+
+Word = tuple[int, ...]
+# sparse integer row: the value is sum(coef * x[index] for index, coef in row)
+Row = tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class Stop:
+    """A word of the plan whose chamber weights get values.
+
+    ``edges`` lead to it from the previous stop (none for the reference
+    word); ``rows`` pair each chamber index gamma_k of the word with the
+    coefficients <beta_l, gamma_k>, l <= k, over the word's Lusztig data.
+    """
+
+    word: Word
+    edges: tuple[BraidEdge, ...]
+    rows: tuple[tuple[int, Row], ...]
+
+
+@dataclass(frozen=True)
+class IndexTable:
+    """Chamber and element indices of one group; see the module docstring.
+
+    Element indices follow ``group.elements()`` (0 is the identity) and
+    chamber indices follow ``group.chamber_weights()``.
+    """
+
+    index: dict[WeylElement, int]
+    chamber: tuple[tuple[int, ...], ...]  # [t][i - 1]: chamber index of w_t . Lambda_i
+    right: tuple[tuple[int, ...], ...]  # [t][i - 1]: element index of w_t s_i
+    edge_rows: tuple[tuple[Row, ...], ...]  # [t][i - 1]: edge length at (w_t, i)
+    edges: tuple[tuple[Word, int, Row], ...]  # (word of w, i, row), bz.edge_pairs order
+    faces: tuple[tuple[Word, int, int, itemgetter], ...]
+    # (word of w, i, j, getter of the values at A..F or A..H), hexagons and
+    # octagons in group.two_faces order
+    parent: dict[Word, BraidEdge | None]  # toward the reference word; None at it
+    plan: tuple[Stop, ...]  # starts at the reference word
+
+    def face_indices(self, face: Face) -> tuple[int, ...]:
+        """Chamber indices A..F of a hexagon, or A..H of an octagon."""
+        return _face_indices(
+            self.chamber, self.right, self.index[face.w], face.i, face.j, face.kind
+        )
+
+
+def index_table(group: WeylGroup) -> IndexTable:
+    """The group's table, built on first use and kept on the group."""
+    if group._table is None:
+        group._table = _build(group)
+    return group._table
+
+
+def _face_indices(chamber, right, t: int, i: int, j: int, kind: str) -> tuple[int, ...]:
+    ti, tj = right[t][i - 1], right[t][j - 1]
+    tij, tji = right[ti][j - 1], right[tj][i - 1]
+    out = (
+        chamber[t][i - 1],  # A
+        chamber[t][j - 1],  # B
+        chamber[ti][i - 1],  # C
+        chamber[tj][j - 1],  # D
+        chamber[tij][j - 1],  # E
+        chamber[tji][i - 1],  # F
+    )
+    if kind == "octagon":
+        out += (
+            chamber[right[tij][i - 1]][i - 1],  # G
+            chamber[right[tji][j - 1]][j - 1],  # H
+        )
+    return out
+
+
+def _build(group: WeylGroup) -> IndexTable:
+    r = group.rank
+    a = group.cartan.a
+    elements = group.elements()
+    index = group._index  # element -> position in elements
+    # column i of w.mat is w . Lambda_{i+1}
+    chamber = tuple(tuple(map(group.chamber_index, zip(*w.mat))) for w in elements)
+    right = tuple(
+        tuple(index[group.right(w, i)] for i in range(1, r + 1)) for w in elements
+    )
+    # edge length at (w, i):
+    #   -M(w Lambda_i) - M(w s_i Lambda_i) - sum_{j != i} a_ji M(w Lambda_j)
+    edge_rows = tuple(
+        tuple(
+            ((chamber[t][i], -1), (chamber[right[t][i]][i], -1))
+            + tuple((chamber[t][j], -a[j][i]) for j in range(r) if j != i and a[j][i])
+            for i in range(r)
+        )
+        for t in range(len(elements))
+    )
+    edges = tuple(
+        (w.word, i, edge_rows[t][i - 1])
+        for t, w in enumerate(elements)
+        for i in range(1, r + 1)
+        if elements[right[t][i - 1]].length > w.length
+    )
+    faces = tuple(
+        (
+            f.w.word,
+            f.i,
+            f.j,
+            itemgetter(*_face_indices(chamber, right, index[f.w], f.i, f.j, f.kind)),
+        )
+        for f in group.two_faces(("hexagon", "octagon"))
+    )
+    graph = group.braid_graph()
+    return IndexTable(
+        index=index,
+        chamber=chamber,
+        right=right,
+        edge_rows=edge_rows,
+        edges=edges,
+        faces=faces,
+        parent=_parents(graph, group.reference_word),
+        plan=_plan(group, graph, chamber, right),
+    )
+
+
+def _parents(graph: BraidGraph, ref: Word) -> dict[Word, BraidEdge | None]:
+    """For each word, the braid edge one step back along a breadth-first tree
+    grown from ``ref``."""
+    parent: dict[Word, BraidEdge | None] = {ref: None}
+    queue = deque([ref])
+    while queue:
+        word = queue.popleft()
+        for e in graph.adjacency[word]:
+            if e.dst not in parent:
+                # the flipped window alternates again, so this is dst's edge at k
+                parent[e.dst] = BraidEdge(e.dst, e.src, e.k, e.d)
+                queue.append(e.dst)
+    if len(parent) != len(graph.words):
+        raise RuntimeError("braid graph is not connected")
+    return parent
+
+
+def _plan(group: WeylGroup, graph: BraidGraph, chamber, right) -> tuple[Stop, ...]:
+    """Greedy cover of the chamber weights by words near each other.
+
+    From the current stop, the next one is the nearest word, in braid moves,
+    that adds uncovered chamber weights; among the nearest, the first found
+    breadth first of those adding the most.
+    """
+    masks = {}  # word -> bit mask of the chamber indices of its gamma_k
+    for word in graph.words:
+        t, mask = 0, 0
+        for i in word:
+            t = right[t][i - 1]
+            mask |= 1 << chamber[t][i - 1]
+        masks[word] = mask
+    full = (1 << len(group.chamber_weights())) - 1
+    at = group.reference_word
+    covered = masks[at]
+    for t in chamber[0]:
+        covered |= 1 << t
+    stops = [Stop(at, (), _pairing_rows(group, at))]
+    while covered != full:
+        via: dict[Word, BraidEdge] = {}
+        level, best, gain = [at], at, 0
+        while not gain:
+            if not level:
+                raise RuntimeError("reduced words of w0 miss some chamber weight")
+            nxt = []
+            for word in level:
+                for e in graph.adjacency[word]:
+                    if e.dst == at or e.dst in via:
+                        continue
+                    via[e.dst] = e
+                    nxt.append(e.dst)
+                    new = (masks[e.dst] & ~covered).bit_count()
+                    if new > gain:
+                        best, gain = e.dst, new
+            level = nxt
+        path = []
+        word = best
+        while word != at:
+            path.append(via[word])
+            word = via[word].src
+        at = best
+        covered |= masks[at]
+        stops.append(Stop(at, tuple(reversed(path)), _pairing_rows(group, at)))
+    return tuple(stops)
+
+
+def _pairing_rows(group: WeylGroup, word: Word) -> tuple[tuple[int, Row], ...]:
+    data = group.word_data(word)
+    rows = []
+    for k, gamma in enumerate(data.gammas):
+        row = []
+        for l in range(k + 1):
+            c = sum(x * y for x, y in zip(data.coroots[l].coords, gamma.coords))
+            if c:
+                row.append((l, c))
+        rows.append((group.chamber_index(gamma.coords), tuple(row)))
+    return tuple(rows)

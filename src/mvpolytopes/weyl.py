@@ -134,6 +134,7 @@ class WeylGroup:
         self._parts: np.ndarray | None = None
         self._mv_cache: dict = {}
         self._catalog = None
+        self._table = None  # tables.IndexTable, built on first use
 
     # -- construction -------------------------------------------------
 

@@ -1,0 +1,241 @@
+"""Table-driven assembly and validation against object-based references.
+
+``bfs_from_lusztig`` is the braid-graph assembly: it walks the braid graph
+from the given word, reads values off every word it reaches with
+``lusztig.n_to_partial_M``, and cross-checks every revisited word and every
+chamber weight reached twice.  ``reference_validate`` recomputes edge lengths
+and 2-face residuals from ``Weight`` objects.  Neither reads the per-group
+index table, so they are independent of the transport plan they check.
+"""
+
+import gc
+import itertools
+import weakref
+from collections import deque
+
+import numpy as np
+import pytest
+
+from mvpolytopes import bz, lusztig, polytope, primes
+from mvpolytopes.cartan import build_cartan
+from mvpolytopes.tables import index_table
+from mvpolytopes.weyl import WeylGroup, weyl_group
+
+# -- references ------------------------------------------------------------------
+
+
+def reference_edge_length(group, datum, w, i):
+    wsi = group.right(w, i)
+    val = -datum.value(group.w_lambda(w, i).coords)
+    val -= datum.value(group.w_lambda(wsi, i).coords)
+    for j in range(1, group.rank + 1):
+        if j != i:
+            val -= group.cartan.entry(j, i) * datum.value(group.w_lambda(w, j).coords)
+    return val
+
+
+def reference_residuals(group, datum, face):
+    w, i, j = face.w, face.i, face.j
+    wl = lambda u, t: datum.value(group.w_lambda(u, t).coords)
+    wsi, wsj = group.right(w, i), group.right(w, j)
+    A, B = wl(w, i), wl(w, j)
+    C, D = wl(wsi, i), wl(wsj, j)
+    if face.kind == "rectangle":
+        return ()
+    E = wl(group.right(wsi, j), j)
+    F = wl(group.right(wsj, i), i)
+    if face.kind == "hexagon":
+        return (min(A + E, F + B) - (C + D),)
+    G = wl(group.right(group.right(wsi, j), i), i)
+    H = wl(group.right(group.right(wsj, i), j), j)
+    r1 = min(2 * E + A, 2 * B + G, B + H + C) - (D + E + C)
+    r2 = min(2 * B + 2 * G, 2 * H + 2 * C, G + 2 * E + A) - (F + 2 * E + C)
+    return (r1, r2)
+
+
+def reference_validate(group, datum):
+    edge_bad = []
+    for w, i in bz.edge_pairs(group):
+        c = reference_edge_length(group, datum, w, i)
+        if c < 0:
+            edge_bad.append((w.word, i, c))
+    face_bad = []
+    for face in group.two_faces(("hexagon", "octagon")):
+        res = reference_residuals(group, datum, face)
+        if any(r != 0 for r in res):
+            face_bad.append((face.w.word, face.i, face.j, res))
+    return bz.ValidationReport(tuple(edge_bad), tuple(face_bad))
+
+
+def reference_vertex(group, datum, w):
+    total = group.cartan.zero_coweight()
+    for i in range(1, group.rank + 1):
+        total = total + datum.value(group.w_lambda(w, i).coords) * group.w_coroot(w, i)
+    return total
+
+
+def bfs_from_lusztig(group, word, n):
+    """Assemble by propagating n across the whole braid graph."""
+    word = tuple(word)
+    graph = group.braid_graph()
+    if word not in graph.adjacency:
+        raise ValueError(f"{word} is not a reduced word for the longest element")
+    total = len(group.chamber_weights())
+    values = {}
+
+    def merge(w, nv):
+        for coords, val in lusztig.n_to_partial_M(group, w, nv).items():
+            if values.setdefault(coords, val) != val:
+                raise RuntimeError(
+                    f"inconsistent value at chamber weight {coords}: "
+                    f"{values[coords]} vs {val} from word {w}"
+                )
+
+    n_by_word = {word: lusztig._check_lusztig(group, word, n)[1]}
+    merge(word, n_by_word[word])
+    queue = deque([word])
+    while queue:
+        src = queue.popleft()
+        for e in graph.adjacency[src]:
+            known = e.dst in n_by_word
+            if not known and len(values) == total:
+                continue
+            moved = lusztig.braid_transition(group, e, n_by_word[src])
+            if known:
+                if n_by_word[e.dst] != moved:
+                    raise RuntimeError(
+                        f"path-dependent transport: word {e.dst} reached with "
+                        f"{moved} but previously {n_by_word[e.dst]}"
+                    )
+                continue
+            n_by_word[e.dst] = moved
+            merge(e.dst, moved)
+            queue.append(e.dst)
+    if len(values) != total:
+        raise RuntimeError("braid moves did not reach every chamber weight")
+    datum = bz.make_bz(group, values)
+    report = reference_validate(group, datum)
+    if not report.is_valid:
+        raise RuntimeError("transported data violates polytope conditions")
+    return datum
+
+
+def group_of(family, rank):
+    return weyl_group(build_cartan(family, rank))
+
+
+def random_data(group, rng, count):
+    """Seeded (word, n) pairs along random reduced words; one n is all zeros."""
+    words = group.braid_graph().words
+    out = [(words[rng.integers(len(words))], (0,) * group.m)]
+    for _ in range(count - 1):
+        word = words[rng.integers(len(words))]
+        out.append((word, tuple(int(v) for v in rng.integers(0, 6, group.m))))
+    return out
+
+
+# -- assembly ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family, rank, count",
+    [("A", 3, 20), ("B", 3, 8), ("C", 3, 8), ("A", 4, 4), ("D", 4, 2)],
+)
+def test_plan_matches_bfs_oracle(family, rank, count):
+    g = group_of(family, rank)
+    rng = np.random.default_rng(1000 * rank + ord(family))
+    for word, n in random_data(g, rng, count):
+        assert bz.from_lusztig(g, word, n) == bfs_from_lusztig(g, word, n), (word, n)
+
+
+def test_plan_matches_bfs_oracle_every_word_b2(b2):
+    for word in b2.braid_graph().words:
+        for n in itertools.product(range(3), repeat=b2.m):
+            assert bz.from_lusztig(b2, word, n) == bfs_from_lusztig(b2, word, n)
+
+
+def test_plan_covers_every_chamber_weight():
+    for family, rank in [("A", 1), ("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
+        g = group_of(family, rank)
+        table = index_table(g)
+        assert table.plan[0].word == g.reference_word and not table.plan[0].edges
+        reached = set(table.chamber[0])
+        for stop in table.plan:
+            at = stop.edges[0].src if stop.edges else stop.word
+            for e in stop.edges:
+                assert e.src == at
+                at = e.dst
+            assert at == stop.word
+            reached |= {t for t, _ in stop.rows}
+        assert reached == set(range(len(g.chamber_weights())))
+
+
+def test_table_lives_and_dies_with_its_group():
+    g = WeylGroup(build_cartan("A", 3))
+    assert g._table is None
+    d = bz.from_lusztig(g, g.reference_word, (1, 0, 2, 0, 1, 1))
+    assert g._table is not None and index_table(g) is g._table
+    assert index_table(group_of("A", 3)) is not g._table
+    assert d == bz.from_lusztig(group_of("A", 3), g.reference_word, (1, 0, 2, 0, 1, 1))
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+# -- constraints -------------------------------------------------------------------
+
+
+def perturbed(group, rng, datum):
+    """The datum with 1 to 3 random chamber values moved by up to 3."""
+    values = list(datum.values)
+    for t in rng.choice(len(values), size=int(rng.integers(1, 4)), replace=False):
+        values[t] += int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return bz.BZDatum(group.cartan, tuple(values))
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]
+)
+def test_table_constraints_match_object_reference(family, rank):
+    g = group_of(family, rank)
+    rng = np.random.default_rng(rank * 7 + ord(family))
+    faces = g.two_faces()
+    invalid = 0
+    for word, n in random_data(g, rng, 6):
+        good = bz.from_lusztig(g, word, n)
+        for d in [good] + [perturbed(g, rng, good) for _ in range(4)]:
+            report = bz.validate(g, d)
+            assert report == reference_validate(g, d)
+            invalid += not report.is_valid
+            for face in faces:
+                assert bz.face_relation_holds(g, d, face) == (
+                    not any(reference_residuals(g, d, face))
+                )
+            for w in g.elements():
+                assert polytope.vertex(g, d, w) == reference_vertex(g, d, w)
+                for i in range(1, g.rank + 1):
+                    want = reference_edge_length(g, d, w, i)
+                    assert bz.edge_length(g, d, w, i) == want
+                    row = primes.edge_row(g, w, i)
+                    assert sum(a * b for a, b in zip(row, d.values)) == want
+            other = g.braid_graph().words[rng.integers(len(g.braid_graph().words))]
+            data = g.word_data(other)
+            assert bz.lusztig_data(g, d, other) == tuple(
+                reference_edge_length(g, d, data.prefixes[k], other[k]) for k in range(g.m)
+            )
+    assert invalid >= 20  # perturbations reach the failing branches
+
+
+def test_face_relations_rows_match_residuals(b2, a3):
+    rng = np.random.default_rng(5)
+    for g in (b2, a3):
+        for word, n in random_data(g, rng, 3):
+            d = perturbed(g, rng, bz.from_lusztig(g, word, n))
+            for face in g.two_faces(("hexagon", "octagon")):
+                dot = lambda row: sum(a * b for a, b in zip(row, d.values))
+                got = tuple(
+                    min(dot(arg) for arg in rel.args) - dot(rel.lhs)
+                    for rel in primes.face_relations(g, face)
+                )
+                assert got == reference_residuals(g, d, face)

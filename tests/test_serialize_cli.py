@@ -201,3 +201,20 @@ def test_cli_parallel_matches_serial(capsys):
     par = capsys.readouterr().out
     assert main(["enumerate", "A", "3", "--coweight", "1,1,1"]) == 0
     assert capsys.readouterr().out == par
+
+
+def test_cli_collapse_entry_not_a_list(tmp_path, capsys):
+    pic = tmp_path / "pic.json"
+    pic.write_text("[5, 6]")
+    assert main(["collapse", str(pic), "2"]) == 2
+    assert "is not [a, b, value]" in capsys.readouterr().err
+
+
+def test_cli_validate_rejects_boolean_value(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        '{"group": {"family": "A", "rank": 2}, "values": '
+        '{"1,0": 0, "0,1": 0, "-1,1": -2, "-1,0": -3, "0,-1": -2, "1,-1": true}}'
+    )
+    assert main(["validate", str(doc)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
