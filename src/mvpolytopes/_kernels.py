@@ -1,38 +1,19 @@
-"""Hot integer kernels with a numba fast path and a vectorized numpy fallback.
+"""Integer kernels: the partition-function enumeration and the box filter.
 
-Backend selection: the MVPOLY_BACKEND environment variable ("numba", "numpy"
-or "auto", default auto) or an explicit ``backend=`` argument.  Both backends
-emit rows in the same lexicographically ascending order, so results are
-byte-identical and callers never need to know which one ran.
+Both are vectorized numpy and emit rows in lexicographically ascending
+order, so results are deterministic and callers can compare them directly.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-BACKEND_ENV = "MVPOLY_BACKEND"
 
-try:
-    import numba
-
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _NUMBA_OK = False
-
-
-def resolve_backend(name: str | None = None) -> str:
-    name = name or os.environ.get(BACKEND_ENV, "auto")
-    if name not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}; use numba, numpy or auto")
-    if name == "auto":
-        return "numba" if _NUMBA_OK else "numpy"
-    if name == "numba" and not _NUMBA_OK:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    return name
+def resolve_backend() -> str:
+    """Name of the kernel implementation, recorded with benchmark runs."""
+    return "numpy"
 
 
 def _suffix_support(parts: np.ndarray) -> np.ndarray:
@@ -44,111 +25,8 @@ def _suffix_support(parts: np.ndarray) -> np.ndarray:
     return supp
 
 
-# -- depth-first multiplicity search (numba source) -------------------------
-
-
-def _combinations_dfs(parts, target, supp, out):
-    """Count vectors c >= 0 with parts^T c == target; fill ``out`` if non-empty.
-
-    Rows are emitted in lexicographically ascending order of c.
-    """
-    m = parts.shape[0]
-    r = parts.shape[1]
-    rem = target.copy()
-    mult = np.full(m, -1, dtype=np.int64)
-    caps = np.zeros(m, dtype=np.int64)
-    count = 0
-    pos = 0
-    entering = True
-    while pos >= 0:
-        if entering:
-            dead = False
-            for j in range(r):
-                if rem[j] < 0 or (rem[j] > 0 and not supp[pos, j]):
-                    dead = True
-                    break
-            if pos == m:
-                if not dead:
-                    if out.shape[0] > 0:
-                        for l in range(m):
-                            out[count, l] = mult[l]
-                    count += 1
-                pos -= 1
-                entering = False
-                continue
-            if dead:
-                pos -= 1
-                entering = False
-                continue
-            cap = np.int64(0)
-            first = True
-            for j in range(r):
-                if parts[pos, j] > 0:
-                    c = rem[j] // parts[pos, j]
-                    if first or c < cap:
-                        cap = c
-                    first = False
-            caps[pos] = 0 if first else cap
-            mult[pos] = 0
-            pos += 1
-            continue
-        if mult[pos] < caps[pos]:
-            mult[pos] += 1
-            for j in range(r):
-                rem[j] -= parts[pos, j]
-            entering = True
-            pos += 1
-        else:
-            for j in range(r):
-                rem[j] += mult[pos] * parts[pos, j]
-            mult[pos] = -1
-            pos -= 1
-    return count
-
-
-def _box_odometer(bounds, ineqs, out):
-    """Count x with 0 <= x <= bounds and ineqs @ x >= 0; fill ``out`` if non-empty."""
-    r = bounds.shape[0]
-    k = ineqs.shape[0]
-    x = np.zeros(r, dtype=np.int64)
-    vals = np.zeros(k, dtype=np.int64)
-    count = 0
-    while True:
-        ok = True
-        for t in range(k):
-            if vals[t] < 0:
-                ok = False
-                break
-        if ok:
-            if out.shape[0] > 0:
-                for j in range(r):
-                    out[count, j] = x[j]
-            count += 1
-        j = r - 1
-        while j >= 0:
-            if x[j] < bounds[j]:
-                x[j] += 1
-                for t in range(k):
-                    vals[t] += ineqs[t, j]
-                break
-            for t in range(k):
-                vals[t] -= x[j] * ineqs[t, j]
-            x[j] = 0
-            j -= 1
-        if j < 0:
-            return count
-
-
-if _NUMBA_OK:
-    _combinations_dfs_njit = numba.njit(cache=True)(_combinations_dfs)
-    _box_odometer_njit = numba.njit(cache=True)(_box_odometer)
-
-
-# -- vectorized numpy fallbacks ---------------------------------------------
-
-
 def _combinations_numpy(parts: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Frontier expansion over positions; same row order as the DFS."""
+    """Frontier expansion over positions; rows come out lex ascending."""
     m, r = parts.shape
     supp = _suffix_support(parts)
     rems = target[None, :].copy()
@@ -192,59 +70,23 @@ def _box_numpy(bounds: np.ndarray, ineqs: np.ndarray, chunk: int = 1 << 16) -> n
     return np.ascontiguousarray(np.concatenate(keep_rows, axis=0))
 
 
-# -- public api ---------------------------------------------------------------
-
-
 def _as_i64(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.int64))
 
 
-def count_nonneg_combinations(parts, target, backend: str | None = None) -> int:
+def count_nonneg_combinations(parts, target) -> int:
     """Number of nonnegative integer vectors c with sum_l c_l parts[l] == target."""
-    parts, target = _as_i64(parts), _as_i64(target)
-    if resolve_backend(backend) == "numba":
-        empty = np.zeros((0, parts.shape[0]), dtype=np.int64)
-        return int(_combinations_dfs_njit(parts, target, _suffix_support(parts), empty))
-    return int(_combinations_numpy(parts, target).shape[0])
+    return int(_combinations_numpy(_as_i64(parts), _as_i64(target)).shape[0])
 
 
-def enumerate_nonneg_combinations(parts, target, backend: str | None = None) -> np.ndarray:
+def enumerate_nonneg_combinations(parts, target) -> np.ndarray:
     """All such vectors c as rows, in lexicographically ascending order."""
-    parts, target = _as_i64(parts), _as_i64(target)
-    if resolve_backend(backend) == "numba":
-        supp = _suffix_support(parts)
-        empty = np.zeros((0, parts.shape[0]), dtype=np.int64)
-        n = _combinations_dfs_njit(parts, target, supp, empty)
-        out = np.zeros((n, parts.shape[0]), dtype=np.int64)
-        if n:
-            _combinations_dfs_njit(parts, target, supp, out)
-        return out
-    return _combinations_numpy(parts, target)
+    return _combinations_numpy(_as_i64(parts), _as_i64(target))
 
 
-def filter_box_points(bounds, ineqs, backend: str | None = None) -> np.ndarray:
+def filter_box_points(bounds, ineqs) -> np.ndarray:
     """Lattice points x with 0 <= x <= bounds and ineqs @ x >= 0, lex ascending."""
     bounds, ineqs = _as_i64(bounds), _as_i64(ineqs)
     if ineqs.ndim != 2:
         ineqs = ineqs.reshape(-1, bounds.shape[0])
-    if resolve_backend(backend) == "numba":
-        empty = np.zeros((0, bounds.shape[0]), dtype=np.int64)
-        n = _box_odometer_njit(bounds, ineqs, empty)
-        out = np.zeros((n, bounds.shape[0]), dtype=np.int64)
-        if n:
-            _box_odometer_njit(bounds, ineqs, out)
-        return out
     return _box_numpy(bounds, ineqs)
-
-
-def get_backend(name: str):
-    """Pin a backend; used by the benchmark harness."""
-    resolved = resolve_backend(name)
-    return {
-        "name": resolved,
-        "count_nonneg_combinations": lambda p, t: count_nonneg_combinations(p, t, resolved),
-        "enumerate_nonneg_combinations": lambda p, t: enumerate_nonneg_combinations(
-            p, t, resolved
-        ),
-        "filter_box_points": lambda b, q: filter_box_points(b, q, resolved),
-    }

@@ -55,7 +55,8 @@ def _face_points(group: WeylGroup, datum: BZDatum, face) -> tuple[list, tuple, t
                 break
         if pivot:
             break
-    assert pivot is not None, "face coroots must be independent"
+    if pivot is None:
+        raise RuntimeError(f"face {face}: coroots {b1} and {b2} are not independent")
     p, q = pivot
     det = b1[p] * b2[q] - b1[q] * b2[p]
     pts = []
@@ -63,9 +64,8 @@ def _face_points(group: WeylGroup, datum: BZDatum, face) -> tuple[list, tuple, t
         diff = [a - b for a, b in zip(polytope.vertex(group, datum, u).coords, base)]
         x = Fraction(diff[p] * b2[q] - diff[q] * b2[p], det)
         y = Fraction(b1[p] * diff[q] - b1[q] * diff[p], det)
-        assert all(
-            x * c1 + y * c2 == d for c1, c2, d in zip(b1, b2, diff)
-        ), "face vertices left the face plane"
+        if any(x * c1 + y * c2 != d for c1, c2, d in zip(b1, b2, diff)):
+            raise RuntimeError(f"face {face}: vertex at {u.word} leaves the face plane")
         pts.append((x, y))
     return pts, (i, j), (b1, b2)
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .cartan import Coweight
+from .tables import index_table
 from .weyl import BraidEdge, WeylGroup
 
 
@@ -103,32 +104,30 @@ def braid_transition(group: WeylGroup, edge: BraidEdge, n) -> tuple[int, ...]:
 
 
 def word_path(group: WeylGroup, src, dst) -> tuple[BraidEdge, ...]:
-    """A shortest chain of braid moves from one reduced word to another."""
+    """A chain of braid moves from one reduced word to another.
+
+    It follows the parent edges of the group's index table from ``src`` up
+    toward ``reference_word`` and back down to ``dst``, turning at the first
+    word the two parent chains share.  The chain is at most twice the depth
+    of the parent tree long, and need not be the shortest one.
+    """
     src, dst = tuple(src), tuple(dst)
-    graph = group.braid_graph()
-    if src not in graph.adjacency or dst not in graph.adjacency:
+    parent = index_table(group).parent
+    if src not in parent or dst not in parent:
         raise ValueError("both endpoints must be reduced words for w0")
-    if src == dst:
-        return ()
-    parents: dict[tuple[int, ...], BraidEdge] = {src: None}
-    frontier = [src]
-    while frontier and dst not in parents:
-        nxt = []
-        for word in frontier:
-            for e in graph.adjacency[word]:
-                if e.dst not in parents:
-                    parents[e.dst] = e
-                    nxt.append(e.dst)
-        frontier = nxt
-    if dst not in parents:
-        raise AssertionError("braid graph is not connected")
-    path = []
-    cur = dst
-    while parents[cur] is not None:
-        e = parents[cur]
-        path.append(e)
-        cur = e.src
-    return tuple(reversed(path))
+    up, down = _chain_up(parent, src), _chain_up(parent, dst)
+    while up and down and up[-1] == down[-1]:
+        up.pop()
+        down.pop()
+    return tuple(up) + tuple(BraidEdge(e.dst, e.src, e.k, e.d) for e in reversed(down))
+
+
+def _chain_up(parent, word) -> list[BraidEdge]:
+    chain = []
+    while (edge := parent[word]) is not None:
+        chain.append(edge)
+        word = edge.dst
+    return chain
 
 
 def transport(group: WeylGroup, src, dst, n) -> tuple[int, ...]:

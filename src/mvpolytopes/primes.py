@@ -228,7 +228,11 @@ def build_catalog(group: WeylGroup, limit: int = 10_000) -> Catalog:
         rays_n = []
         for ray in rays_m:
             rn = tuple(cones._dot(lrow, ray) for lrow in length_rows)
-            assert all(v >= 0 for v in rn) and cones.primitive(rn) == rn
+            if any(v < 0 for v in rn) or cones.primitive(rn) != rn:
+                raise RuntimeError(
+                    f"choice {choice}: ray {ray} has edge lengths {rn}, "
+                    "not a primitive nonnegative vector"
+                )
             rays_n.append(rn)
         gens = cones.hilbert_basis(rays_n, rows_n)
         datums = []
@@ -236,9 +240,14 @@ def build_catalog(group: WeylGroup, limit: int = 10_000) -> Catalog:
             back = [
                 sum(R[t][k] * g[k] for k in range(group.m)) for t in range(size)
             ]
-            assert all(v.denominator == 1 for v in back)
+            if any(v.denominator != 1 for v in back):
+                raise RuntimeError(f"choice {choice}: generator {g} maps to non-integer values")
             datum = bz.from_lusztig(group, ref, g)
-            assert datum.values == tuple(int(v) for v in back)
+            if datum.values != tuple(int(v) for v in back):
+                raise RuntimeError(
+                    f"choice {choice}: generator {g} maps to values that differ "
+                    "from its assembly along the reference word"
+                )
             datums.append(datum)
             prime_data.setdefault(datum.values, datum)
         raw_clusters.append((choice, eq, ineq, tuple(rows_n), tuple(gens), datums))

@@ -131,7 +131,10 @@ def collapse(n: int, k: int, picture: dict) -> dict[Pair, int]:
                 val = min(left, right)
             else:
                 val = p[(a, b)]
-            assert val >= 0, "collapse produced a negative multiplicity"
+            if val < 0:
+                raise RuntimeError(
+                    f"collapse of {k} gave the pair {(a, b)} the negative multiplicity {val}"
+                )
             new[(a, b)] = val
     return {
         pair: v for pair, v in new.items() if k not in pair

@@ -3,9 +3,11 @@
 ``bfs_from_lusztig`` is the braid-graph assembly: it walks the braid graph
 from the given word, reads values off every word it reaches with
 ``lusztig.n_to_partial_M``, and cross-checks every revisited word and every
-chamber weight reached twice.  ``reference_validate`` recomputes edge lengths
-and 2-face residuals from ``Weight`` objects.  Neither reads the per-group
-index table, so they are independent of the transport plan they check.
+chamber weight reached twice.  ``shortest_word_path`` is a breadth-first
+chain of braid moves between two words.  ``reference_validate`` recomputes
+edge lengths and 2-face residuals from ``Weight`` objects.  None of them reads
+the per-group index table, so they are independent of the transport plan and
+the parent tree they check.
 """
 
 import gc
@@ -15,6 +17,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpolytopes import bz, lusztig, polytope, primes
 from mvpolytopes.cartan import build_cartan
@@ -120,6 +124,24 @@ def bfs_from_lusztig(group, word, n):
     return datum
 
 
+def shortest_word_path(group, src, dst):
+    """A shortest chain of braid moves from ``src`` to ``dst``."""
+    adjacency = group.braid_graph().adjacency
+    via = {src: None}
+    queue = deque([src])
+    while dst not in via:
+        word = queue.popleft()
+        for e in adjacency[word]:
+            if e.dst not in via:
+                via[e.dst] = e
+                queue.append(e.dst)
+    path = []
+    while via[dst] is not None:
+        path.append(via[dst])
+        dst = via[dst].src
+    return path[::-1]
+
+
 def group_of(family, rank):
     return weyl_group(build_cartan(family, rank))
 
@@ -181,6 +203,65 @@ def test_table_lives_and_dies_with_its_group():
     del g
     gc.collect()
     assert ref() is None
+
+
+# -- transport ---------------------------------------------------------------------
+
+
+@st.composite
+def word_pairs(draw):
+    """(group, src, dst, n): two random reduced words of w0 in B3, C3, A4 or D4."""
+    g = group_of(*draw(st.sampled_from([("B", 3), ("C", 3), ("A", 4), ("D", 4)])))
+    words = g.braid_graph().words
+    src, dst = (words[draw(st.integers(0, len(words) - 1))] for _ in range(2))
+    n = tuple(draw(st.lists(st.integers(0, 6), min_size=g.m, max_size=g.m)))
+    return g, src, dst, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_pairs())
+def test_transport_round_trip_keeps_coweight(case):
+    g, src, dst, n = case
+    there = lusztig.transport(g, src, dst, n)
+    assert lusztig.transport(g, dst, src, there) == n
+    assert lusztig.coweight_of(g, dst, there) == lusztig.coweight_of(g, src, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_pairs())
+def test_transport_matches_shortest_chain(case):
+    g, src, dst, n = case
+    want = n
+    for edge in shortest_word_path(g, src, dst):
+        want = lusztig.braid_transition(g, edge, want)
+    assert lusztig.transport(g, src, dst, n) == want
+
+
+def parent_chain(table, word):
+    chain = []
+    while table.parent[word] is not None:
+        chain.append(table.parent[word])
+        word = chain[-1].dst
+    return chain
+
+
+def test_word_path_turns_where_the_parent_chains_meet(b3):
+    table = index_table(b3)
+    words = b3.braid_graph().words
+    for src in words[::3]:
+        up = parent_chain(table, src)
+        assert list(lusztig.word_path(b3, src, b3.reference_word)) == up
+        for dst in words[::5]:
+            path = lusztig.word_path(b3, src, dst)
+            at = src
+            for e in path:
+                assert e.src == at
+                at = e.dst
+            assert at == dst
+            assert len(path) <= len(up) + len(parent_chain(table, dst))
+            assert len({e.src for e in path} | {dst}) == len(path) + 1  # no word twice
+    with pytest.raises(ValueError):
+        lusztig.word_path(b3, b3.reference_word, (1, 2, 3))
 
 
 # -- constraints -------------------------------------------------------------------

@@ -1,15 +1,10 @@
 import itertools
-import os
-from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpolytopes import _kernels as K
-
-BACKENDS = ["numpy"] + (["numba"] if K._NUMBA_OK else [])
 
 
 def brute_combinations(parts, target):
@@ -40,27 +35,24 @@ def brute_box(bounds, ineqs):
     return sorted(out)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_combinations_frozen_a2(backend):
+def test_combinations_frozen_a2():
     parts = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.int64)
     target = np.array([1, 1], dtype=np.int64)
-    rows = K.enumerate_nonneg_combinations(parts, target, backend)
+    rows = K.enumerate_nonneg_combinations(parts, target)
     assert rows.tolist() == [[0, 1, 0], [1, 0, 1]]
-    assert K.count_nonneg_combinations(parts, target, backend) == 2
+    assert K.count_nonneg_combinations(parts, target) == 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_combinations_empty_target(backend):
+def test_combinations_empty_target():
     parts = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    assert K.count_nonneg_combinations(parts, np.array([0, 0]), backend) == 1
-    assert K.count_nonneg_combinations(parts, np.array([-1, 0]), backend) == 0
+    assert K.count_nonneg_combinations(parts, np.array([0, 0])) == 1
+    assert K.count_nonneg_combinations(parts, np.array([-1, 0])) == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_box_frozen(backend):
+def test_box_frozen():
     bounds = np.array([2, 2], dtype=np.int64)
     ineqs = np.array([[1, -1]], dtype=np.int64)  # x >= y
-    pts = K.filter_box_points(bounds, ineqs, backend)
+    pts = K.filter_box_points(bounds, ineqs)
     assert pts.tolist() == [[0, 0], [1, 0], [1, 1], [2, 0], [2, 1], [2, 2]]
 
 
@@ -82,10 +74,9 @@ def test_combinations_match_bruteforce_and_each_other(parts_target):
     p = np.array(parts, dtype=np.int64)
     t = np.array(target, dtype=np.int64)
     expected = brute_combinations(parts, target)
-    for backend in BACKENDS:
-        rows = K.enumerate_nonneg_combinations(p, t, backend)
-        assert [tuple(r) for r in rows.tolist()] == expected
-        assert K.count_nonneg_combinations(p, t, backend) == len(expected)
+    rows = K.enumerate_nonneg_combinations(p, t)
+    assert [tuple(r) for r in rows.tolist()] == expected
+    assert K.count_nonneg_combinations(p, t) == len(expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,22 +97,6 @@ def test_box_matches_bruteforce_and_each_other(bounds_ineqs):
     b = np.array(bounds, dtype=np.int64)
     q = np.array(ineqs, dtype=np.int64).reshape(len(ineqs), len(bounds))
     expected = brute_box(bounds, ineqs)
-    for backend in BACKENDS:
-        pts = K.filter_box_points(b, q, backend)
-        assert [tuple(r) for r in pts.tolist()] == expected
+    pts = K.filter_box_points(b, q)
+    assert [tuple(r) for r in pts.tolist()] == expected
 
-
-def test_resolve_backend_env():
-    with mock.patch.dict(os.environ, {K.BACKEND_ENV: "numpy"}):
-        assert K.resolve_backend() == "numpy"
-    with mock.patch.dict(os.environ, {K.BACKEND_ENV: "bogus"}):
-        with pytest.raises(ValueError):
-            K.resolve_backend()
-    assert K.resolve_backend("auto") in ("numba", "numpy")
-
-
-def test_get_backend_names():
-    impl = K.get_backend("numpy")
-    assert impl["name"] == "numpy"
-    parts = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    assert impl["count_nonneg_combinations"](parts, np.array([1, 1])) == 1
