@@ -25,6 +25,24 @@ def _suffix_support(parts: np.ndarray) -> np.ndarray:
     return supp
 
 
+def _alive(rems: np.ndarray, supp: np.ndarray) -> np.ndarray:
+    """Rows whose remainder is nonnegative and covered by the parts left."""
+    return (rems >= 0).all(axis=1) & ~((rems > 0) & ~supp[None, :]).any(axis=1)
+
+
+def _branch(rems: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row index, multiple of part) for every multiple each row can still take."""
+    pos_cols = part > 0
+    if pos_cols.any():
+        caps = (rems[:, pos_cols] // part[pos_cols][None, :]).min(axis=1)
+    else:
+        caps = np.zeros(rems.shape[0], dtype=np.int64)
+    reps = caps + 1
+    idx = np.repeat(np.arange(rems.shape[0]), reps)
+    counts = np.arange(idx.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
+    return idx, counts
+
+
 def _combinations_numpy(parts: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Frontier expansion over positions; rows come out lex ascending."""
     m, r = parts.shape
@@ -32,23 +50,38 @@ def _combinations_numpy(parts: np.ndarray, target: np.ndarray) -> np.ndarray:
     rems = target[None, :].copy()
     prefs = np.zeros((1, 0), dtype=np.int64)
     for pos in range(m):
-        alive = (rems >= 0).all(axis=1) & ~((rems > 0) & ~supp[pos][None, :]).any(axis=1)
+        alive = _alive(rems, supp[pos])
         rems, prefs = rems[alive], prefs[alive]
         if rems.shape[0] == 0:
             return np.zeros((0, m), dtype=np.int64)
-        part = parts[pos]
-        pos_cols = part > 0
-        if pos_cols.any():
-            caps = (rems[:, pos_cols] // part[pos_cols][None, :]).min(axis=1)
-        else:
-            caps = np.zeros(rems.shape[0], dtype=np.int64)
-        reps = caps + 1
-        idx = np.repeat(np.arange(rems.shape[0]), reps)
-        counts = np.arange(idx.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
-        rems = rems[idx] - counts[:, None] * part[None, :]
+        idx, counts = _branch(rems, parts[pos])
+        rems = rems[idx] - counts[:, None] * parts[pos][None, :]
         prefs = np.concatenate([prefs[idx], counts[:, None]], axis=1)
     done = (rems == 0).all(axis=1)
     return np.ascontiguousarray(prefs[done])
+
+
+def _count_numpy(parts: np.ndarray, target: np.ndarray) -> int:
+    """The same frontier with equal remainders merged, each carrying the number
+    of prefixes that reach it, so memory follows the distinct remainders."""
+    supp = _suffix_support(parts)
+    rems = target[None, :]
+    mult = np.ones(1, dtype=np.int64)
+    for pos, part in enumerate(parts):
+        alive = _alive(rems, supp[pos])
+        rems, mult = rems[alive], mult[alive]
+        if rems.shape[0] == 0:
+            return 0
+        idx, counts = _branch(rems, part)
+        mult = mult[idx]
+        if int(mult.max()) * mult.shape[0] >= 1 << 63:
+            raise OverflowError(f"more than 2**63 combinations after part {pos}")
+        rems = rems[idx] - counts[:, None] * part[None, :]
+        order = np.lexsort(rems.T)
+        rems, mult = rems[order], mult[order]
+        first = np.flatnonzero(np.r_[True, (rems[1:] != rems[:-1]).any(axis=1)])
+        rems, mult = rems[first], np.add.reduceat(mult, first)
+    return int(mult[(rems == 0).all(axis=1)].sum())
 
 
 def _box_numpy(bounds: np.ndarray, ineqs: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
@@ -76,7 +109,7 @@ def _as_i64(a) -> np.ndarray:
 
 def count_nonneg_combinations(parts, target) -> int:
     """Number of nonnegative integer vectors c with sum_l c_l parts[l] == target."""
-    return int(_combinations_numpy(_as_i64(parts), _as_i64(target)).shape[0])
+    return _count_numpy(_as_i64(parts), _as_i64(target))
 
 
 def enumerate_nonneg_combinations(parts, target) -> np.ndarray:

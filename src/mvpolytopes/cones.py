@@ -1,8 +1,11 @@
-"""Exact rational polyhedral-cone routines: nullspaces, extreme rays by double
+"""Exact polyhedral-cone routines: nullspaces, extreme rays by double
 description, and Hilbert bases of pointed rational cones with nonnegative rays.
 
-Everything runs over Fractions / Python ints; no floating point ever enters,
-so cone membership and ray computations are decisions, not approximations.
+Everything runs over integers.  Elimination is fraction-free (Bareiss), so a
+rational result comes back as an integer numerator with one positive
+denominator; integer matrix products run in int64 and raise rather than wrap.
+No floating point ever enters, so cone membership and ray computations are
+decisions, not approximations.
 """
 
 from __future__ import annotations
@@ -37,107 +40,105 @@ def clear_denominators(row) -> Vec:
     return primitive([int(v * lcm) for v in fr])
 
 
-class _Echelon:
-    """Incremental row echelon over Q, for ranks and independence tests."""
+def _eliminate(rows, width: int, stop: int | None = None):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) over the rows in order.
 
-    def __init__(self):
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, row) -> list[Fraction]:
-        row = [Fraction(v) for v in row]
-        for prow, p in zip(self.rows, self.pivots):
+    Returns ``(kept, pivots, reduced, d)``: the indices of the rows independent
+    of the rows before them, their pivot columns, and the reduced rows, which
+    are ``d`` times the reduced row echelon form of the kept rows.  ``d`` is the
+    minor of the kept rows at the pivot columns in that order (1 when no row is
+    kept).  Every entry is such a minor, so by Sylvester's identity each
+    division below is exact.  Stops once ``stop`` rows are kept.
+    """
+    kept: list[int] = []
+    pivots: list[int] = []
+    reduced: list[list[int]] = []
+    d = 1
+    for idx, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {idx} has width {len(row)}, not {width}")
+        row = [int(v) for v in row]
+        new = [d * v for v in row]
+        for p, red in zip(pivots, reduced):
             if row[p]:
-                coef = row[p] / prow[p]
-                row = [a - coef * b for a, b in zip(row, prow)]
-        return row
-
-    def add(self, row) -> bool:
-        """Insert the row; True when it was independent of the current span."""
-        red = self.reduce(row)
-        for p, v in enumerate(red):
-            if v:
-                self.rows.append(red)
-                self.pivots.append(p)
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+                new = [x - row[p] * y for x, y in zip(new, red)]
+        c = next((j for j, v in enumerate(new) if v), None)
+        if c is None:
+            continue
+        piv = new[c]
+        reduced = [[(piv * x - red[c] * y) // d for x, y in zip(red, new)] for red in reduced]
+        reduced.append(new)
+        pivots.append(c)
+        kept.append(idx)
+        d = piv
+        if len(kept) == stop:
+            break
+    return kept, pivots, reduced, d
 
 
 def rank(rows) -> int:
-    ech = _Echelon()
-    for row in rows:
-        ech.add(row)
-    return ech.rank
+    rows = list(rows)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def nullspace(rows, width: int) -> list[Vec]:
-    """Primitive integer basis of {x : row . x = 0 for all rows}."""
-    ech = _Echelon()
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("row width mismatch")
-        ech.add(row)
-    # full reduction upward so each pivot column is isolated
-    rows_ = [r[:] for r in ech.rows]
-    order = sorted(range(len(rows_)), key=lambda t: ech.pivots[t])
-    rows_ = [rows_[t] for t in order]
-    pivots = [ech.pivots[t] for t in order]
-    for t, p in enumerate(pivots):
-        rows_[t] = [v / rows_[t][p] for v in rows_[t]]
-        for s in range(len(rows_)):
-            if s != t and rows_[s][p]:
-                coef = rows_[s][p]
-                rows_[s] = [a - coef * b for a, b in zip(rows_[s], rows_[t])]
-    free = [j for j in range(width) if j not in pivots]
+    """Primitive integer basis of {x : row . x = 0 for all rows}, one vector per
+    free column of the reduced row echelon form, with +1 direction there."""
+    _, pivots, reduced, d = _eliminate(rows, width)
+    sign = 1 if d > 0 else -1
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for t, p in enumerate(pivots):
-            vec[p] = -rows_[t][f]
-        basis.append(clear_denominators(vec))
+    for f in sorted(set(range(width)) - set(pivots)):
+        vec = [0] * width
+        vec[f] = d
+        for p, red in zip(pivots, reduced):
+            vec[p] = -red[f]
+        basis.append(primitive([sign * v for v in vec]))
     return basis
 
 
-def invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+def inverse(mat) -> tuple[int, list[list[int]]]:
+    """``(den, num)`` with ``den > 0`` and ``mat`` inverse equal to ``num / den``."""
     q = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(q)]
-           for i, row in enumerate(mat)]
-    for col in range(q):
-        piv = next((t for t in range(col, q) if aug[t][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for t in range(q):
-            if t != col and aug[t][col]:
-                coef = aug[t][col]
-                aug[t] = [a - coef * b for a, b in zip(aug[t], aug[col])]
-    return [row[q:] for row in aug]
+    aug = [[*row, *(int(i == j) for j in range(q))] for i, row in enumerate(mat)]
+    _, pivots, reduced, d = _eliminate(aug, 2 * q)
+    if any(p >= q for p in pivots):
+        raise ValueError("matrix is singular")
+    sign = 1 if d > 0 else -1
+    num: list[list[int]] = [[]] * q
+    for p, red in zip(pivots, reduced):
+        num[p] = [sign * v for v in red[q:]]
+    return abs(d), num
 
 
-def det(mat) -> Fraction:
-    rows = [[Fraction(v) for v in row] for row in mat]
-    q = len(rows)
-    out = Fraction(1)
-    for col in range(q):
-        piv = next((t for t in range(col, q) if rows[t][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            out = -out
-        out *= rows[col][col]
-        for t in range(col + 1, q):
-            if rows[t][col]:
-                coef = rows[t][col] / rows[col][col]
-                rows[t] = [a - coef * b for a, b in zip(rows[t], rows[col])]
-    return out
+def invert(mat) -> list[list[Fraction]]:
+    den, num = inverse(mat)
+    return [[Fraction(v, den) for v in row] for row in num]
+
+
+def det(mat) -> int:
+    q = len(mat)
+    kept, pivots, _, d = _eliminate(mat, q)
+    if len(kept) < q:
+        return 0
+    swaps = sum(a > b for t, a in enumerate(pivots) for b in pivots[t + 1 :])
+    return -d if swaps % 2 else d
+
+
+def matmul(a, b) -> np.ndarray:
+    """Integer matrix product in int64 that raises OverflowError, never wraps.
+
+    Every entry is a sum of ``inner`` products bounded by ``max|a| * max|b|``,
+    so the result is exact while ``max|a| * max|b| * inner`` stays below 2**62.
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    bound = _absmax(a) * _absmax(b) * a.shape[-1]
+    if bound >= 1 << 62:
+        raise OverflowError(f"int64 product bound {bound} reaches 2**62")
+    return a @ b
+
+
+def _absmax(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def _dot(a, b) -> int:
@@ -153,23 +154,14 @@ def extreme_rays(ineq_rows: list[Vec], dim: int) -> list[Vec]:
     """
     if dim == 0:
         return []
-    ech = _Echelon()
-    chosen: list[int] = []
-    for idx, row in enumerate(ineq_rows):
-        if ech.add(row):
-            chosen.append(idx)
-            if len(chosen) == dim:
-                break
+    chosen = _eliminate(ineq_rows, dim, stop=dim)[0]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed")
-    base = [list(ineq_rows[i]) for i in chosen]
-    binv = invert(base)
-    rays: list[Vec] = []
-    zerosets: list[frozenset[int]] = []
-    for j in range(dim):
-        col = clear_denominators([binv[t][j] for t in range(dim)])
-        rays.append(col)
-        zerosets.append(frozenset(chosen[t] for t in range(dim) if t != j))
+    _, num = inverse([ineq_rows[i] for i in chosen])
+    rays: list[Vec] = [primitive([row[j] for row in num]) for j in range(dim)]
+    zerosets: list[frozenset[int]] = [
+        frozenset(chosen[t] for t in range(dim) if t != j) for j in range(dim)
+    ]
     chosen_set = set(chosen)
     for t, row in enumerate(ineq_rows):
         if t in chosen_set:
@@ -211,9 +203,10 @@ def extreme_rays(ineq_rows: list[Vec], dim: int) -> list[Vec]:
             + [zerosets[i] | {t} for i in zero]
             + new_zero
         )
-    for r in rays:
-        if any(_dot(row, r) < 0 for row in ineq_rows):
-            raise AssertionError("ray escapes the cone")
+    escapes = np.argwhere(matmul(ineq_rows, np.reshape(rays, (len(rays), dim)).T) < 0)
+    if escapes.size:
+        t, j = escapes[0]
+        raise RuntimeError(f"ray {rays[j]} violates inequality {t}, {tuple(ineq_rows[t])}")
     return rays
 
 

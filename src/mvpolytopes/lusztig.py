@@ -67,7 +67,10 @@ def n_to_partial_M(group: WeylGroup, word, n) -> dict[tuple[int, ...], int]:
         for l in range(k + 1):
             val += n[l] * sum(a * b for a, b in zip(data.coroots[l].coords, gamma.coords))
         if gamma.coords in out and out[gamma.coords] != val:
-            raise AssertionError("chamber weight revisited with a different value")
+            raise RuntimeError(
+                f"word {word}: chamber weight {gamma.coords} revisited at {k} with value "
+                f"{val}, not {out[gamma.coords]}"
+            )
         out[gamma.coords] = val
     return out
 
@@ -94,7 +97,7 @@ def braid_transition(group: WeylGroup, edge: BraidEdge, n) -> tuple[int, ...]:
             p2 = min(2 * n1 + n2, 2 * n1 + n4, 2 * n3 + n4)
             new = (n2 + 2 * n3 + n4 - p2, p2 - p1, 2 * p1 - p2, n1 + n2 + n3 - p1)
     else:  # pragma: no cover
-        raise AssertionError(f"unsupported braid window length {d}")
+        raise RuntimeError(f"unsupported braid window length {d} on edge {edge}")
     if any(v < 0 for v in new):
         raise RuntimeError(
             f"braid move {edge.src} -> {edge.dst} at positions {k}..{k + d - 1} "

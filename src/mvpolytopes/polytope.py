@@ -110,7 +110,7 @@ def psi(group: WeylGroup, datum: BZDatum, alpha: Weight) -> int:
         if best is None or val < best:
             best = val
     if best is None:
-        raise AssertionError("every weight lies in some chamber")
+        raise RuntimeError(f"weight {alpha.coords} lies in no chamber")
     return best
 
 
@@ -149,6 +149,8 @@ def enumerate_mv(group: WeylGroup, mu: Coweight) -> tuple[BZDatum, ...]:
                 for n in lusztig.enumerate_lusztig(group, word, mu)
             )
             if len({d.values for d in out}) != len(out):
-                raise AssertionError("distinct Lusztig data produced equal polytopes")
+                raise RuntimeError(
+                    f"coweight {key}: distinct Lusztig data along {word} produced equal polytopes"
+                )
             cache[key] = out
     return cache[key]

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from . import bz, cones, lusztig, polytope
 from .bz import BZDatum
@@ -163,7 +164,7 @@ def build_catalog(group: WeylGroup, limit: int = 10_000) -> Catalog:
     ref = group.reference_word
 
     dims: list[int] = []
-    maximal = []  # (choice, eq, ineq, P, rays_m)
+    maximal = []  # (choice, eq, ineq, basis, rays_m)
     nonmax = []  # (choice, rays_m)
     for choice in itertools.product(*[range(len(r.args)) for r in relations]):
         eq, ineq = _choice_rows(group, relations, choice)
@@ -171,15 +172,9 @@ def build_catalog(group: WeylGroup, limit: int = 10_000) -> Catalog:
         if not basis:
             dims.append(0)
             continue
-        q = len(basis)
-        chart_rows = [tuple(cones._dot(row, p) for p in basis) for row in ineq]
-        rays_x = cones.extreme_rays(chart_rows, q)
-        rays_m = [
-            cones.primitive(
-                [sum(x[j] * basis[j][g] for j in range(q)) for g in range(size)]
-            )
-            for x in rays_x
-        ]
+        chart_rows = cones.matmul(ineq, np.transpose(basis)).tolist()
+        rays_x = cones.extreme_rays(chart_rows, len(basis))
+        rays_m = [cones.primitive(r) for r in cones.matmul(rays_x, basis).tolist()]
         dim = cones.rank(rays_m) if rays_m else 0
         dims.append(dim)
         if dim == group.m:
@@ -187,17 +182,16 @@ def build_catalog(group: WeylGroup, limit: int = 10_000) -> Catalog:
         elif dim > 0:
             nonmax.append((choice, rays_m))
 
-    # every lower-dimensional cone should sit inside some maximal one
+    # every lower-dimensional cone should sit inside some maximal one: each
+    # maximal cone is {x : eq x >= 0, -eq x >= 0, ineq x >= 0}, stacked here
+    walls = [(k, row) for k, (_, eq, ineq, _, _) in enumerate(maximal)
+             for row in (*eq, *(tuple(-v for v in e) for e in eq), *ineq)]
+    owner = np.array([k for k, _ in walls], dtype=np.int64)
+    wall_rows = np.array([row for _, row in walls], dtype=np.int64).reshape(len(walls), size)
     for choice, rays_m in nonmax:
-        covered = any(
-            all(
-                all(cones._dot(e, r) == 0 for e in eq)
-                and all(cones._dot(s, r) >= 0 for s in ineq)
-                for r in rays_m
-            )
-            for _, eq, ineq, _, _ in maximal
-        )
-        if not covered:
+        outside = np.zeros(len(maximal), dtype=bool)
+        outside[owner[(cones.matmul(wall_rows, np.transpose(rays_m)) < 0).any(axis=1)]] = True
+        if outside.all():
             warnings.warn(
                 f"choice {choice} spans a cone outside every maximal cone",
                 stacklevel=2,
@@ -206,28 +200,13 @@ def build_catalog(group: WeylGroup, limit: int = 10_000) -> Catalog:
     prime_data: dict[tuple[int, ...], BZDatum] = {}
     raw_clusters = []
     for choice, eq, ineq, basis, rays_m in maximal:
-        q = len(basis)
-        lp = [[Fraction(cones._dot(lrow, p)) for p in basis] for lrow in length_rows]
-        lp_inv = cones.invert(lp)
-        # chart back-map: value vector = R @ edge-length vector
-        R = [
-            [
-                sum(Fraction(basis[j][g]) * lp_inv[j][k] for j in range(q))
-                for k in range(group.m)
-            ]
-            for g in range(size)
-        ]
-        rows_n = []
-        for row in ineq:
-            image = [
-                sum(Fraction(row[g]) * R[g][k] for g in range(size))
-                for k in range(group.m)
-            ]
-            if any(image):
-                rows_n.append(cones.clear_denominators(image))
+        # chart back-map: value vector = back @ edge-length vector / den
+        den, num = cones.inverse(cones.matmul(length_rows, np.transpose(basis)).tolist())
+        back = cones.matmul(np.transpose(basis), num)
+        rows_n = [cones.primitive(r) for r in cones.matmul(ineq, back).tolist() if any(r)]
         rays_n = []
-        for ray in rays_m:
-            rn = tuple(cones._dot(lrow, ray) for lrow in length_rows)
+        for ray, rn in zip(rays_m, cones.matmul(rays_m, np.transpose(length_rows)).tolist()):
+            rn = tuple(rn)
             if any(v < 0 for v in rn) or cones.primitive(rn) != rn:
                 raise RuntimeError(
                     f"choice {choice}: ray {ray} has edge lengths {rn}, "
@@ -235,15 +214,13 @@ def build_catalog(group: WeylGroup, limit: int = 10_000) -> Catalog:
                 )
             rays_n.append(rn)
         gens = cones.hilbert_basis(rays_n, rows_n)
+        gen_values = cones.matmul(np.reshape(gens, (len(gens), group.m)), back.T).tolist()
         datums = []
-        for g in gens:
-            back = [
-                sum(R[t][k] * g[k] for k in range(group.m)) for t in range(size)
-            ]
-            if any(v.denominator != 1 for v in back):
+        for g, scaled in zip(gens, gen_values):
+            if any(v % den for v in scaled):
                 raise RuntimeError(f"choice {choice}: generator {g} maps to non-integer values")
             datum = bz.from_lusztig(group, ref, g)
-            if datum.values != tuple(int(v) for v in back):
+            if datum.values != tuple(v // den for v in scaled):
                 raise RuntimeError(
                     f"choice {choice}: generator {g} maps to values that differ "
                     "from its assembly along the reference word"
@@ -360,5 +337,8 @@ def decompose(
             out.append((prime, count))
             total = [t + count * v for t, v in zip(total, prime.datum.values)]
     if tuple(total) != M:
-        raise AssertionError("prime multiples do not sum back to the datum")
+        raise RuntimeError(
+            f"prime multiples {[(p.label, c) for p, c in out]} sum to {tuple(total)}, "
+            f"not to the datum {M}"
+        )
     return tuple(out)

@@ -171,5 +171,5 @@ def weyl_dim(group: WeylGroup, lam: Coweight) -> int:
     for beta in group.positive_roots:
         out *= Fraction(pairing(doubled, beta), pairing(T, beta))
     if out.denominator != 1:
-        raise AssertionError("dimension product did not clear denominators")
+        raise RuntimeError(f"dimension product for lambda {lam.coords} is {out}, not an integer")
     return int(out)

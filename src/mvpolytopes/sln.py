@@ -86,7 +86,9 @@ def word_pairs(group: WeylGroup) -> tuple[Pair, ...]:
     data = group.word_data(ak_word(n))
     pairs = tuple(pair_of_coroot(b.coords) for b in data.coroots)
     if pairs != all_pairs(n):
-        raise AssertionError("standard word did not list pairs lexicographically")
+        raise RuntimeError(
+            f"standard word {ak_word(n)} lists the pairs {pairs}, not lexicographically"
+        )
     return pairs
 
 
@@ -155,15 +157,15 @@ def facet_lusztig(group: WeylGroup, k: int, picture: dict) -> dict[Pair, int]:
         for l in ak_word(n - 1):
             nxt = group.right(u, l)
             if nxt.length <= u.length:
-                raise AssertionError("facet path is not reduced")
+                raise RuntimeError(f"facet path for k={k}: s_{l} after {u} is not reduced")
             pair = pair_of_coroot(group.w_coroot(u, l).coords)
             if k in pair or pair in out:
-                raise AssertionError(f"unexpected facet leg {pair}")
+                raise RuntimeError(f"facet path for k={k}: unexpected leg {pair} at {u}, s_{l}")
             out[pair] = bz.edge_length(group, datum, u, l)
             u = nxt
     expected = {pair for pair in all_pairs(n) if k not in pair}
     if set(out) != expected:
-        raise AssertionError("facet path missed some pairs")
+        raise RuntimeError(f"facet path for k={k} missed the pairs {sorted(expected - set(out))}")
     return out
 
 

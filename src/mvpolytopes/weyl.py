@@ -189,7 +189,10 @@ class WeylGroup:
         self._identity = elements[0]
         self._w0 = elements[-1]
         if elements[-2].length == self._w0.length:
-            raise AssertionError("longest element is not unique")
+            raise RuntimeError(
+                f"longest element is not unique: {elements[-2]} and {self._w0} "
+                f"both have length {self._w0.length}"
+            )
         self.m = self._w0.length
 
         idx = {w: t for t, w in enumerate(elements)}
@@ -314,7 +317,7 @@ class WeylGroup:
         if any(not b.is_nonneg() for b in coroots):
             raise ValueError(f"{word} is not reduced")
         if len(set(coroots)) != self.m:
-            raise AssertionError("coroot sequence of a reduced word must be distinct")
+            raise RuntimeError(f"reduced word {word} repeats a coroot in its coroot sequence")
         data = WordData(word, tuple(prefixes), coroots, gammas)
         self._word_data[word] = data
         return data
@@ -348,7 +351,10 @@ class WeylGroup:
             for i in range(1, self.rank + 1):
                 for lam in self.weyl_orbit(self.cartan.fundamental_weight(i)):
                     if lam.coords in seen:
-                        raise AssertionError("fundamental-weight orbits must be disjoint")
+                        raise RuntimeError(
+                            f"weight {lam.coords} lies in the orbits of fundamental weights "
+                            f"{seen[lam.coords]} and {i}"
+                        )
                     seen[lam.coords] = i
             chambers = tuple(
                 ChamberWeight(Weight(self.cartan, coords), level)
@@ -431,7 +437,9 @@ class WeylGroup:
                     flipped = tuple(y if t % 2 == 0 else x for t in range(d))
                     dst = word[:k] + flipped + word[k + d :]
                     if dst not in node_set:
-                        raise AssertionError("braid move left the reduced-word set")
+                        raise RuntimeError(
+                            f"braid move at {k} of {word} gives {dst}, not a reduced word of w0"
+                        )
                     out.append(BraidEdge(word, dst, k, d))
                 adjacency[word] = tuple(out)
             self._braid_graph = BraidGraph(words, adjacency)

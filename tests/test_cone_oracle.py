@@ -1,0 +1,315 @@
+"""Fraction-free cone algebra and the integer back-map against Fraction references.
+
+``Echelon``, ``fraction_nullspace``, ``fraction_invert`` and ``fraction_det``
+are the elimination routines ``cones`` used before it went fraction-free,
+and ``oracle_catalog`` is the brute-force catalog build on them with the
+back-map through a ``Fraction`` inverse.  ``brute_extreme_rays`` intersects
+every rank ``dim - 1`` set of inequalities.  None of them calls the
+fraction-free elimination or ``cones.matmul``.
+"""
+
+import itertools
+import warnings
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvpolytopes import bz, cones, polytope, primes
+from mvpolytopes.cartan import build_cartan
+from mvpolytopes.weyl import weyl_group
+
+# -- references ------------------------------------------------------------------
+
+
+class Echelon:
+    """Incremental row echelon over Q, for ranks and independence tests."""
+
+    def __init__(self):
+        self.rows: list[list[Fraction]] = []
+        self.pivots: list[int] = []
+
+    def reduce(self, row) -> list[Fraction]:
+        row = [Fraction(v) for v in row]
+        for prow, p in zip(self.rows, self.pivots):
+            if row[p]:
+                coef = row[p] / prow[p]
+                row = [a - coef * b for a, b in zip(row, prow)]
+        return row
+
+    def add(self, row) -> bool:
+        """Insert the row; True when it was independent of the current span."""
+        red = self.reduce(row)
+        for p, v in enumerate(red):
+            if v:
+                self.rows.append(red)
+                self.pivots.append(p)
+                return True
+        return False
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def fraction_rank(rows) -> int:
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    return ech.rank
+
+
+def fraction_nullspace(rows, width: int):
+    """Primitive integer basis of {x : row . x = 0 for all rows}."""
+    ech = Echelon()
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("row width mismatch")
+        ech.add(row)
+    # full reduction upward so each pivot column is isolated
+    rows_ = [r[:] for r in ech.rows]
+    order = sorted(range(len(rows_)), key=lambda t: ech.pivots[t])
+    rows_ = [rows_[t] for t in order]
+    pivots = [ech.pivots[t] for t in order]
+    for t, p in enumerate(pivots):
+        rows_[t] = [v / rows_[t][p] for v in rows_[t]]
+        for s in range(len(rows_)):
+            if s != t and rows_[s][p]:
+                coef = rows_[s][p]
+                rows_[s] = [a - coef * b for a, b in zip(rows_[s], rows_[t])]
+    free = [j for j in range(width) if j not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for t, p in enumerate(pivots):
+            vec[p] = -rows_[t][f]
+        basis.append(cones.clear_denominators(vec))
+    return basis
+
+
+def fraction_invert(mat):
+    q = len(mat)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(q)]
+           for i, row in enumerate(mat)]
+    for col in range(q):
+        piv = next((t for t in range(col, q) if aug[t][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for t in range(q):
+            if t != col and aug[t][col]:
+                coef = aug[t][col]
+                aug[t] = [a - coef * b for a, b in zip(aug[t], aug[col])]
+    return [row[q:] for row in aug]
+
+
+def fraction_det(mat) -> Fraction:
+    rows = [[Fraction(v) for v in row] for row in mat]
+    q = len(rows)
+    out = Fraction(1)
+    for col in range(q):
+        piv = next((t for t in range(col, q) if rows[t][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            out = -out
+        out *= rows[col][col]
+        for t in range(col + 1, q):
+            if rows[t][col]:
+                coef = rows[t][col] / rows[col][col]
+                rows[t] = [a - coef * b for a, b in zip(rows[t], rows[col])]
+    return out
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def brute_extreme_rays(rows, dim):
+    """Primitive rays cut out by rank dim - 1 sets of rows, inside the cone."""
+    if fraction_rank(rows) < dim:
+        raise ValueError("cone is not pointed")
+    rays = set()
+    for subset in itertools.combinations(rows, dim - 1):
+        if fraction_rank(subset) < dim - 1:
+            continue
+        (vec,) = fraction_nullspace(subset, dim)
+        for cand in (vec, tuple(-v for v in vec)):
+            if all(dot(row, cand) >= 0 for row in rows):
+                rays.add(cand)
+    return sorted(rays)
+
+
+def oracle_catalog(group):
+    """The brute-force catalog with Fraction elimination and back-map."""
+    relations = tuple(
+        rel
+        for face in group.two_faces(("hexagon", "octagon"))
+        for rel in primes.face_relations(group, face)
+    )
+    size = len(group.chamber_weights())
+    length_rows = primes._length_rows(group)
+    dims, maximal, nonmax = [], [], []
+    for choice in itertools.product(*[range(len(r.args)) for r in relations]):
+        eq, ineq = primes._choice_rows(group, relations, choice)
+        basis = fraction_nullspace(eq, size)
+        if not basis:
+            dims.append(0)
+            continue
+        q = len(basis)
+        chart_rows = [tuple(dot(row, p) for p in basis) for row in ineq]
+        rays_m = [
+            cones.primitive([sum(x[j] * basis[j][g] for j in range(q)) for g in range(size)])
+            for x in cones.extreme_rays(chart_rows, q)
+        ]
+        dim = fraction_rank(rays_m) if rays_m else 0
+        dims.append(dim)
+        if dim == group.m:
+            maximal.append((choice, eq, ineq, basis, rays_m))
+        elif dim > 0:
+            nonmax.append((choice, rays_m))
+    uncovered = [
+        choice
+        for choice, rays_m in nonmax
+        if not any(
+            all(
+                all(dot(e, r) == 0 for e in eq) and all(dot(s, r) >= 0 for s in ineq)
+                for r in rays_m
+            )
+            for _, eq, ineq, _, _ in maximal
+        )
+    ]
+    prime_data, clusters = {}, []
+    for choice, eq, ineq, basis, rays_m in maximal:
+        q = len(basis)
+        lp = [[Fraction(dot(lrow, p)) for p in basis] for lrow in length_rows]
+        lp_inv = fraction_invert(lp)
+        R = [
+            [sum(Fraction(basis[j][g]) * lp_inv[j][k] for j in range(q)) for k in range(group.m)]
+            for g in range(size)
+        ]
+        rows_n = []
+        for row in ineq:
+            image = [sum(Fraction(row[g]) * R[g][k] for g in range(size)) for k in range(group.m)]
+            if any(image):
+                rows_n.append(cones.clear_denominators(image))
+        rays_n = [tuple(dot(lrow, ray) for lrow in length_rows) for ray in rays_m]
+        gens = cones.hilbert_basis(rays_n, rows_n)
+        values = []
+        for g in gens:
+            back = [sum(R[t][k] * g[k] for k in range(group.m)) for t in range(size)]
+            assert all(v.denominator == 1 for v in back)
+            values.append(tuple(int(v) for v in back))
+            prime_data.setdefault(values[-1], bz.from_lusztig(group, group.reference_word, g))
+        clusters.append((choice, tuple(gens), tuple(values), tuple(rays_m), tuple(rows_n)))
+    ordered = sorted(
+        prime_data, key=lambda v: (polytope.coweight(group, prime_data[v]).coords, v)
+    )
+    labels = {v: f"P{t + 1}" for t, v in enumerate(ordered)}
+    out_clusters = []
+    for choice, gens, values, rays_m, rows_n in clusters:
+        pairs = sorted(zip(gens, values), key=lambda gv: int(labels[gv[1]][1:]))
+        out_clusters.append(
+            (choice, tuple(labels[v] for _, v in pairs), tuple(g for g, _ in pairs), rays_m, rows_n)
+        )
+    return {
+        "n_choices": len(dims),
+        "dims": tuple(dims),
+        "clusters": out_clusters,
+        "primes": [(labels[v], v) for v in ordered],
+        "uncovered": uncovered,
+    }
+
+
+# -- elimination -----------------------------------------------------------------
+
+matrices = st.integers(1, 10).flatmap(
+    lambda w: st.lists(
+        st.lists(st.integers(-3, 3), min_size=w, max_size=w), min_size=0, max_size=8
+    ).map(lambda rows: (rows, w))
+)
+squares = st.integers(1, 8).flatmap(
+    lambda q: st.lists(
+        st.lists(st.integers(-3, 3), min_size=q, max_size=q), min_size=q, max_size=q
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_rank_and_nullspace_match_fraction_elimination(rows_width):
+    rows, width = rows_width
+    assert cones.rank(rows) == fraction_rank(rows)
+    assert cones.nullspace(rows, width) == fraction_nullspace(rows, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(squares)
+def test_det_and_inverse_match_fraction_elimination(mat):
+    assert cones.det(mat) == fraction_det(mat)
+    try:
+        want = fraction_invert(mat)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            cones.inverse(mat)
+        return
+    den, num = cones.inverse(mat)
+    assert den > 0
+    assert [[Fraction(v, den) for v in row] for row in num] == want
+    assert cones.invert(mat) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=8
+        ).map(lambda rows: (rows, d))
+    )
+)
+def test_extreme_rays_match_brute_force(rows_dim):
+    rows, dim = rows_dim
+    try:
+        want = brute_extreme_rays(rows, dim)
+    except ValueError:
+        with pytest.raises(ValueError, match="pointed"):
+            cones.extreme_rays(rows, dim)
+        return
+    assert sorted(cones.extreme_rays(rows, dim)) == want
+
+
+def test_matmul_refuses_products_that_could_overflow():
+    small = 2**31 - 1
+    assert cones.matmul([[small]], [[small]]).tolist() == [[small * small]]
+    with pytest.raises(OverflowError):
+        cones.matmul([[2**31]], [[2**31]])
+    with pytest.raises(OverflowError):  # the inner length counts too
+        cones.matmul([[2**30] * 4], [[2**30]] * 4)
+    with pytest.raises(OverflowError):  # no int64 holds the entry at all
+        cones.matmul([[2**63]], [[1]])
+
+
+# -- catalogs --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3)])
+def test_catalog_matches_fraction_oracle(family, rank):
+    group = weyl_group(build_cartan(family, rank))
+    want = oracle_catalog(group)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = primes.build_catalog(group)
+    assert [str(w.message) for w in caught] == [
+        f"choice {c} spans a cone outside every maximal cone" for c in want["uncovered"]
+    ]
+    assert got.n_choices == want["n_choices"]
+    assert got.dims == want["dims"]
+    assert [
+        (c.choice, c.labels, c.gens_n, c.rays_m, c.ineq_rows_n) for c in got.clusters
+    ] == want["clusters"]
+    assert [(p.label, p.datum.values) for p in got.primes] == want["primes"]

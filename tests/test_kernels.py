@@ -1,6 +1,9 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +103,23 @@ def test_box_matches_bruteforce_and_each_other(bounds_ineqs):
     pts = K.filter_box_points(b, q)
     assert [tuple(r) for r in pts.tolist()] == expected
 
+
+
+def test_count_without_materialising_rows():
+    # compositions of 40 into 6 parts: C(45, 5) rows would take about 59 MB
+    parts = np.ones((6, 1), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        count = K.count_nonneg_combinations(parts, np.array([40]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == math.comb(45, 5)
+    assert peak < 1 << 20
+
+
+def test_count_refuses_to_wrap():
+    # C(239, 39) compositions of 200 into 40 parts, far beyond int64
+    parts = np.ones((40, 1), dtype=np.int64)
+    with pytest.raises(OverflowError):
+        K.count_nonneg_combinations(parts, np.array([200]))

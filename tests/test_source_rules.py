@@ -5,15 +5,31 @@ from pathlib import Path
 
 import mvpolytopes
 
+SOURCES = sorted(Path(mvpolytopes.__file__).parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+
 
 def test_no_assert_statements():
     """An ``assert`` vanishes under ``python -O``; invariants must raise."""
-    sources = sorted(Path(mvpolytopes.__file__).parent.glob("*.py"))
-    assert len(sources) > 10
+    assert len(SOURCES) > 10
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_raise_assertion_error():
+    """A broken invariant is a RuntimeError that names what broke; an
+    AssertionError reads as a failed test and is what ``assert`` would raise."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
     ]
     assert found == []
