@@ -2,16 +2,18 @@
 
 All geometry stays exact until the final embedding into the plane.  Rank 1
 and 2 groups draw the whole polytope; higher ranks draw a chosen 2-face,
-projected exactly onto the coroot pair spanning the face before embedding.
+projected exactly onto the coroot pair spanning the face before embedding:
+its points are integer numerators over one denominator, divided only when
+they become floats.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import polytope
 from .bz import BZDatum
+from .tables import index_table
 from .weyl import WeylGroup
 
 FILL = "#cfe2f3"
@@ -29,24 +31,31 @@ def _embed_basis(a12: int, a21: int) -> tuple[tuple[float, float], tuple[float, 
     return (1.0, 0.0), (z, h)
 
 
-def _face_points(group: WeylGroup, datum: BZDatum, face) -> tuple[list, tuple, tuple]:
-    """Exact (x, y) of the 2-face vertices in the coroot basis of the face."""
+def _face_points(group: WeylGroup, datum: BZDatum, face) -> tuple[list, int, tuple]:
+    """The distinct 2-face vertices in the coroot basis of the face.
+
+    Returns integer numerators (x, y) over one common denominator ``det``:
+    the vertex rows of the coset w<s_i, s_j>, less the row of w, solved
+    exactly in the basis w.alpha_i^vee, w.alpha_j^vee.
+    """
     word, i, j = face
+    group.cartan._check_index(i)
+    group.cartan._check_index(j)
     w = group.from_word(word)
-    coset = {w}
-    frontier = [w]
+    table = index_table(group)
+    right = table.right
+    coset = {table.index[w]}
+    frontier = list(coset)
     while frontier:
         nxt = []
         for u in frontier:
-            for t in (i, j):
-                v = group.right(u, t)
-                if v not in coset:
-                    coset.add(v)
-                    nxt.append(v)
+            for t in (right[u][i - 1], right[u][j - 1]):
+                if t not in coset:
+                    coset.add(t)
+                    nxt.append(t)
         frontier = nxt
     b1 = group.w_coroot(w, i).coords
     b2 = group.w_coroot(w, j).coords
-    base = polytope.vertex(group, datum, w).coords
     pivot = None
     for p in range(group.rank):
         for q in range(p + 1, group.rank):
@@ -59,15 +68,19 @@ def _face_points(group: WeylGroup, datum: BZDatum, face) -> tuple[list, tuple, t
         raise RuntimeError(f"face {face}: coroots {b1} and {b2} are not independent")
     p, q = pivot
     det = b1[p] * b2[q] - b1[q] * b2[p]
-    pts = []
+    rows = polytope.vertex_matrix(group, datum)
+    base = rows[table.index[w]].tolist()
+    pts = set()
     for u in coset:
-        diff = [a - b for a, b in zip(polytope.vertex(group, datum, u).coords, base)]
-        x = Fraction(diff[p] * b2[q] - diff[q] * b2[p], det)
-        y = Fraction(b1[p] * diff[q] - b1[q] * diff[p], det)
-        if any(x * c1 + y * c2 != d for c1, c2, d in zip(b1, b2, diff)):
-            raise RuntimeError(f"face {face}: vertex at {u.word} leaves the face plane")
-        pts.append((x, y))
-    return pts, (i, j), (b1, b2)
+        diff = [a - b for a, b in zip(rows[u].tolist(), base)]
+        x = diff[p] * b2[q] - diff[q] * b2[p]
+        y = b1[p] * diff[q] - b1[q] * diff[p]
+        if any(x * c1 + y * c2 != det * d for c1, c2, d in zip(b1, b2, diff)):
+            raise RuntimeError(
+                f"face {face}: vertex at {group.elements()[u].word} leaves the face plane"
+            )
+        pts.add((x, y))
+    return sorted(pts), det, (i, j)
 
 
 def _polygon_order(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -90,7 +103,8 @@ def render_svg(
     if face is None:
         if group.rank > 2:
             raise ValueError("rank > 2 needs a 2-face: pass face=(word, i, j)")
-        verts = [v.coords for v in polytope.vertices(group, datum).values()]
+        verts = polytope.vertex_matrix(group, datum).tolist()
+        den = 1
         if group.rank == 1:
             exact = [(c[0], 0) for c in verts]
             basis = ((1.0, 0.0), (0.0, 1.0))
@@ -102,7 +116,7 @@ def render_svg(
             arrow_vecs = [(1, 0), (0, 1)]
             arrow_names = ["a1", "a2"]
     else:
-        exact, (i, j), _ = _face_points(group, datum, face)
+        exact, den, (i, j) = _face_points(group, datum, face)
         basis = _embed_basis(group.cartan.entry(i, j), group.cartan.entry(j, i))
         arrow_vecs = [(1, 0), (0, 1)]
         arrow_names = [f"a{i}", f"a{j}"]
@@ -114,7 +128,7 @@ def render_svg(
             float(c[0]) * v1[1] + float(c[1]) * v2[1],
         )
 
-    pts = [to_xy(c) for c in exact]
+    pts = [to_xy((x / den, y / den)) for x, y in exact]
     shown = list(pts) + [(0.0, 0.0)]
     arrows = []
     if unit:

@@ -17,18 +17,25 @@ from .tables import index_table
 from .weyl import BraidEdge, WeylGroup
 
 
-def _as_tuple(n) -> tuple[int, ...]:
-    return tuple(int(v) for v in n)
+def _checked(group: WeylGroup, n) -> tuple[int, ...]:
+    """n as a tuple of plain ints, after checking its length and signs.
+
+    Every step is a C-level call, and a tuple of ints, the common case and
+    the one every transition returns, is not copied.
+    """
+    if type(n) is not tuple:
+        n = tuple(n)
+    if len(n) != group.m:
+        raise ValueError(f"need {group.m} entries, got {len(n)}")
+    if set(map(type, n)) != {int}:
+        n = tuple(int(v) for v in n)
+    if min(n) < 0:
+        raise ValueError(f"Lusztig data must be nonnegative, got {n}")
+    return n
 
 
 def _check_lusztig(group: WeylGroup, word, n) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    word = tuple(word)
-    n = _as_tuple(n)
-    if len(n) != group.m:
-        raise ValueError(f"need {group.m} entries, got {len(n)}")
-    if any(v < 0 for v in n):
-        raise ValueError(f"Lusztig data must be nonnegative, got {n}")
-    return word, n
+    return tuple(word), _checked(group, n)
 
 
 def coweight_of(group: WeylGroup, word, n) -> Coweight:
@@ -77,7 +84,7 @@ def n_to_partial_M(group: WeylGroup, word, n) -> dict[tuple[int, ...], int]:
 
 def braid_transition(group: WeylGroup, edge: BraidEdge, n) -> tuple[int, ...]:
     """Transport Lusztig data across one braid move of the underlying word."""
-    _, n = _check_lusztig(group, edge.src, n)
+    n = _checked(group, n)
     k, d = edge.k, edge.d
     window = n[k : k + d]
     if d == 2:
@@ -135,9 +142,10 @@ def _chain_up(parent, word) -> list[BraidEdge]:
 
 def transport(group: WeylGroup, src, dst, n) -> tuple[int, ...]:
     """Move Lusztig data from word ``src`` to word ``dst`` along braid moves."""
+    n = _checked(group, n)
     for edge in word_path(group, src, dst):
         n = braid_transition(group, edge, n)
-    return _as_tuple(n)
+    return n
 
 
 def enumerate_lusztig(group: WeylGroup, word, mu: Coweight) -> list[tuple[int, ...]]:

@@ -1,8 +1,15 @@
 """Geometry of the polytopes behind validated data: vertices, support values,
 translation, Minkowski sums, and exhaustive enumeration by total coweight.
+
+The vertices of a datum are one integer product over the group's index
+table: :func:`vertex_matrix` returns every mu_w as a row, and
+:func:`vertices` wraps those rows in ``Coweight`` objects only for callers
+that ask for them.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import bz, lusztig
 from .bz import BZDatum
@@ -11,26 +18,39 @@ from .tables import index_table
 from .weyl import WeylElement, WeylGroup
 
 
-def _vertex(group: WeylGroup, w: WeylElement, M, chambers: tuple[int, ...]) -> Coweight:
+def vertex(group: WeylGroup, datum: BZDatum, w: WeylElement) -> Coweight:
+    """The vertex mu_w = sum_i M_{w Lambda_i} w.alpha_i^vee."""
+    table = index_table(group)
+    vals = [datum.values[x] for x in table.chamber[table.index[w]]]
     # coordinate c is sum_i (w.alpha_i^vee)_c M_{w Lambda_i}, and w.alpha_i^vee
     # is column i of comat
-    vals = [M[x] for x in chambers]
     return Coweight(
         group.cartan, tuple(sum(a * v for a, v in zip(row, vals)) for row in w.comat)
     )
 
 
-def vertex(group: WeylGroup, datum: BZDatum, w: WeylElement) -> Coweight:
-    """The vertex mu_w = sum_i M_{w Lambda_i} w.alpha_i^vee."""
+def vertex_matrix(group: WeylGroup, datum: BZDatum) -> np.ndarray:
+    """The vertices mu_w as rows, in ``group.elements()`` order.
+
+    Row t is the coweight-action matrix of w_t times the values at its
+    chamber weights w_t Lambda_i.  Each entry is a sum of r products bounded
+    by max|M| * max|w.alpha_i^vee|; while r times that bound stays below
+    2**62 the product runs in int64, and above it the same product runs on
+    Python ints (``dtype=object``), so the rows are exact either way.
+    """
     table = index_table(group)
-    return _vertex(group, w, datum.values, table.chamber[table.index[w]])
+    M = datum.values
+    bound = max(max(M), -min(M)) * table.coaction_max * group.rank
+    dtype = np.int64 if bound < 1 << 62 else object
+    vals = np.array(M, dtype=dtype)[table.chamber_array]
+    return (table.coaction.astype(dtype, copy=False) @ vals[:, :, None])[:, :, 0]
 
 
 def vertices(group: WeylGroup, datum: BZDatum) -> dict[WeylElement, Coweight]:
-    chamber = index_table(group).chamber
+    cartan = group.cartan
     return {
-        w: _vertex(group, w, datum.values, chamber[t])
-        for t, w in enumerate(group.elements())
+        w: Coweight(cartan, tuple(row))
+        for w, row in zip(group.elements(), vertex_matrix(group, datum).tolist())
     }
 
 

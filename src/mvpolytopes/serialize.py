@@ -13,6 +13,7 @@ import json
 from . import bz, polytope, primes, sln
 from .bz import BZDatum
 from .cartan import build_cartan
+from .tables import index_table
 from .weyl import WeylGroup, weyl_group
 
 
@@ -48,9 +49,7 @@ def group_doc(group: WeylGroup) -> dict:
     return {"family": group.cartan.family, "rank": group.cartan.rank}
 
 
-def _value_key(group: WeylGroup, coords, subset_keys: bool) -> str:
-    if not subset_keys:
-        return coords_key(coords)
+def _subset_key(group: WeylGroup, coords) -> str:
     if group.cartan.family != "A":
         raise ValueError("subset keys only make sense in type A")
     return sln.subset_key(sln.subset_of_coords(group.rank + 1, coords))
@@ -62,18 +61,20 @@ def datum_to_doc(
     words=(),
     subset_keys: bool = False,
 ) -> dict:
-    values = {
-        _value_key(group, c.weight.coords, subset_keys): v
-        for c, v in zip(group.chamber_weights(), datum.values)
-    }
-    verts = polytope.vertices(group, datum)
+    table = index_table(group)
+    if subset_keys:
+        keys = [_subset_key(group, c.weight.coords) for c in group.chamber_weights()]
+    else:
+        keys = table.chamber_keys
+    rows = polytope.vertex_matrix(group, datum).tolist()
     doc = {
         "group": group_doc(group),
-        "values": values,
-        "mu1": list(polytope.mu1(group, datum).coords),
-        "mu2": list(polytope.mu2(group, datum).coords),
+        "values": dict(zip(keys, datum.values)),
+        # elements run by length, so the identity comes first and w0 last
+        "mu1": list(rows[0]),
+        "mu2": list(rows[-1]),
         "valid": bz.is_valid(group, datum),
-        "vertices": {word_key(w.word): list(v.coords) for w, v in verts.items()},
+        "vertices": dict(zip(table.word_keys, rows)),
     }
     if words:
         doc["lusztig"] = {
@@ -82,21 +83,24 @@ def datum_to_doc(
     return doc
 
 
-def _parse_value_key(group: WeylGroup, key: str):
-    chamber_coords = {c.weight.coords for c in group.chamber_weights()}
+def _chamber_of_key(group: WeylGroup, key: str) -> int:
+    """Chamber index named by a value key.
+
+    Canonical coordinate keys resolve through the index table; other
+    spellings of the coordinates, and type A subset keys, are parsed.
+    """
+    found = index_table(group).key_chamber.get(key)
+    if found is not None:
+        return found
     try:
-        coords = parse_coords_key(key, group.rank)
-        if coords in chamber_coords:
-            return coords
-    except ValueError:
+        return group.chamber_index(parse_coords_key(key, group.rank))
+    except (ValueError, KeyError):
         pass
     if group.cartan.family == "A":
         try:
             subset = sln.subset_from_key(key)
-            coords = sln.subset_coords(group.rank + 1, subset)
-            if coords in chamber_coords:
-                return coords
-        except ValueError:
+            return group.chamber_index(sln.subset_coords(group.rank + 1, subset))
+        except (ValueError, KeyError):
             pass
     raise ValueError(f"{key!r} does not name a chamber weight")
 
@@ -106,23 +110,30 @@ def doc_to_datum(doc) -> tuple[WeylGroup, BZDatum]:
         raise ValueError("document must be a JSON object")
     try:
         family = doc["group"]["family"]
-        rank = int(doc["group"]["rank"])
+        rank = doc["group"]["rank"]
         raw_values = doc["values"]
     except (KeyError, TypeError):
         raise ValueError("document needs group.family, group.rank and values") from None
+    # bool is a subclass of int, but JSON true is not a number
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ValueError(f"group.rank must be an integer, got {rank!r}")
     if not isinstance(raw_values, dict):
         raise ValueError("values must be an object")
     group = weyl_group(build_cartan(family, rank))
-    values = {}
+    values: list[int | None] = [None] * len(group.chamber_weights())
     for key, val in raw_values.items():
-        coords = _parse_value_key(group, key)
-        # bool is a subclass of int, but JSON true is not a number
+        x = _chamber_of_key(group, key)
         if not isinstance(val, int) or isinstance(val, bool):
             raise ValueError(f"value at {key!r} must be an integer")
-        if coords in values and values[coords] != val:
+        if values[x] is not None and values[x] != val:
             raise ValueError(f"conflicting values for chamber weight {key!r}")
-        values[coords] = val
-    return group, bz.make_bz(group, values)
+        values[x] = val
+    if None in values:
+        missing = [
+            c.weight.coords for c, v in zip(group.chamber_weights(), values) if v is None
+        ]
+        raise ValueError(f"missing chamber weights: {sorted(missing)}")
+    return group, BZDatum(group.cartan, tuple(values))
 
 
 def load_datum(text: str) -> tuple[WeylGroup, BZDatum]:
@@ -134,6 +145,7 @@ def load_datum(text: str) -> tuple[WeylGroup, BZDatum]:
 
 
 def catalog_to_doc(group: WeylGroup, catalog: primes.Catalog) -> dict:
+    keys = index_table(group).chamber_keys
     return {
         "group": group_doc(group),
         "counts": {
@@ -155,10 +167,7 @@ def catalog_to_doc(group: WeylGroup, catalog: primes.Catalog) -> dict:
             {
                 "label": p.label,
                 "coweight": list(p.coweight),
-                "values": {
-                    coords_key(c.weight.coords): v
-                    for c, v in zip(group.chamber_weights(), p.datum.values)
-                },
+                "values": dict(zip(keys, p.datum.values)),
             }
             for p in catalog.primes
         ],

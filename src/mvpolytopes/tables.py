@@ -6,6 +6,14 @@ computes those indices once per group and keeps them on the group, so the
 loops in :mod:`bz`, :mod:`polytope` and :mod:`primes` touch ints only;
 ``Weight`` and ``Coweight`` objects appear only at the API boundary.
 
+The vertices mu_w = sum_i M(w Lambda_i) w.alpha_i^vee of a datum are one
+integer product: the table keeps the chamber indices w Lambda_i as an
+``(|W|, r)`` array and the coweight actions w.alpha_i^vee as an
+``(|W|, r, r)`` stack (see :func:`polytope.vertex_matrix`).  It also keeps
+the document keys of :mod:`serialize`: the canonical word of every element
+and the coordinates of every chamber weight, with the inverse map from a key
+to its chamber index.
+
 The table also holds the transport plan of :func:`bz.from_lusztig`.  A
 datum is fixed by its Lusztig data along one reduced word, and the value at
 gamma_k = w_k Lambda_{i_k} of a word is sum_{l <= k} <beta_l, gamma_k> n_l,
@@ -22,6 +30,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
+
+import numpy as np
 
 from .weyl import BraidEdge, BraidGraph, Face, WeylElement, WeylGroup
 
@@ -62,6 +72,12 @@ class IndexTable:
     # octagons in group.two_faces order
     parent: dict[Word, BraidEdge | None]  # toward the reference word; None at it
     plan: tuple[Stop, ...]  # starts at the reference word
+    chamber_array: np.ndarray  # int64 (|W|, r), the same indices as ``chamber``
+    coaction: np.ndarray  # int64 (|W|, r, r): [t][c][i - 1] is coordinate c of w_t . alpha_i^vee
+    coaction_max: int  # max |entry| of ``coaction``
+    word_keys: tuple[str, ...]  # [t]: serialize.word_key of the canonical word of w_t
+    chamber_keys: tuple[str, ...]  # [x]: serialize.coords_key of chamber weight x
+    key_chamber: dict[str, int]  # inverse of ``chamber_keys``
 
     def face_indices(self, face: Face) -> tuple[int, ...]:
         """Chamber indices A..F of a hexagon, or A..H of an octagon."""
@@ -97,6 +113,8 @@ def _face_indices(chamber, right, t: int, i: int, j: int, kind: str) -> tuple[in
 
 
 def _build(group: WeylGroup) -> IndexTable:
+    from .serialize import coords_key, word_key  # serialize imports this module
+
     r = group.rank
     a = group.cartan.a
     elements = group.elements()
@@ -132,6 +150,8 @@ def _build(group: WeylGroup) -> IndexTable:
         for f in group.two_faces(("hexagon", "octagon"))
     )
     graph = group.braid_graph()
+    coaction = np.array([w.comat for w in elements], dtype=np.int64).reshape(-1, r, r)
+    chamber_keys = tuple(coords_key(c.weight.coords) for c in group.chamber_weights())
     return IndexTable(
         index=index,
         chamber=chamber,
@@ -141,6 +161,12 @@ def _build(group: WeylGroup) -> IndexTable:
         faces=faces,
         parent=_parents(graph, group.reference_word),
         plan=_plan(group, graph, chamber, right),
+        chamber_array=np.array(chamber, dtype=np.int64).reshape(-1, r),
+        coaction=coaction,
+        coaction_max=int(np.abs(coaction).max()),
+        word_keys=tuple(word_key(w.word) for w in elements),
+        chamber_keys=chamber_keys,
+        key_chamber={key: x for x, key in enumerate(chamber_keys)},
     )
 
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,27 @@ def test_negative_rejected(a2):
         lusztig.coweight_of(a2, (1, 2, 1), (1, -1, 0))
     with pytest.raises(ValueError):
         lusztig.coweight_of(a2, (1, 2, 1), (1, 1))
+
+
+def test_transport_checks_input_when_words_agree(a2):
+    w = a2.reference_word
+    for n in [(-1, 5), (1,), (-1, 5, 0)]:
+        with pytest.raises(ValueError):
+            lusztig.transport(a2, w, w, n)
+        with pytest.raises(ValueError):
+            lusztig.transport(a2, w, (2, 1, 2), n)
+    assert lusztig.transport(a2, w, w, [2, 1, 1]) == (2, 1, 1)
+
+
+def test_transition_checks_and_copies_only_foreign_entries(a2):
+    edge = next(e for e in edges_of(a2) if e.src == (1, 2, 1))
+    for n in [(1, -1, 0), (1, 1), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            lusztig.braid_transition(a2, edge, n)
+    for n in [np.array([2, 1, 1]), (True, 1, 1), [2.0, 1, 1]]:
+        out = lusztig.braid_transition(a2, edge, n)
+        assert out == lusztig.braid_transition(a2, edge, tuple(int(v) for v in n))
+        assert {type(v) for v in out} == {int}
 
 
 def test_hexagon_transition_frozen(a2):

@@ -41,6 +41,11 @@ def test_load_datum_rejects_malformed(a2):
         '{"group": {"family": "A", "rank": 2}, "values": 5}',
         '{"group": {"family": "A", "rank": 2}, "values": {"9,9": 1}}',
         '{"group": {"family": "Z", "rank": 2}, "values": {}}',
+        # ranks that int() would coerce to 1, 1 and 2, each with matching values
+        '{"group": {"family": "A", "rank": true}, "values": {"1": 0, "-1": 0}}',
+        '{"group": {"family": "A", "rank": 1.9}, "values": {"1": 0, "-1": 0}}',
+        '{"group": {"family": "A", "rank": "2"}, "values": {"1,0": 0, "0,1": 0, '
+        '"-1,1": 0, "-1,0": 0, "0,-1": 0, "1,-1": 0}}',
     ]
     for text in cases:
         with pytest.raises(ValueError):
@@ -218,3 +223,20 @@ def test_cli_validate_rejects_boolean_value(tmp_path, capsys):
     )
     assert main(["validate", str(doc)]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+A1_ZERO = '{"1": 0, "-1": 0}'
+A2_ZERO = '{"1,0": 0, "0,1": 0, "-1,1": 0, "-1,0": 0, "0,-1": 0, "1,-1": 0}'
+
+
+@pytest.mark.parametrize(
+    "rank, values",
+    # int() would read these ranks as 1, 1 and 2, and the values are valid there
+    [("true", A1_ZERO), ("1.9", A1_ZERO), ('"2"', A2_ZERO), ("null", A2_ZERO)],
+)
+def test_cli_validate_rejects_non_integer_rank(tmp_path, capsys, rank, values):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"group": {"family": "A", "rank": %s}, "values": %s}' % (rank, values))
+    assert main(["validate", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: group.rank must be an integer") and err.count("\n") == 1
