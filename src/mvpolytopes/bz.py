@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import lusztig
 from .cartan import CartanDatum
 from .tables import Row, index_table
-from .weyl import Face, WeylElement, WeylGroup, weyl_group
+from .weyl import WeylElement, WeylGroup, weyl_group
 
 
 @dataclass(frozen=True)
@@ -90,34 +90,6 @@ def edge_pairs(group: WeylGroup) -> tuple[tuple[WeylElement, int], ...]:
     )
 
 
-# -- 2-face relations ---------------------------------------------------------
-
-
-def _residuals(v: tuple[int, ...]) -> tuple[int, ...]:
-    """For each min-relation on a face with values ``v`` at its chamber
-    weights (A..F of a hexagon, A..H of an octagon), min(arguments) - lhs;
-    all 0 iff it holds.
-
-    Positive residual means the lhs undershoots the min (strict concavity
-    excess); negative means the relation is violated in the convex direction.
-    """
-    if len(v) == 6:
-        A, B, C, D, E, F = v
-        return (min(A + E, F + B) - (C + D),)
-    # octagon, oriented so a_ij = -1 and a_ji = -2
-    A, B, C, D, E, F, G, H = v
-    r1 = min(2 * E + A, 2 * B + G, B + H + C) - (D + E + C)
-    r2 = min(2 * B + 2 * G, 2 * H + 2 * C, G + 2 * E + A) - (F + 2 * E + C)
-    return (r1, r2)
-
-
-def face_relation_holds(group: WeylGroup, datum: BZDatum, face: Face) -> bool:
-    if face.kind == "rectangle":
-        return True
-    idx = index_table(group).face_indices(face)
-    return all(r == 0 for r in _residuals(tuple(datum.values[t] for t in idx)))
-
-
 # -- validation ----------------------------------------------------------------
 
 
@@ -155,10 +127,22 @@ def validate(group: WeylGroup, datum: BZDatum) -> ValidationReport:
         if c < 0:
             edge_bad.append((word, i, c))
     face_bad = []
-    for word, i, j, values_at in table.faces:
-        res = _residuals(values_at(M))
+    for face, relations in table.faces.items():
+        # per relation lhs = min(args), the residual min(args) - lhs
+        res = []
+        for lhs, args in relations:
+            low = None
+            for arg in args:
+                c = 0
+                for t, coef in arg:
+                    c += coef * M[t]
+                if low is None or c < low:
+                    low = c
+            for t, coef in lhs:
+                low -= coef * M[t]
+            res.append(low)
         if any(res):
-            face_bad.append((word, i, j, res))
+            face_bad.append((*face, tuple(res)))
     return ValidationReport(tuple(edge_bad), tuple(face_bad))
 
 

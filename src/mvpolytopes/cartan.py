@@ -61,9 +61,6 @@ class CartanDatum:
         self._check_index(i)
         return Coweight(self, tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
 
-    def zero_weight(self) -> "Weight":
-        return Weight(self, (0,) * self.rank)
-
     def zero_coweight(self) -> "Coweight":
         return Coweight(self, (0,) * self.rank)
 
@@ -162,10 +159,6 @@ class Coweight:
     def is_nonneg(self) -> bool:
         """Nonnegative in the coroot-coordinate partial order (mu >= 0)."""
         return all(c >= 0 for c in self.coords)
-
-    def dominates(self, other: "Coweight") -> bool:
-        _coerce(self.cartan, other)
-        return (self - other).is_nonneg()
 
     def is_dominant(self) -> bool:
         """Nonnegative pairing with every simple root."""

@@ -21,6 +21,18 @@ def _parse_coords(text: str, rank: int) -> tuple[int, ...]:
     return serialize.parse_coords_key(text, rank)
 
 
+def _check_simple(i: int, rank: int, what: str) -> None:
+    if not 1 <= i <= rank:
+        raise ValueError(f"{what} {i} is out of range 1..{rank}")
+
+
+def _parse_word(text: str, rank: int, option: str) -> tuple[int, ...]:
+    word = serialize.parse_word_key(text)
+    for i in word:
+        _check_simple(i, rank, f"{option} {text}: letter")
+    return word
+
+
 def _group(args):
     return weyl_group(build_cartan(args.family, args.rank))
 
@@ -44,7 +56,7 @@ def cmd_enumerate(args) -> int:
     mu = group.cartan.coweight(_parse_coords(args.coweight, group.rank))
     if not mu.is_nonneg():
         raise ValueError(f"coweight {mu.coords} has a negative coordinate")
-    words = [serialize.parse_word_key(w) for w in args.word or []]
+    words = [_parse_word(w, group.rank, "--word") for w in args.word or []]
     for w in words:
         group.word_data(w)  # reject bad words before any output
     ref = group.reference_word
@@ -177,10 +189,14 @@ def cmd_draw(args) -> int:
     if args.face_word is not None or args.face_i or args.face_j:
         if args.face_word is None or not args.face_i or not args.face_j:
             raise ValueError("a face needs --face-word, --face-i and --face-j")
-        face = (serialize.parse_word_key(args.face_word), args.face_i, args.face_j)
-        w = group.from_word(face[0])
+        word = _parse_word(args.face_word, group.rank, "--face-word")
+        _check_simple(args.face_i, group.rank, "--face-i")
+        _check_simple(args.face_j, group.rank, "--face-j")
+        if args.face_i == args.face_j:
+            raise ValueError(f"--face-i and --face-j are both {args.face_i}; a face needs two")
+        face = (word, args.face_i, args.face_j)
+        w = group.from_word(word)
         for t in (args.face_i, args.face_j):
-            group.cartan._check_index(t)
             if group.right(w, t).length < w.length:
                 raise ValueError("face word must be minimal in its coset")
     svg = render_svg(group, datum, face=face, unit=args.unit)

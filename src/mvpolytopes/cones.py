@@ -10,7 +10,6 @@ decisions, not approximations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -29,15 +28,6 @@ def primitive(vec) -> Vec:
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(v // g for v in vals)
-
-
-def clear_denominators(row) -> Vec:
-    """Scale a rational vector by a positive rational into a primitive int one."""
-    fr = [Fraction(v) for v in row]
-    lcm = 1
-    for v in fr:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    return primitive([int(v * lcm) for v in fr])
 
 
 def _eliminate(rows, width: int, stop: int | None = None):
@@ -108,11 +98,6 @@ def inverse(mat) -> tuple[int, list[list[int]]]:
     for p, red in zip(pivots, reduced):
         num[p] = [sign * v for v in red[q:]]
     return abs(d), num
-
-
-def invert(mat) -> list[list[Fraction]]:
-    den, num = inverse(mat)
-    return [[Fraction(v, den) for v in row] for row in num]
 
 
 def det(mat) -> int:

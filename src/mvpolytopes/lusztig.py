@@ -47,40 +47,6 @@ def coweight_of(group: WeylGroup, word, n) -> Coweight:
         total = total + c * b
     return total
 
-def vertex_path(group: WeylGroup, word, n) -> tuple[Coweight, ...]:
-    """Partial sums mu_k = sum_{l<=k} n_l beta_l, from the zero vertex to the top."""
-    word, n = _check_lusztig(group, word, n)
-    data = group.word_data(word)
-    path = [group.cartan.zero_coweight()]
-    for c, b in zip(n, data.coroots):
-        path.append(path[-1] + c * b)
-    return tuple(path)
-
-
-def n_to_partial_M(group: WeylGroup, word, n) -> dict[tuple[int, ...], int]:
-    """Values M_gamma on the chamber weights seen along the word.
-
-    M at gamma_k = w_k Lambda_{i_k} equals sum_{l<=k} <beta_l, gamma_k> n_l;
-    the identity chamber weights Lambda_i carry M = 0 (bottom vertex at the
-    origin).
-    """
-    word, n = _check_lusztig(group, word, n)
-    data = group.word_data(word)
-    out = {}
-    for i in range(1, group.rank + 1):
-        out[group.cartan.fundamental_weight(i).coords] = 0
-    for k, gamma in enumerate(data.gammas):
-        val = 0
-        for l in range(k + 1):
-            val += n[l] * sum(a * b for a, b in zip(data.coroots[l].coords, gamma.coords))
-        if gamma.coords in out and out[gamma.coords] != val:
-            raise RuntimeError(
-                f"word {word}: chamber weight {gamma.coords} revisited at {k} with value "
-                f"{val}, not {out[gamma.coords]}"
-            )
-        out[gamma.coords] = val
-    return out
-
 
 def braid_transition(group: WeylGroup, edge: BraidEdge, n) -> tuple[int, ...]:
     """Transport Lusztig data across one braid move of the underlying word."""

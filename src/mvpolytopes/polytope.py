@@ -9,6 +9,8 @@ that ask for them.
 
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
 from . import bz, lusztig
@@ -103,30 +105,28 @@ def scale(group: WeylGroup, datum: BZDatum, c: int) -> BZDatum:
     return BZDatum(group.cartan, tuple(c * v for v in datum.values))
 
 
-def containing_chambers(group: WeylGroup, alpha: Weight) -> list[WeylElement]:
-    """Chambers w with alpha in the nonnegative span of w.Lambda_1..w.Lambda_r."""
-    out = []
-    for w in group.elements():
-        if all(
-            pairing(group.w_coroot(w, i), alpha) >= 0 for i in range(1, group.rank + 1)
-        ):
-            out.append(w)
-    return out
-
-
 def psi(group: WeylGroup, datum: BZDatum, alpha: Weight) -> int:
     """Support minimum of the polytope in direction alpha.
 
-    Evaluated as the minimum over containing chambers of the chamber-linear
-    extension; on valid data all containing chambers agree.
+    A chamber w contains alpha when every pairing <w.alpha_i^vee, alpha> is
+    nonnegative; there alpha = sum_i <w.alpha_i^vee, alpha> w.Lambda_i, and
+    the chamber-linear extension is the same sum over the values
+    M(w.Lambda_i).  The result is the minimum over containing chambers; on
+    valid data they all agree.
     """
+    if not isinstance(alpha, Weight):
+        raise TypeError("psi takes a weight direction")
+    if alpha.cartan != group.cartan:
+        raise ValueError("weight belongs to a different Cartan datum")
+    a = alpha.coords
+    M = datum.values
     best = None
-    for w in containing_chambers(group, alpha):
-        val = sum(
-            pairing(group.w_coroot(w, i), alpha)
-            * datum.value(group.w_lambda(w, i).coords)
-            for i in range(1, group.rank + 1)
-        )
+    for w, chambers in zip(group.elements(), index_table(group).chamber):
+        # column i of comat is w.alpha_i^vee
+        coefs = [sum(map(mul, column, a)) for column in zip(*w.comat)]
+        if min(coefs) < 0:
+            continue
+        val = sum(c * M[x] for c, x in zip(coefs, chambers))
         if best is None or val < best:
             best = val
     if best is None:

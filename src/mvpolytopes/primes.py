@@ -95,29 +95,13 @@ def edge_row(group: WeylGroup, w, i: int) -> Vec:
 
 
 def face_relations(group: WeylGroup, face: Face) -> tuple[Relation, ...]:
-    if face.kind == "rectangle":
-        return ()
+    """The face's min-relations: its rows of the index table, densified."""
     size = len(group.chamber_weights())
-    idx = index_table(group).face_indices(face)
-    if face.kind == "hexagon":
-        iA, iB, iC, iD, iE, iF = idx
-        lhs = _add(size, (iC, 1), (iD, 1))
-        args = (_add(size, (iA, 1), (iE, 1)), _add(size, (iF, 1), (iB, 1)))
-        return (Relation(face, 0, lhs, args),)
-    iA, iB, iC, iD, iE, iF, iG, iH = idx
-    lhs1 = _add(size, (iD, 1), (iE, 1), (iC, 1))
-    args1 = (
-        _add(size, (iE, 2), (iA, 1)),
-        _add(size, (iB, 2), (iG, 1)),
-        _add(size, (iB, 1), (iH, 1), (iC, 1)),
+    relations = index_table(group).faces.get((face.w.word, face.i, face.j), ())
+    return tuple(
+        Relation(face, k, _add(size, *lhs), tuple(_add(size, *arg) for arg in args))
+        for k, (lhs, args) in enumerate(relations)
     )
-    lhs2 = _add(size, (iF, 1), (iE, 2), (iC, 1))
-    args2 = (
-        _add(size, (iB, 2), (iG, 2)),
-        _add(size, (iH, 2), (iC, 2)),
-        _add(size, (iG, 1), (iE, 2), (iA, 1)),
-    )
-    return (Relation(face, 0, lhs1, args1), Relation(face, 1, lhs2, args2))
 
 
 def _choice_rows(

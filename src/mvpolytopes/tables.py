@@ -6,6 +6,14 @@ computes those indices once per group and keeps them on the group, so the
 loops in :mod:`bz`, :mod:`polytope` and :mod:`primes` touch ints only;
 ``Weight`` and ``Coweight`` objects appear only at the API boundary.
 
+The polytope constraints are integer rows over the values tuple, held here
+and nowhere else: an edge row per (w, i), whose value is the edge length,
+and per hexagonal or octagonal 2-face the rows of its min-relations
+lhs = min(args).  Those relations are written once, in
+:data:`FACE_RELATIONS`, over a face's chamber weights A..H; the table maps
+them to chamber indices.  :func:`bz.validate` evaluates the rows and
+:func:`primes.face_relations` hands the same rows to the cone algebra.
+
 The vertices mu_w = sum_i M(w Lambda_i) w.alpha_i^vee of a datum are one
 integer product: the table keeps the chamber indices w Lambda_i as an
 ``(|W|, r)`` array and the coweight actions w.alpha_i^vee as an
@@ -29,15 +37,41 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
-from .weyl import BraidEdge, BraidGraph, Face, WeylElement, WeylGroup
+from .weyl import BraidEdge, BraidGraph, WeylElement, WeylGroup
 
 Word = tuple[int, ...]
 # sparse integer row: the value is sum(coef * x[index] for index, coef in row)
 Row = tuple[tuple[int, int], ...]
+
+# The 2-face min-relations lhs = min(args), by face kind.  Each row is
+# (position, coefficient) pairs over the face's chamber weights, at positions
+# 0..7 = A..H:
+#   A = w Lambda_i, B = w Lambda_j, C = w s_i Lambda_i, D = w s_j Lambda_j,
+#   E = w s_i s_j Lambda_j, F = w s_j s_i Lambda_i,
+#   G = w s_i s_j s_i Lambda_i, H = w s_j s_i s_j Lambda_j,
+# with octagons oriented so that a_ij = -1 and a_ji = -2.  Catalog choice
+# vectors index into ``args`` in this order.
+FACE_RELATIONS: dict[str, tuple[tuple[Row, tuple[Row, ...]], ...]] = {
+    "hexagon": (
+        # C + D = min(A + E, F + B)
+        (((2, 1), (3, 1)), (((0, 1), (4, 1)), ((5, 1), (1, 1)))),
+    ),
+    "octagon": (
+        # D + E + C = min(2E + A, 2B + G, B + H + C)
+        (
+            ((3, 1), (4, 1), (2, 1)),
+            (((4, 2), (0, 1)), ((1, 2), (6, 1)), ((1, 1), (7, 1), (2, 1))),
+        ),
+        # F + 2E + C = min(2B + 2G, 2H + 2C, G + 2E + A)
+        (
+            ((5, 1), (4, 2), (2, 1)),
+            (((1, 2), (6, 2)), ((7, 2), (2, 2)), ((6, 1), (4, 2), (0, 1))),
+        ),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -67,9 +101,9 @@ class IndexTable:
     right: tuple[tuple[int, ...], ...]  # [t][i - 1]: element index of w_t s_i
     edge_rows: tuple[tuple[Row, ...], ...]  # [t][i - 1]: edge length at (w_t, i)
     edges: tuple[tuple[Word, int, Row], ...]  # (word of w, i, row), bz.edge_pairs order
-    faces: tuple[tuple[Word, int, int, itemgetter], ...]
-    # (word of w, i, j, getter of the values at A..F or A..H), hexagons and
-    # octagons in group.two_faces order
+    faces: dict[tuple[Word, int, int], tuple[tuple[Row, tuple[Row, ...]], ...]]
+    # (word of w, i, j) -> (lhs row, arg rows) per FACE_RELATIONS entry, for
+    # the hexagons and octagons in group.two_faces order
     parent: dict[Word, BraidEdge | None]  # toward the reference word; None at it
     plan: tuple[Stop, ...]  # starts at the reference word
     chamber_array: np.ndarray  # int64 (|W|, r), the same indices as ``chamber``
@@ -79,12 +113,6 @@ class IndexTable:
     chamber_keys: tuple[str, ...]  # [x]: serialize.coords_key of chamber weight x
     key_chamber: dict[str, int]  # inverse of ``chamber_keys``
 
-    def face_indices(self, face: Face) -> tuple[int, ...]:
-        """Chamber indices A..F of a hexagon, or A..H of an octagon."""
-        return _face_indices(
-            self.chamber, self.right, self.index[face.w], face.i, face.j, face.kind
-        )
-
 
 def index_table(group: WeylGroup) -> IndexTable:
     """The group's table, built on first use and kept on the group."""
@@ -93,7 +121,13 @@ def index_table(group: WeylGroup) -> IndexTable:
     return group._table
 
 
+def _at(indices: tuple[int, ...], row: Row) -> Row:
+    """A row over face positions as a row over chamber indices."""
+    return tuple((indices[p], c) for p, c in row)
+
+
 def _face_indices(chamber, right, t: int, i: int, j: int, kind: str) -> tuple[int, ...]:
+    """Chamber indices A..F of a hexagon, or A..H of an octagon."""
     ti, tj = right[t][i - 1], right[t][j - 1]
     tij, tji = right[ti][j - 1], right[tj][i - 1]
     out = (
@@ -140,15 +174,13 @@ def _build(group: WeylGroup) -> IndexTable:
         for i in range(1, r + 1)
         if elements[right[t][i - 1]].length > w.length
     )
-    faces = tuple(
-        (
-            f.w.word,
-            f.i,
-            f.j,
-            itemgetter(*_face_indices(chamber, right, index[f.w], f.i, f.j, f.kind)),
+    faces = {}
+    for f in group.two_faces(("hexagon", "octagon")):
+        at = _face_indices(chamber, right, index[f.w], f.i, f.j, f.kind)
+        faces[f.w.word, f.i, f.j] = tuple(
+            (_at(at, lhs), tuple(_at(at, arg) for arg in args))
+            for lhs, args in FACE_RELATIONS[f.kind]
         )
-        for f in group.two_faces(("hexagon", "octagon"))
-    )
     graph = group.braid_graph()
     coaction = np.array([w.comat for w in elements], dtype=np.int64).reshape(-1, r, r)
     chamber_keys = tuple(coords_key(c.weight.coords) for c in group.chamber_weights())

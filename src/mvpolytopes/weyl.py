@@ -201,10 +201,6 @@ class WeylGroup:
             tuple(self._by_mat[_mat_mul(w.mat, gen_mats[i])] for i in range(r))
             for w in elements
         ]
-        self._left_table = [
-            tuple(self._by_mat[_mat_mul(gen_mats[i], w.mat)] for i in range(r))
-            for w in elements
-        ]
 
     # -- basic group operations ----------------------------------------
 
@@ -227,11 +223,6 @@ class WeylGroup:
         """w * s_i."""
         self.cartan._check_index(i)
         return self._right_table[self._index[w]][i - 1]
-
-    def left(self, i: int, w: WeylElement) -> WeylElement:
-        """s_i * w."""
-        self.cartan._check_index(i)
-        return self._left_table[self._index[w]][i - 1]
 
     def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
         return self._by_mat[_mat_mul(u.mat, v.mat)]
@@ -260,16 +251,14 @@ class WeylGroup:
         """w . alpha_i^vee (column i of the coweight action matrix)."""
         return Coweight(self.cartan, _column(w.comat, i - 1))
 
-    def right_descents(self, w: WeylElement) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.rank + 1) if self.right(w, i).length < w.length)
-
-    def left_descents(self, w: WeylElement) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.rank + 1) if self.left(i, w).length < w.length)
-
     # -- reduced words and word data ------------------------------------
 
     def reduced_words(self, w: WeylElement) -> tuple[tuple[int, ...], ...]:
-        """All reduced words of w, lexicographically sorted."""
+        """All reduced words of w, lexicographically sorted.
+
+        The words of w are the words of w s_i followed by i, over the right
+        descents i of w (those with l(w s_i) < l(w)).
+        """
         memo = self._reduced_words
         if w in memo:
             return memo[w]
@@ -279,8 +268,12 @@ class WeylGroup:
             if v in memo:
                 stack.pop()
                 continue
-            pending = [self.left(i, v) for i in self.left_descents(v)]
-            missing = [u for u in pending if u not in memo]
+            lower = [
+                (i, u)
+                for i, u in enumerate(self._right_table[self._index[v]], start=1)
+                if u.length < v.length
+            ]
+            missing = [u for _, u in lower if u not in memo]
             if missing:
                 stack.extend(missing)
                 continue
@@ -288,11 +281,7 @@ class WeylGroup:
             if v.length == 0:
                 memo[v] = ((),)
             else:
-                words = []
-                for i in self.left_descents(v):
-                    for tail in memo[self.left(i, v)]:
-                        words.append((i,) + tail)
-                memo[v] = tuple(sorted(words))
+                memo[v] = tuple(sorted(head + (i,) for i, u in lower for head in memo[u]))
         return memo[w]
 
     @property
@@ -361,13 +350,8 @@ class WeylGroup:
                 for coords, level in sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
             )
             self._chambers = chambers
-            self._chamber_level = {c.weight.coords: c.level for c in chambers}
             self._chamber_index = {c.weight.coords: t for t, c in enumerate(chambers)}
         return self._chambers
-
-    def chamber_level(self, coords: tuple[int, ...]) -> int:
-        self.chamber_weights()
-        return self._chamber_level[coords]
 
     def chamber_index(self, coords: tuple[int, ...]) -> int:
         self.chamber_weights()
@@ -468,14 +452,6 @@ class WeylGroup:
                     _kernels.count_nonneg_combinations(self._parts_matrix(), target)
                 )
         return self._kpf[key]
-
-    def coweight_ge(self, w: WeylElement, mu: Coweight, nu: Coweight) -> bool:
-        """Twisted dominance: <mu - nu, w.Lambda_i> >= 0 for every i."""
-        diff = (mu - nu).coords
-        return all(
-            sum(d * c for d, c in zip(diff, _column(w.mat, i))) >= 0
-            for i in range(self.rank)
-        )
 
 
 @functools.lru_cache(maxsize=None)

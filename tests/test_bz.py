@@ -80,15 +80,6 @@ def test_validation_report_lines(a2):
     assert bz.validate(a2, good).lines() == ["valid"]
 
 
-def test_face_relation_holds_spot(a2, b2):
-    d = bz.from_lusztig(a2, (1, 2, 1), (2, 1, 1))
-    for face in a2.two_faces():
-        assert bz.face_relation_holds(a2, d, face)
-    db = bz.from_lusztig(b2, b2.reference_word, (1, 2, 0, 1))
-    for face in b2.two_faces():
-        assert bz.face_relation_holds(b2, db, face)
-
-
 def test_from_lusztig_covers_all_words_consistently(a3):
     n = (1, 0, 2, 0, 1, 1)
     ref = a3.reference_word

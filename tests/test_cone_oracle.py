@@ -2,7 +2,8 @@
 
 ``Echelon``, ``fraction_nullspace``, ``fraction_invert`` and ``fraction_det``
 are the elimination routines ``cones`` used before it went fraction-free,
-and ``oracle_catalog`` is the brute-force catalog build on them with the
+``clear_denominators`` turns their rational vectors into primitive integer
+ones, and ``oracle_catalog`` is the brute-force catalog build on them with the
 back-map through a ``Fraction`` inverse.  ``brute_extreme_rays`` intersects
 every rank ``dim - 1`` set of inequalities.  None of them calls the
 fraction-free elimination or ``cones.matmul``.
@@ -11,6 +12,7 @@ fraction-free elimination or ``cones.matmul``.
 import itertools
 import warnings
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,15 @@ from mvpolytopes.cartan import build_cartan
 from mvpolytopes.weyl import weyl_group
 
 # -- references ------------------------------------------------------------------
+
+
+def clear_denominators(row):
+    """Scale a rational vector by a positive rational into a primitive int one."""
+    fr = [Fraction(v) for v in row]
+    lcm = 1
+    for v in fr:
+        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+    return cones.primitive([int(v * lcm) for v in fr])
 
 
 class Echelon:
@@ -85,7 +96,7 @@ def fraction_nullspace(rows, width: int):
         vec[f] = Fraction(1)
         for t, p in enumerate(pivots):
             vec[p] = -rows_[t][f]
-        basis.append(cones.clear_denominators(vec))
+        basis.append(clear_denominators(vec))
     return basis
 
 
@@ -197,7 +208,7 @@ def oracle_catalog(group):
         for row in ineq:
             image = [sum(Fraction(row[g]) * R[g][k] for g in range(size)) for k in range(group.m)]
             if any(image):
-                rows_n.append(cones.clear_denominators(image))
+                rows_n.append(clear_denominators(image))
         rays_n = [tuple(dot(lrow, ray) for lrow in length_rows) for ray in rays_m]
         gens = cones.hilbert_basis(rays_n, rows_n)
         values = []
@@ -261,7 +272,6 @@ def test_det_and_inverse_match_fraction_elimination(mat):
     den, num = cones.inverse(mat)
     assert den > 0
     assert [[Fraction(v, den) for v in row] for row in num] == want
-    assert cones.invert(mat) == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpolytopes import cones
+from test_cone_oracle import clear_denominators, fraction_invert
 
 
 def test_primitive():
@@ -16,7 +17,7 @@ def test_primitive():
 
 
 def test_clear_denominators():
-    got = cones.clear_denominators((Fraction(1, 2), Fraction(-1, 3), Fraction(0)))
+    got = clear_denominators((Fraction(1, 2), Fraction(-1, 3), Fraction(0)))
     assert got == (3, -2, 0)
 
 
@@ -35,12 +36,15 @@ def test_nullspace_of_empty():
 
 def test_invert_and_det():
     a = [(2, 1), (1, 1)]
-    inv = cones.invert(a)
-    assert [[int(x) for x in row] for row in inv] == [[1, -1], [-1, 2]]
+    assert cones.inverse(a) == (1, [[1, -1], [-1, 2]])
+    for mat in (a, [(2, 0), (0, 4)], [(1, 2), (3, 4)]):
+        den, num = cones.inverse(mat)
+        assert den > 0
+        assert [[Fraction(v, den) for v in row] for row in num] == fraction_invert(mat)
     assert cones.det(a) == 1
     assert cones.det([(2, 0), (0, 3)]) == 6
     with pytest.raises(ValueError):
-        cones.invert([(1, 2), (2, 4)])
+        cones.inverse([(1, 2), (2, 4)])
 
 
 def test_extreme_rays_quadrant():

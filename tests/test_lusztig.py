@@ -129,10 +129,3 @@ def test_enumerate_lusztig_counts_match_kpf(a2, b2):
         for coords in itertools.product(range(3), repeat=2):
             mu = g.cartan.coweight(coords)
             assert len(lusztig.enumerate_lusztig(g, g.reference_word, mu)) == g.kpf(mu)
-
-
-def test_vertex_path_endpoints(a2):
-    path = lusztig.vertex_path(a2, (1, 2, 1), (2, 1, 1))
-    assert path[0].coords == (0, 0)
-    assert path[-1].coords == (3, 2)
-    assert len(path) == 4

@@ -1,8 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from mvpolytopes import bz, polytope
+from test_acceptance import _psi_matrices
+from test_assembly_oracle import group_of, perturbed, random_data
 
 
 def test_vertices_frozen(a2):
@@ -83,6 +86,29 @@ def test_psi_superadditive_on_valid(a2):
     for x, y in itertools.product(cws, repeat=2):
         pz = polytope.psi(a2, d, x + y)
         assert pz >= polytope.psi(a2, d, x) + polytope.psi(a2, d, y)
+
+
+@pytest.mark.parametrize("family, rank", [("B", 2), ("A", 3), ("B", 3)])
+def test_psi_matches_chamber_rows(family, rank):
+    # the object-based rows of the acceptance suite: min over rows is psi
+    g = group_of(family, rank)
+    rng = np.random.default_rng(31 * rank + ord(family))
+    mats = _psi_matrices(g)
+    for word, n in random_data(g, rng, 3):
+        good = bz.from_lusztig(g, word, n)
+        for d in (good, perturbed(g, rng, good)):
+            values = np.array(d.values, dtype=np.int64)
+            for coords, mat in mats.items():
+                want = int((mat @ values).min())
+                assert polytope.psi(g, d, g.cartan.weight(coords)) == want, coords
+
+
+def test_psi_rejects_foreign_directions(a2, b2):
+    d = bz.from_lusztig(a2, (1, 2, 1), (2, 1, 1))
+    with pytest.raises(ValueError):
+        polytope.psi(a2, d, b2.cartan.weight((1, 0)))
+    with pytest.raises(TypeError):
+        polytope.psi(a2, d, a2.cartan.coweight((1, 0)))
 
 
 def test_weyl_thresholds_and_containment(a2):

@@ -194,6 +194,34 @@ def test_cli_draw_face_requires_all_three(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "face, message",
+    [
+        (["--face-word", "1", "--face-i", "9", "--face-j", "2"], "--face-i 9 is out of range"),
+        (["--face-word", "2", "--face-i", "1", "--face-j", "-3"], "--face-j -3 is out of range"),
+        (["--face-word", "9", "--face-i", "1", "--face-j", "2"], "letter 9 is out of range"),
+        (["--face-word", "2,0", "--face-i", "1", "--face-j", "3"], "letter 0 is out of range"),
+        (["--face-word", "2", "--face-i", "1", "--face-j", "1"], "are both 1"),
+    ],
+)
+def test_cli_draw_rejects_out_of_range_face(tmp_path, capsys, face, message):
+    doc = tmp_path / "doc.json"
+    assert main(["enumerate", "A", "3", "--coweight", "1,1,1", "-o", str(doc)]) == 0
+    doc.write_text(doc.read_text().splitlines()[0])
+    assert main(["draw", str(doc), "-o", str(tmp_path / "x.svg"), *face]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("word", ["9,1,2,1,3,2", "0,1,2,1,3,2", "1,2,1,3,2,4"])
+def test_cli_enumerate_rejects_out_of_range_letters(capsys, word):
+    assert main(["enumerate", "A", "3", "--coweight", "1,1,1", "--word", word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --word {word}: letter ")
+    assert "out of range 1..3" in captured.err and captured.err.count("\n") == 1
+
+
 def test_cli_primes_output(tmp_path):
     out = tmp_path / "cat.json"
     assert main(["primes", "A", "2", "-o", str(out)]) == 0
