@@ -78,11 +78,6 @@ class CartanDatum:
         return f"CartanDatum({self.family}{self.rank})"
 
 
-def _coerce(cartan: CartanDatum, other) -> None:
-    if other.cartan != cartan:
-        raise ValueError("operands belong to different Cartan data")
-
-
 def _int_coords(coords) -> tuple[int, ...]:
     out = []
     for c in coords:
@@ -94,67 +89,52 @@ def _int_coords(coords) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Weight:
+class _Vector:
+    """Integer vector over a Cartan datum; the subclass names the basis."""
+
+    cartan: CartanDatum
+    coords: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", _int_coords(self.coords))
+        if len(self.coords) != self.cartan.rank:
+            raise ValueError(f"{type(self).__name__.lower()} length does not match rank")
+
+    def _other_coords(self, other) -> tuple[int, ...]:
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        if other.cartan != self.cartan:
+            raise ValueError("operands belong to different Cartan data")
+        return other.coords
+
+    def __add__(self, other):
+        b = self._other_coords(other)
+        return type(self)(self.cartan, tuple(x + y for x, y in zip(self.coords, b)))
+
+    def __sub__(self, other):
+        b = self._other_coords(other)
+        return type(self)(self.cartan, tuple(x - y for x, y in zip(self.coords, b)))
+
+    def __neg__(self):
+        return type(self)(self.cartan, tuple(-x for x in self.coords))
+
+    def __mul__(self, k: int):
+        return type(self)(self.cartan, tuple(k * x for x in self.coords))
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
+
+class Weight(_Vector):
     """Integer vector in the fundamental-weight basis."""
 
-    cartan: CartanDatum
-    coords: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _int_coords(self.coords))
-        if len(self.coords) != self.cartan.rank:
-            raise ValueError("weight length does not match rank")
-
-    def __add__(self, other: "Weight") -> "Weight":
-        _coerce(self.cartan, other)
-        return Weight(self.cartan, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        _coerce(self.cartan, other)
-        return Weight(self.cartan, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(self.cartan, tuple(-a for a in self.coords))
-
-    def __mul__(self, k: int) -> "Weight":
-        return Weight(self.cartan, tuple(k * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
-@dataclass(frozen=True)
-class Coweight:
+class Coweight(_Vector):
     """Integer vector in the simple-coroot basis."""
-
-    cartan: CartanDatum
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _int_coords(self.coords))
-        if len(self.coords) != self.cartan.rank:
-            raise ValueError("coweight length does not match rank")
-
-    def __add__(self, other: "Coweight") -> "Coweight":
-        _coerce(self.cartan, other)
-        return Coweight(self.cartan, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Coweight") -> "Coweight":
-        _coerce(self.cartan, other)
-        return Coweight(self.cartan, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Coweight":
-        return Coweight(self.cartan, tuple(-a for a in self.coords))
-
-    def __mul__(self, k: int) -> "Coweight":
-        return Coweight(self.cartan, tuple(k * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def is_nonneg(self) -> bool:
         """Nonnegative in the coroot-coordinate partial order (mu >= 0)."""
@@ -171,7 +151,8 @@ def pairing(mu: Coweight, lam: Weight) -> int:
     """<mu, lam>: dot product of coroot coordinates with weight coordinates."""
     if not isinstance(mu, Coweight) or not isinstance(lam, Weight):
         raise TypeError("pairing takes a coweight first and a weight second")
-    _coerce(mu.cartan, lam)
+    if mu.cartan != lam.cartan:
+        raise ValueError("operands belong to different Cartan data")
     return sum(a * b for a, b in zip(mu.coords, lam.coords))
 
 
@@ -183,7 +164,7 @@ def _chain(rank: int) -> list[list[int]]:
     return a
 
 
-def build_cartan(family: str, rank: int, *, rank_cap: int | None = None) -> CartanDatum:
+def build_cartan(family: str, rank: int) -> CartanDatum:
     """Standard Cartan matrix for the given family and rank.
 
     B and C at rank 2 are the same abstract datum [[2,-1],[-2,2]] under either
@@ -200,7 +181,7 @@ def build_cartan(family: str, rank: int, *, rank_cap: int | None = None) -> Cart
     rank = int(rank)
     if rank < 1:
         raise ValueError("rank must be a positive integer")
-    cap = max_rank() if rank_cap is None else rank_cap
+    cap = max_rank()
     if rank > cap:
         raise ValueError(
             f"rank {rank} exceeds the cap {cap}; raise it via {MAX_RANK_ENV} if you mean it"

@@ -18,6 +18,7 @@ from .weyl import WeylGroup
 
 FILL = "#cfe2f3"
 STROKE = "#1f3864"
+SCALE = 60.0  # pixels per unit of the embedded plane
 ARROWS = ("#b00020", "#00600f")
 
 
@@ -97,7 +98,6 @@ def render_svg(
     datum: BZDatum,
     face=None,
     unit: bool = False,
-    scale: float = 60.0,
 ) -> str:
     """Standalone SVG for the polytope (rank <= 2) or one of its 2-faces."""
     if face is None:
@@ -141,13 +141,13 @@ def render_svg(
     pad = 30.0
     span_x = max(xs) - min(xs) or 1.0
     span_y = max(ys) - min(ys) or 1.0
-    width = span_x * scale + 2 * pad
-    height = span_y * scale + 2 * pad
+    width = span_x * SCALE + 2 * pad
+    height = span_y * SCALE + 2 * pad
 
     def place(p):
         return (
-            pad + (p[0] - min(xs)) * scale,
-            height - pad - (p[1] - min(ys)) * scale,
+            pad + (p[0] - min(xs)) * SCALE,
+            height - pad - (p[1] - min(ys)) * SCALE,
         )
 
     out = [

@@ -42,7 +42,10 @@ def word_key(word) -> str:
 def parse_word_key(key: str) -> tuple[int, ...]:
     if not key:
         return ()
-    return tuple(int(p) for p in key.split(","))
+    try:
+        return tuple(int(p) for p in key.split(","))
+    except ValueError:
+        raise ValueError(f"bad word key {key!r}") from None
 
 
 def group_doc(group: WeylGroup) -> dict:

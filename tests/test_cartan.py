@@ -81,6 +81,10 @@ def test_weight_coweight_type_safety():
     c = build_cartan("A", 2)
     with pytest.raises(TypeError):
         pairing(c.coweight((1, 0)), c.coweight((0, 1)))
+    with pytest.raises(TypeError):
+        c.weight((1, 0)) + c.coweight((0, 1))
+    with pytest.raises(TypeError):
+        c.coweight((1, 0)) - c.weight((0, 1))
     with pytest.raises(ValueError):
         c.weight((1,))
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from mvpolytopes import bz, serialize
+from mvpolytopes import bz, polytope, rep, serialize
+from mvpolytopes.cartan import build_cartan
 from mvpolytopes.cli import main
+from mvpolytopes.weyl import weyl_group
 
 
 def test_datum_doc_round_trip(a2):
@@ -95,21 +97,10 @@ def test_cli_mult_weight(capsys):
     assert doc["multiplicity"] == 2 and doc["oracle"] == 2
 
 
-def test_cli_mult_oracle_mismatch_exit_code(capsys):
-    rc = main(
-        [
-            "mult",
-            "weight",
-            "A",
-            "2",
-            "1,1",
-            "0,0",
-            "--check-oracle",
-            "--inject-oracle-error",
-            "1",
-        ]
-    )
-    assert rc == 1
+def test_cli_mult_oracle_mismatch_exit_code(capsys, monkeypatch):
+    kostant = rep.kostant_weight_mult
+    monkeypatch.setattr(rep, "kostant_weight_mult", lambda *a: kostant(*a) + 1)
+    assert main(["mult", "weight", "A", "2", "1,1", "0,0", "--check-oracle"]) == 1
     assert "mismatch" in capsys.readouterr().err
 
 
@@ -202,6 +193,7 @@ def test_cli_draw_face_requires_all_three(tmp_path, capsys):
         (["--face-word", "9", "--face-i", "1", "--face-j", "2"], "letter 9 is out of range"),
         (["--face-word", "2,0", "--face-i", "1", "--face-j", "3"], "letter 0 is out of range"),
         (["--face-word", "2", "--face-i", "1", "--face-j", "1"], "are both 1"),
+        (["--face-word", "1,,2", "--face-i", "1", "--face-j", "2"], "--face-word: bad word key '1,,2'"),
     ],
 )
 def test_cli_draw_rejects_out_of_range_face(tmp_path, capsys, face, message):
@@ -229,11 +221,55 @@ def test_cli_primes_output(tmp_path):
     assert doc["counts"]["primes"] == 4
 
 
-def test_cli_parallel_matches_serial(capsys):
-    assert main(["enumerate", "A", "3", "--coweight", "1,1,1", "--parallel", "2"]) == 0
-    par = capsys.readouterr().out
-    assert main(["enumerate", "A", "3", "--coweight", "1,1,1"]) == 0
-    assert capsys.readouterr().out == par
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["enumerate", "A", "2", "--coweight", "1,1", "--word", "1,,2"], "--word: bad word key '1,,2'"),
+        (
+            ["enumerate", "A", "2", "--coweight", f"{10**20},1"],
+            f"--coweight {10**20},1: coordinate {10**20} does not fit in 64 bits",
+        ),
+        (
+            ["mult", "weight", "A", "2", f"{10**20},{10**20}", f"{10**20},{10**20}"],
+            f"LAMBDA {10**20},{10**20}: coordinate {10**20} does not fit in 64 bits",
+        ),
+    ],
+    ids=["word", "coweight", "lambda"],
+)
+def test_cli_rejects_unparsable_numbers(capsys, args, message):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "family, coweight, word, subset_keys",
+    [
+        ("A", (1, 2, 1), None, False),
+        ("A", (2, 1, 1), (3, 2, 3, 1, 2, 3), False),
+        ("A", (1, 1, 2), None, True),
+        ("B", (1, 1, 1), None, False),
+        ("B", (1, 2, 1), (3, 2, 3, 2, 1, 2, 3, 2, 1), False),
+    ],
+)
+def test_cli_enumerate_matches_enumerate_mv(capsys, family, coweight, word, subset_keys):
+    group = weyl_group(build_cartan(family, 3))
+    words = [word] if word else []
+    expected = "".join(
+        serialize.canonical_json(
+            serialize.datum_to_doc(group, d, words=words, subset_keys=subset_keys)
+        )
+        for d in polytope.enumerate_mv(group, group.cartan.coweight(coweight))
+    )
+    args = ["enumerate", family, "3", "--coweight", serialize.coords_key(coweight)]
+    if word:
+        args += ["--word", serialize.word_key(word)]
+    if subset_keys:
+        args.append("--subset-keys")
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
+    assert expected.count("\n") > 1
 
 
 def test_cli_collapse_entry_not_a_list(tmp_path, capsys):
