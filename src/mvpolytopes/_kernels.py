@@ -10,6 +10,11 @@ import math
 
 import numpy as np
 
+# Rows one step of the partition-function frontier may expand to.  The tests
+# reach 20,301 rows and the benchmark workloads 80; a larger request (say a
+# coordinate of 10**12) is refused before numpy tries to allocate it.
+MAX_ROWS = 1 << 22
+
 
 def resolve_backend() -> str:
     """Name of the kernel implementation, recorded with benchmark runs."""
@@ -37,6 +42,13 @@ def _branch(rems: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         caps = (rems[:, pos_cols] // part[pos_cols][None, :]).min(axis=1)
     else:
         caps = np.zeros(rems.shape[0], dtype=np.int64)
+    # the clipped sum cannot wrap; past the limit, count again in Python ints
+    if int(np.minimum(caps, MAX_ROWS).sum()) + len(caps) > MAX_ROWS:
+        total = sum(map(int, caps)) + len(caps)
+        raise ValueError(
+            f"the partition-function frontier would grow to {total} rows, "
+            f"above the limit of {MAX_ROWS}"
+        )
     reps = caps + 1
     idx = np.repeat(np.arange(rems.shape[0]), reps)
     counts = np.arange(idx.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)

@@ -59,6 +59,13 @@ def make_bz(group: WeylGroup, values: dict) -> BZDatum:
     return BZDatum(group.cartan, tuple(values[c.weight.coords] for c in chambers))
 
 
+def _values(group: WeylGroup, datum: BZDatum) -> tuple[int, ...]:
+    """The datum's values, after checking that they index this group's tables."""
+    if datum.cartan != group.cartan:
+        raise ValueError("datum belongs to a different Cartan datum")
+    return datum.values
+
+
 # -- edge inequalities --------------------------------------------------------
 
 
@@ -77,7 +84,7 @@ def edge_length(group: WeylGroup, datum: BZDatum, w: WeylElement, i: int) -> int
     """
     group.cartan._check_index(i)
     table = index_table(group)
-    return _dot(table.edge_rows[table.index[w]][i - 1], datum.values)
+    return _dot(table.edge_rows[table.index[w]][i - 1], _values(group, datum))
 
 
 def edge_pairs(group: WeylGroup) -> tuple[tuple[WeylElement, int], ...]:
@@ -117,8 +124,8 @@ class ValidationReport:
 
 
 def validate(group: WeylGroup, datum: BZDatum) -> ValidationReport:
+    M = _values(group, datum)
     table = index_table(group)
-    M = datum.values
     edge_bad = []
     for word, i, row in table.edges:
         c = 0
@@ -212,9 +219,9 @@ def from_lusztig(group: WeylGroup, word, n) -> BZDatum:
 def lusztig_data(group: WeylGroup, datum: BZDatum, word) -> tuple[int, ...]:
     """Edge lengths along the vertex path of ``word``; inverts from_lusztig."""
     word = tuple(word)
+    M = _values(group, datum)
     group.word_data(word)  # rejects anything but a reduced word for w0
     table = index_table(group)
-    M = datum.values
     out = []
     t = 0
     for i in word:

@@ -115,7 +115,7 @@ def cmd_mult(args) -> int:
 
 def cmd_primes(args) -> int:
     group = _group(args)
-    catalog = primes.build_catalog(group, limit=args.limit)
+    catalog = primes.build_catalog(group)
     _emit(args, serialize.canonical_json(serialize.catalog_to_doc(group, catalog)))
     return 0
 
@@ -127,11 +127,12 @@ def cmd_collapse(args) -> int:
         except json.JSONDecodeError as e:
             raise ValueError(f"picture file is not valid JSON: {e}") from None
     if isinstance(doc, dict):
-        try:
-            n = int(doc["n"])
-            entries = doc["entries"]
-        except (KeyError, TypeError):
-            raise ValueError('picture object needs "n" and "entries"') from None
+        if "n" not in doc or "entries" not in doc:
+            raise ValueError('picture object needs "n" and "entries"')
+        n, entries = doc["n"], doc["entries"]
+        # bool is a subclass of int, but JSON true is not a number
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"picture n must be an integer, got {n!r}")
     elif isinstance(doc, list):
         entries = doc
         if not entries:
@@ -249,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primes", help="prime polytope catalog")
     add_group_args(p)
-    p.add_argument("--limit", type=int, default=10_000, help="face-choice budget")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_primes)
 

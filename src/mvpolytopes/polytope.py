@@ -22,8 +22,9 @@ from .weyl import WeylElement, WeylGroup
 
 def vertex(group: WeylGroup, datum: BZDatum, w: WeylElement) -> Coweight:
     """The vertex mu_w = sum_i M_{w Lambda_i} w.alpha_i^vee."""
+    M = bz._values(group, datum)
     table = index_table(group)
-    vals = [datum.values[x] for x in table.chamber[table.index[w]]]
+    vals = [M[x] for x in table.chamber[table.index[w]]]
     # coordinate c is sum_i (w.alpha_i^vee)_c M_{w Lambda_i}, and w.alpha_i^vee
     # is column i of comat
     return Coweight(
@@ -40,8 +41,8 @@ def vertex_matrix(group: WeylGroup, datum: BZDatum) -> np.ndarray:
     2**62 the product runs in int64, and above it the same product runs on
     Python ints (``dtype=object``), so the rows are exact either way.
     """
+    M = bz._values(group, datum)
     table = index_table(group)
-    M = datum.values
     bound = max(max(M), -min(M)) * table.coaction_max * group.rank
     dtype = np.int64 if bound < 1 << 62 else object
     vals = np.array(M, dtype=dtype)[table.chamber_array]
@@ -73,12 +74,10 @@ def coweight(group: WeylGroup, datum: BZDatum) -> Coweight:
 
 def translate(group: WeylGroup, datum: BZDatum, nu: Coweight) -> BZDatum:
     """Shift the polytope by nu: every M_gamma gains <nu, gamma>."""
+    M = bz._values(group, datum)
     chambers = group.chamber_weights()
     return BZDatum(
-        group.cartan,
-        tuple(
-            v + pairing(nu, c.weight) for v, c in zip(datum.values, chambers)
-        ),
+        group.cartan, tuple(v + pairing(nu, c.weight) for v, c in zip(M, chambers))
     )
 
 
@@ -93,16 +92,14 @@ def minkowski_sum(group: WeylGroup, *data: BZDatum) -> BZDatum:
         raise ValueError("need at least one datum")
     vals = [0] * len(data[0].values)
     for d in data:
-        if d.cartan != group.cartan:
-            raise ValueError("datum belongs to a different Cartan datum")
-        vals = [a + b for a, b in zip(vals, d.values)]
+        vals = [a + b for a, b in zip(vals, bz._values(group, d))]
     return BZDatum(group.cartan, tuple(vals))
 
 
 def scale(group: WeylGroup, datum: BZDatum, c: int) -> BZDatum:
     if c < 0:
         raise ValueError("scale factor must be nonnegative")
-    return BZDatum(group.cartan, tuple(c * v for v in datum.values))
+    return BZDatum(group.cartan, tuple(c * v for v in bz._values(group, datum)))
 
 
 def psi(group: WeylGroup, datum: BZDatum, alpha: Weight) -> int:
@@ -119,7 +116,7 @@ def psi(group: WeylGroup, datum: BZDatum, alpha: Weight) -> int:
     if alpha.cartan != group.cartan:
         raise ValueError("weight belongs to a different Cartan datum")
     a = alpha.coords
-    M = datum.values
+    M = bz._values(group, datum)
     best = None
     for w, chambers in zip(group.elements(), index_table(group).chamber):
         # column i of comat is w.alpha_i^vee
@@ -147,10 +144,9 @@ def weyl_thresholds(group: WeylGroup, lam: Coweight) -> tuple[int, ...]:
 
 def contains_in_weyl(group: WeylGroup, datum: BZDatum, lam: Coweight) -> bool:
     """Whether the polytope sits inside the convex hull of the W-orbit of lam."""
+    M = bz._values(group, datum)
     t = weyl_thresholds(group, lam)
-    return all(
-        v >= t[c.level - 1] for v, c in zip(datum.values, group.chamber_weights())
-    )
+    return all(v >= t[c.level - 1] for v, c in zip(M, group.chamber_weights()))
 
 
 def enumerate_mv(group: WeylGroup, mu: Coweight) -> tuple[BZDatum, ...]:

@@ -25,6 +25,11 @@ from .weyl import Face, WeylGroup
 
 Vec = tuple[int, ...]
 
+# Face choices build_catalog evaluates at most.  Rank 2, A3 and D3 (at most
+# 256) fit; B3 and C3 have about 1.4e8 choices, more than a day's work at
+# about 1 ms per choice, and every larger group has more.
+MAX_CHOICES = 10_000
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -126,7 +131,7 @@ def _length_rows(group: WeylGroup) -> list[Vec]:
     ]
 
 
-def build_catalog(group: WeylGroup, limit: int = 10_000) -> Catalog:
+def build_catalog(group: WeylGroup) -> Catalog:
     """Evaluate every face choice, keep the maximal cones, extract the primes."""
     if group._catalog is not None:
         return group._catalog
@@ -138,11 +143,8 @@ def build_catalog(group: WeylGroup, limit: int = 10_000) -> Catalog:
     n_choices = 1
     for rel in relations:
         n_choices *= len(rel.args)
-    if n_choices > limit:
-        raise ValueError(
-            f"{n_choices} face choices exceed the limit of {limit}; "
-            "raise the limit to force the computation"
-        )
+    if n_choices > MAX_CHOICES:
+        raise ValueError(f"{n_choices} face choices exceed the limit of {MAX_CHOICES}")
     size = len(group.chamber_weights())
     length_rows = _length_rows(group)
     ref = group.reference_word

@@ -155,9 +155,7 @@ def _build(group: WeylGroup) -> IndexTable:
     index = group._index  # element -> position in elements
     # column i of w.mat is w . Lambda_{i+1}
     chamber = tuple(tuple(map(group.chamber_index, zip(*w.mat))) for w in elements)
-    right = tuple(
-        tuple(index[group.right(w, i)] for i in range(1, r + 1)) for w in elements
-    )
+    right = group._right
     # edge length at (w, i):
     #   -M(w Lambda_i) - M(w s_i Lambda_i) - sum_{j != i} a_ji M(w Lambda_j)
     edge_rows = tuple(

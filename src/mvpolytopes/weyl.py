@@ -21,10 +21,6 @@ from .cartan import CartanDatum, Coweight, Weight
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _identity_mat(r: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-
-
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     r = len(a)
     return tuple(
@@ -38,10 +34,6 @@ def _mat_vec(a: Matrix, v) -> tuple[int, ...]:
 
 def _transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
-
-
-def _column(a: Matrix, j: int) -> tuple[int, ...]:
-    return tuple(row[j] for row in a)
 
 
 @dataclass(frozen=True)
@@ -139,53 +131,45 @@ class WeylGroup:
     # -- construction -------------------------------------------------
 
     def _build(self) -> None:
+        """One breadth-first walk by right multiplication.
+
+        Each new element takes the word of the element it is first reached
+        from plus the letter.  Elements of one length are walked in the order
+        of their lexicographically least reduced words, so the next length
+        is discovered in that order too and each word found first is the
+        least one: the elements come out sorted by (length, word).
+        """
         r = self.rank
         a = self.cartan.a
-        gen_mats: list[Matrix] = []
-        for i in range(1, r + 1):
-            cols = []
-            for j in range(1, r + 1):
-                col = [1 if k == j else 0 for k in range(1, r + 1)]
-                if j == i:
-                    col = [c - a[k][i - 1] for k, c in enumerate(col)]
-                cols.append(tuple(col))
-            gen_mats.append(_transpose(tuple(cols)))
-        self._gen_mats = tuple(gen_mats)
-        self._gen_comats = tuple(_transpose(m) for m in gen_mats)
+        # s_i Lambda_j = Lambda_j - delta_ij alpha_i, and alpha_i is column i of a
+        gen_mats = tuple(
+            tuple(tuple(int(k == j) - (j == i) * a[k][i] for j in range(r)) for k in range(r))
+            for i in range(r)
+        )
+        self._gen_mats = gen_mats
+        gen_comats = tuple(_transpose(m) for m in gen_mats)
 
-        ident = _identity_mat(r)
-        info: dict[Matrix, tuple[Matrix, int]] = {ident: (ident, 0)}
-        order: list[Matrix] = [ident]
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for mat in frontier:
-                comat, length = info[mat]
-                for i in range(r):
-                    m2 = _mat_mul(mat, gen_mats[i])
-                    if m2 not in info:
-                        info[m2] = (_mat_mul(comat, self._gen_comats[i]), length + 1)
-                        order.append(m2)
-                        nxt.append(m2)
-            frontier = nxt
-
-        # lexicographically least reduced words, peeling smallest left descents
-        canon: dict[Matrix, tuple[int, ...]] = {ident: ()}
-        for mat in order[1:]:
-            length = info[mat][1]
+        ident = tuple(tuple(int(k == j) for j in range(r)) for k in range(r))
+        elements = [WeylElement(self.cartan, ident, ident, (), 0)]
+        by_mat = {ident: 0}
+        right = []
+        for w in elements:  # the list grows while it is walked: a FIFO queue
+            row = []
             for i in range(r):
-                m2 = _mat_mul(gen_mats[i], mat)
-                if info[m2][1] < length:
-                    canon[mat] = (i + 1,) + canon[m2]
-                    break
-
-        elements = [
-            WeylElement(self.cartan, mat, info[mat][0], canon[mat], info[mat][1])
-            for mat in order
-        ]
-        elements.sort(key=lambda w: (w.length, w.word))
+                mat = _mat_mul(w.mat, gen_mats[i])
+                t = by_mat.get(mat)
+                if t is None:
+                    t = by_mat[mat] = len(elements)
+                    comat = _mat_mul(w.comat, gen_comats[i])
+                    elements.append(
+                        WeylElement(self.cartan, mat, comat, w.word + (i + 1,), w.length + 1)
+                    )
+                row.append(t)
+            right.append(tuple(row))
         self._elements = tuple(elements)
-        self._by_mat = {w.mat: w for w in elements}
+        self._by_mat = by_mat  # action matrix -> element index
+        self._index = {w: t for t, w in enumerate(elements)}
+        self._right = tuple(right)  # [t][i - 1]: element index of w_t s_i
         self._identity = elements[0]
         self._w0 = elements[-1]
         if elements[-2].length == self._w0.length:
@@ -195,12 +179,19 @@ class WeylGroup:
             )
         self.m = self._w0.length
 
-        idx = {w: t for t, w in enumerate(elements)}
-        self._index = idx
-        self._right_table = [
-            tuple(self._by_mat[_mat_mul(w.mat, gen_mats[i])] for i in range(r))
-            for w in elements
-        ]
+    @functools.cached_property
+    def _coroots(self) -> tuple[tuple[Coweight, ...], ...]:
+        """[t][i - 1]: w_t . alpha_i^vee, one shared object each, built on first use."""
+        return tuple(
+            tuple(Coweight(self.cartan, col) for col in zip(*w.comat)) for w in self._elements
+        )
+
+    @functools.cached_property
+    def _lambdas(self) -> tuple[tuple[Weight, ...], ...]:
+        """[t][i - 1]: w_t . Lambda_i, one shared object each, built on first use."""
+        return tuple(
+            tuple(Weight(self.cartan, col) for col in zip(*w.mat)) for w in self._elements
+        )
 
     # -- basic group operations ----------------------------------------
 
@@ -217,19 +208,19 @@ class WeylGroup:
 
     def simple_reflection(self, i: int) -> WeylElement:
         self.cartan._check_index(i)
-        return self._by_mat[self._gen_mats[i - 1]]
+        return self._elements[self._right[0][i - 1]]
 
     def right(self, w: WeylElement, i: int) -> WeylElement:
         """w * s_i."""
         self.cartan._check_index(i)
-        return self._right_table[self._index[w]][i - 1]
+        return self._elements[self._right[self._index[w]][i - 1]]
 
     def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        return self._by_mat[_mat_mul(u.mat, v.mat)]
+        return self._elements[self._by_mat[_mat_mul(u.mat, v.mat)]]
 
     def inverse(self, w: WeylElement) -> WeylElement:
         # comat = (mat^{-1})^T, so the inverse matrix is free
-        return self._by_mat[_transpose(w.comat)]
+        return self._elements[self._by_mat[_transpose(w.comat)]]
 
     def from_word(self, word) -> WeylElement:
         w = self._identity
@@ -245,11 +236,11 @@ class WeylGroup:
 
     def w_lambda(self, w: WeylElement, i: int) -> Weight:
         """The chamber weight w . Lambda_i (column i of the action matrix)."""
-        return Weight(self.cartan, _column(w.mat, i - 1))
+        return self._lambdas[self._index[w]][i - 1]
 
     def w_coroot(self, w: WeylElement, i: int) -> Coweight:
         """w . alpha_i^vee (column i of the coweight action matrix)."""
-        return Coweight(self.cartan, _column(w.comat, i - 1))
+        return self._coroots[self._index[w]][i - 1]
 
     # -- reduced words and word data ------------------------------------
 
@@ -260,28 +251,15 @@ class WeylGroup:
         descents i of w (those with l(w s_i) < l(w)).
         """
         memo = self._reduced_words
-        if w in memo:
-            return memo[w]
-        stack = [w]
-        while stack:
-            v = stack[-1]
-            if v in memo:
-                stack.pop()
-                continue
+        if w not in memo:
+            els = self._elements
             lower = [
-                (i, u)
-                for i, u in enumerate(self._right_table[self._index[v]], start=1)
-                if u.length < v.length
+                (i, els[t])
+                for i, t in enumerate(self._right[self._index[w]], 1)
+                if els[t].length < w.length
             ]
-            missing = [u for _, u in lower if u not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            if v.length == 0:
-                memo[v] = ((),)
-            else:
-                memo[v] = tuple(sorted(head + (i,) for i, u in lower for head in memo[u]))
+            words = sorted(head + (i,) for i, u in lower for head in self.reduced_words(u))
+            memo[w] = tuple(words) if lower else ((),)  # the identity has no descents
         return memo[w]
 
     @property
@@ -295,19 +273,19 @@ class WeylGroup:
             return cached
         if len(word) != self.m:
             raise ValueError(f"need a reduced word for w0 of length {self.m}, got {word}")
-        prefixes = [self._identity]
+        path = [0]  # element indices of the prefixes
         for i in word:
             self.cartan._check_index(i)
-            prefixes.append(self.right(prefixes[-1], i))
-        if prefixes[-1] != self._w0:
+            path.append(self._right[path[-1]][i - 1])
+        if path[-1] != len(self._elements) - 1:
             raise ValueError(f"{word} is not a word for the longest element")
-        coroots = tuple(self.w_coroot(prefixes[k], word[k]) for k in range(self.m))
-        gammas = tuple(self.w_lambda(prefixes[k + 1], word[k]) for k in range(self.m))
-        if any(not b.is_nonneg() for b in coroots):
-            raise ValueError(f"{word} is not reduced")
-        if len(set(coroots)) != self.m:
+        # m letters whose product is w0 form a reduced word
+        coroots = tuple(self._coroots[path[k]][i - 1] for k, i in enumerate(word))
+        gammas = tuple(self._lambdas[path[k + 1]][i - 1] for k, i in enumerate(word))
+        if len({b.coords for b in coroots}) != self.m:
             raise RuntimeError(f"reduced word {word} repeats a coroot in its coroot sequence")
-        data = WordData(word, tuple(prefixes), coroots, gammas)
+        prefixes = tuple(self._elements[t] for t in path)
+        data = WordData(word, prefixes, coroots, gammas)
         self._word_data[word] = data
         return data
 

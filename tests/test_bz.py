@@ -1,8 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from mvpolytopes import bz, lusztig
+from mvpolytopes import bz, lusztig, polytope, serialize
+from mvpolytopes.cartan import build_cartan
+from mvpolytopes.weyl import WeylGroup, weyl_group
 
 
 def a2_datum(a2, m2, m23, m3, m13):
@@ -97,3 +100,34 @@ def test_edge_length_is_lusztig_entry(b2):
     for k, i in enumerate(ref):
         assert bz.edge_length(b2, d, w, i) == n[k]
         w = b2.right(w, i)
+
+
+B3_C3_READERS = {
+    "validate": lambda g, d: bz.validate(g, d),
+    "lusztig_data": lambda g, d: bz.lusztig_data(g, d, g.reference_word),
+    "edge_length": lambda g, d: bz.edge_length(g, d, g.identity, 1),
+    "vertex": lambda g, d: polytope.vertex(g, d, g.w0),
+    "vertex_matrix": lambda g, d: polytope.vertex_matrix(g, d),
+    "psi": lambda g, d: polytope.psi(g, d, g.cartan.fundamental_weight(1)),
+    "translate": lambda g, d: polytope.translate(g, d, g.cartan.coweight((1, 0, 0))),
+    "contains_in_weyl": lambda g, d: polytope.contains_in_weyl(g, d, g.two_rho),
+    "scale": lambda g, d: polytope.scale(g, d, 2),
+    "datum_to_doc": lambda g, d: serialize.datum_to_doc(g, d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(B3_C3_READERS))
+def test_datum_of_another_type_is_refused(b3, name):
+    # B3 and C3 have the same number of chamber weights, so only the type
+    # tells a B3 datum from a C3 one
+    d = bz.from_lusztig(b3, b3.reference_word, range(1, b3.m + 1))
+    c3 = weyl_group(build_cartan("C", 3))
+    with pytest.raises(ValueError, match="different Cartan datum"):
+        B3_C3_READERS[name](c3, d)
+    fresh = WeylGroup(build_cartan("B", 3))  # an equal, not identical, datum
+    assert fresh.cartan == b3.cartan and fresh.cartan is not b3.cartan
+    got, want = B3_C3_READERS[name](fresh, d), B3_C3_READERS[name](b3, d)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want

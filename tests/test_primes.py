@@ -126,7 +126,6 @@ def test_relations_recorded(b2):
     assert kinds == {"octagon"}
 
 
-def test_choice_guard(a3, monkeypatch):
-    monkeypatch.setattr(a3, "_catalog", None)
+def test_choice_guard(b3):
     with pytest.raises(ValueError, match="limit"):
-        primes.build_catalog(a3, limit=4)
+        primes.build_catalog(b3)

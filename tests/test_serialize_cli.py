@@ -1,8 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
-from mvpolytopes import bz, polytope, rep, serialize
+import mvpolytopes
+from mvpolytopes import _kernels, bz, polytope, rep, serialize
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.cli import main
 from mvpolytopes.weyl import weyl_group
@@ -304,3 +309,50 @@ def test_cli_validate_rejects_non_integer_rank(tmp_path, capsys, rank, values):
     assert main(["validate", str(doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: group.rank must be an integer") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [("3.7", "3.7"), ('"3"', "'3'"), ("true", "True")],
+    ids=["float", "string", "bool"],
+)
+def test_cli_collapse_rejects_non_integer_n(tmp_path, capsys, n, message):
+    pic = tmp_path / "pic.json"
+    pic.write_text('{"n": %s, "entries": [[1, 2, 2], [1, 3, 1], [2, 3, 1]]}' % n)
+    assert main(["collapse", str(pic), "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: picture n must be an integer, got {message}\n"
+
+
+def _cap_address_space():
+    limit = 4_000_000 * 1024  # as `ulimit -v 4000000`
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["enumerate", "A", "2", "--coweight", f"{10**12},1"],
+        ["mult", "weight", "A", "2", f"{10**12},{10**12}", "0,0"],
+    ],
+    ids=["enumerate", "mult"],
+)
+def test_cli_refuses_huge_kernel_frontiers(args):
+    # in a child process with capped memory: without the refusal, numpy
+    # would try to allocate terabytes
+    src = os.path.dirname(os.path.dirname(mvpolytopes.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvpolytopes.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_cap_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: the partition-function frontier would grow to {10**12 + 1} rows, "
+        f"above the limit of {_kernels.MAX_ROWS}\n"
+    )

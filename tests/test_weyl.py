@@ -187,3 +187,40 @@ def test_chamber_weights_have_all_levels(a3):
 def test_weyl_group_is_cached():
     c = build_cartan("A", 2)
     assert weyl_group(c) is weyl_group(build_cartan("A", 2))
+
+
+def _words_by_brute_force(g):
+    """Every word over 1..r of length l(w) whose product is w, in lex order."""
+    want = {w: [] for w in g.elements()}
+    for length in range(g.m + 1):
+        for word in itertools.product(range(1, g.rank + 1), repeat=length):
+            w = g.from_word(word)
+            if w.length == length:
+                want[w].append(word)
+    return want
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 1), ("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 3)]
+)
+def test_elements_carry_their_least_reduced_words(family, rank):
+    g = WeylGroup(build_cartan(family, rank))
+    els = g.elements()
+    assert list(els) == sorted(els, key=lambda w: (w.length, w.word))
+    want = _words_by_brute_force(g)
+    for w in els:
+        assert w.word == want[w][0] == g.reduced_words(w)[0], w
+        for i in range(1, rank + 1):
+            assert g.right(w, i) is g.from_word(w.word + (i,))
+
+
+def test_word_data_shares_the_group_vectors():
+    g = WeylGroup(build_cartan("D", 4))
+    assert "_coroots" not in vars(g) and "_lambdas" not in vars(g)  # built on first use
+    words = g.reduced_words(g.w0)
+    assert len(words) == 2316
+    for word in words:
+        data = g.word_data(word)
+        for k, i in enumerate(word):
+            assert data.coroots[k] is g.w_coroot(data.prefixes[k], i)
+            assert data.gammas[k] is g.w_lambda(data.prefixes[k + 1], i)
