@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -50,14 +51,17 @@ class PrimePolytope:
 
 @dataclass(frozen=True)
 class Cluster:
-    """A maximal choice cone together with its Hilbert generators."""
+    """A maximal choice cone together with its Hilbert generators.
+
+    The cone is kept once, in the Lusztig chart: its data are the valid data
+    whose Lusztig data n along the reference word satisfy row . n >= 0 for
+    every row of ``ineq_rows_n``, the sorted distinct primitive rows.
+    """
 
     choice: Vec  # chosen argument per relation
     labels: tuple[str, ...]
     gens_n: tuple[Vec, ...]  # generator edge-length vectors, aligned with labels
     rays_m: tuple[Vec, ...]
-    eq_rows: tuple[Vec, ...]
-    ineq_rows: tuple[Vec, ...]
     ineq_rows_n: tuple[Vec, ...]
 
 
@@ -73,12 +77,6 @@ class Catalog:
     @property
     def n_maximal(self) -> int:
         return len(self.clusters)
-
-
-def _unit(size: int, idx: int, coef: int = 1) -> list[int]:
-    row = [0] * size
-    row[idx] = coef
-    return row
 
 
 def _add(size: int, *terms: tuple[int, int]) -> Vec:
@@ -114,7 +112,7 @@ def _choice_rows(
 ) -> tuple[list[Vec], list[Vec]]:
     size = len(group.chamber_weights())
     table = index_table(group)
-    eq = [tuple(_unit(size, t)) for t in table.chamber[0]]
+    eq = [_add(size, (t, 1)) for t in table.chamber[0]]
     ineq = [_add(size, *row) for _, _, row in table.edges]
     for rel, k in zip(relations, choice):
         eq.append(_sub(rel.args[k], rel.lhs))
@@ -129,6 +127,11 @@ def _length_rows(group: WeylGroup) -> list[Vec]:
     return [
         edge_row(group, data.prefixes[k], data.word[k]) for k in range(group.m)
     ]
+
+
+def _in_cone(rows: tuple[Vec, ...], n) -> bool:
+    """True when every chart row admits n: row . n >= 0."""
+    return all(sum(map(mul, row, n)) >= 0 for row in rows)
 
 
 def build_catalog(group: WeylGroup) -> Catalog:
@@ -147,10 +150,9 @@ def build_catalog(group: WeylGroup) -> Catalog:
         raise ValueError(f"{n_choices} face choices exceed the limit of {MAX_CHOICES}")
     size = len(group.chamber_weights())
     length_rows = _length_rows(group)
-    ref = group.reference_word
 
     dims: list[int] = []
-    maximal = []  # (choice, eq, ineq, basis, rays_m)
+    maximal = []  # (choice, ineq, basis, rays_m)
     nonmax = []  # (choice, rays_m)
     for choice in itertools.product(*[range(len(r.args)) for r in relations]):
         eq, ineq = _choice_rows(group, relations, choice)
@@ -164,32 +166,18 @@ def build_catalog(group: WeylGroup) -> Catalog:
         dim = cones.rank(rays_m) if rays_m else 0
         dims.append(dim)
         if dim == group.m:
-            maximal.append((choice, tuple(map(tuple, eq)), tuple(map(tuple, ineq)), basis, rays_m))
+            maximal.append((choice, ineq, basis, rays_m))
         elif dim > 0:
             nonmax.append((choice, rays_m))
 
-    # every lower-dimensional cone should sit inside some maximal one: each
-    # maximal cone is {x : eq x >= 0, -eq x >= 0, ineq x >= 0}, stacked here
-    walls = [(k, row) for k, (_, eq, ineq, _, _) in enumerate(maximal)
-             for row in (*eq, *(tuple(-v for v in e) for e in eq), *ineq)]
-    owner = np.array([k for k, _ in walls], dtype=np.int64)
-    wall_rows = np.array([row for _, row in walls], dtype=np.int64).reshape(len(walls), size)
-    for choice, rays_m in nonmax:
-        outside = np.zeros(len(maximal), dtype=bool)
-        outside[owner[(cones.matmul(wall_rows, np.transpose(rays_m)) < 0).any(axis=1)]] = True
-        if outside.all():
-            warnings.warn(
-                f"choice {choice} spans a cone outside every maximal cone",
-                stacklevel=2,
-            )
-
     prime_data: dict[tuple[int, ...], BZDatum] = {}
     raw_clusters = []
-    for choice, eq, ineq, basis, rays_m in maximal:
+    for choice, ineq, basis, rays_m in maximal:
         # chart back-map: value vector = back @ edge-length vector / den
         den, num = cones.inverse(cones.matmul(length_rows, np.transpose(basis)).tolist())
         back = cones.matmul(np.transpose(basis), num)
-        rows_n = [cones.primitive(r) for r in cones.matmul(ineq, back).tolist() if any(r)]
+        rows_n = cones.matmul(ineq, back).tolist()
+        rows_n = tuple(sorted({cones.primitive(r) for r in rows_n if any(r)}))
         rays_n = []
         for ray, rn in zip(rays_m, cones.matmul(rays_m, np.transpose(length_rows)).tolist()):
             rn = tuple(rn)
@@ -201,46 +189,49 @@ def build_catalog(group: WeylGroup) -> Catalog:
             rays_n.append(rn)
         gens = cones.hilbert_basis(rays_n, rows_n)
         gen_values = cones.matmul(np.reshape(gens, (len(gens), group.m)), back.T).tolist()
-        datums = []
+        values = []
         for g, scaled in zip(gens, gen_values):
             if any(v % den for v in scaled):
                 raise RuntimeError(f"choice {choice}: generator {g} maps to non-integer values")
-            datum = bz.from_lusztig(group, ref, g)
+            datum = bz.from_lusztig(group, group.reference_word, g)
             if datum.values != tuple(v // den for v in scaled):
                 raise RuntimeError(
                     f"choice {choice}: generator {g} maps to values that differ "
                     "from its assembly along the reference word"
                 )
-            datums.append(datum)
+            values.append(datum.values)
             prime_data.setdefault(datum.values, datum)
-        raw_clusters.append((choice, eq, ineq, tuple(rows_n), tuple(gens), datums))
+        raw_clusters.append((choice, rays_m, rows_n, gens, values))
 
-    def prime_key(values):
-        datum = prime_data[values]
-        return (polytope.coweight(group, datum).coords, values)
-
-    ordered = sorted(prime_data, key=prime_key)
-    labels = {values: f"P{t + 1}" for t, values in enumerate(ordered)}
+    coweights = {v: polytope.coweight(group, d).coords for v, d in prime_data.items()}
+    ordered = sorted(prime_data, key=lambda v: (coweights[v], v))
+    position = {v: t for t, v in enumerate(ordered)}
     primes = tuple(
-        PrimePolytope(labels[v], prime_data[v], polytope.coweight(group, prime_data[v]).coords)
-        for v in ordered
+        PrimePolytope(f"P{t + 1}", prime_data[v], coweights[v]) for t, v in enumerate(ordered)
     )
     clusters = []
-    for t, (choice, eq, ineq, rows_n, gens, datums) in enumerate(raw_clusters):
-        pairs = sorted(
-            zip(gens, datums), key=lambda gd: int(labels[gd[1].values][1:])
-        )
+    for choice, rays_m, rows_n, gens, values in raw_clusters:
+        pairs = sorted((position[v], g) for g, v in zip(gens, values))
         clusters.append(
             Cluster(
                 choice=tuple(choice),
-                labels=tuple(labels[d.values] for _, d in pairs),
-                gens_n=tuple(g for g, _ in pairs),
-                rays_m=tuple(maximal[t][4]),
-                eq_rows=eq,
-                ineq_rows=ineq,
+                labels=tuple(primes[t].label for t, _ in pairs),
+                gens_n=tuple(g for _, g in pairs),
+                rays_m=tuple(rays_m),
                 ineq_rows_n=rows_n,
             )
         )
+
+    # every lower-dimensional cone should sit inside some maximal one; its rays
+    # are valid data, so the chart rows test their edge lengths along the
+    # reference word
+    for choice, rays_m in nonmax:
+        rays_n = cones.matmul(rays_m, np.transpose(length_rows)).tolist()
+        if not any(all(_in_cone(c.ineq_rows_n, n) for n in rays_n) for c in clusters):
+            warnings.warn(
+                f"choice {choice} spans a cone outside every maximal cone", stacklevel=2
+            )
+
     catalog = Catalog(
         cartan=group.cartan,
         n_choices=n_choices,
@@ -265,46 +256,35 @@ def decompose(
 ) -> tuple[tuple[PrimePolytope, int], ...]:
     """Write a polytope as a Minkowski sum of primes with multiplicities.
 
-    The datum must be normalized (bottom vertex at the origin) and valid.
+    The datum must be normalized (bottom vertex at the origin) and valid.  A
+    valid datum is fixed by its Lusztig data n along the reference word, so it
+    lies in a maximal cone exactly when that cone's chart rows admit n.
     """
-    if polytope.mu1(group, datum).coords != group.cartan.zero_coweight().coords:
+    M = bz._values(group, datum)
+    # mu1 = sum_i M_{Lambda_i} alpha_i^vee vanishes iff every M_{Lambda_i} does
+    if any(M[x] for x in index_table(group).chamber[0]):
         raise ValueError("decompose needs a normalized datum (bottom vertex 0)")
     report = bz.validate(group, datum)
     if not report.is_valid:
         raise ValueError("cannot decompose invalid data: " + "; ".join(report.lines()))
     if catalog is None:
         catalog = build_catalog(group)
-    M = datum.values
-    cluster = None
-    for c in catalog.clusters:
-        if all(cones._dot(e, M) == 0 for e in c.eq_rows) and all(
-            cones._dot(s, M) >= 0 for s in c.ineq_rows
-        ):
-            cluster = c
-            break
+    elif catalog.cartan != group.cartan:
+        raise ValueError("catalog belongs to a different Cartan datum")
+    target = bz.lusztig_data(group, datum, group.reference_word)
+    cluster = next((c for c in catalog.clusters if _in_cone(c.ineq_rows_n, target)), None)
     if cluster is None:
         raise RuntimeError("no maximal cone contains the datum")
-    target = bz.lusztig_data(group, datum, group.reference_word)
     gens = cluster.gens_n
-    rows_n = cluster.ineq_rows_n
     counts = [0] * len(gens)
 
-    def in_cone(vec) -> bool:
-        return all(v >= 0 for v in vec) and all(
-            sum(r * x for r, x in zip(row, vec)) >= 0 for row in rows_n
-        )
-
     def search(pos: int, rem: tuple[int, ...]) -> bool:
-        if all(v == 0 for v in rem):
+        if not any(rem):
             return True
-        if pos == len(gens):
-            return False
-        if not in_cone(rem):
+        if pos == len(gens) or not _in_cone(cluster.ineq_rows_n, rem):
             return False
         g = gens[pos]
-        cap = min(
-            (rem[j] // g[j] for j in range(len(g)) if g[j] > 0), default=0
-        )
+        cap = min((rem[j] // g[j] for j in range(len(g)) if g[j] > 0), default=0)
         for c in range(cap, -1, -1):
             counts[pos] = c
             if search(pos + 1, tuple(r - c * v for r, v in zip(rem, g))):

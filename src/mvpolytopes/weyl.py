@@ -105,10 +105,6 @@ class BraidGraph:
     words: tuple[tuple[int, ...], ...]
     adjacency: dict[tuple[int, ...], tuple[BraidEdge, ...]] = field(compare=False)
 
-    def edges(self):
-        for out in self.adjacency.values():
-            yield from out
-
 
 class WeylGroup:
     """Finite Weyl group of a CartanDatum with cached combinatorial data."""
@@ -228,18 +224,27 @@ class WeylGroup:
             w = self.right(w, i)
         return w
 
+    def _coords(self, vec, kind) -> tuple[int, ...]:
+        if not isinstance(vec, kind):
+            raise TypeError(f"expected a {kind.__name__}, got {type(vec).__name__}")
+        if vec.cartan != self.cartan:
+            raise ValueError(f"{kind.__name__.lower()} belongs to a different Cartan datum")
+        return vec.coords
+
     def apply(self, w: WeylElement, lam: Weight) -> Weight:
-        return Weight(self.cartan, _mat_vec(w.mat, lam.coords))
+        return Weight(self.cartan, _mat_vec(w.mat, self._coords(lam, Weight)))
 
     def apply_coweight(self, w: WeylElement, mu: Coweight) -> Coweight:
-        return Coweight(self.cartan, _mat_vec(w.comat, mu.coords))
+        return Coweight(self.cartan, _mat_vec(w.comat, self._coords(mu, Coweight)))
 
     def w_lambda(self, w: WeylElement, i: int) -> Weight:
         """The chamber weight w . Lambda_i (column i of the action matrix)."""
+        self.cartan._check_index(i)
         return self._lambdas[self._index[w]][i - 1]
 
     def w_coroot(self, w: WeylElement, i: int) -> Coweight:
         """w . alpha_i^vee (column i of the coweight action matrix)."""
+        self.cartan._check_index(i)
         return self._coroots[self._index[w]][i - 1]
 
     # -- reduced words and word data ------------------------------------

@@ -14,13 +14,14 @@ import warnings
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpolytopes import bz, cones, polytope, primes
 from mvpolytopes.cartan import build_cartan
-from mvpolytopes.weyl import weyl_group
+from mvpolytopes.weyl import WeylGroup, weyl_group
 
 # -- references ------------------------------------------------------------------
 
@@ -217,7 +218,9 @@ def oracle_catalog(group):
             assert all(v.denominator == 1 for v in back)
             values.append(tuple(int(v) for v in back))
             prime_data.setdefault(values[-1], bz.from_lusztig(group, group.reference_word, g))
-        clusters.append((choice, tuple(gens), tuple(values), tuple(rays_m), tuple(rows_n)))
+        clusters.append(
+            (choice, tuple(gens), tuple(values), tuple(rays_m), tuple(sorted(set(rows_n))))
+        )
     ordered = sorted(
         prime_data, key=lambda v: (polytope.coweight(group, prime_data[v]).coords, v)
     )
@@ -323,3 +326,46 @@ def test_catalog_matches_fraction_oracle(family, rank):
         (c.choice, c.labels, c.gens_n, c.rays_m, c.ineq_rows_n) for c in got.clusters
     ] == want["clusters"]
     assert [(p.label, p.datum.values) for p in got.primes] == want["primes"]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3)])
+def test_chart_rows_contain_the_rays_value_space_rows_contain(family, rank):
+    """For every choice cone, the maximal clusters whose chart rows admit its
+    rays are those whose value-space rows admit them."""
+    group = weyl_group(build_cartan(family, rank))
+    cat = primes.build_catalog(group)
+    size = len(group.chamber_weights())
+    length_rows = primes._length_rows(group)
+    value_rows = []
+    for c in cat.clusters:
+        eq, ineq = primes._choice_rows(group, cat.relations, c.choice)
+        value_rows.append((np.array(eq), np.array(ineq)))
+    for choice in itertools.product(*[range(len(r.args)) for r in cat.relations]):
+        eq, ineq = primes._choice_rows(group, cat.relations, choice)
+        basis = fraction_nullspace(eq, size)
+        if not basis:
+            continue
+        chart_rows = [tuple(dot(row, p) for p in basis) for row in ineq]
+        rays_x = cones.extreme_rays(chart_rows, len(basis))
+        rays_m = np.array([[dot(x, col) for col in zip(*basis)] for x in rays_x])
+        rays_n = [[dot(lrow, ray) for lrow in length_rows] for ray in rays_m.tolist()]
+        by_values = [
+            t
+            for t, (eq_c, ineq_c) in enumerate(value_rows)
+            if (eq_c @ rays_m.T == 0).all() and (ineq_c @ rays_m.T >= 0).all()
+        ]
+        by_chart = [
+            t
+            for t, c in enumerate(cat.clusters)
+            if all(primes._in_cone(c.ineq_rows_n, n) for n in rays_n)
+        ]
+        assert by_chart == by_values, choice
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("D", 3)])
+def test_fresh_catalog_build_finds_every_cone_covered(family, rank):
+    """The chart coverage check warns about no cone; a fresh group bypasses
+    the catalog memo that earlier builds on the shared group fill."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        primes.build_catalog(WeylGroup(build_cartan(family, rank)))

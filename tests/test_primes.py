@@ -1,8 +1,14 @@
+import dataclasses
+import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from mvpolytopes import bz, polytope, primes
+from mvpolytopes.cartan import build_cartan
+from mvpolytopes.cli import main
+from mvpolytopes.weyl import WeylGroup, weyl_group
 
 
 def test_a2_catalog_shape(a2):
@@ -129,3 +135,68 @@ def test_relations_recorded(b2):
 def test_choice_guard(b3):
     with pytest.raises(ValueError, match="limit"):
         primes.build_catalog(b3)
+
+
+@pytest.mark.parametrize("family", ["C", "A"])
+def test_decompose_rejects_a_catalog_of_another_cartan_datum(b2, family):
+    group = weyl_group(build_cartan(family, 2))
+    datum = polytope.normalize(group, bz.from_lusztig(group, group.reference_word, (1,) * group.m))
+    with pytest.raises(ValueError, match="catalog belongs to a different Cartan datum"):
+        primes.decompose(group, datum, primes.build_catalog(b2))
+
+
+def test_decompose_accepts_a_catalog_of_an_equal_cartan_datum(b2):
+    fresh = primes.build_catalog(WeylGroup(b2.cartan))
+    for p in fresh.primes:
+        assert primes.decompose(b2, p.datum, fresh) == ((p, 1),)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("D", 3)])
+def test_chart_rows_are_sorted_distinct_and_primitive(family, rank):
+    for c in primes.build_catalog(weyl_group(build_cartan(family, rank))).clusters:
+        assert list(c.ineq_rows_n) == sorted(set(c.ineq_rows_n))
+        assert all(any(row) and np.gcd.reduce(np.abs(row)) == 1 for row in c.ineq_rows_n)
+
+
+def _value_space_cluster(group, catalog, values):
+    """The first cluster whose value-space rows admit the values: the scan
+    decompose ran before the cones were kept in the Lusztig chart."""
+    for t, c in enumerate(catalog.clusters):
+        eq, ineq = primes._choice_rows(group, catalog.relations, c.choice)
+        if all(np.dot(e, values) == 0 for e in eq) and all(np.dot(s, values) >= 0 for s in ineq):
+            return t
+    return None
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("D", 3)])
+def test_chart_lookup_matches_value_space_scan(family, rank):
+    group = weyl_group(build_cartan(family, rank))
+    cat = primes.build_catalog(group)
+    rng = np.random.default_rng(20261018)
+    for _ in range(60):
+        n = tuple(int(v) for v in rng.integers(0, 4, group.m))
+        datum = polytope.normalize(group, bz.from_lusztig(group, group.reference_word, n))
+        want = _value_space_cluster(group, cat, datum.values)
+        assert want is not None
+        # every other cluster loses its generators, so a search in any of them
+        # fails on a nonzero datum
+        hollow = dataclasses.replace(cat, clusters=tuple(
+            c if t == want else dataclasses.replace(c, labels=(), gens_n=())
+            for t, c in enumerate(cat.clusters)
+        ))
+        assert primes.decompose(group, datum, hollow) == primes.decompose(group, datum, cat)
+
+
+PRIMES_SHA256 = {
+    ("A", 2): "a78efc51d351e630d06e1f0face6c4d9c7df7f1769e16df748f68f0f4ef380ed",
+    ("B", 2): "8a732f3e89c30b2883efded058bc8c426e7ff22c621d58c1f282515c8fc91cc8",
+    ("A", 3): "cda7301e978e615895a8a975d8ccfea5f3872581aeee5933fb632718b8dfeef4",
+    ("D", 3): "ed6ac473bb01d216e751d646963a37b0afc4ec3de4629b2180db708d4fcf874d",
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(PRIMES_SHA256))
+def test_primes_output_is_frozen(family, rank, capsys):
+    assert main(["primes", family, str(rank)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PRIMES_SHA256[family, rank]

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from mvpolytopes import polytope
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.weyl import WeylGroup, weyl_group
 
@@ -224,3 +225,24 @@ def test_word_data_shares_the_group_vectors():
         for k, i in enumerate(word):
             assert data.coroots[k] is g.w_coroot(data.prefixes[k], i)
             assert data.gammas[k] is g.w_lambda(data.prefixes[k + 1], i)
+
+
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_column_lookups_reject_out_of_range_letters(a3, i):
+    for lookup in (a3.w_coroot, a3.w_lambda):
+        with pytest.raises(IndexError, match=rf"simple index {i} out of range 1\.\.3"):
+            lookup(a3.identity, i)
+
+
+def test_actions_check_the_vector_kind_and_datum(a3, b3):
+    c3 = weyl_group(build_cartan("C", 3))
+    with pytest.raises(ValueError, match="coweight belongs to a different Cartan datum"):
+        c3.apply_coweight(c3.w0, b3.two_rho)
+    with pytest.raises(ValueError, match="coweight belongs to a different Cartan datum"):
+        polytope.weyl_thresholds(c3, b3.two_rho)
+    with pytest.raises(ValueError, match="weight belongs to a different Cartan datum"):
+        c3.apply(c3.w0, b3.cartan.fundamental_weight(1))
+    with pytest.raises(TypeError, match="expected a Weight, got Coweight"):
+        a3.apply(a3.w0, a3.cartan.coweight((1, 0, 0)))
+    with pytest.raises(TypeError, match="expected a Coweight, got Weight"):
+        a3.apply_coweight(a3.w0, a3.cartan.fundamental_weight(1))
