@@ -39,12 +39,6 @@ class BZDatum:
     def value(self, coords) -> int:
         return self.values[weyl_group(self.cartan).chamber_index(tuple(coords))]
 
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        group = weyl_group(self.cartan)
-        return {
-            c.weight.coords: v for c, v in zip(group.chamber_weights(), self.values)
-        }
-
 
 def make_bz(group: WeylGroup, values: dict) -> BZDatum:
     """Build a datum from a coords -> int mapping; must cover Gamma exactly."""
@@ -85,16 +79,6 @@ def edge_length(group: WeylGroup, datum: BZDatum, w: WeylElement, i: int) -> int
     group.cartan._check_index(i)
     table = index_table(group)
     return _dot(table.edge_rows[table.index[w]][i - 1], _values(group, datum))
-
-
-def edge_pairs(group: WeylGroup) -> tuple[tuple[WeylElement, int], ...]:
-    """All (w, i) with l(w s_i) > l(w); one per edge of the vertex path graph."""
-    return tuple(
-        (w, i)
-        for w in group.elements()
-        for i in range(1, group.rank + 1)
-        if group.right(w, i).length > w.length
-    )
 
 
 # -- validation ----------------------------------------------------------------

@@ -57,10 +57,6 @@ class CartanDatum:
         self._check_index(i)
         return Weight(self, tuple(row[i - 1] for row in self.a))
 
-    def simple_coroot(self, i: int) -> "Coweight":
-        self._check_index(i)
-        return Coweight(self, tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
-
     def zero_coweight(self) -> "Coweight":
         return Coweight(self, (0,) * self.rank)
 

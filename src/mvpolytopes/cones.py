@@ -6,11 +6,20 @@ rational result comes back as an integer numerator with one positive
 denominator; integer matrix products run in int64 and raise rather than wrap.
 No floating point ever enters, so cone membership and ray computations are
 decisions, not approximations.
+
+Elimination is one row step (``_step``) that leaves its input state intact:
+``_eliminate`` folds it over a list, and ``product_nullspaces`` pushes it
+along a tree of row choices, so choices with a common prefix share the
+elimination of that prefix.  The double description in ``extreme_rays`` runs
+on the distinct primitive inequality rows only, with int bitmasks as zero
+sets; repeated rows never change the rays (Fukuda and Prodon, *Double
+description method revisited*, 1996).
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 import numpy as np
 
@@ -22,12 +31,30 @@ Vec = tuple[int, ...]
 def primitive(vec) -> Vec:
     """Divide an integer vector by the gcd of its entries; keeps direction."""
     vals = [int(v) for v in vec]
-    g = 0
-    for v in vals:
-        g = gcd(g, abs(v))
+    g = gcd(*vals)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(v // g for v in vals)
+
+
+def _step(pivots: tuple[int, ...], reduced: list[list[int]], d: int, row):
+    """One fraction-free (Bareiss) Gauss-Jordan step: reduce ``row`` against the
+    state ``(pivots, reduced, d)`` and return the state with it kept, or None
+    when the row depends on the rows already kept.  The state passed in is
+    left as it was, so states can be shared along a tree of pushes.
+    """
+    row = [int(v) for v in row]
+    new = [d * v for v in row]
+    for p, red in zip(pivots, reduced):
+        if row[p]:
+            new = [x - row[p] * y for x, y in zip(new, red)]
+    c = next((j for j, v in enumerate(new) if v), None)
+    if c is None:
+        return None
+    piv = new[c]
+    reduced = [[(piv * x - red[c] * y) // d for x, y in zip(red, new)] for red in reduced]
+    reduced.append(new)
+    return (*pivots, c), reduced, piv
 
 
 def _eliminate(rows, width: int, stop: int | None = None):
@@ -38,29 +65,20 @@ def _eliminate(rows, width: int, stop: int | None = None):
     are ``d`` times the reduced row echelon form of the kept rows.  ``d`` is the
     minor of the kept rows at the pivot columns in that order (1 when no row is
     kept).  Every entry is such a minor, so by Sylvester's identity each
-    division below is exact.  Stops once ``stop`` rows are kept.
+    division in ``_step`` is exact.  Stops once ``stop`` rows are kept.
     """
     kept: list[int] = []
-    pivots: list[int] = []
+    pivots: tuple[int, ...] = ()
     reduced: list[list[int]] = []
     d = 1
     for idx, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {idx} has width {len(row)}, not {width}")
-        row = [int(v) for v in row]
-        new = [d * v for v in row]
-        for p, red in zip(pivots, reduced):
-            if row[p]:
-                new = [x - row[p] * y for x, y in zip(new, red)]
-        c = next((j for j, v in enumerate(new) if v), None)
-        if c is None:
+        state = _step(pivots, reduced, d, row)
+        if state is None:
             continue
-        piv = new[c]
-        reduced = [[(piv * x - red[c] * y) // d for x, y in zip(red, new)] for red in reduced]
-        reduced.append(new)
-        pivots.append(c)
+        pivots, reduced, d = state
         kept.append(idx)
-        d = piv
         if len(kept) == stop:
             break
     return kept, pivots, reduced, d
@@ -74,7 +92,34 @@ def rank(rows) -> int:
 def nullspace(rows, width: int) -> list[Vec]:
     """Primitive integer basis of {x : row . x = 0 for all rows}, one vector per
     free column of the reduced row echelon form, with +1 direction there."""
-    _, pivots, reduced, d = _eliminate(rows, width)
+    return _basis(*_eliminate(rows, width)[1:], width)
+
+
+def product_nullspaces(fixed, levels, width: int):
+    """Yield ``nullspace(fixed + list(choice), width)`` for every ``choice`` in
+    ``itertools.product(*levels)``, in that order.
+
+    The fixed rows are eliminated once, and each level pushes one row onto
+    the state of its prefix, so choices that share a prefix share its
+    elimination: a tree of pushes instead of one elimination per choice.
+    """
+    for level in levels:
+        for row in level:
+            if len(row) != width:
+                raise ValueError(f"level row has width {len(row)}, not {width}")
+    yield from _walk(_eliminate(fixed, width)[1:], tuple(levels), width)
+
+
+def _walk(state, levels, width: int):
+    if not levels:
+        yield _basis(*state, width)
+        return
+    rest = levels[1:]
+    for row in levels[0]:
+        yield from _walk(_step(*state, row) or state, rest, width)
+
+
+def _basis(pivots, reduced, d: int, width: int) -> list[Vec]:
     sign = 1 if d > 0 else -1
     basis = []
     for f in sorted(set(range(width)) - set(pivots)):
@@ -126,67 +171,64 @@ def _absmax(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+def _distinct(rows) -> list[Vec]:
+    """The distinct primitive forms of the nonzero rows, first occurrences in
+    order: zero rows and later positive multiples of a row are dropped."""
+    out: dict[Vec, None] = {}
+    for row in dict.fromkeys(map(tuple, rows)):
+        if any(row):
+            out.setdefault(primitive(row), None)
+    return list(out)
 
 
 def extreme_rays(ineq_rows: list[Vec], dim: int) -> list[Vec]:
     """Extreme rays of the pointed cone {x in R^dim : A x >= 0}.
 
-    Double description with combinatorial adjacency; zero-sets are tracked
-    exactly, which the incremental update formula keeps valid.  Raises when
-    the cone is not pointed (rank of A below dim).
+    Double description with combinatorial adjacency, run on the distinct
+    primitive rows of A (``_distinct``).  A dropped zero row would join every
+    zero set, and a dropped positive multiple of an earlier row exactly the
+    zero sets holding that row; neither changes an adjacency test, so the
+    rays and their order are those of the full list.  Zero sets are int
+    bitmasks over the distinct rows, kept exact by the incremental update.
+    Raises when the cone is not pointed (rank of A below dim); the closing
+    check tests every row passed in.
     """
     if dim == 0:
         return []
-    chosen = _eliminate(ineq_rows, dim, stop=dim)[0]
+    rows = _distinct(ineq_rows)
+    chosen = _eliminate(rows, dim, stop=dim)[0]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed")
-    _, num = inverse([ineq_rows[i] for i in chosen])
+    _, num = inverse([rows[i] for i in chosen])
     rays: list[Vec] = [primitive([row[j] for row in num]) for j in range(dim)]
-    zerosets: list[frozenset[int]] = [
-        frozenset(chosen[t] for t in range(dim) if t != j) for j in range(dim)
-    ]
-    chosen_set = set(chosen)
-    for t, row in enumerate(ineq_rows):
-        if t in chosen_set:
+    chosen_mask = sum(1 << t for t in chosen)
+    zerosets = [chosen_mask & ~(1 << t) for t in chosen]
+    for t, row in enumerate(rows):
+        bit = 1 << t
+        if chosen_mask & bit:
             continue
-        vals = [_dot(row, r) for r in rays]
+        vals = [sum(map(mul, row, r)) for r in rays]
         if all(v >= 0 for v in vals):
-            zerosets = [
-                z | {t} if v == 0 else z for z, v in zip(zerosets, vals)
-            ]
+            zerosets = [z | bit if v == 0 else z for z, v in zip(zerosets, vals)]
             continue
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         new_rays: list[Vec] = []
-        new_zero: list[frozenset[int]] = []
+        new_zero: list[int] = []
         for p in pos:
             for n in neg:
                 meet = zerosets[p] & zerosets[n]
-                adjacent = True
-                for o in range(len(rays)):
-                    if o != p and o != n and meet <= zerosets[o]:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if any(
+                    o != p and o != n and not meet & ~z for o, z in enumerate(zerosets)
+                ):
                     continue
-                combo = [
-                    vals[p] * rn - vals[n] * rp
-                    for rp, rn in zip(rays[p], rays[n])
-                ]
+                combo = [vals[p] * rn - vals[n] * rp for rp, rn in zip(rays[p], rays[n])]
                 new_rays.append(primitive(combo))
-                new_zero.append(meet | {t})
-        rays = (
-            [rays[i] for i in pos]
-            + [rays[i] for i in zero]
-            + new_rays
-        )
+                new_zero.append(meet | bit)
+        rays = [rays[i] for i in pos] + [rays[i] for i in zero] + new_rays
         zerosets = (
-            [zerosets[i] for i in pos]
-            + [zerosets[i] | {t} for i in zero]
-            + new_zero
+            [zerosets[i] for i in pos] + [zerosets[i] | bit for i in zero] + new_zero
         )
     escapes = np.argwhere(matmul(ineq_rows, np.reshape(rays, (len(rays), dim)).T) < 0)
     if escapes.size:

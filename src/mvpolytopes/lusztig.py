@@ -38,16 +38,6 @@ def _check_lusztig(group: WeylGroup, word, n) -> tuple[tuple[int, ...], tuple[in
     return tuple(word), _checked(group, n)
 
 
-def coweight_of(group: WeylGroup, word, n) -> Coweight:
-    """Total coweight sum n_k beta_k; invariant under braid moves."""
-    word, n = _check_lusztig(group, word, n)
-    data = group.word_data(word)
-    total = group.cartan.zero_coweight()
-    for c, b in zip(n, data.coroots):
-        total = total + c * b
-    return total
-
-
 def braid_transition(group: WeylGroup, edge: BraidEdge, n) -> tuple[int, ...]:
     """Transport Lusztig data across one braid move of the underlying word."""
     n = _checked(group, n)

@@ -142,13 +142,6 @@ def weyl_thresholds(group: WeylGroup, lam: Coweight) -> tuple[int, ...]:
     return group.apply_coweight(group.w0, lam).coords
 
 
-def contains_in_weyl(group: WeylGroup, datum: BZDatum, lam: Coweight) -> bool:
-    """Whether the polytope sits inside the convex hull of the W-orbit of lam."""
-    M = bz._values(group, datum)
-    t = weyl_thresholds(group, lam)
-    return all(v >= t[c.level - 1] for v, c in zip(M, group.chamber_weights()))
-
-
 def enumerate_mv(group: WeylGroup, mu: Coweight) -> tuple[BZDatum, ...]:
     """All polytopes from the origin to mu, one per Lusztig datum; cached."""
     if mu.cartan != group.cartan:

@@ -18,7 +18,7 @@ from operator import mul
 
 import numpy as np
 
-from . import bz, cones, lusztig, polytope
+from . import bz, cones, polytope
 from .bz import BZDatum
 from .cartan import CartanDatum
 from .tables import index_table
@@ -107,19 +107,27 @@ def face_relations(group: WeylGroup, face: Face) -> tuple[Relation, ...]:
     )
 
 
-def _choice_rows(
-    group: WeylGroup, relations, choice
-) -> tuple[list[Vec], list[Vec]]:
+def _fixed_rows(group: WeylGroup, relations):
+    """The rows every choice shares, built once per catalog.
+
+    Returns ``(pins, edges, eq, ineq)``: the bottom-vertex pins M_{Lambda_i} = 0,
+    the edge rows, and per relation and argument k the equation row
+    args[k] - lhs and the inequality rows args[t] - args[k] for t != k.  The
+    cone of a choice is cut out by the pins and its ``eq`` rows, and by the
+    edge rows followed by its ``ineq`` rows, in relation order.
+    """
     size = len(group.chamber_weights())
     table = index_table(group)
-    eq = [_add(size, (t, 1)) for t in table.chamber[0]]
-    ineq = [_add(size, *row) for _, _, row in table.edges]
-    for rel, k in zip(relations, choice):
-        eq.append(_sub(rel.args[k], rel.lhs))
-        for t, arg in enumerate(rel.args):
-            if t != k:
-                ineq.append(_sub(arg, rel.args[k]))
-    return eq, ineq
+    pins = [_add(size, (t, 1)) for t in table.chamber[0]]
+    edges = [_add(size, *row) for _, _, row in table.edges]
+    eq, ineq = [], []
+    for rel in relations:
+        eq.append([_sub(arg, rel.lhs) for arg in rel.args])
+        ineq.append([
+            [_sub(other, arg) for t, other in enumerate(rel.args) if t != k]
+            for k, arg in enumerate(rel.args)
+        ])
+    return pins, edges, eq, ineq
 
 
 def _length_rows(group: WeylGroup) -> list[Vec]:
@@ -132,6 +140,24 @@ def _length_rows(group: WeylGroup) -> list[Vec]:
 def _in_cone(rows: tuple[Vec, ...], n) -> bool:
     """True when every chart row admits n: row . n >= 0."""
     return all(sum(map(mul, row, n)) >= 0 for row in rows)
+
+
+def _search(rows, gens, counts: list[int], pos: int, rem: tuple[int, ...]) -> bool:
+    """Write ``rem`` as a sum of ``gens[pos:]`` with nonnegative multiples,
+    largest multiple first, pruning remainders the chart rows refuse; the
+    multiples found are left in ``counts``."""
+    if not any(rem):
+        return True
+    if pos == len(gens) or not _in_cone(rows, rem):
+        return False
+    g = gens[pos]
+    cap = min((rem[j] // g[j] for j in range(len(g)) if g[j] > 0), default=0)
+    for c in range(cap, -1, -1):
+        counts[pos] = c
+        if _search(rows, gens, counts, pos + 1, tuple(r - c * v for r, v in zip(rem, g))):
+            return True
+    counts[pos] = 0
+    return False
 
 
 def build_catalog(group: WeylGroup) -> Catalog:
@@ -150,20 +176,24 @@ def build_catalog(group: WeylGroup) -> Catalog:
         raise ValueError(f"{n_choices} face choices exceed the limit of {MAX_CHOICES}")
     size = len(group.chamber_weights())
     length_rows = _length_rows(group)
+    pins, edges, eq, ineq_by_arg = _fixed_rows(group, relations)
 
     dims: list[int] = []
     maximal = []  # (choice, ineq, basis, rays_m)
     nonmax = []  # (choice, rays_m)
-    for choice in itertools.product(*[range(len(r.args)) for r in relations]):
-        eq, ineq = _choice_rows(group, relations, choice)
-        basis = cones.nullspace(eq, size)
+    # one elimination shared along the tree of choices, visited in product order
+    choices = itertools.product(*[range(len(r.args)) for r in relations])
+    bases = cones.product_nullspaces(pins, eq, size)
+    for choice, basis in zip(choices, bases, strict=True):
         if not basis:
             dims.append(0)
             continue
+        ineq = edges + [row for rows, k in zip(ineq_by_arg, choice) for row in rows[k]]
         chart_rows = cones.matmul(ineq, np.transpose(basis)).tolist()
         rays_x = cones.extreme_rays(chart_rows, len(basis))
         rays_m = [cones.primitive(r) for r in cones.matmul(rays_x, basis).tolist()]
-        dim = cones.rank(rays_m) if rays_m else 0
+        # x -> x . basis is injective, so the rays span as much in the chart
+        dim = cones.rank(rays_x) if rays_x else 0
         dims.append(dim)
         if dim == group.m:
             maximal.append((choice, ineq, basis, rays_m))
@@ -275,24 +305,8 @@ def decompose(
     cluster = next((c for c in catalog.clusters if _in_cone(c.ineq_rows_n, target)), None)
     if cluster is None:
         raise RuntimeError("no maximal cone contains the datum")
-    gens = cluster.gens_n
-    counts = [0] * len(gens)
-
-    def search(pos: int, rem: tuple[int, ...]) -> bool:
-        if not any(rem):
-            return True
-        if pos == len(gens) or not _in_cone(cluster.ineq_rows_n, rem):
-            return False
-        g = gens[pos]
-        cap = min((rem[j] // g[j] for j in range(len(g)) if g[j] > 0), default=0)
-        for c in range(cap, -1, -1):
-            counts[pos] = c
-            if search(pos + 1, tuple(r - c * v for r, v in zip(rem, g))):
-                return True
-        counts[pos] = 0
-        return False
-
-    if not search(0, tuple(target)):
+    counts = [0] * len(cluster.gens_n)
+    if not _search(cluster.ineq_rows_n, cluster.gens_n, counts, 0, tuple(target)):
         raise RuntimeError("Hilbert generators failed to reach the datum")
     by_label = {p.label: p for p in catalog.primes}
     out = []

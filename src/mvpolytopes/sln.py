@@ -80,18 +80,6 @@ def subset_from_key(key: str) -> tuple[int, ...]:
     return tuple(sorted(10 if ch == "0" else int(ch) for ch in key))
 
 
-def word_pairs(group: WeylGroup) -> tuple[Pair, ...]:
-    """Pairs in coroot order along the standard word; lexicographic."""
-    n = group.rank + 1
-    data = group.word_data(ak_word(n))
-    pairs = tuple(pair_of_coroot(b.coords) for b in data.coroots)
-    if pairs != all_pairs(n):
-        raise RuntimeError(
-            f"standard word {ak_word(n)} lists the pairs {pairs}, not lexicographically"
-        )
-    return pairs
-
-
 def picture_to_lusztig(n: int, picture: dict) -> tuple[int, ...]:
     """Pair-indexed multiplicities to a vector along the standard word;
     missing pairs count zero."""
@@ -167,25 +155,3 @@ def facet_lusztig(group: WeylGroup, k: int, picture: dict) -> dict[Pair, int]:
     if set(out) != expected:
         raise RuntimeError(f"facet path for k={k} missed the pairs {sorted(expected - set(out))}")
     return out
-
-
-def collapse_relations_hold(group: WeylGroup, datum: bz.BZDatum, k: int) -> bool:
-    """Interval min-relations tying values across the deleted index k:
-    for a < k < b,
-    M_{[a,b] - k} + M_{[a+1,b-1]} = min(M_{[a+1,b] - k} + M_{[a,b-1]},
-                                        M_{[a,b-1] - k} + M_{[a+1,b]}).
-    """
-    n = group.rank + 1
-
-    def val(s) -> int:
-        return datum.value(subset_coords(n, s))
-
-    for a in range(1, k):
-        for b in range(k + 1, n + 1):
-            span = set(range(a, b + 1))
-            lhs = val(span - {k}) + val(set(range(a + 1, b)))
-            arg1 = val(set(range(a + 1, b + 1)) - {k}) + val(set(range(a, b)))
-            arg2 = val(set(range(a, b)) - {k}) + val(set(range(a + 1, b + 1)))
-            if lhs != min(arg1, arg2):
-                return False
-    return True

@@ -100,7 +100,8 @@ class IndexTable:
     chamber: tuple[tuple[int, ...], ...]  # [t][i - 1]: chamber index of w_t . Lambda_i
     right: tuple[tuple[int, ...], ...]  # [t][i - 1]: element index of w_t s_i
     edge_rows: tuple[tuple[Row, ...], ...]  # [t][i - 1]: edge length at (w_t, i)
-    edges: tuple[tuple[Word, int, Row], ...]  # (word of w, i, row), bz.edge_pairs order
+    # (word of w, i, row) for each w and then each i with l(w s_i) > l(w)
+    edges: tuple[tuple[Word, int, Row], ...]
     faces: dict[tuple[Word, int, int], tuple[tuple[Row, tuple[Row, ...]], ...]]
     # (word of w, i, j) -> (lhs row, arg rows) per FACE_RELATIONS entry, for
     # the hexagons and octagons in group.two_faces order

@@ -202,17 +202,10 @@ class WeylGroup:
     def elements(self) -> tuple[WeylElement, ...]:
         return self._elements
 
-    def simple_reflection(self, i: int) -> WeylElement:
-        self.cartan._check_index(i)
-        return self._elements[self._right[0][i - 1]]
-
     def right(self, w: WeylElement, i: int) -> WeylElement:
         """w * s_i."""
         self.cartan._check_index(i)
         return self._elements[self._right[self._index[w]][i - 1]]
-
-    def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        return self._elements[self._by_mat[_mat_mul(u.mat, v.mat)]]
 
     def inverse(self, w: WeylElement) -> WeylElement:
         # comat = (mat^{-1})^T, so the inverse matrix is free

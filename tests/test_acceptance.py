@@ -11,6 +11,8 @@ import pytest
 from mvpolytopes import bz, lusztig, polytope, primes, rep, sln
 from mvpolytopes.cartan import build_cartan, pairing
 from mvpolytopes.weyl import weyl_group
+from test_assembly_oracle import coweight_of, edge_pairs
+from test_sln import collapse_relations_hold
 
 
 def report(name, ok, detail):
@@ -56,7 +58,7 @@ def test_braid_coherence():
     edges = [e for word in graph.words for e in graph.adjacency[word]]
     for _ in range(200):
         n = tuple(int(v) for v in rng.integers(0, 5, size=g.m))
-        mu = lusztig.coweight_of(g, ref, n).coords
+        mu = coweight_of(g, ref, n).coords
         at = {word: lusztig.transport(g, ref, word, n) for word in graph.words}
         for e in edges:
             stepped = lusztig.braid_transition(g, e, at[e.src])
@@ -67,7 +69,7 @@ def test_braid_coherence():
                 b for b in graph.adjacency[e.dst] if b.dst == e.src and b.k == e.k
             )
             assert lusztig.braid_transition(g, back, stepped) == at[e.src]
-            assert lusztig.coweight_of(g, e.dst, stepped).coords == mu
+            assert coweight_of(g, e.dst, stepped).coords == mu
         bz.from_lusztig(g, ref, n)  # raises on any assembly inconsistency
     dt = time.perf_counter() - t0
     report(
@@ -226,7 +228,7 @@ def test_collapse_equivalence():
         d = bz.from_lusztig(g4, sln.ak_word(4), sln.picture_to_lusztig(4, picture))
         for k in range(1, 5):
             assert sln.collapse(4, k, picture) == sln.facet_lusztig(g4, k, picture)
-            assert sln.collapse_relations_hold(g4, d, k)
+            assert collapse_relations_hold(g4, d, k)
             count += 1
 
     g5 = weyl_group(build_cartan("A", 4))
@@ -236,7 +238,7 @@ def test_collapse_equivalence():
         d = bz.from_lusztig(g5, sln.ak_word(5), sln.picture_to_lusztig(5, picture))
         for k in range(1, 6):
             assert sln.collapse(5, k, picture) == sln.facet_lusztig(g5, k, picture)
-            assert sln.collapse_relations_hold(g5, d, k)
+            assert collapse_relations_hold(g5, d, k)
             count += 1
     dt = time.perf_counter() - t0
     report(
@@ -284,7 +286,7 @@ def test_concavity_equivalence():
         batch = rng.integers(-5, 1, size=(10_000, q))
 
         edge_rows = np.array(
-            [primes.edge_row(g, w, i) for w, i in bz.edge_pairs(g)], dtype=np.int64
+            [primes.edge_row(g, w, i) for w, i in edge_pairs(g)], dtype=np.int64
         )
         edges_ok = (edge_rows @ batch.T >= 0).all(axis=0)
 

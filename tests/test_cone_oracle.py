@@ -5,8 +5,12 @@ are the elimination routines ``cones`` used before it went fraction-free,
 ``clear_denominators`` turns their rational vectors into primitive integer
 ones, and ``oracle_catalog`` is the brute-force catalog build on them with the
 back-map through a ``Fraction`` inverse.  ``brute_extreme_rays`` intersects
-every rank ``dim - 1`` set of inequalities.  None of them calls the
-fraction-free elimination or ``cones.matmul``.
+every rank ``dim - 1`` set of inequalities.  ``frozenset_extreme_rays`` is the
+double description over every row with ``frozenset`` zero sets, and
+``choice_rows`` the dense value-space rows of one choice, both as the catalog
+build ran them before it dropped repeated rows and shared one elimination
+along the choice tree.  None of them calls the fraction-free elimination,
+``cones.extreme_rays`` or ``cones.matmul``.
 """
 
 import itertools
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 
 from mvpolytopes import bz, cones, polytope, primes
 from mvpolytopes.cartan import build_cartan
+from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
 
 # -- references ------------------------------------------------------------------
@@ -32,7 +37,13 @@ def clear_denominators(row):
     lcm = 1
     for v in fr:
         lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    return cones.primitive([int(v * lcm) for v in fr])
+    ints = [int(v * lcm) for v in fr]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return tuple(v // g for v in ints)
 
 
 class Echelon:
@@ -157,6 +168,80 @@ def brute_extreme_rays(rows, dim):
     return sorted(rays)
 
 
+def frozenset_extreme_rays(ineq_rows, dim):
+    """Extreme rays of {x : A x >= 0} by double description over every row in
+    order, with ``frozenset`` zero sets; the first independent rows are
+    inverted over Q."""
+    if dim == 0:
+        return []
+    ech, chosen = Echelon(), []
+    for t, row in enumerate(ineq_rows):
+        if len(chosen) < dim and ech.add(row):
+            chosen.append(t)
+    if len(chosen) < dim:
+        raise ValueError("cone is not pointed")
+    inv = fraction_invert([ineq_rows[i] for i in chosen])
+    rays = [clear_denominators([row[j] for row in inv]) for j in range(dim)]
+    zerosets = [frozenset(chosen[t] for t in range(dim) if t != j) for j in range(dim)]
+    chosen_set = set(chosen)
+    for t, row in enumerate(ineq_rows):
+        if t in chosen_set:
+            continue
+        vals = [dot(row, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            zerosets = [z | {t} if v == 0 else z for z, v in zip(zerosets, vals)]
+            continue
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        new_rays, new_zero = [], []
+        for p in pos:
+            for n in neg:
+                meet = zerosets[p] & zerosets[n]
+                adjacent = True
+                for o in range(len(rays)):
+                    if o != p and o != n and meet <= zerosets[o]:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                combo = [vals[p] * rn - vals[n] * rp for rp, rn in zip(rays[p], rays[n])]
+                new_rays.append(clear_denominators(combo))
+                new_zero.append(meet | {t})
+        rays = [rays[i] for i in pos] + [rays[i] for i in zero] + new_rays
+        zerosets = (
+            [zerosets[i] for i in pos] + [zerosets[i] | {t} for i in zero] + new_zero
+        )
+    for t, row in enumerate(ineq_rows):
+        for r in rays:
+            if dot(row, r) < 0:
+                raise RuntimeError(f"ray {r} violates inequality {t}, {tuple(row)}")
+    return rays
+
+
+def unit_row(size, *terms):
+    row = [0] * size
+    for idx, coef in terms:
+        row[idx] += coef
+    return tuple(row)
+
+
+def choice_rows(group, relations, choice):
+    """Dense value-space rows of one choice: ``(eq, ineq)``, the bottom-vertex
+    pins and one equation per relation, then the edge rows and the
+    inequalities of the unchosen arguments."""
+    size = len(group.chamber_weights())
+    table = index_table(group)
+    eq = [unit_row(size, (t, 1)) for t in table.chamber[0]]
+    ineq = [unit_row(size, *row) for _, _, row in table.edges]
+    for rel, k in zip(relations, choice):
+        eq.append(tuple(a - b for a, b in zip(rel.args[k], rel.lhs)))
+        for t, arg in enumerate(rel.args):
+            if t != k:
+                ineq.append(tuple(a - b for a, b in zip(arg, rel.args[k])))
+    return eq, ineq
+
+
 def oracle_catalog(group):
     """The brute-force catalog with Fraction elimination and back-map."""
     relations = tuple(
@@ -168,7 +253,7 @@ def oracle_catalog(group):
     length_rows = primes._length_rows(group)
     dims, maximal, nonmax = [], [], []
     for choice in itertools.product(*[range(len(r.args)) for r in relations]):
-        eq, ineq = primes._choice_rows(group, relations, choice)
+        eq, ineq = choice_rows(group, relations, choice)
         basis = fraction_nullspace(eq, size)
         if not basis:
             dims.append(0)
@@ -176,8 +261,8 @@ def oracle_catalog(group):
         q = len(basis)
         chart_rows = [tuple(dot(row, p) for p in basis) for row in ineq]
         rays_m = [
-            cones.primitive([sum(x[j] * basis[j][g] for j in range(q)) for g in range(size)])
-            for x in cones.extreme_rays(chart_rows, q)
+            clear_denominators([sum(x[j] * basis[j][g] for j in range(q)) for g in range(size)])
+            for x in frozenset_extreme_rays(chart_rows, q)
         ]
         dim = fraction_rank(rays_m) if rays_m else 0
         dims.append(dim)
@@ -277,14 +362,15 @@ def test_det_and_inverse_match_fraction_elimination(mat):
     assert [[Fraction(v, den) for v in row] for row in num] == want
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda d: st.lists(
-            st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=8
-        ).map(lambda rows: (rows, d))
-    )
+rows_dim = st.integers(1, 5).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=8
+    ).map(lambda rows: (rows, d))
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_dim)
 def test_extreme_rays_match_brute_force(rows_dim):
     rows, dim = rows_dim
     try:
@@ -294,6 +380,85 @@ def test_extreme_rays_match_brute_force(rows_dim):
             cones.extreme_rays(rows, dim)
         return
     assert sorted(cones.extreme_rays(rows, dim)) == want
+
+
+def _rays_or_unpointed(extreme_rays, rows, dim):
+    try:
+        return extreme_rays(rows, dim)
+    except ValueError as exc:
+        assert "pointed" in str(exc)
+        return "not pointed"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_dim, st.data())
+def test_extreme_rays_ignore_zero_rows_and_later_positive_multiples(rows_dim, data):
+    """Rays and their order are those of the rows without the padding, and
+    those the double description over every row gives."""
+    rows, dim = rows_dim
+    padded = [tuple(r) for r in rows]
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(padded)))
+        if at and data.draw(st.booleans()):
+            src = padded[data.draw(st.integers(0, at - 1))]
+            factor = data.draw(st.integers(1, 3))
+            extra = tuple(factor * v for v in src)
+        else:
+            extra = (0,) * dim
+        padded.insert(at, extra)
+    want = _rays_or_unpointed(cones.extreme_rays, rows, dim)
+    assert _rays_or_unpointed(cones.extreme_rays, padded, dim) == want
+    assert _rays_or_unpointed(frozenset_extreme_rays, padded, dim) == want
+    assert _rays_or_unpointed(frozenset_extreme_rays, rows, dim) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_pushing_rows_one_at_a_time_gives_the_whole_elimination(rows_width):
+    """Each push keeps the state d times the reduced row echelon form of the
+    rows kept so far, with d their minor at the pivot columns."""
+    rows, width = rows_width
+    state, kept = ((), [], 1), []
+    for t, row in enumerate(rows):
+        nxt = cones._step(*state, row)
+        if nxt is not None:
+            state, kept = nxt, kept + [t]
+        pivots, reduced, d = state
+        assert len(pivots) == fraction_rank(rows[: t + 1])
+        for s, (p, red) in enumerate(zip(pivots, reduced)):
+            assert all(v == 0 for v in red[:p]) and red[p] == d
+            assert all(red[q] == 0 for r, q in enumerate(pivots) if r != s)
+        assert fraction_rank(reduced + [list(r) for r in rows[: t + 1]]) == len(pivots)
+        if pivots:
+            minor = [[rows[k][p] for p in pivots] for k in kept]
+            assert d == fraction_det(minor)
+    assert (kept, *state) == cones._eliminate(rows, width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda w: st.tuples(
+            st.just(w),
+            st.lists(st.lists(st.integers(-2, 2), min_size=w, max_size=w), max_size=3),
+            st.lists(
+                st.lists(
+                    st.lists(st.integers(-2, 2), min_size=w, max_size=w),
+                    min_size=1,
+                    max_size=3,
+                ),
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_product_nullspaces_match_each_leaf(tree):
+    """The bases built along the product tree are those of each leaf's rows."""
+    width, fixed, levels = tree
+    got = list(cones.product_nullspaces(fixed, levels, width))
+    leaves = [fixed + list(choice) for choice in itertools.product(*levels)]
+    assert got == [fraction_nullspace(rows, width) for rows in leaves]
+    assert got == [cones.nullspace(rows, width) for rows in leaves]
 
 
 def test_matmul_refuses_products_that_could_overflow():
@@ -338,15 +503,15 @@ def test_chart_rows_contain_the_rays_value_space_rows_contain(family, rank):
     length_rows = primes._length_rows(group)
     value_rows = []
     for c in cat.clusters:
-        eq, ineq = primes._choice_rows(group, cat.relations, c.choice)
+        eq, ineq = choice_rows(group, cat.relations, c.choice)
         value_rows.append((np.array(eq), np.array(ineq)))
     for choice in itertools.product(*[range(len(r.args)) for r in cat.relations]):
-        eq, ineq = primes._choice_rows(group, cat.relations, choice)
+        eq, ineq = choice_rows(group, cat.relations, choice)
         basis = fraction_nullspace(eq, size)
         if not basis:
             continue
         chart_rows = [tuple(dot(row, p) for p in basis) for row in ineq]
-        rays_x = cones.extreme_rays(chart_rows, len(basis))
+        rays_x = frozenset_extreme_rays(chart_rows, len(basis))
         rays_m = np.array([[dot(x, col) for col in zip(*basis)] for x in rays_x])
         rays_n = [[dot(lrow, ray) for lrow in length_rows] for ray in rays_m.tolist()]
         by_values = [

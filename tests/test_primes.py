@@ -9,6 +9,7 @@ from mvpolytopes import bz, polytope, primes
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.cli import main
 from mvpolytopes.weyl import WeylGroup, weyl_group
+from test_cone_oracle import choice_rows
 
 
 def test_a2_catalog_shape(a2):
@@ -162,7 +163,7 @@ def _value_space_cluster(group, catalog, values):
     """The first cluster whose value-space rows admit the values: the scan
     decompose ran before the cones were kept in the Lusztig chart."""
     for t, c in enumerate(catalog.clusters):
-        eq, ineq = primes._choice_rows(group, catalog.relations, c.choice)
+        eq, ineq = choice_rows(group, catalog.relations, c.choice)
         if all(np.dot(e, values) == 0 for e in eq) and all(np.dot(s, values) >= 0 for s in ineq):
             return t
     return None

@@ -33,3 +33,25 @@ def test_no_raise_assertion_error():
         and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
     ]
     assert found == []
+
+
+def test_no_nested_function_refers_to_its_own_name():
+    """A nested function that calls itself holds its enclosing cell, which holds
+    it: a reference cycle that keeps everything it closes over alive until a
+    full collection.  Recursion goes in module-level functions."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = [
+        f"{name}:{inner.lineno} {inner.name}"
+        for name, tree in TREES.items()
+        for outer in ast.walk(tree)
+        if isinstance(outer, funcs)
+        for inner in ast.walk(outer)
+        if inner is not outer
+        and isinstance(inner, funcs)
+        and any(
+            isinstance(node, ast.Name) and node.id == inner.name
+            for stmt in inner.body
+            for node in ast.walk(stmt)
+        )
+    ]
+    assert found == []
