@@ -13,7 +13,10 @@ along a tree of row choices, so choices with a common prefix share the
 elimination of that prefix.  The double description in ``extreme_rays`` runs
 on the distinct primitive inequality rows only, with int bitmasks as zero
 sets; repeated rows never change the rays (Fukuda and Prodon, *Double
-description method revisited*, 1996).
+description method revisited*, 1996).  Its starting rays come from the pass
+that picks the first independent rows (``_invert_first``), which carries the
+identity along.  ``hilbert_basis`` marks the pairwise sums of its candidates
+on int64 arrays, by their mixed-radix codes in the box.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ def primitive(vec) -> Vec:
     return tuple(v // g for v in vals)
 
 
-def _step(pivots: tuple[int, ...], reduced: list[list[int]], d: int, row):
+def _step(pivots: tuple[int, ...], reduced: list[list[int]], d: int, row, limit=None):
     """One fraction-free (Bareiss) Gauss-Jordan step: reduce ``row`` against the
     state ``(pivots, reduced, d)`` and return the state with it kept, or None
-    when the row depends on the rows already kept.  The state passed in is
+    when the row depends on the rows already kept.  Pivots are sought in the
+    first ``limit`` columns only (all by default).  The state passed in is
     left as it was, so states can be shared along a tree of pushes.
     """
     row = [int(v) for v in row]
@@ -48,7 +52,7 @@ def _step(pivots: tuple[int, ...], reduced: list[list[int]], d: int, row):
     for p, red in zip(pivots, reduced):
         if row[p]:
             new = [x - row[p] * y for x, y in zip(new, red)]
-    c = next((j for j, v in enumerate(new) if v), None)
+    c = next((j for j, v in enumerate(new[:limit]) if v), None)
     if c is None:
         return None
     piv = new[c]
@@ -57,7 +61,7 @@ def _step(pivots: tuple[int, ...], reduced: list[list[int]], d: int, row):
     return (*pivots, c), reduced, piv
 
 
-def _eliminate(rows, width: int, stop: int | None = None):
+def _eliminate(rows, width: int):
     """Fraction-free Gauss-Jordan elimination (Bareiss) over the rows in order.
 
     Returns ``(kept, pivots, reduced, d)``: the indices of the rows independent
@@ -65,7 +69,7 @@ def _eliminate(rows, width: int, stop: int | None = None):
     are ``d`` times the reduced row echelon form of the kept rows.  ``d`` is the
     minor of the kept rows at the pivot columns in that order (1 when no row is
     kept).  Every entry is such a minor, so by Sylvester's identity each
-    division in ``_step`` is exact.  Stops once ``stop`` rows are kept.
+    division in ``_step`` is exact.
     """
     kept: list[int] = []
     pivots: tuple[int, ...] = ()
@@ -79,8 +83,6 @@ def _eliminate(rows, width: int, stop: int | None = None):
             continue
         pivots, reduced, d = state
         kept.append(idx)
-        if len(kept) == stop:
-            break
     return kept, pivots, reduced, d
 
 
@@ -131,18 +133,46 @@ def _basis(pivots, reduced, d: int, width: int) -> list[Vec]:
     return basis
 
 
+def _invert_first(rows, dim: int):
+    """The first ``dim`` rows independent of the rows before them, and the
+    inverse ``(den, num)`` of the square matrix they form, from one pass.
+
+    Each row is pushed augmented with the unit vector of the slot it would
+    fill, with pivots sought in its first ``dim`` columns only, so a dependent
+    row leaves the state as it was and the kept rows end as ``d`` times the
+    reduced form of ``[A | I]``.  Returns ``(kept, den, num)`` with ``den > 0``
+    and the inverse equal to ``num / den``; ``num`` is None when fewer than
+    ``dim`` rows are independent.
+    """
+    kept: list[int] = []
+    state: tuple = ((), [], 1)
+    for idx, row in enumerate(rows):
+        if len(row) != dim:
+            raise ValueError(f"row {idx} has width {len(row)}, not {dim}")
+        slot = len(kept)
+        pushed = _step(*state, [*row, *(int(s == slot) for s in range(dim))], dim)
+        if pushed is None:
+            continue
+        state = pushed
+        kept.append(idx)
+        if len(kept) == dim:
+            break
+    pivots, reduced, d = state
+    if len(kept) < dim:
+        return kept, 1, None
+    sign = 1 if d > 0 else -1
+    num: list[list[int]] = [[]] * dim
+    for p, red in zip(pivots, reduced):
+        num[p] = [sign * v for v in red[dim:]]
+    return kept, abs(d), num
+
+
 def inverse(mat) -> tuple[int, list[list[int]]]:
     """``(den, num)`` with ``den > 0`` and ``mat`` inverse equal to ``num / den``."""
-    q = len(mat)
-    aug = [[*row, *(int(i == j) for j in range(q))] for i, row in enumerate(mat)]
-    _, pivots, reduced, d = _eliminate(aug, 2 * q)
-    if any(p >= q for p in pivots):
+    _, den, num = _invert_first(mat, len(mat))
+    if num is None:
         raise ValueError("matrix is singular")
-    sign = 1 if d > 0 else -1
-    num: list[list[int]] = [[]] * q
-    for p, red in zip(pivots, reduced):
-        num[p] = [sign * v for v in red[q:]]
-    return abs(d), num
+    return den, num
 
 
 def det(mat) -> int:
@@ -168,7 +198,8 @@ def matmul(a, b) -> np.ndarray:
 
 
 def _absmax(a: np.ndarray) -> int:
-    return max(int(a.max()), -int(a.min())) if a.size else 0
+    # abs wraps -2**63 to itself, which reads as 2**63 unsigned
+    return int(np.abs(a).view(np.uint64).max()) if a.size else 0
 
 
 def _distinct(rows) -> list[Vec]:
@@ -196,10 +227,9 @@ def extreme_rays(ineq_rows: list[Vec], dim: int) -> list[Vec]:
     if dim == 0:
         return []
     rows = _distinct(ineq_rows)
-    chosen = _eliminate(rows, dim, stop=dim)[0]
-    if len(chosen) < dim:
+    chosen, _, num = _invert_first(rows, dim)
+    if num is None:
         raise ValueError("cone is not pointed")
-    _, num = inverse([rows[i] for i in chosen])
     rays: list[Vec] = [primitive([row[j] for row in num]) for j in range(dim)]
     chosen_mask = sum(1 << t for t in chosen)
     zerosets = [chosen_mask & ~(1 << t) for t in chosen]
@@ -237,36 +267,44 @@ def extreme_rays(ineq_rows: list[Vec], dim: int) -> list[Vec]:
     return rays
 
 
+# Candidate pairs hilbert_basis sums at a time: 0.13 MB per int64 temporary.
+_PAIR_CHUNK = 1 << 14
+
+
 def hilbert_basis(rays: list[Vec], ineq_rows: list[Vec]) -> list[Vec]:
     """Minimal generating set of the monoid of lattice points of the cone.
 
     The cone must be pointed with componentwise-nonnegative rays (true in the
     edge-length chart, where coordinates are themselves edge inequalities).
     Simplicial unimodular cones shortcut to their rays; otherwise candidates
-    are the lattice points of the box bounded by the ray sum, which contains
-    the zonotope where all irreducible elements live.
+    are the nonzero lattice points of the box bounded by the ray sum, which
+    contains the zonotope where all irreducible elements live.  A candidate
+    is reducible exactly when it is the sum of two candidates: the pairwise
+    sums that stay in the box are matched to candidates by their mixed-radix
+    box codes, a chunk of pairs at a time.
     """
     if not rays:
         return []
     dim = len(rays[0])
     if any(v < 0 for r in rays for v in r):
         raise ValueError("hilbert_basis needs nonnegative rays")
-    if len(rays) == rank(rays) == dim and abs(det(rays)) == 1:
+    if len(rays) == dim and abs(det(rays)) == 1:
         return sorted(rays)
     bounds = np.array([sum(r[j] for r in rays) for j in range(dim)], dtype=np.int64)
     ineqs = np.array(ineq_rows, dtype=np.int64).reshape(-1, dim)
     pts = _kernels.filter_box_points(bounds, ineqs)
-    cands = {tuple(int(v) for v in row) for row in pts}
-    cands.discard(tuple([0] * dim))
-    basis = []
-    for g in sorted(cands):
-        reducible = False
-        for c in cands:
-            if c == g or any(cv > gv for cv, gv in zip(c, g)):
-                continue
-            if tuple(gv - cv for gv, cv in zip(g, c)) in cands:
-                reducible = True
-                break
-        if not reducible:
-            basis.append(g)
-    return basis
+    pts = pts[pts.any(axis=1)]  # lex ascending, so codes ascend too
+    radix = np.cumprod([1, *(bounds[:0:-1] + 1)])[::-1]
+    codes = pts @ radix
+    cols = pts.T.copy()
+    reducible = np.zeros(len(pts), dtype=bool)
+    step = max(1, _PAIR_CHUNK // max(len(pts), 1))
+    for i in range(0, len(pts), step):
+        # pairs (a, b) with a in this chunk and b not before it
+        inside = np.ones((min(step, len(pts) - i), len(pts) - i), dtype=bool)
+        for col, bound in zip(cols, bounds):
+            inside &= col[i : i + step, None] + col[None, i:] <= bound
+        sums = (codes[i : i + step, None] + codes[None, i:])[inside]
+        at = np.minimum(np.searchsorted(codes, sums), len(codes) - 1)
+        reducible[at[codes[at] == sums]] = True
+    return [tuple(int(v) for v in g) for g in pts[~reducible]]

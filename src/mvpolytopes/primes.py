@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
@@ -63,6 +63,11 @@ class Cluster:
     gens_n: tuple[Vec, ...]  # generator edge-length vectors, aligned with labels
     rays_m: tuple[Vec, ...]
     ineq_rows_n: tuple[Vec, ...]
+    # derived from gens_n, see _Solver
+    _solver: "_Solver" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_solver", _Solver(self.gens_n))
 
 
 @dataclass(frozen=True)
@@ -73,10 +78,79 @@ class Catalog:
     clusters: tuple[Cluster, ...]
     primes: tuple[PrimePolytope, ...]
     relations: tuple[Relation, ...]
+    # derived from clusters: their chart rows stacked, and where each starts
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = [row for c in self.clusters for row in c.ineq_rows_n]
+        starts = np.cumsum([0, *(len(c.ineq_rows_n) for c in self.clusters)])[:-1]
+        object.__setattr__(self, "_rows", np.array(rows, dtype=np.int64))
+        object.__setattr__(self, "_starts", starts)
 
     @property
     def n_maximal(self) -> int:
         return len(self.clusters)
+
+
+class _Solver:
+    """Counts of a cluster's generators that sum to a Lusztig datum.
+
+    When the last m generators are independent (m the dimension; true in
+    every cluster of A2, B2, A3 and D3, with ``den`` 1 or 2), they are the
+    tail, solved with one integer inverse ``(den, num)``: the counts of the
+    tail are ``num . rem / den`` for the remainder ``rem`` the leading (free)
+    generators leave.  Otherwise every generator is free and the tail empty.
+    Free generators are tried largest multiple first, so the counts are the
+    lexicographically largest solution; since the tail solution is unique,
+    the last free generator's largest feasible multiple comes in closed form.
+    """
+
+    def __init__(self, gens: tuple[Vec, ...]):
+        m = len(gens[0]) if gens else 0
+        tail = gens[len(gens) - m :] if len(gens) >= m else ()
+        try:
+            den, num = cones.inverse(list(zip(*tail)))
+        except ValueError:  # the last m generators are dependent
+            tail, den, num = (), 1, []
+        self.free = gens[: len(gens) - len(tail)]
+        self.den = den
+        self.num = num
+        # num . g per free generator: what one more g takes off num . rem
+        self.steps = [[sum(map(mul, row, g)) for row in num] for g in self.free]
+
+    def solve(self, target: Vec) -> list[int] | None:
+        """The counts, free generators first, or None when there are none."""
+        return self._search(0, target, [sum(map(mul, row, target)) for row in self.num])
+
+    def _search(self, pos: int, rem, a: list[int]) -> list[int] | None:
+        # a = num . rem, so the tail's counts are a / den
+        den = self.den
+        if pos == len(self.free):
+            if not self.num:
+                return None if any(rem) else []
+            if any(v < 0 or v % den for v in a):
+                return None
+            return [v // den for v in a]
+        g, b = self.free[pos], self.steps[pos]
+        hi = min(r // v for r, v in zip(rem, g) if v > 0)
+        lo = 0
+        if pos == len(self.free) - 1:
+            # the tail needs a - c b >= 0, which bounds c from above where
+            # b > 0, and divisible by den, a congruence of period den: the
+            # largest feasible c is among the den values up to the bound, or
+            # there is none
+            hi = min([hi, *(av // bv for av, bv in zip(a, b) if bv > 0)])
+            lo = max(0, hi - den + 1)
+        for c in range(hi, lo - 1, -1):
+            counts = self._search(
+                pos + 1,
+                [r - c * v for r, v in zip(rem, g)],
+                [av - c * bv for av, bv in zip(a, b)],
+            )
+            if counts is not None:
+                return [c, *counts]
+        return None
 
 
 def _add(size: int, *terms: tuple[int, int]) -> Vec:
@@ -137,27 +211,20 @@ def _length_rows(group: WeylGroup) -> list[Vec]:
     ]
 
 
-def _in_cone(rows: tuple[Vec, ...], n) -> bool:
-    """True when every chart row admits n: row . n >= 0."""
-    return all(sum(map(mul, row, n)) >= 0 for row in rows)
+def _admitting(catalog: Catalog, ns) -> np.ndarray:
+    """Boolean (clusters x data) array: cluster t's chart rows admit ns[j].
 
-
-def _search(rows, gens, counts: list[int], pos: int, rem: tuple[int, ...]) -> bool:
-    """Write ``rem`` as a sum of ``gens[pos:]`` with nonnegative multiples,
-    largest multiple first, pruning remainders the chart rows refuse; the
-    multiples found are left in ``counts``."""
-    if not any(rem):
-        return True
-    if pos == len(gens) or not _in_cone(rows, rem):
-        return False
-    g = gens[pos]
-    cap = min((rem[j] // g[j] for j in range(len(g)) if g[j] > 0), default=0)
-    for c in range(cap, -1, -1):
-        counts[pos] = c
-        if _search(rows, gens, counts, pos + 1, tuple(r - c * v for r, v in zip(rem, g))):
-            return True
-    counts[pos] = 0
-    return False
+    One product of the stacked chart rows with every datum, then the least
+    value per cluster; in int64 while ``cones.matmul`` allows, past its bound
+    in exact Python ints.
+    """
+    if not catalog.clusters:
+        return np.zeros((0, len(ns)), dtype=bool)
+    try:
+        values = cones.matmul(catalog._rows, np.array(ns, dtype=np.int64).T)
+    except OverflowError:
+        values = catalog._rows.astype(object) @ np.array(ns, dtype=object).T
+    return np.minimum.reduceat(values, catalog._starts, axis=0) >= 0
 
 
 def build_catalog(group: WeylGroup) -> Catalog:
@@ -252,16 +319,6 @@ def build_catalog(group: WeylGroup) -> Catalog:
             )
         )
 
-    # every lower-dimensional cone should sit inside some maximal one; its rays
-    # are valid data, so the chart rows test their edge lengths along the
-    # reference word
-    for choice, rays_m in nonmax:
-        rays_n = cones.matmul(rays_m, np.transpose(length_rows)).tolist()
-        if not any(all(_in_cone(c.ineq_rows_n, n) for n in rays_n) for c in clusters):
-            warnings.warn(
-                f"choice {choice} spans a cone outside every maximal cone", stacklevel=2
-            )
-
     catalog = Catalog(
         cartan=group.cartan,
         n_choices=n_choices,
@@ -270,6 +327,23 @@ def build_catalog(group: WeylGroup) -> Catalog:
         primes=primes,
         relations=relations,
     )
+    # every lower-dimensional cone should sit inside some maximal one; its rays
+    # are valid data, so the chart rows test their edge lengths along the
+    # reference word
+    if nonmax:
+        rays_n = cones.matmul(
+            [ray for _, rays_m in nonmax for ray in rays_m], np.transpose(length_rows)
+        )
+        # the cones share their rays: 12 distinct of 897 in A3
+        distinct, back = np.unique(rays_n, axis=0, return_inverse=True)
+        admits = _admitting(catalog, distinct)[:, back.ravel()]
+        starts = np.cumsum([0, *(len(rays_m) for _, rays_m in nonmax)])[:-1]
+        admits = np.logical_and.reduceat(admits, starts, axis=1)
+        for (choice, _), covered in zip(nonmax, admits.any(axis=0)):
+            if not covered:
+                warnings.warn(
+                    f"choice {choice} spans a cone outside every maximal cone", stacklevel=2
+                )
     group._catalog = catalog
     return catalog
 
@@ -302,12 +376,16 @@ def decompose(
     elif catalog.cartan != group.cartan:
         raise ValueError("catalog belongs to a different Cartan datum")
     target = bz.lusztig_data(group, datum, group.reference_word)
-    cluster = next((c for c in catalog.clusters if _in_cone(c.ineq_rows_n, target)), None)
-    if cluster is None:
-        raise RuntimeError("no maximal cone contains the datum")
-    counts = [0] * len(cluster.gens_n)
-    if not _search(cluster.ineq_rows_n, cluster.gens_n, counts, 0, tuple(target)):
-        raise RuntimeError("Hilbert generators failed to reach the datum")
+    admitting = np.flatnonzero(_admitting(catalog, [target]))
+    if not admitting.size:
+        raise RuntimeError(f"no maximal cone contains the datum with {_where(group, target)}")
+    cluster = catalog.clusters[admitting[0]]
+    counts = cluster._solver.solve(target)
+    if counts is None:
+        raise RuntimeError(
+            "Hilbert generators failed to reach the datum with "
+            + _where(group, target, cluster)
+        )
     by_label = {p.label: p for p in catalog.primes}
     out = []
     total = [0] * len(M)
@@ -319,6 +397,12 @@ def decompose(
     if tuple(total) != M:
         raise RuntimeError(
             f"prime multiples {[(p.label, c) for p, c in out]} sum to {tuple(total)}, "
-            f"not to the datum {M}"
+            f"not to the datum {M} with {_where(group, target, cluster)}"
         )
     return tuple(out)
+
+
+def _where(group: WeylGroup, target, cluster: Cluster | None = None) -> str:
+    """Where a decomposition failed: the datum's Lusztig data and its cluster."""
+    where = f"Lusztig data {target} along the reference word {group.reference_word}"
+    return where if cluster is None else f"{where}, in the cluster of choice {cluster.choice}"

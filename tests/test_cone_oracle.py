@@ -9,18 +9,24 @@ every rank ``dim - 1`` set of inequalities.  ``frozenset_extreme_rays`` is the
 double description over every row with ``frozenset`` zero sets, and
 ``choice_rows`` the dense value-space rows of one choice, both as the catalog
 build ran them before it dropped repeated rows and shared one elimination
-along the choice tree.  None of them calls the fraction-free elimination,
-``cones.extreme_rays`` or ``cones.matmul``.
+along the choice tree.  ``pairwise_hilbert_basis`` reduces the box candidates
+pair by pair, and ``search_decompose`` finds the first cluster whose chart
+rows admit the Lusztig data and searches every generator, largest multiple
+first, pruning remainders outside the cone: both as ``cones`` and ``primes``
+ran them before they moved onto int64 arrays.  None of them calls the
+fraction-free elimination, ``cones.extreme_rays``, ``cones.hilbert_basis``
+or ``cones.matmul``.
 """
 
 import itertools
+import time
 import warnings
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvpolytopes import bz, cones, polytope, primes
@@ -217,6 +223,69 @@ def frozenset_extreme_rays(ineq_rows, dim):
             if dot(row, r) < 0:
                 raise RuntimeError(f"ray {r} violates inequality {t}, {tuple(row)}")
     return rays
+
+
+def pairwise_hilbert_basis(rays, ineq_rows):
+    """Hilbert basis of a pointed cone with nonnegative rays: the unimodular
+    simplicial shortcut, else the nonzero cone points of the box under the ray
+    sum that are not the sum of two such points, tested pair by pair."""
+    if not rays:
+        return []
+    dim = len(rays[0])
+    if len(rays) == fraction_rank(rays) == dim and abs(fraction_det(rays)) == 1:
+        return sorted(rays)
+    bounds = [sum(r[j] for r in rays) for j in range(dim)]
+    cands = {
+        x
+        for x in itertools.product(*(range(b + 1) for b in bounds))
+        if any(x) and all(dot(row, x) >= 0 for row in ineq_rows)
+    }
+    basis = []
+    for g in sorted(cands):
+        reducible = False
+        for c in cands:
+            if c == g or any(cv > gv for cv, gv in zip(c, g)):
+                continue
+            if tuple(gv - cv for gv, cv in zip(g, c)) in cands:
+                reducible = True
+                break
+        if not reducible:
+            basis.append(g)
+    return basis
+
+
+def in_cone(rows, n):
+    """True when every chart row admits n: row . n >= 0."""
+    return all(dot(row, n) >= 0 for row in rows)
+
+
+def _search(rows, gens, counts, pos, rem):
+    if not any(rem):
+        return True
+    if pos == len(gens) or not in_cone(rows, rem):
+        return False
+    g = gens[pos]
+    cap = min((rem[j] // g[j] for j in range(len(g)) if g[j] > 0), default=0)
+    for c in range(cap, -1, -1):
+        counts[pos] = c
+        if _search(rows, gens, counts, pos + 1, tuple(r - c * v for r, v in zip(rem, g))):
+            return True
+    counts[pos] = 0
+    return False
+
+
+def search_decompose(catalog, n):
+    """``(cluster index, counts)``: the first cluster whose chart rows admit
+    the Lusztig data n, and multiples of its generators summing to n, found
+    largest multiple first; None when a step fails."""
+    t = next((t for t, c in enumerate(catalog.clusters) if in_cone(c.ineq_rows_n, n)), None)
+    if t is None:
+        return None
+    gens = catalog.clusters[t].gens_n
+    counts = [0] * len(gens)
+    if not _search(catalog.clusters[t].ineq_rows_n, gens, counts, 0, tuple(n)):
+        return None
+    return t, counts
 
 
 def unit_row(size, *terms):
@@ -470,6 +539,8 @@ def test_matmul_refuses_products_that_could_overflow():
         cones.matmul([[2**30] * 4], [[2**30]] * 4)
     with pytest.raises(OverflowError):  # no int64 holds the entry at all
         cones.matmul([[2**63]], [[1]])
+    with pytest.raises(OverflowError):  # |-2**63| is no int64 either
+        cones.matmul([[-(2**63)]], [[1]])
 
 
 # -- catalogs --------------------------------------------------------------------
@@ -519,12 +590,11 @@ def test_chart_rows_contain_the_rays_value_space_rows_contain(family, rank):
             for t, (eq_c, ineq_c) in enumerate(value_rows)
             if (eq_c @ rays_m.T == 0).all() and (ineq_c @ rays_m.T >= 0).all()
         ]
-        by_chart = [
-            t
-            for t, c in enumerate(cat.clusters)
-            if all(primes._in_cone(c.ineq_rows_n, n) for n in rays_n)
-        ]
+        by_chart = np.flatnonzero(primes._admitting(cat, rays_n).all(axis=1)).tolist()
         assert by_chart == by_values, choice
+        assert by_chart == [
+            t for t, c in enumerate(cat.clusters) if all(in_cone(c.ineq_rows_n, n) for n in rays_n)
+        ], choice
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("D", 3)])
@@ -534,3 +604,131 @@ def test_fresh_catalog_build_finds_every_cone_covered(family, rank):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         primes.build_catalog(WeylGroup(build_cartan(family, rank)))
+
+
+# -- Hilbert bases and decompositions against the pairwise and search oracles ----
+
+CATALOG_GROUPS = [("A", 2), ("B", 2), ("A", 3), ("D", 3)]
+
+
+@pytest.mark.parametrize("family,rank", CATALOG_GROUPS)
+def test_hilbert_basis_matches_pairwise_oracle_in_catalog_builds(family, rank, monkeypatch):
+    calls = []
+    sumset = cones.hilbert_basis
+
+    def recorded(rays, ineq_rows):
+        calls.append((rays, ineq_rows))
+        return sumset(rays, ineq_rows)
+
+    monkeypatch.setattr(cones, "hilbert_basis", recorded)
+    catalog = primes.build_catalog(WeylGroup(build_cartan(family, rank)))
+    assert len(calls) == catalog.n_maximal
+    for rays, ineq_rows in calls:
+        assert sumset(rays, ineq_rows) == pairwise_hilbert_basis(rays, ineq_rows)
+
+
+nonneg_spans = st.integers(2, 4).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(0, 3), min_size=d, max_size=d), min_size=d, max_size=6
+    ).map(lambda gens: (gens, d))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonneg_spans)
+def test_hilbert_basis_matches_pairwise_oracle_on_small_cones(gens_dim):
+    """Full cones spanned by nonnegative vectors: the facet rows are the rays
+    of the dual cone, and the cone's rays those of the facet rows."""
+    gens, dim = gens_dim
+    assume(fraction_rank(gens) == dim)
+    rows = cones.extreme_rays(gens, dim)
+    rays = cones.extreme_rays(rows, dim)
+    assume(np.prod([sum(r[j] for r in rays) + 1 for j in range(dim)]) <= 600)
+    assert cones.hilbert_basis(rays, rows) == pairwise_hilbert_basis(rays, rows)
+
+
+def _parts(catalog, found):
+    t, counts = found
+    by_label = {p.label: p for p in catalog.primes}
+    labels = catalog.clusters[t].labels
+    return tuple((by_label[lbl], c) for lbl, c in zip(labels, counts) if c)
+
+
+def _pool(group, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = tuple(int(v) for v in rng.integers(0, 6, group.m))
+        yield n, polytope.normalize(group, bz.from_lusztig(group, group.reference_word, n))
+
+
+@pytest.mark.parametrize(
+    "family,rank,n_wide", [("A", 2, 0), ("B", 2, 2), ("A", 3, 1), ("D", 3, 1)]
+)
+def test_decompose_matches_search_oracle(family, rank, n_wide):
+    group = weyl_group(build_cartan(family, rank))
+    catalog = primes.build_catalog(group)
+    hits = [0] * catalog.n_maximal
+    for n, datum in _pool(group, 2000, 20261018):
+        found = search_decompose(catalog, n)
+        assert primes.decompose(group, datum, catalog) == _parts(catalog, found), n
+        hits[found[0]] += 1
+    # the clusters with a free generator besides the m solved ones are reached
+    wide = [t for t, c in enumerate(catalog.clusters) if len(c.gens_n) > group.m]
+    assert len(wide) == n_wide
+    assert all(hits[t] for t in wide), hits
+
+
+small_generators = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        st.lists(
+            st.tuples(*[st.integers(0, 3)] * d).filter(any), min_size=1, max_size=5
+        ),
+        st.lists(st.integers(0, 3), max_size=5),
+        st.tuples(*[st.integers(0, 1)] * d),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_generators)
+def test_solver_counts_are_the_search_oracle_counts(gens_mults_extra):
+    """Any generators: independent or dependent last m, den above 1, fewer
+    than m; targets in their monoid or next to it.  Both give the
+    lexicographically largest counts, or none."""
+    gens, mults, extra = gens_mults_extra
+    target = tuple(
+        e + sum(c * g[j] for c, g in zip(mults, gens)) for j, e in enumerate(extra)
+    )
+    counts = [0] * len(gens)
+    want = counts if _search((), gens, counts, 0, target) else None
+    assert primes._Solver(tuple(gens)).solve(target) == want
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
+def test_decompose_time_does_not_grow_with_the_scale(family, rank):
+    """Scaled data decompose at once and exactly, also past the int64 product
+    bound (3**37), past int64 itself (2**63 + 1) and far past it (2**70); the
+    search that tried every multiple of a free generator took seconds at
+    2**16 and never returned at 2**70."""
+    group = weyl_group(build_cartan(family, rank))
+    catalog = primes.build_catalog(group)
+    seen = set()
+    for n, datum in _pool(group, 40, 7):
+        t, counts = search_decompose(catalog, n)
+        cluster = catalog.clusters[t]
+        seen.add(len(cluster.gens_n) > group.m)
+        small = polytope.scale(group, datum, 2**8)
+        want = _parts(catalog, search_decompose(catalog, [2**8 * v for v in n]))
+        assert primes.decompose(group, small, catalog) == want
+        for scale in (3**37, 2**63 + 1, 2**70):
+            huge = polytope.scale(group, datum, scale)
+            start = time.perf_counter()
+            parts = primes.decompose(group, huge, catalog)
+            assert time.perf_counter() - start < 0.1
+            got = {p.label: c for p, c in parts}
+            scaled = [got.get(lbl, 0) for lbl in cluster.labels]
+            total = [sum(c * g[j] for c, g in zip(scaled, cluster.gens_n)) for j in range(group.m)]
+            assert total == [scale * v for v in n]
+            if len(cluster.gens_n) == group.m:
+                assert scaled == [scale * c for c in counts]
+    assert seen == {False, True}

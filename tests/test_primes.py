@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,48 @@ def test_chart_lookup_matches_value_space_scan(family, rank):
             for t, c in enumerate(cat.clusters)
         ))
         assert primes.decompose(group, datum, hollow) == primes.decompose(group, datum, cat)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
+def test_decompose_errors_name_the_lusztig_data_and_the_cluster(family, rank):
+    group = weyl_group(build_cartan(family, rank))
+    cat = primes.build_catalog(group)
+    n = (1, 2, 3, 1, 2, 3)[: group.m]
+    datum = polytope.normalize(group, bz.from_lusztig(group, group.reference_word, n))
+    where = re.escape(f"Lusztig data {n} along the reference word {group.reference_word}")
+    choice = next(
+        c.choice for c in cat.clusters if all(np.dot(row, n) >= 0 for row in c.ineq_rows_n)
+    )
+    in_cluster = where + re.escape(f", in the cluster of choice {choice}")
+    with pytest.raises(RuntimeError, match="^no maximal cone contains the datum with " + where):
+        primes.decompose(group, datum, dataclasses.replace(cat, clusters=()))
+    hollow = dataclasses.replace(cat, clusters=tuple(
+        dataclasses.replace(c, labels=(), gens_n=()) for c in cat.clusters
+    ))
+    with pytest.raises(
+        RuntimeError, match="^Hilbert generators failed to reach the datum with " + in_cluster
+    ):
+        primes.decompose(group, datum, hollow)
+    mislabeled = dataclasses.replace(cat, clusters=tuple(
+        dataclasses.replace(c, labels=c.labels[::-1]) for c in cat.clusters
+    ))
+    with pytest.raises(
+        RuntimeError, match=r"^prime multiples .* sum to .*, not to the datum .* with " + in_cluster
+    ):
+        primes.decompose(group, datum, mislabeled)
+
+
+def test_derived_lookup_and_solve_data_follow_replace(b2):
+    cat = primes.build_catalog(b2)
+    wide = next(c for c in cat.clusters if len(c.gens_n) > b2.m)
+    narrow = dataclasses.replace(wide, labels=wide.labels[1:], gens_n=wide.gens_n[1:])
+    assert narrow._solver.free == () and wide._solver.free == wide.gens_n[:1]
+    single = dataclasses.replace(cat, clusters=(narrow,))
+    assert single._rows.tolist() == [list(row) for row in narrow.ineq_rows_n]
+    with pytest.raises(ValueError):
+        dataclasses.replace(wide, _solver=narrow._solver)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cat, _rows=single._rows)
 
 
 PRIMES_SHA256 = {
