@@ -5,15 +5,26 @@ A datum assigns an integer M_gamma to every chamber weight gamma = w.Lambda_i.
 It describes a polytope {x : <x, gamma> >= M_gamma} when the edge inequalities
 hold, and a polytope with the full tropical structure when additionally every
 hexagonal and octagonal 2-face relation holds.
+
+:func:`validate` evaluates every edge length and every 2-face residual as one
+gathered integer product over the index table's check rows, and a datum keeps
+its report, so it is validated once however often it is asked.
+:func:`from_lusztig` reads the values off every stop of the transport plan
+with one product over the table's pairing stack.  Both products run in int64
+while the sums provably fit, and on Python ints (``dtype=object``) above that
+bound, so they stay exact at any size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import lusztig
 from .cartan import CartanDatum
-from .tables import Row, index_table
+from .tables import RELATION_ARGS, IndexTable, Row, index_table
 from .weyl import WeylElement, WeylGroup, weyl_group
 
 
@@ -23,21 +34,48 @@ class BZDatum:
 
     ``values`` is aligned with ``weyl_group(cartan).chamber_weights()``; the
     tuple form makes data hashable so collections of polytopes deduplicate.
+    Values must be integers (``bool`` is refused); other integer types are
+    converted to ``int``.  ``_report`` holds the :func:`validate` report once
+    it is known; it takes no part in equality.
     """
 
     cartan: CartanDatum
     values: tuple[int, ...]
+    _report: ValidationReport | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         group = weyl_group(self.cartan)
-        if len(self.values) != len(group.chamber_weights()):
+        values = self.values
+        if type(values) is not tuple:
+            values = tuple(values)
+        if len(values) != len(group.chamber_weights()):
             raise ValueError(
-                f"expected {len(group.chamber_weights())} values, got {len(self.values)}"
+                f"expected {len(group.chamber_weights())} values, got {len(values)}"
             )
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        # C-level in the common case: a tuple of plain ints is kept as it is
+        if set(map(type, values)) != {int}:
+            values = tuple(
+                _integer(v, f"value at chamber index {x}") for x, v in enumerate(values)
+            )
+        object.__setattr__(self, "values", values)
 
     def value(self, coords) -> int:
         return self.values[weyl_group(self.cartan).chamber_index(tuple(coords))]
+
+
+def _integer(v, what: str) -> int:
+    """v as an ``int``, if it is an integer; ``TypeError`` naming ``what`` if not.
+
+    Unlike ``int(v)`` this refuses floats, strings and ``bool``.
+    """
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {v!r}")
 
 
 def make_bz(group: WeylGroup, values: dict) -> BZDatum:
@@ -107,34 +145,47 @@ class ValidationReport:
         return out
 
 
+_VALID = ValidationReport((), ())  # the report of every valid datum
+
+
 def validate(group: WeylGroup, datum: BZDatum) -> ValidationReport:
+    """Every violated edge inequality and 2-face relation of the datum.
+
+    Computed on the first call and kept on the datum; valid data share one
+    empty report.
+    """
     M = _values(group, datum)
-    table = index_table(group)
-    edge_bad = []
-    for word, i, row in table.edges:
-        c = 0
-        for t, coef in row:  # _dot, inlined: this loop is most of validate
-            c += coef * M[t]
-        if c < 0:
-            edge_bad.append((word, i, c))
+    if datum._report is None:
+        object.__setattr__(datum, "_report", _check(index_table(group), M))
+    return datum._report
+
+
+def _check(table: IndexTable, M: tuple[int, ...]) -> ValidationReport:
+    """The report of the values M, from one product over the check rows.
+
+    Each sum is bounded by max|M| times the largest absolute row sum; below
+    2**62 the product runs in int64, above it on Python ints.
+    """
+    dtype = np.int64 if max(max(M), -min(M)) * table.check_norm < 1 << 62 else object
+    sums = (
+        np.array(M, dtype=dtype)[table.check_index]
+        * table.check_coef.astype(dtype, copy=False)
+    ).sum(0)
+    n_edges = len(table.edges)
+    # per relation lhs = min(args), the residual min(args) - lhs
+    residuals = sums[n_edges:].reshape(RELATION_ARGS, -1).min(0)
+    if sums[:n_edges].min() >= 0 and not residuals.any():
+        return _VALID
+    edge_bad = tuple(
+        (word, i, c) for (word, i, _), c in zip(table.edges, sums[:n_edges].tolist()) if c < 0
+    )
     face_bad = []
+    residual = iter(residuals.tolist())
     for face, relations in table.faces.items():
-        # per relation lhs = min(args), the residual min(args) - lhs
-        res = []
-        for lhs, args in relations:
-            low = None
-            for arg in args:
-                c = 0
-                for t, coef in arg:
-                    c += coef * M[t]
-                if low is None or c < low:
-                    low = c
-            for t, coef in lhs:
-                low -= coef * M[t]
-            res.append(low)
+        res = tuple(next(residual) for _ in relations)
         if any(res):
-            face_bad.append((*face, tuple(res)))
-    return ValidationReport(tuple(edge_bad), tuple(face_bad))
+            face_bad.append((*face, res))
+    return ValidationReport(edge_bad, tuple(face_bad))
 
 
 def is_valid(group: WeylGroup, datum: BZDatum) -> bool:
@@ -162,31 +213,38 @@ def from_lusztig(group: WeylGroup, word, n) -> BZDatum:
     table = index_table(group)
     if word not in table.parent:
         raise ValueError(f"{word} is not a reduced word for the longest element")
-    n = lusztig._check_lusztig(group, word, n)[1]
+    n = lusztig._checked(group, n)
     moved = n
     edge = table.parent[word]
     while edge is not None:
-        moved = lusztig.braid_transition(group, edge, moved)
+        moved = lusztig._move(group, edge, moved)
         edge = table.parent[edge.dst]
-    values: list[int | None] = [None] * len(group.chamber_weights())
-    for t in table.chamber[0]:
-        values[t] = 0  # bottom vertex at the origin
+    at_stops: list[int] = []  # the data at every stop, one after another
     for stop in table.plan:
         for edge in stop.edges:
-            moved = lusztig.braid_transition(group, edge, moved)
-        for t, row in stop.rows:
-            val = _dot(row, moved)
-            if values[t] is None:
-                values[t] = val
-            elif values[t] != val:
-                raise RuntimeError(
-                    f"inconsistent value at chamber weight "
-                    f"{group.chamber_weights()[t].weight.coords}: "
-                    f"{values[t]} vs {val} from word {stop.word}"
-                )
-    if None in values:
-        raise RuntimeError("transport plan did not reach every chamber weight")
-    datum = BZDatum(group.cartan, tuple(values))
+            moved = lusztig._move(group, edge, moved)
+        at_stops += moved
+    # Lusztig data are nonnegative, so every value read off is at most their
+    # maximum times the largest absolute row sum of the pairing stack
+    dtype = np.int64 if max(at_stops) * table.pairing_norm < 1 << 62 else object
+    read = np.einsum(
+        "skl,sl->sk",
+        table.pairing.astype(dtype, copy=False),
+        np.array(at_stops, dtype=dtype).reshape(len(table.plan), group.m),
+    ).ravel()
+    # each chamber weight takes the value of the first row reaching it, and
+    # the identity chamber weights the 0 appended after the last row
+    values = np.append(read, 0)[table.source]
+    clash = np.flatnonzero(values[table.targets] != read)
+    if clash.size:
+        p = clash[0]
+        x = table.targets[p]
+        raise RuntimeError(
+            f"inconsistent value at chamber weight "
+            f"{group.chamber_weights()[x].weight.coords}: "
+            f"{values[x]} vs {read[p]} from word {table.plan[p // group.m].word}"
+        )
+    datum = BZDatum(group.cartan, tuple(values.tolist()))
     report = validate(group, datum)
     if not report.is_valid:
         raise RuntimeError(

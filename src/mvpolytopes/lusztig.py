@@ -34,13 +34,17 @@ def _checked(group: WeylGroup, n) -> tuple[int, ...]:
     return n
 
 
-def _check_lusztig(group: WeylGroup, word, n) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return tuple(word), _checked(group, n)
-
-
 def braid_transition(group: WeylGroup, edge: BraidEdge, n) -> tuple[int, ...]:
     """Transport Lusztig data across one braid move of the underlying word."""
-    n = _checked(group, n)
+    return _move(group, edge, _checked(group, n))
+
+
+def _move(group: WeylGroup, edge: BraidEdge, n: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`braid_transition` on data that :func:`_checked` has passed.
+
+    A chain of moves checks n once, on entry; each move still refuses a
+    window it would send to a negative entry.
+    """
     k, d = edge.k, edge.d
     window = n[k : k + d]
     if d == 2:
@@ -61,7 +65,7 @@ def braid_transition(group: WeylGroup, edge: BraidEdge, n) -> tuple[int, ...]:
             new = (n2 + 2 * n3 + n4 - p2, p2 - p1, 2 * p1 - p2, n1 + n2 + n3 - p1)
     else:  # pragma: no cover
         raise RuntimeError(f"unsupported braid window length {d} on edge {edge}")
-    if any(v < 0 for v in new):
+    if min(new) < 0:
         raise RuntimeError(
             f"braid move {edge.src} -> {edge.dst} at positions {k}..{k + d - 1} "
             f"sent window {window} to {new}, which has a negative entry"
@@ -100,7 +104,7 @@ def transport(group: WeylGroup, src, dst, n) -> tuple[int, ...]:
     """Move Lusztig data from word ``src`` to word ``dst`` along braid moves."""
     n = _checked(group, n)
     for edge in word_path(group, src, dst):
-        n = braid_transition(group, edge, n)
+        n = _move(group, edge, n)
     return n
 
 

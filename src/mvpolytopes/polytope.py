@@ -97,6 +97,8 @@ def minkowski_sum(group: WeylGroup, *data: BZDatum) -> BZDatum:
 
 
 def scale(group: WeylGroup, datum: BZDatum, c: int) -> BZDatum:
+    """The polytope stretched by the integer factor c >= 0."""
+    c = bz._integer(c, "scale factor")
     if c < 0:
         raise ValueError("scale factor must be nonnegative")
     return BZDatum(group.cartan, tuple(c * v for v in bz._values(group, datum)))

@@ -11,8 +11,15 @@ and nowhere else: an edge row per (w, i), whose value is the edge length,
 and per hexagonal or octagonal 2-face the rows of its min-relations
 lhs = min(args).  Those relations are written once, in
 :data:`FACE_RELATIONS`, over a face's chamber weights A..H; the table maps
-them to chamber indices.  :func:`bz.validate` evaluates the rows and
-:func:`primes.face_relations` hands the same rows to the cone algebra.
+them to chamber indices.  :func:`primes.face_relations` hands the rows to
+the cone algebra.  For :func:`bz.validate` the same rows are compiled into
+one padded gather pair ``(check_index, check_coef)`` with a column per row:
+the edge rows, then the rows arg_k - lhs of every relation for k = 1, 2, 3
+(a hexagon repeats its last arg).  The sums
+``(M[check_index] * check_coef).sum(0)`` are then the edge lengths followed
+by three blocks whose elementwise minimum is the residual min(args) - lhs of
+each relation.  A datum is valid when the edge lengths are nonnegative and
+every residual is zero.
 
 The vertices mu_w = sum_i M(w Lambda_i) w.alpha_i^vee of a datum are one
 integer product: the table keeps the chamber indices w Lambda_i as an
@@ -30,7 +37,11 @@ weight.  The plan is a parent braid edge per reduced word, each one step
 closer to the reference word, and a fixed chain of braid edges from the
 reference word through such covering words (its stops).  Pairing rows are
 kept for the stops only: rows for all 2316 reduced words of D4 would cost
-more memory than the rest of the table.
+more memory than the rest of the table.  The stops' rows are also stacked
+as an ``(S, m, m)`` array ``pairing`` with the chamber index of each row in
+``targets``, so that every stop is read off with one product; ``source``
+names, per chamber weight, the first row reaching it, and building it checks
+that the plan reaches every chamber weight.
 """
 
 from __future__ import annotations
@@ -73,6 +84,9 @@ FACE_RELATIONS: dict[str, tuple[tuple[Row, tuple[Row, ...]], ...]] = {
     ),
 }
 
+# the most args of a relation; the check rows give every relation this many
+RELATION_ARGS = max(len(args) for rels in FACE_RELATIONS.values() for _, args in rels)
+
 
 @dataclass(frozen=True)
 class Stop:
@@ -107,6 +121,19 @@ class IndexTable:
     # the hexagons and octagons in group.two_faces order
     parent: dict[Word, BraidEdge | None]  # toward the reference word; None at it
     plan: tuple[Stop, ...]  # starts at the reference word
+    # the check rows, one per column: the E rows of ``edges``, then for k = 1,
+    # 2, 3 the rows arg_k - lhs of the R relations of ``faces`` in order (a
+    # hexagon repeats its last arg), as chamber indices and coefficients
+    # padded with 0
+    check_index: np.ndarray  # intp (width, E + 3R)
+    check_coef: np.ndarray  # int64 (width, E + 3R)
+    check_norm: int  # max over the check rows of sum |coef|
+    pairing: np.ndarray  # int64 (S, m, m): [s][k][l] is <beta_l, gamma_k> at stop s
+    pairing_norm: int  # max over the pairing rows of sum |coef|
+    targets: np.ndarray  # intp (S * m,): chamber index of gamma_k of stop s at s * m + k
+    # intp (|Gamma|,): the first position in ``targets`` of each chamber
+    # weight, and S * m (one past the end) for the identity chamber weights
+    source: np.ndarray
     chamber_array: np.ndarray  # int64 (|W|, r), the same indices as ``chamber``
     coaction: np.ndarray  # int64 (|W|, r, r): [t][c][i - 1] is coordinate c of w_t . alpha_i^vee
     coaction_max: int  # max |entry| of ``coaction``
@@ -181,6 +208,9 @@ def _build(group: WeylGroup) -> IndexTable:
             for lhs, args in FACE_RELATIONS[f.kind]
         )
     graph = group.braid_graph()
+    plan = _plan(group, graph, chamber, right)
+    check_index, check_coef = _check_rows(edges, faces)
+    pairing, targets, source = _pairing_stack(group, plan, chamber[0])
     coaction = np.array([w.comat for w in elements], dtype=np.int64).reshape(-1, r, r)
     chamber_keys = tuple(coords_key(c.weight.coords) for c in group.chamber_weights())
     return IndexTable(
@@ -191,7 +221,14 @@ def _build(group: WeylGroup) -> IndexTable:
         edges=edges,
         faces=faces,
         parent=_parents(graph, group.reference_word),
-        plan=_plan(group, graph, chamber, right),
+        plan=plan,
+        check_index=check_index,
+        check_coef=check_coef,
+        check_norm=int(np.abs(check_coef).sum(0).max()),
+        pairing=pairing,
+        pairing_norm=int(np.abs(pairing).sum(2).max()),
+        targets=targets,
+        source=source,
         chamber_array=np.array(chamber, dtype=np.int64).reshape(-1, r),
         coaction=coaction,
         coaction_max=int(np.abs(coaction).max()),
@@ -199,6 +236,55 @@ def _build(group: WeylGroup) -> IndexTable:
         chamber_keys=chamber_keys,
         key_chamber={key: x for x, key in enumerate(chamber_keys)},
     )
+
+
+def _difference(arg: Row, lhs: Row) -> Row:
+    """The row arg - lhs, one entry per chamber index, zeros dropped."""
+    total: dict[int, int] = {}
+    for t, c in arg:
+        total[t] = total.get(t, 0) + c
+    for t, c in lhs:
+        total[t] = total.get(t, 0) - c
+    return tuple((t, c) for t, c in total.items() if c)
+
+
+def _check_rows(edges, faces) -> tuple[np.ndarray, np.ndarray]:
+    """The edge rows, then the rows arg_k - lhs of every relation for
+    k = 1..RELATION_ARGS, as one padded pair of ``(width, rows)`` arrays."""
+    relations = [rel for relations in faces.values() for rel in relations]
+    rows = [row for _, _, row in edges]
+    for k in range(RELATION_ARGS):
+        rows += [_difference(args[min(k, len(args) - 1)], lhs) for lhs, args in relations]
+    shape = (max(map(len, rows)), len(rows))
+    index, coef = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.int64)
+    for k, row in enumerate(rows):
+        for p, (t, c) in enumerate(row):
+            index[p, k], coef[p, k] = t, c
+    return index, coef
+
+
+def _pairing_stack(
+    group: WeylGroup, plan: tuple[Stop, ...], identity: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stops' pairing rows as ``(pairing, targets, source)``."""
+    m = group.m
+    pairing = np.zeros((len(plan), m, m), dtype=np.int64)
+    targets = np.zeros(len(plan) * m, dtype=np.intp)
+    for s, stop in enumerate(plan):
+        for k, (t, row) in enumerate(stop.rows):
+            targets[s * m + k] = t
+            for l, c in row:
+                pairing[s, k, l] = c
+    source = np.full(len(group.chamber_weights()), -1, dtype=np.intp)
+    source[list(identity)] = targets.size
+    for p, t in enumerate(targets.tolist()):
+        if source[t] < 0:
+            source[t] = p
+    missed = np.flatnonzero(source < 0)
+    if missed.size:
+        coords = [group.chamber_weights()[x].weight.coords for x in missed]
+        raise RuntimeError(f"transport plan misses the chamber weights {coords}")
+    return pairing, targets, source
 
 
 def _parents(graph: BraidGraph, ref: Word) -> dict[Word, BraidEdge | None]:

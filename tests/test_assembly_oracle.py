@@ -11,6 +11,7 @@ Lusztig data along a word.  None of them reads the per-group index table, so
 they are independent of the transport plan and the parent tree they check.
 """
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvpolytopes import bz, lusztig, polytope, primes
+from mvpolytopes import bz, lusztig, polytope, primes, serialize, tables
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
@@ -104,7 +105,7 @@ def n_to_partial_M(group, word, n):
     the identity chamber weights Lambda_i carry M = 0 (bottom vertex at the
     origin).
     """
-    word, n = lusztig._check_lusztig(group, word, n)
+    word, n = tuple(word), lusztig._checked(group, n)
     data = group.word_data(word)
     out = {}
     for i in range(1, group.rank + 1):
@@ -139,7 +140,7 @@ def bfs_from_lusztig(group, word, n):
                     f"{values[coords]} vs {val} from word {w}"
                 )
 
-    n_by_word = {word: lusztig._check_lusztig(group, word, n)[1]}
+    n_by_word = {word: lusztig._checked(group, n)}
     merge(word, n_by_word[word])
     queue = deque([word])
     while queue:
@@ -328,8 +329,14 @@ def perturbed(group, rng, datum):
     return bz.BZDatum(group.cartan, tuple(values))
 
 
+def scaled(group, datum, c):
+    """The datum with every value times c, which may be negative."""
+    return bz.BZDatum(group.cartan, tuple(c * v for v in datum.values))
+
+
 @pytest.mark.parametrize(
-    "family, rank", [("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]
+    "family, rank",
+    [("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 3), ("A", 4), ("D", 4)],
 )
 def test_table_constraints_match_object_reference(family, rank):
     g = group_of(family, rank)
@@ -338,7 +345,10 @@ def test_table_constraints_match_object_reference(family, rank):
     invalid = 0
     for word, n in random_data(g, rng, 6):
         good = bz.from_lusztig(g, word, n)
-        for d in [good] + [perturbed(g, rng, good) for _ in range(4)]:
+        cases = [good] + [perturbed(g, rng, good) for _ in range(4)]
+        # Python-int sums (2**70) and int64 sums of a reflected polytope
+        cases += [scaled(g, cases[-1], 1 << 70), scaled(g, cases[-2], -(1 << 40))]
+        for d in cases:
             report = bz.validate(g, d)
             assert report == reference_validate(g, d)
             invalid += not report.is_valid
@@ -356,7 +366,127 @@ def test_table_constraints_match_object_reference(family, rank):
             assert bz.lusztig_data(g, d, other) == tuple(
                 reference_edge_length(g, d, data.prefixes[k], other[k]) for k in range(g.m)
             )
-    assert invalid >= 20  # perturbations reach the failing branches
+    assert invalid >= 30  # perturbations reach the failing branches
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("B", 2), ("A", 3)])
+def test_every_unit_move_matches_reference(family, rank):
+    """Each value of a few valid data moved by +-1, one at a time; some of
+    these break only an edge, by exactly 1, and no 2-face relation."""
+    g = group_of(family, rank)
+    rng = np.random.default_rng(rank * 13 + ord(family))
+    edge_only = 0
+    for word, n in random_data(g, rng, 4):
+        good = bz.from_lusztig(g, word, n)
+        for t in range(len(good.values)):
+            for delta in (-1, 1):
+                values = list(good.values)
+                values[t] += delta
+                d = bz.BZDatum(g.cartan, tuple(values))
+                report = bz.validate(g, d)
+                assert report == reference_validate(g, d)
+                if report.edge_violations and not report.face_violations:
+                    edge_only += all(c == -1 for _, _, c in report.edge_violations)
+    assert edge_only >= 2
+
+
+@pytest.mark.parametrize("family, rank", [("B", 2), ("B", 3), ("C", 3), ("D", 4)])
+def test_validate_is_exact_at_the_int64_bound(family, rank):
+    g = group_of(family, rank)
+    table = index_table(g)
+    # the check row of largest absolute sum, filled with +-b by the sign of
+    # each coefficient, sums to b * check_norm; 2**63 wraps in int64
+    norms = np.abs(table.check_coef).sum(0)
+    k = int(norms.argmax())
+    assert norms[k] == table.check_norm
+    for total in [(1 << 62) - 1, 1 << 62, (1 << 63) - 1, 1 << 63, 1 << 64]:
+        b = -(-total // table.check_norm)  # at least total / check_norm
+        values = [0] * len(g.chamber_weights())
+        for t, c in zip(table.check_index[:, k].tolist(), table.check_coef[:, k].tolist()):
+            if c:
+                values[t] = b if c > 0 else -b
+        for sign in (1, -1):
+            d = scaled(g, bz.BZDatum(g.cartan, tuple(values)), sign)
+            report = bz.validate(g, d)
+            assert not report.is_valid
+            assert report == reference_validate(g, d)
+
+
+@pytest.mark.parametrize("family, rank", [("B", 3), ("A", 4), ("D", 4)])
+def test_from_lusztig_is_exact_past_int64(family, rank):
+    g = group_of(family, rank)
+    table = index_table(g)
+    rng = np.random.default_rng(rank * 11 + ord(family))
+    # the data (1, ..., 1) are fixed by every braid move, so each read-off
+    # sums b times a row of the pairing stack; 2**63 wraps in int64
+    at_bound = [-(-(1 << 63) // table.pairing_norm), ((1 << 62) - 1) // table.pairing_norm]
+    cases = [(g.reference_word, (1,) * g.m, c) for c in at_bound]
+    cases += [(word, n, 1 << 70) for word, n in random_data(g, rng, 3)]
+    for word, n, c in cases:
+        big = tuple(c * v for v in n)
+        d = bz.from_lusztig(g, word, big)
+        assert d == scaled(g, bz.from_lusztig(g, word, n), c)
+        assert bz.lusztig_data(g, d, word) == big
+        assert bz.from_lusztig(g, g.reference_word, bz.lusztig_data(g, d, g.reference_word)) == d
+
+
+def corrupted(group, **fields):
+    """A fresh group of the same type whose index table has other fields."""
+    fresh = WeylGroup(group.cartan)
+    fresh._table = dataclasses.replace(index_table(group), **fields)
+    return fresh
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("D", 4)])
+def test_read_off_names_the_chamber_and_word_of_a_clash(family, rank):
+    g = group_of(family, rank)
+    table = index_table(g)
+    ones = (1,) * g.m  # fixed by every braid move, so every stop reads ones
+    # a row that reaches a chamber weight some earlier row reached first
+    p = next(p for p, t in enumerate(table.targets) if table.source[t] != p)
+    s, k = divmod(p, g.m)
+    coords = g.chamber_weights()[table.targets[p]].weight.coords
+    word = table.plan[s].word
+    pairing = table.pairing.copy()
+    pairing[s, k, 0] += 1
+    with pytest.raises(RuntimeError, match="inconsistent value") as caught:
+        bz.from_lusztig(corrupted(g, pairing=pairing), g.reference_word, ones)
+    assert str(coords) in str(caught.value) and str(word) in str(caught.value)
+    # a row sent to an identity chamber weight must read 0 there
+    targets = table.targets.copy()
+    identity = table.chamber[0][0]
+    p = int(np.flatnonzero(table.pairing.sum(2).ravel())[0])  # reads nonzero on ones
+    targets[p] = identity
+    with pytest.raises(RuntimeError, match="inconsistent value") as caught:
+        bz.from_lusztig(corrupted(g, targets=targets), g.reference_word, ones)
+    coords = g.chamber_weights()[identity].weight.coords
+    assert coords == g.cartan.fundamental_weight(1).coords
+    assert str(coords) in str(caught.value)
+    assert str(table.plan[p // g.m].word) in str(caught.value)
+
+
+def test_table_build_refuses_a_plan_that_misses_a_chamber_weight(a3):
+    table = index_table(a3)
+    with pytest.raises(RuntimeError, match=r"^transport plan misses the chamber weights \[\("):
+        tables._pairing_stack(a3, table.plan[:1], table.chamber[0])
+
+
+def test_report_is_kept_on_the_datum(a3):
+    rng = np.random.default_rng(17)
+    word, n = random_data(a3, rng, 2)[1]
+    good = bz.from_lusztig(a3, word, n)
+    other = bz.from_lusztig(a3, a3.reference_word, (0,) * a3.m)
+    # valid data share one empty report
+    assert bz.validate(a3, good) is bz.validate(a3, other) is bz.validate(a3, good)
+    bad = perturbed(a3, rng, good)
+    report = bz.validate(a3, bad)
+    assert not report.is_valid and bz.validate(a3, bad) is report
+    assert serialize.datum_to_doc(a3, bad)["valid"] is False
+    assert serialize.datum_to_doc(a3, good)["valid"] is True
+    # the report takes no part in equality or hashing
+    again = bz.BZDatum(a3.cartan, bad.values)
+    assert again == bad and hash(again) == hash(bad) and again._report is None
+    assert bz.validate(a3, again) == report
 
 
 def test_face_relations_rows_match_residuals():

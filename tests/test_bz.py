@@ -30,6 +30,17 @@ def test_make_bz_checks_keys(a2):
         bz.make_bz(a2, {(9, 9): 0})
 
 
+def test_values_must_be_integers(a2):
+    zeros = (0,) * 6
+    for bad in [0.9, 1.0, "1", True, np.True_, None]:
+        values = (0, 0, 0, bad, 0, 0)
+        with pytest.raises(TypeError, match=r"^value at chamber index 3 must be an integer"):
+            bz.BZDatum(a2.cartan, values)
+    d = bz.BZDatum(a2.cartan, [np.int64(-2), 0, 0, 0, np.int32(1), 0])
+    assert d.values == (-2, 0, 0, 0, 1, 0) and {type(v) for v in d.values} == {int}
+    assert bz.BZDatum(a2.cartan, zeros).values is zeros
+
+
 def test_value_lookup(a2):
     d = a2_datum(a2, -2, -3, -2, -1)
     assert d.value((-1, 0)) == -3

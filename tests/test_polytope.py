@@ -71,6 +71,11 @@ def test_scale(a2):
     assert bz.lusztig_data(a2, s, (1, 2, 1)) == (3, 3, 3)
     with pytest.raises(ValueError):
         polytope.scale(a2, d, -1)
+    # int() would truncate 0.5 to 0 and return the valid zero datum
+    for c in [0.5, 2.0, "2", True]:
+        with pytest.raises(TypeError, match="^scale factor must be an integer"):
+            polytope.scale(a2, d, c)
+    assert polytope.scale(a2, d, np.int64(3)) == s
 
 
 def test_psi_is_support_function_on_rays(a2):
