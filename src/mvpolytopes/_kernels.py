@@ -14,6 +14,8 @@ import numpy as np
 # reach 20,301 rows and the benchmark workloads 80; a larger request (say a
 # coordinate of 10**12) is refused before numpy tries to allocate it.
 MAX_ROWS = 1 << 22
+# Box points the box filter decodes and tests at a time.
+BOX_CHUNK = 1 << 16
 
 
 def resolve_backend() -> str:
@@ -96,13 +98,13 @@ def _count_numpy(parts: np.ndarray, target: np.ndarray) -> int:
     return int(mult[(rems == 0).all(axis=1)].sum())
 
 
-def _box_numpy(bounds: np.ndarray, ineqs: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
+def _box_numpy(bounds: np.ndarray, ineqs: np.ndarray) -> np.ndarray:
     r = bounds.shape[0]
     dims = bounds.astype(np.int64) + 1
     total = math.prod(int(d) for d in dims)
     keep_rows = []
-    for start in range(0, total, chunk):
-        idxs = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, BOX_CHUNK):
+        idxs = np.arange(start, min(start + BOX_CHUNK, total), dtype=np.int64)
         x = np.empty((idxs.shape[0], r), dtype=np.int64)
         rem = idxs
         for j in range(r - 1, -1, -1):

@@ -12,19 +12,19 @@ its report, so it is validated once however often it is asked.
 :func:`from_lusztig` reads the values off every stop of the transport plan
 with one product over the table's pairing stack.  Both products run in int64
 while the sums provably fit, and on Python ints (``dtype=object``) above that
-bound, so they stay exact at any size.
+bound (:func:`cones.exact_dtype`), so they stay exact at any size.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lusztig
-from .cartan import CartanDatum
-from .tables import RELATION_ARGS, IndexTable, Row, index_table
+from .cartan import CartanDatum, _integers
+from .cones import exact_dtype
+from .tables import FACE_RELATIONS, IndexTable, Row, by_relation, index_table
 from .weyl import WeylElement, WeylGroup, weyl_group
 
 
@@ -47,35 +47,15 @@ class BZDatum:
 
     def __post_init__(self):
         group = weyl_group(self.cartan)
-        values = self.values
-        if type(values) is not tuple:
-            values = tuple(values)
+        values = _integers(self.values, "value at chamber index")
         if len(values) != len(group.chamber_weights()):
             raise ValueError(
                 f"expected {len(group.chamber_weights())} values, got {len(values)}"
-            )
-        # C-level in the common case: a tuple of plain ints is kept as it is
-        if set(map(type, values)) != {int}:
-            values = tuple(
-                _integer(v, f"value at chamber index {x}") for x, v in enumerate(values)
             )
         object.__setattr__(self, "values", values)
 
     def value(self, coords) -> int:
         return self.values[weyl_group(self.cartan).chamber_index(tuple(coords))]
-
-
-def _integer(v, what: str) -> int:
-    """v as an ``int``, if it is an integer; ``TypeError`` naming ``what`` if not.
-
-    Unlike ``int(v)`` this refuses floats, strings and ``bool``.
-    """
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise TypeError(f"{what} must be an integer, got {v!r}")
 
 
 def make_bz(group: WeylGroup, values: dict) -> BZDatum:
@@ -163,28 +143,28 @@ def validate(group: WeylGroup, datum: BZDatum) -> ValidationReport:
 def _check(table: IndexTable, M: tuple[int, ...]) -> ValidationReport:
     """The report of the values M, from one product over the check rows.
 
-    Each sum is bounded by max|M| times the largest absolute row sum; below
-    2**62 the product runs in int64, above it on Python ints.
+    Each sum is bounded by max|M| times the largest absolute row sum, which
+    picks the dtype (:func:`cones.exact_dtype`).
     """
-    dtype = np.int64 if max(max(M), -min(M)) * table.check_norm < 1 << 62 else object
+    dtype = exact_dtype(max(max(M), -min(M)), table.check_norm)
     sums = (
         np.array(M, dtype=dtype)[table.check_index]
         * table.check_coef.astype(dtype, copy=False)
     ).sum(0)
     n_edges = len(table.edges)
     # per relation lhs = min(args), the residual min(args) - lhs
-    residuals = sums[n_edges:].reshape(RELATION_ARGS, -1).min(0)
+    residuals = by_relation(table, sums).min(1)
     if sums[:n_edges].min() >= 0 and not residuals.any():
         return _VALID
     edge_bad = tuple(
-        (word, i, c) for (word, i, _), c in zip(table.edges, sums[:n_edges].tolist()) if c < 0
+        (word, i, c) for (word, i), c in zip(table.edges, sums[:n_edges].tolist()) if c < 0
     )
     face_bad = []
     residual = iter(residuals.tolist())
-    for face, relations in table.faces.items():
-        res = tuple(next(residual) for _ in relations)
+    for face in table.faces:
+        res = tuple(next(residual) for _ in FACE_RELATIONS[face.kind])
         if any(res):
-            face_bad.append((*face, res))
+            face_bad.append((face.w.word, face.i, face.j, res))
     return ValidationReport(edge_bad, tuple(face_bad))
 
 
@@ -226,7 +206,7 @@ def from_lusztig(group: WeylGroup, word, n) -> BZDatum:
         at_stops += moved
     # Lusztig data are nonnegative, so every value read off is at most their
     # maximum times the largest absolute row sum of the pairing stack
-    dtype = np.int64 if max(at_stops) * table.pairing_norm < 1 << 62 else object
+    dtype = exact_dtype(max(at_stops), table.pairing_norm)
     read = np.einsum(
         "skl,sl->sk",
         table.pairing.astype(dtype, copy=False),

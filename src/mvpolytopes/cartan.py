@@ -15,6 +15,7 @@ Everything Weyl-group shaped lives in :mod:`mvpolytopes.weyl`.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 
@@ -74,14 +75,28 @@ class CartanDatum:
         return f"CartanDatum({self.family}{self.rank})"
 
 
-def _int_coords(coords) -> tuple[int, ...]:
-    out = []
-    for c in coords:
-        v = int(c)
-        if v != c:
-            raise TypeError(f"coordinate {c!r} is not an integer")
-        out.append(v)
-    return tuple(out)
+def _integer(v, what: str) -> int:
+    """v as an ``int``, if it is an integer; ``TypeError`` naming ``what`` if not.
+
+    Unlike ``int(v)`` this refuses floats, strings and ``bool``.
+    """
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {v!r}")
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, entry k checked by :func:`_integer` as
+    ``what`` k.  A tuple of plain ints, the common case, is checked at C level
+    and returned as it is."""
+    if type(values) is not tuple:
+        values = tuple(values)
+    if set(map(type, values)) != {int}:
+        values = tuple(_integer(v, f"{what} {k}") for k, v in enumerate(values))
+    return values
 
 
 @dataclass(frozen=True)
@@ -92,7 +107,7 @@ class _Vector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _int_coords(self.coords))
+        object.__setattr__(self, "coords", _integers(self.coords, "coordinate"))
         if len(self.coords) != self.cartan.rank:
             raise ValueError(f"{type(self).__name__.lower()} length does not match rank")
 
@@ -174,7 +189,7 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
         raise ValueError("type G is not supported: entries a_ij = -3 are excluded")
     if fam not in ("A", "B", "C", "D"):
         raise ValueError(f"unsupported family {family!r}; expected one of A, B, C, D")
-    rank = int(rank)
+    rank = _integer(rank, "rank")
     if rank < 1:
         raise ValueError("rank must be a positive integer")
     cap = max_rank()

@@ -184,16 +184,21 @@ def det(mat) -> int:
     return -d if swaps % 2 else d
 
 
-def matmul(a, b) -> np.ndarray:
-    """Integer matrix product in int64 that raises OverflowError, never wraps.
+def exact_dtype(size: int, norm: int):
+    """``np.int64`` while ``size`` times ``norm`` is below 2**62, else
+    ``object`` (Python ints): the dtype in which rows of absolute coefficient
+    sum at most ``norm`` times a vector of entries at most ``size`` are exact."""
+    return np.int64 if size * norm < 1 << 62 else object
 
-    Every entry is a sum of ``inner`` products bounded by ``max|a| * max|b|``,
-    so the result is exact while ``max|a| * max|b| * inner`` stays below 2**62.
-    """
+
+def matmul(a, b) -> np.ndarray:
+    """Integer matrix product in int64 that raises OverflowError, never wraps:
+    it runs only where :func:`exact_dtype` allows int64 for the entries of
+    ``b`` and the row-sum bound ``max|a| * inner`` of ``a``."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    bound = _absmax(a) * _absmax(b) * a.shape[-1]
-    if bound >= 1 << 62:
-        raise OverflowError(f"int64 product bound {bound} reaches 2**62")
+    size, norm = _absmax(b), _absmax(a) * a.shape[-1]
+    if exact_dtype(size, norm) is object:
+        raise OverflowError(f"int64 product bound {size * norm} reaches 2**62")
     return a @ b
 
 

@@ -12,23 +12,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .cartan import Coweight
+from .cartan import Coweight, _integers
 from .tables import index_table
 from .weyl import BraidEdge, WeylGroup
 
 
 def _checked(group: WeylGroup, n) -> tuple[int, ...]:
-    """n as a tuple of plain ints, after checking its length and signs.
+    """n as a tuple of plain ints, after checking its entries, length and signs.
 
-    Every step is a C-level call, and a tuple of ints, the common case and
-    the one every transition returns, is not copied.
+    A tuple of ints, the common case and the one every transition returns, is
+    checked at C level and not copied.
     """
-    if type(n) is not tuple:
-        n = tuple(n)
+    n = _integers(n, "Lusztig datum entry")
     if len(n) != group.m:
         raise ValueError(f"need {group.m} entries, got {len(n)}")
-    if set(map(type, n)) != {int}:
-        n = tuple(int(v) for v in n)
     if min(n) < 0:
         raise ValueError(f"Lusztig data must be nonnegative, got {n}")
     return n

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import bz, lusztig
 from .bz import BZDatum
-from .cartan import Coweight, Weight, pairing
+from .cartan import Coweight, Weight, _integer, pairing
+from .cones import exact_dtype
 from .tables import index_table
 from .weyl import WeylElement, WeylGroup
 
@@ -37,14 +38,12 @@ def vertex_matrix(group: WeylGroup, datum: BZDatum) -> np.ndarray:
 
     Row t is the coweight-action matrix of w_t times the values at its
     chamber weights w_t Lambda_i.  Each entry is a sum of r products bounded
-    by max|M| * max|w.alpha_i^vee|; while r times that bound stays below
-    2**62 the product runs in int64, and above it the same product runs on
-    Python ints (``dtype=object``), so the rows are exact either way.
+    by max|M| * max|w.alpha_i^vee|, which picks int64 or Python ints
+    (:func:`cones.exact_dtype`), so the rows are exact either way.
     """
     M = bz._values(group, datum)
     table = index_table(group)
-    bound = max(max(M), -min(M)) * table.coaction_max * group.rank
-    dtype = np.int64 if bound < 1 << 62 else object
+    dtype = exact_dtype(max(max(M), -min(M)), table.coaction_max * group.rank)
     vals = np.array(M, dtype=dtype)[table.chamber_array]
     return (table.coaction.astype(dtype, copy=False) @ vals[:, :, None])[:, :, 0]
 
@@ -98,7 +97,7 @@ def minkowski_sum(group: WeylGroup, *data: BZDatum) -> BZDatum:
 
 def scale(group: WeylGroup, datum: BZDatum, c: int) -> BZDatum:
     """The polytope stretched by the integer factor c >= 0."""
-    c = bz._integer(c, "scale factor")
+    c = _integer(c, "scale factor")
     if c < 0:
         raise ValueError("scale factor must be nonnegative")
     return BZDatum(group.cartan, tuple(c * v for v in bz._values(group, datum)))

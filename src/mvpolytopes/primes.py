@@ -3,15 +3,21 @@
 Each hexagonal 2-face relation picks one of 2 minimum arguments and each
 octagonal face one of 3 x 3; resolving every minimum turns the piecewise
 linear constraints into a rational polyhedral cone in value space (with the
-bottom-vertex values pinned to zero).  Cones whose dimension equals the number
-of positive coroots are the maximal ones; the Hilbert bases of their
-edge-length charts are the prime polytopes, and any polytope decomposes as a
-Minkowski sum of primes from the single cluster whose cone contains it.
+bottom-vertex values pinned to zero).  The cone of a choice is cut out by the
+index table's check rows (see :mod:`mvpolytopes.tables`): the chosen
+argument's row arg_k - lhs at zero, and the edge rows and the other
+arguments' rows arg_t - lhs at least zero.  Where the chosen row vanishes,
+arg_t - lhs equals arg_t - arg_k, so these are the min-relations resolved.
+Cones whose dimension equals the number of positive coroots are the maximal
+ones; the Hilbert bases of their edge-length charts are the prime polytopes,
+and any polytope decomposes as a Minkowski sum of primes from the single
+cluster whose cone contains it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from operator import mul
@@ -21,7 +27,8 @@ import numpy as np
 from . import bz, cones, polytope
 from .bz import BZDatum
 from .cartan import CartanDatum
-from .tables import index_table
+from .cones import exact_dtype
+from .tables import FACE_RELATIONS, IndexTable, by_relation, index_table
 from .weyl import Face, WeylGroup
 
 Vec = tuple[int, ...]
@@ -34,12 +41,12 @@ MAX_CHOICES = 10_000
 
 @dataclass(frozen=True)
 class Relation:
-    """One min-equation on a 2-face: lhs = min(args), as value-space rows."""
+    """One min-equation lhs = min(args) on a 2-face, by its place in
+    ``tables.FACE_RELATIONS``; its rows are the table's check rows."""
 
     face: Face
     index: int  # 0 for hexagons; 0 or 1 for the two octagon equations
-    lhs: Vec
-    args: tuple[Vec, ...]
+    n_args: int
 
 
 @dataclass(frozen=True)
@@ -78,15 +85,18 @@ class Catalog:
     clusters: tuple[Cluster, ...]
     primes: tuple[PrimePolytope, ...]
     relations: tuple[Relation, ...]
-    # derived from clusters: their chart rows stacked, and where each starts
+    # derived from clusters: their chart rows stacked, where each starts, and
+    # the largest sum of |coef| of a row
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _norm: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = [row for c in self.clusters for row in c.ineq_rows_n]
         starts = np.cumsum([0, *(len(c.ineq_rows_n) for c in self.clusters)])[:-1]
         object.__setattr__(self, "_rows", np.array(rows, dtype=np.int64))
         object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_norm", max((sum(map(abs, r)) for r in rows), default=0))
 
     @property
     def n_maximal(self) -> int:
@@ -153,77 +163,25 @@ class _Solver:
         return None
 
 
-def _add(size: int, *terms: tuple[int, int]) -> Vec:
-    row = [0] * size
-    for idx, coef in terms:
-        row[idx] += coef
-    return tuple(row)
-
-
-def _sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def edge_row(group: WeylGroup, w, i: int) -> Vec:
-    """Coefficient vector of the edge length at (w, i) over the value tuple."""
-    group.cartan._check_index(i)
-    table = index_table(group)
-    return _add(len(group.chamber_weights()), *table.edge_rows[table.index[w]][i - 1])
-
-
-def face_relations(group: WeylGroup, face: Face) -> tuple[Relation, ...]:
-    """The face's min-relations: its rows of the index table, densified."""
-    size = len(group.chamber_weights())
-    relations = index_table(group).faces.get((face.w.word, face.i, face.j), ())
-    return tuple(
-        Relation(face, k, _add(size, *lhs), tuple(_add(size, *arg) for arg in args))
-        for k, (lhs, args) in enumerate(relations)
-    )
-
-
-def _fixed_rows(group: WeylGroup, relations):
-    """The rows every choice shares, built once per catalog.
-
-    Returns ``(pins, edges, eq, ineq)``: the bottom-vertex pins M_{Lambda_i} = 0,
-    the edge rows, and per relation and argument k the equation row
-    args[k] - lhs and the inequality rows args[t] - args[k] for t != k.  The
-    cone of a choice is cut out by the pins and its ``eq`` rows, and by the
-    edge rows followed by its ``ineq`` rows, in relation order.
-    """
-    size = len(group.chamber_weights())
-    table = index_table(group)
-    pins = [_add(size, (t, 1)) for t in table.chamber[0]]
-    edges = [_add(size, *row) for _, _, row in table.edges]
-    eq, ineq = [], []
-    for rel in relations:
-        eq.append([_sub(arg, rel.lhs) for arg in rel.args])
-        ineq.append([
-            [_sub(other, arg) for t, other in enumerate(rel.args) if t != k]
-            for k, arg in enumerate(rel.args)
-        ])
-    return pins, edges, eq, ineq
-
-
-def _length_rows(group: WeylGroup) -> list[Vec]:
-    data = group.word_data(group.reference_word)
-    return [
-        edge_row(group, data.prefixes[k], data.word[k]) for k in range(group.m)
-    ]
+def _check_matrix(table: IndexTable, size: int) -> np.ndarray:
+    """The table's check rows as dense int64 rows over the values tuple."""
+    checks = np.zeros((table.check_coef.shape[1], size), dtype=np.int64)
+    columns = np.arange(checks.shape[0])[None, :]
+    np.add.at(checks, (columns, table.check_index), table.check_coef)
+    return checks
 
 
 def _admitting(catalog: Catalog, ns) -> np.ndarray:
     """Boolean (clusters x data) array: cluster t's chart rows admit ns[j].
 
     One product of the stacked chart rows with every datum, then the least
-    value per cluster; in int64 while ``cones.matmul`` allows, past its bound
-    in exact Python ints.
+    value per cluster.  The data are nonnegative, so the product's dtype
+    (:func:`cones.exact_dtype`) follows from their maximum and the rows' norm.
     """
     if not catalog.clusters:
         return np.zeros((0, len(ns)), dtype=bool)
-    try:
-        values = cones.matmul(catalog._rows, np.array(ns, dtype=np.int64).T)
-    except OverflowError:
-        values = catalog._rows.astype(object) @ np.array(ns, dtype=object).T
+    dtype = exact_dtype(max(map(max, ns)), catalog._norm)
+    values = catalog._rows.astype(dtype, copy=False) @ np.array(ns, dtype=dtype).T
     return np.minimum.reduceat(values, catalog._starts, axis=0) >= 0
 
 
@@ -231,31 +189,40 @@ def build_catalog(group: WeylGroup) -> Catalog:
     """Evaluate every face choice, keep the maximal cones, extract the primes."""
     if group._catalog is not None:
         return group._catalog
+    table = index_table(group)
     relations = tuple(
-        rel
-        for face in group.two_faces(("hexagon", "octagon"))
-        for rel in face_relations(group, face)
+        Relation(face, k, len(args))
+        for face in table.faces
+        for k, (_, args) in enumerate(FACE_RELATIONS[face.kind])
     )
-    n_choices = 1
-    for rel in relations:
-        n_choices *= len(rel.args)
+    n_choices = math.prod(rel.n_args for rel in relations)
     if n_choices > MAX_CHOICES:
         raise ValueError(f"{n_choices} face choices exceed the limit of {MAX_CHOICES}")
     size = len(group.chamber_weights())
-    length_rows = _length_rows(group)
-    pins, edges, eq, ineq_by_arg = _fixed_rows(group, relations)
+    checks = _check_matrix(table, size)
+    # the edge lengths along the reference word: its Lusztig data
+    data = group.word_data(group.reference_word)
+    edge_column = {edge: e for e, edge in enumerate(table.edges)}
+    length_rows = checks[[edge_column[w.word, i] for w, i in zip(data.prefixes, data.word)]]
+    # per relation, the check columns of its arguments
+    layout = by_relation(table, np.arange(len(checks))).tolist()
+    args = [columns[: rel.n_args] for columns, rel in zip(layout, relations)]
+    pins = np.eye(size, dtype=np.int64)[list(table.chamber[0])].tolist()
 
     dims: list[int] = []
     maximal = []  # (choice, ineq, basis, rays_m)
     nonmax = []  # (choice, rays_m)
     # one elimination shared along the tree of choices, visited in product order
-    choices = itertools.product(*[range(len(r.args)) for r in relations])
-    bases = cones.product_nullspaces(pins, eq, size)
+    choices = itertools.product(*[range(rel.n_args) for rel in relations])
+    bases = cones.product_nullspaces(pins, [checks[columns].tolist() for columns in args], size)
     for choice, basis in zip(choices, bases, strict=True):
         if not basis:
             dims.append(0)
             continue
-        ineq = edges + [row for rows, k in zip(ineq_by_arg, choice) for row in rows[k]]
+        # the edge rows, then the other arguments' rows arg_t - lhs, which read
+        # as arg_t - arg_k on the basis, where the chosen argument's row is zero
+        others = (c for columns, k in zip(args, choice) for c in columns if c != columns[k])
+        ineq = checks[[*range(len(table.edges)), *others]]
         chart_rows = cones.matmul(ineq, np.transpose(basis)).tolist()
         rays_x = cones.extreme_rays(chart_rows, len(basis))
         rays_m = [cones.primitive(r) for r in cones.matmul(rays_x, basis).tolist()]

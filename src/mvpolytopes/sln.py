@@ -12,6 +12,7 @@ played against each other.
 from __future__ import annotations
 
 from . import bz
+from .cartan import _integer, _integers
 from .weyl import WeylGroup
 
 Pair = tuple[int, int]
@@ -86,12 +87,13 @@ def picture_to_lusztig(n: int, picture: dict) -> tuple[int, ...]:
     allowed = set(all_pairs(n))
     vals = {}
     for key, v in picture.items():
-        pair = (int(key[0]), int(key[1]))
+        pair = _integers(key, f"pair {key!r}: entry")
         if pair not in allowed:
             raise ValueError(f"{pair} is not a pair of 1..{n}")
-        if int(v) < 0:
+        v = _integer(v, f"multiplicity at {pair}")
+        if v < 0:
             raise ValueError(f"multiplicity at {pair} must be nonnegative")
-        vals[pair] = vals.get(pair, 0) + int(v)
+        vals[pair] = vals.get(pair, 0) + v
     return tuple(vals.get(p, 0) for p in all_pairs(n))
 
 

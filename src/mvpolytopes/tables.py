@@ -7,19 +7,18 @@ loops in :mod:`bz`, :mod:`polytope` and :mod:`primes` touch ints only;
 ``Weight`` and ``Coweight`` objects appear only at the API boundary.
 
 The polytope constraints are integer rows over the values tuple, held here
-and nowhere else: an edge row per (w, i), whose value is the edge length,
-and per hexagonal or octagonal 2-face the rows of its min-relations
-lhs = min(args).  Those relations are written once, in
-:data:`FACE_RELATIONS`, over a face's chamber weights A..H; the table maps
-them to chamber indices.  :func:`primes.face_relations` hands the rows to
-the cone algebra.  For :func:`bz.validate` the same rows are compiled into
-one padded gather pair ``(check_index, check_coef)`` with a column per row:
-the edge rows, then the rows arg_k - lhs of every relation for k = 1, 2, 3
-(a hexagon repeats its last arg).  The sums
-``(M[check_index] * check_coef).sum(0)`` are then the edge lengths followed
-by three blocks whose elementwise minimum is the residual min(args) - lhs of
-each relation.  A datum is valid when the edge lengths are nonnegative and
-every residual is zero.
+and nowhere else as the check rows: one padded gather pair ``(check_index,
+check_coef)`` with a column per row.  The edge block comes first, one row per
+(w, i) whose value is the edge length; then, for each min-relation
+lhs = min(args) of a hexagonal or octagonal 2-face, a row arg_k - lhs per
+argument k, laid out as :func:`by_relation` reads them (a hexagon repeats its
+last).  The relations are written once, in :data:`FACE_RELATIONS`, over a
+face's chamber weights A..H.  :func:`bz.validate` sums every column: a datum
+is valid when the edge lengths are nonnegative and the least sum over each
+relation's columns, its residual min(args) - lhs, is zero.
+:func:`primes.build_catalog` reads the same rows: a choice of one argument
+per relation cuts out the cone where the chosen argument's row is zero and
+the edge rows and the other arguments' rows are nonnegative.
 
 The vertices mu_w = sum_i M(w Lambda_i) w.alpha_i^vee of a datum are one
 integer product: the table keeps the chamber indices w Lambda_i as an
@@ -37,8 +36,8 @@ weight.  The plan is a parent braid edge per reduced word, each one step
 closer to the reference word, and a fixed chain of braid edges from the
 reference word through such covering words (its stops).  Pairing rows are
 kept for the stops only: rows for all 2316 reduced words of D4 would cost
-more memory than the rest of the table.  The stops' rows are also stacked
-as an ``(S, m, m)`` array ``pairing`` with the chamber index of each row in
+more memory than the rest of the table.  The stops' rows are stacked as an
+``(S, m, m)`` array ``pairing`` with the chamber index of each row in
 ``targets``, so that every stop is read off with one product; ``source``
 names, per chamber weight, the first row reaching it, and building it checks
 that the plan reaches every chamber weight.
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import BraidEdge, BraidGraph, WeylElement, WeylGroup
+from .weyl import BraidEdge, BraidGraph, Face, WeylElement, WeylGroup
 
 Word = tuple[int, ...]
 # sparse integer row: the value is sum(coef * x[index] for index, coef in row)
@@ -90,16 +89,11 @@ RELATION_ARGS = max(len(args) for rels in FACE_RELATIONS.values() for _, args in
 
 @dataclass(frozen=True)
 class Stop:
-    """A word of the plan whose chamber weights get values.
-
-    ``edges`` lead to it from the previous stop (none for the reference
-    word); ``rows`` pair each chamber index gamma_k of the word with the
-    coefficients <beta_l, gamma_k>, l <= k, over the word's Lusztig data.
-    """
+    """A word of the plan whose chamber weights get values; ``edges`` lead to
+    it from the previous stop (none for the reference word)."""
 
     word: Word
     edges: tuple[BraidEdge, ...]
-    rows: tuple[tuple[int, Row], ...]
 
 
 @dataclass(frozen=True)
@@ -114,19 +108,19 @@ class IndexTable:
     chamber: tuple[tuple[int, ...], ...]  # [t][i - 1]: chamber index of w_t . Lambda_i
     right: tuple[tuple[int, ...], ...]  # [t][i - 1]: element index of w_t s_i
     edge_rows: tuple[tuple[Row, ...], ...]  # [t][i - 1]: edge length at (w_t, i)
-    # (word of w, i, row) for each w and then each i with l(w s_i) > l(w)
-    edges: tuple[tuple[Word, int, Row], ...]
-    faces: dict[tuple[Word, int, int], tuple[tuple[Row, tuple[Row, ...]], ...]]
-    # (word of w, i, j) -> (lhs row, arg rows) per FACE_RELATIONS entry, for
-    # the hexagons and octagons in group.two_faces order
+    # (word of w, i) for each w and then each i with l(w s_i) > l(w): the
+    # edge block of the check rows, in column order
+    edges: tuple[tuple[Word, int], ...]
+    # the hexagons and octagons in group.two_faces order; their relations, in
+    # FACE_RELATIONS order per face, are the rows of ``by_relation``
+    faces: tuple[Face, ...]
     parent: dict[Word, BraidEdge | None]  # toward the reference word; None at it
     plan: tuple[Stop, ...]  # starts at the reference word
-    # the check rows, one per column: the E rows of ``edges``, then for k = 1,
-    # 2, 3 the rows arg_k - lhs of the R relations of ``faces`` in order (a
-    # hexagon repeats its last arg), as chamber indices and coefficients
-    # padded with 0
-    check_index: np.ndarray  # intp (width, E + 3R)
-    check_coef: np.ndarray  # int64 (width, E + 3R)
+    # the check rows, one per column, as chamber indices and coefficients
+    # padded with 0: the E edge rows, then the rows arg_k - lhs of the R
+    # relations, at the columns ``by_relation`` reads
+    check_index: np.ndarray  # intp (width, E + RELATION_ARGS * R)
+    check_coef: np.ndarray  # int64 (width, E + RELATION_ARGS * R)
     check_norm: int  # max over the check rows of sum |coef|
     pairing: np.ndarray  # int64 (S, m, m): [s][k][l] is <beta_l, gamma_k> at stop s
     pairing_norm: int  # max over the pairing rows of sum |coef|
@@ -149,9 +143,12 @@ def index_table(group: WeylGroup) -> IndexTable:
     return group._table
 
 
-def _at(indices: tuple[int, ...], row: Row) -> Row:
-    """A row over face positions as a row over chamber indices."""
-    return tuple((indices[p], c) for p, c in row)
+def by_relation(table: IndexTable, per_column: np.ndarray) -> np.ndarray:
+    """The relation columns of an array with one entry per check row, as an
+    ``(R, RELATION_ARGS)`` view whose entry [r][k] belongs to the row
+    arg_k - lhs of relation r.  Applied to the check sums it gives each
+    relation's residuals, and applied to the column numbers the columns."""
+    return per_column[len(table.edges) :].reshape(RELATION_ARGS, -1).T
 
 
 def _face_indices(chamber, right, t: int, i: int, j: int, kind: str) -> tuple[int, ...]:
@@ -194,22 +191,27 @@ def _build(group: WeylGroup) -> IndexTable:
         )
         for t in range(len(elements))
     )
-    edges = tuple(
-        (w.word, i, edge_rows[t][i - 1])
+    ascents = [
+        (t, i)
         for t, w in enumerate(elements)
         for i in range(1, r + 1)
         if elements[right[t][i - 1]].length > w.length
-    )
-    faces = {}
-    for f in group.two_faces(("hexagon", "octagon")):
+    ]
+    faces = group.two_faces(("hexagon", "octagon"))
+    relations = []  # per relation, its rows arg_k - lhs
+    for f in faces:
         at = _face_indices(chamber, right, index[f.w], f.i, f.j, f.kind)
-        faces[f.w.word, f.i, f.j] = tuple(
-            (_at(at, lhs), tuple(_at(at, arg) for arg in args))
-            for lhs, args in FACE_RELATIONS[f.kind]
-        )
+        relations += [
+            [_difference(at, arg, lhs) for arg in args] for lhs, args in FACE_RELATIONS[f.kind]
+        ]
+    # the layout by_relation reads: the edge block, then block k holds
+    # argument k of every relation, a hexagon's last argument repeated
+    rows = [edge_rows[t][i - 1] for t, i in ascents]
+    for k in range(RELATION_ARGS):
+        rows += [args[min(k, len(args) - 1)] for args in relations]
+    check_index, check_coef = _padded(rows)
     graph = group.braid_graph()
     plan = _plan(group, graph, chamber, right)
-    check_index, check_coef = _check_rows(edges, faces)
     pairing, targets, source = _pairing_stack(group, plan, chamber[0])
     coaction = np.array([w.comat for w in elements], dtype=np.int64).reshape(-1, r, r)
     chamber_keys = tuple(coords_key(c.weight.coords) for c in group.chamber_weights())
@@ -218,7 +220,7 @@ def _build(group: WeylGroup) -> IndexTable:
         chamber=chamber,
         right=right,
         edge_rows=edge_rows,
-        edges=edges,
+        edges=tuple((elements[t].word, i) for t, i in ascents),
         faces=faces,
         parent=_parents(graph, group.reference_word),
         plan=plan,
@@ -238,23 +240,20 @@ def _build(group: WeylGroup) -> IndexTable:
     )
 
 
-def _difference(arg: Row, lhs: Row) -> Row:
-    """The row arg - lhs, one entry per chamber index, zeros dropped."""
+def _difference(at: tuple[int, ...], arg: Row, lhs: Row) -> Row:
+    """The row arg - lhs over face positions as a row over the chamber indices
+    ``at`` of those positions, one entry per index, zeros dropped."""
     total: dict[int, int] = {}
-    for t, c in arg:
-        total[t] = total.get(t, 0) + c
-    for t, c in lhs:
-        total[t] = total.get(t, 0) - c
+    for p, c in arg:
+        total[at[p]] = total.get(at[p], 0) + c
+    for p, c in lhs:
+        total[at[p]] = total.get(at[p], 0) - c
     return tuple((t, c) for t, c in total.items() if c)
 
 
-def _check_rows(edges, faces) -> tuple[np.ndarray, np.ndarray]:
-    """The edge rows, then the rows arg_k - lhs of every relation for
-    k = 1..RELATION_ARGS, as one padded pair of ``(width, rows)`` arrays."""
-    relations = [rel for relations in faces.values() for rel in relations]
-    rows = [row for _, _, row in edges]
-    for k in range(RELATION_ARGS):
-        rows += [_difference(args[min(k, len(args) - 1)], lhs) for lhs, args in relations]
+def _padded(rows: list[Row]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows as one ``(width, rows)`` pair of chamber indices and
+    coefficients, padded with 0."""
     shape = (max(map(len, rows)), len(rows))
     index, coef = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.int64)
     for k, row in enumerate(rows):
@@ -266,15 +265,17 @@ def _check_rows(edges, faces) -> tuple[np.ndarray, np.ndarray]:
 def _pairing_stack(
     group: WeylGroup, plan: tuple[Stop, ...], identity: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stops' pairing rows as ``(pairing, targets, source)``."""
+    """The stops' pairing rows as ``(pairing, targets, source)``: at stop s,
+    row k pairs gamma_k of its word with the coroots beta_l, l <= k."""
     m = group.m
     pairing = np.zeros((len(plan), m, m), dtype=np.int64)
     targets = np.zeros(len(plan) * m, dtype=np.intp)
     for s, stop in enumerate(plan):
-        for k, (t, row) in enumerate(stop.rows):
-            targets[s * m + k] = t
-            for l, c in row:
-                pairing[s, k, l] = c
+        data = group.word_data(stop.word)
+        gammas = [gamma.coords for gamma in data.gammas]
+        coroots = np.array([beta.coords for beta in data.coroots], dtype=np.int64)
+        pairing[s] = np.tril(np.array(gammas, dtype=np.int64) @ coroots.T)
+        targets[s * m : (s + 1) * m] = [group.chamber_index(g) for g in gammas]
     source = np.full(len(group.chamber_weights()), -1, dtype=np.intp)
     source[list(identity)] = targets.size
     for p, t in enumerate(targets.tolist()):
@@ -323,7 +324,7 @@ def _plan(group: WeylGroup, graph: BraidGraph, chamber, right) -> tuple[Stop, ..
     covered = masks[at]
     for t in chamber[0]:
         covered |= 1 << t
-    stops = [Stop(at, (), _pairing_rows(group, at))]
+    stops = [Stop(at, ())]
     while covered != full:
         via: dict[Word, BraidEdge] = {}
         level, best, gain = [at], at, 0
@@ -348,18 +349,5 @@ def _plan(group: WeylGroup, graph: BraidGraph, chamber, right) -> tuple[Stop, ..
             word = via[word].src
         at = best
         covered |= masks[at]
-        stops.append(Stop(at, tuple(reversed(path)), _pairing_rows(group, at)))
+        stops.append(Stop(at, tuple(reversed(path))))
     return tuple(stops)
-
-
-def _pairing_rows(group: WeylGroup, word: Word) -> tuple[tuple[int, Row], ...]:
-    data = group.word_data(word)
-    rows = []
-    for k, gamma in enumerate(data.gammas):
-        row = []
-        for l in range(k + 1):
-            c = sum(x * y for x, y in zip(data.coroots[l].coords, gamma.coords))
-            if c:
-                row.append((l, c))
-        rows.append((group.chamber_index(gamma.coords), tuple(row)))
-    return tuple(rows)

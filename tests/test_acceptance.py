@@ -11,7 +11,7 @@ import pytest
 from mvpolytopes import bz, lusztig, polytope, primes, rep, sln
 from mvpolytopes.cartan import build_cartan, pairing
 from mvpolytopes.weyl import weyl_group
-from test_assembly_oracle import coweight_of, edge_pairs
+from test_assembly_oracle import coweight_of, edge_pairs, edge_row
 from test_sln import collapse_relations_hold
 
 
@@ -286,7 +286,7 @@ def test_concavity_equivalence():
         batch = rng.integers(-5, 1, size=(10_000, q))
 
         edge_rows = np.array(
-            [primes.edge_row(g, w, i) for w, i in edge_pairs(g)], dtype=np.int64
+            [edge_row(g, w, i) for w, i in edge_pairs(g)], dtype=np.int64
         )
         edges_ok = (edge_rows @ batch.T >= 0).all(axis=0)
 

@@ -6,9 +6,12 @@ from the given word, reads values off every word it reaches with
 weight reached twice.  ``shortest_word_path`` is a breadth-first
 chain of braid moves between two words.  ``reference_validate`` recomputes
 edge lengths and 2-face residuals from ``Weight`` objects, over the edges
-``edge_pairs`` lists.  ``coweight_of`` is the coweight sum n_k beta_k of
-Lusztig data along a word.  None of them reads the per-group index table, so
-they are independent of the transport plan and the parent tree they check.
+``edge_pairs`` lists; ``edge_row`` and ``relation_rows`` are the same
+constraints as dense rows over the values tuple, the latter placing
+``tables.FACE_RELATIONS`` at a face's chamber weights A..H.  ``coweight_of``
+is the coweight sum n_k beta_k of Lusztig data along a word.  None of them
+reads the per-group index table, so they are independent of the transport
+plan, the parent tree and the check rows they check.
 """
 
 import dataclasses
@@ -56,6 +59,49 @@ def reference_edge_length(group, datum, w, i):
         if j != i:
             val -= group.cartan.entry(j, i) * datum.value(group.w_lambda(w, j).coords)
     return val
+
+
+def edge_row(group, w, i):
+    """Dense row of the edge length at (w, i) over the values tuple."""
+    row = [0] * len(group.chamber_weights())
+    at = lambda u, t: group.chamber_index(group.w_lambda(u, t).coords)
+    row[at(w, i)] -= 1
+    row[at(group.right(w, i), i)] -= 1
+    for j in range(1, group.rank + 1):
+        if j != i:
+            row[at(w, j)] -= group.cartan.entry(j, i)
+    return tuple(row)
+
+
+def face_weights(group, face):
+    """The chamber weights A..F of a hexagon, or A..H of an octagon."""
+    w, i, j = face.w, face.i, face.j
+    wsi, wsj = group.right(w, i), group.right(w, j)
+    wsij, wsji = group.right(wsi, j), group.right(wsj, i)
+    out = [(w, i), (w, j), (wsi, i), (wsj, j), (wsij, j), (wsji, i)]
+    if face.kind == "octagon":
+        out += [(group.right(wsij, i), i), (group.right(wsji, j), j)]
+    return [group.w_lambda(u, t) for u, t in out]
+
+
+def relation_rows(group, face):
+    """Dense rows ``(lhs, args)`` of the face's min-relations lhs = min(args),
+    by ``tables.FACE_RELATIONS`` at its chamber weights A..H; none for a
+    rectangle."""
+    if face.kind not in tables.FACE_RELATIONS:
+        return []
+    at = [group.chamber_index(x.coords) for x in face_weights(group, face)]
+    size = len(group.chamber_weights())
+
+    def dense(row):
+        out = [0] * size
+        for p, c in row:
+            out[at[p]] += c
+        return tuple(out)
+
+    return [
+        (dense(lhs), tuple(map(dense, args))) for lhs, args in tables.FACE_RELATIONS[face.kind]
+    ]
 
 
 def reference_residuals(group, datum, face):
@@ -233,7 +279,7 @@ def test_plan_covers_every_chamber_weight():
                 assert e.src == at
                 at = e.dst
             assert at == stop.word
-            reached |= {t for t, _ in stop.rows}
+        reached |= set(table.targets.tolist())
         assert reached == set(range(len(g.chamber_weights())))
 
 
@@ -313,11 +359,10 @@ def test_word_path_turns_where_the_parent_chains_meet(b3):
 
 
 def row_residuals(group, datum, face):
-    """The residuals min(args) - lhs of the face's densified relation rows."""
+    """The residuals min(args) - lhs of the face's dense relation rows."""
     dot = lambda row: sum(a * b for a, b in zip(row, datum.values))
     return tuple(
-        min(dot(arg) for arg in rel.args) - dot(rel.lhs)
-        for rel in primes.face_relations(group, face)
+        min(dot(arg) for arg in args) - dot(lhs) for lhs, args in relation_rows(group, face)
     )
 
 
@@ -359,7 +404,7 @@ def test_table_constraints_match_object_reference(family, rank):
                 for i in range(1, g.rank + 1):
                     want = reference_edge_length(g, d, w, i)
                     assert bz.edge_length(g, d, w, i) == want
-                    row = primes.edge_row(g, w, i)
+                    row = edge_row(g, w, i)
                     assert sum(a * b for a, b in zip(row, d.values)) == want
             other = g.braid_graph().words[rng.integers(len(g.braid_graph().words))]
             data = g.word_data(other)
@@ -490,10 +535,30 @@ def test_report_is_kept_on_the_datum(a3):
 
 
 def test_face_relations_rows_match_residuals():
+    """The densified check rows, read through ``tables.by_relation``, give
+    the reference edge lengths and 2-face residuals."""
     rng = np.random.default_rng(5)
     for family, rank in [("B", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
         g = group_of(family, rank)
+        table = index_table(g)
+        checks = primes._check_matrix(table, len(g.chamber_weights())).tolist()
+        n_args = [len(args) for f in table.faces for _, args in tables.FACE_RELATIONS[f.kind]]
+        layout = tables.by_relation(table, np.arange(len(checks))).tolist()
+        assert np.shape(layout) == (len(n_args), tables.RELATION_ARGS)
+        assert sorted(c for columns in layout for c in columns) == list(
+            range(len(table.edges), len(checks))
+        )
+        assert list(table.faces) == list(g.two_faces(("hexagon", "octagon")))
+        assert table.edges == tuple((w.word, i) for w, i in edge_pairs(g))
+        for columns, k in zip(layout, n_args):
+            # a relation with fewer arguments repeats its last
+            assert all(checks[c] == checks[columns[k - 1]] for c in columns[k:])
         for word, n in random_data(g, rng, 3):
             d = perturbed(g, rng, bz.from_lusztig(g, word, n))
-            for face in g.two_faces(("hexagon", "octagon")):
-                assert row_residuals(g, d, face) == reference_residuals(g, d, face)
+            sums = [sum(a * b for a, b in zip(row, d.values)) for row in checks]
+            for (w, i), c in zip(edge_pairs(g), sums):
+                assert c == reference_edge_length(g, d, w, i)
+            residuals = iter(min(sums[c] for c in cols[:k]) for cols, k in zip(layout, n_args))
+            for face in table.faces:
+                res = tuple(next(residuals) for _ in tables.FACE_RELATIONS[face.kind])
+                assert res == row_residuals(g, d, face) == reference_residuals(g, d, face)

@@ -1,6 +1,7 @@
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from mvpolytopes.cartan import Coweight, Weight, build_cartan, pairing
@@ -102,3 +103,18 @@ def test_values_are_ints():
     assert all(isinstance(t, int) for t in w.coords)
     with pytest.raises(TypeError):
         c.weight((0.5, 0))
+
+
+def test_coordinates_and_rank_must_be_integers():
+    """int() would read the rank 2.7 as 2 and True as 1, and accept 1.0 and
+    True as coordinates; the error names the entry at fault."""
+    c = build_cartan("A", 2)
+    with pytest.raises(TypeError, match=r"^coordinate 0 must be an integer, got 1\.0"):
+        c.coweight((1.0, True))
+    with pytest.raises(TypeError, match="^coordinate 1 must be an integer, got True"):
+        c.weight((1, True))
+    for rank in [2.7, True, "2"]:
+        with pytest.raises(TypeError, match=f"^rank must be an integer, got {rank!r}"):
+            build_cartan("A", rank)
+    assert c.coweight([np.int64(1), 2]).coords == (1, 2)
+    assert build_cartan("A", np.int64(2)) == c

@@ -7,13 +7,16 @@ ones, and ``oracle_catalog`` is the brute-force catalog build on them with the
 back-map through a ``Fraction`` inverse.  ``brute_extreme_rays`` intersects
 every rank ``dim - 1`` set of inequalities.  ``frozenset_extreme_rays`` is the
 double description over every row with ``frozenset`` zero sets, and
-``choice_rows`` the dense value-space rows of one choice, both as the catalog
-build ran them before it dropped repeated rows and shared one elimination
-along the choice tree.  ``pairwise_hilbert_basis`` reduces the box candidates
-pair by pair, and ``search_decompose`` finds the first cluster whose chart
-rows admit the Lusztig data and searches every generator, largest multiple
-first, pruning remainders outside the cone: both as ``cones`` and ``primes``
-ran them before they moved onto int64 arrays.  None of them calls the
+``choice_rows`` the dense value-space rows of one choice, with args[t] -
+args[k] for each unchosen argument t, both as the catalog build ran them
+before it dropped repeated rows, shared one elimination along the choice tree
+and read the table's check rows; its rows come from ``Weight`` objects
+(``edge_row`` and ``relation_rows``), not from the index table.
+``pairwise_hilbert_basis`` reduces the box candidates pair by pair, and
+``search_decompose`` finds the first cluster whose chart rows admit the
+Lusztig data and searches every generator, largest multiple first, pruning
+remainders outside the cone: both as ``cones`` and ``primes`` ran them
+before they moved onto int64 arrays.  None of them calls the
 fraction-free elimination, ``cones.extreme_rays``, ``cones.hilbert_basis``
 or ``cones.matmul``.
 """
@@ -31,8 +34,8 @@ from hypothesis import strategies as st
 
 from mvpolytopes import bz, cones, polytope, primes
 from mvpolytopes.cartan import build_cartan
-from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
+from test_assembly_oracle import edge_pairs, edge_row, relation_rows
 
 # -- references ------------------------------------------------------------------
 
@@ -288,11 +291,20 @@ def search_decompose(catalog, n):
     return t, counts
 
 
-def unit_row(size, *terms):
-    row = [0] * size
-    for idx, coef in terms:
-        row[idx] += coef
-    return tuple(row)
+def value_relations(group):
+    """Dense ``(lhs, args)`` rows of every hexagon and octagon relation, in
+    ``group.two_faces`` order and then ``tables.FACE_RELATIONS`` order."""
+    return [
+        rows
+        for face in group.two_faces(("hexagon", "octagon"))
+        for rows in relation_rows(group, face)
+    ]
+
+
+def length_rows_of(group):
+    """Dense rows of the edge lengths along the reference word."""
+    data = group.word_data(group.reference_word)
+    return [edge_row(group, w, i) for w, i in zip(data.prefixes, data.word)]
 
 
 def choice_rows(group, relations, choice):
@@ -300,28 +312,27 @@ def choice_rows(group, relations, choice):
     pins and one equation per relation, then the edge rows and the
     inequalities of the unchosen arguments."""
     size = len(group.chamber_weights())
-    table = index_table(group)
-    eq = [unit_row(size, (t, 1)) for t in table.chamber[0]]
-    ineq = [unit_row(size, *row) for _, _, row in table.edges]
-    for rel, k in zip(relations, choice):
-        eq.append(tuple(a - b for a, b in zip(rel.args[k], rel.lhs)))
-        for t, arg in enumerate(rel.args):
+    eq = []
+    for i in range(1, group.rank + 1):
+        pin = [0] * size
+        pin[group.chamber_index(group.cartan.fundamental_weight(i).coords)] = 1
+        eq.append(tuple(pin))
+    ineq = [edge_row(group, w, i) for w, i in edge_pairs(group)]
+    for (lhs, args), k in zip(relations, choice):
+        eq.append(tuple(a - b for a, b in zip(args[k], lhs)))
+        for t, arg in enumerate(args):
             if t != k:
-                ineq.append(tuple(a - b for a, b in zip(arg, rel.args[k])))
+                ineq.append(tuple(a - b for a, b in zip(arg, args[k])))
     return eq, ineq
 
 
 def oracle_catalog(group):
     """The brute-force catalog with Fraction elimination and back-map."""
-    relations = tuple(
-        rel
-        for face in group.two_faces(("hexagon", "octagon"))
-        for rel in primes.face_relations(group, face)
-    )
+    relations = value_relations(group)
     size = len(group.chamber_weights())
-    length_rows = primes._length_rows(group)
+    length_rows = length_rows_of(group)
     dims, maximal, nonmax = [], [], []
-    for choice in itertools.product(*[range(len(r.args)) for r in relations]):
+    for choice in itertools.product(*[range(len(args)) for _, args in relations]):
         eq, ineq = choice_rows(group, relations, choice)
         basis = fraction_nullspace(eq, size)
         if not basis:
@@ -386,6 +397,11 @@ def oracle_catalog(group):
             (choice, tuple(labels[v] for _, v in pairs), tuple(g for g, _ in pairs), rays_m, rows_n)
         )
     return {
+        "relations": [
+            (face, k, len(args))
+            for face in group.two_faces(("hexagon", "octagon"))
+            for k, (_, args) in enumerate(relation_rows(group, face))
+        ],
         "n_choices": len(dims),
         "dims": tuple(dims),
         "clusters": out_clusters,
@@ -546,7 +562,7 @@ def test_matmul_refuses_products_that_could_overflow():
 # -- catalogs --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3)])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("D", 3)])
 def test_catalog_matches_fraction_oracle(family, rank):
     group = weyl_group(build_cartan(family, rank))
     want = oracle_catalog(group)
@@ -556,6 +572,7 @@ def test_catalog_matches_fraction_oracle(family, rank):
     assert [str(w.message) for w in caught] == [
         f"choice {c} spans a cone outside every maximal cone" for c in want["uncovered"]
     ]
+    assert [(r.face, r.index, r.n_args) for r in got.relations] == want["relations"]
     assert got.n_choices == want["n_choices"]
     assert got.dims == want["dims"]
     assert [
@@ -571,13 +588,14 @@ def test_chart_rows_contain_the_rays_value_space_rows_contain(family, rank):
     group = weyl_group(build_cartan(family, rank))
     cat = primes.build_catalog(group)
     size = len(group.chamber_weights())
-    length_rows = primes._length_rows(group)
+    length_rows = length_rows_of(group)
+    relations = value_relations(group)
     value_rows = []
     for c in cat.clusters:
-        eq, ineq = choice_rows(group, cat.relations, c.choice)
+        eq, ineq = choice_rows(group, relations, c.choice)
         value_rows.append((np.array(eq), np.array(ineq)))
-    for choice in itertools.product(*[range(len(r.args)) for r in cat.relations]):
-        eq, ineq = choice_rows(group, cat.relations, choice)
+    for choice in itertools.product(*[range(r.n_args) for r in cat.relations]):
+        eq, ineq = choice_rows(group, relations, choice)
         basis = fraction_nullspace(eq, size)
         if not basis:
             continue

@@ -45,10 +45,26 @@ def test_transition_checks_and_copies_only_foreign_entries(a2):
     for n in [(1, -1, 0), (1, 1), (0, 0, 0, 0)]:
         with pytest.raises(ValueError):
             lusztig.braid_transition(a2, edge, n)
-    for n in [np.array([2, 1, 1]), (True, 1, 1), [2.0, 1, 1]]:
+    for n in [np.array([2, 1, 1]), [np.int32(2), 1, 1]]:
         out = lusztig.braid_transition(a2, edge, n)
-        assert out == lusztig.braid_transition(a2, edge, tuple(int(v) for v in n))
+        assert out == lusztig.braid_transition(a2, edge, (2, 1, 1))
         assert {type(v) for v in out} == {int}
+    # int() would read these as (1, 1, 1) and (2, 1, 1)
+    for n in [(True, 1, 1), [2.0, 1, 1]]:
+        with pytest.raises(TypeError, match="^Lusztig datum entry 0 must be an integer"):
+            lusztig.braid_transition(a2, edge, n)
+
+
+def test_lusztig_data_must_be_integers(a2):
+    """int() would read these as (0, 1, 1) and (1, 2, 0), which transports to
+    (2, 0, 3); the error names the first entry at fault."""
+    with pytest.raises(TypeError, match=r"^Lusztig datum entry 0 must be an integer, got 0\.9"):
+        bz.from_lusztig(a2, (1, 2, 1), (0.9, 1, 1))
+    with pytest.raises(TypeError, match=r"^Lusztig datum entry 0 must be an integer, got 1\.7"):
+        lusztig.transport(a2, (1, 2, 1), (2, 1, 2), (1.7, 2, 0))
+    with pytest.raises(TypeError, match="^Lusztig datum entry 1 must be an integer, got '2'"):
+        lusztig.transport(a2, (1, 2, 1), (2, 1, 2), (1, "2", 0))
+    assert lusztig.transport(a2, (1, 2, 1), (2, 1, 2), np.array([1, 2, 0])) == (2, 0, 3)
 
 
 def test_hexagon_transition_frozen(a2):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import re
+from operator import mul
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mvpolytopes import bz, polytope, primes
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.cli import main
 from mvpolytopes.weyl import WeylGroup, weyl_group
-from test_cone_oracle import choice_rows
+from test_cone_oracle import choice_rows, value_relations
 
 
 def test_a2_catalog_shape(a2):
@@ -163,8 +164,9 @@ def test_chart_rows_are_sorted_distinct_and_primitive(family, rank):
 def _value_space_cluster(group, catalog, values):
     """The first cluster whose value-space rows admit the values: the scan
     decompose ran before the cones were kept in the Lusztig chart."""
+    relations = value_relations(group)
     for t, c in enumerate(catalog.clusters):
-        eq, ineq = choice_rows(group, catalog.relations, c.choice)
+        eq, ineq = choice_rows(group, relations, c.choice)
         if all(np.dot(e, values) == 0 for e in eq) and all(np.dot(s, values) >= 0 for s in ineq):
             return t
     return None
@@ -216,6 +218,25 @@ def test_decompose_errors_name_the_lusztig_data_and_the_cluster(family, rank):
         RuntimeError, match=r"^prime multiples .* sum to .*, not to the datum .* with " + in_cluster
     ):
         primes.decompose(group, datum, mislabeled)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("A", 3)])
+def test_admitting_is_exact_at_the_int64_bound(family, rank):
+    """Data that fill a chart row with b where its coefficient is positive and
+    0 elsewhere, so they stay nonnegative, for b on both sides of the int64
+    bound of the product, at a row value of 2**63, and past int64."""
+    cat = primes.build_catalog(weyl_group(build_cartan(family, rank)))
+    rows = cat._rows.tolist()
+    assert cat._norm == max(sum(map(abs, row)) for row in rows)
+    top = max(sum(c for c in row if c > 0) for row in rows)
+    bounds = [((1 << 62) - 1) // cat._norm, -(-(1 << 62) // cat._norm), -(-(1 << 63) // top)]
+    for b in [*bounds, 1 << 70]:
+        ns = [tuple(b if c > 0 else 0 for c in row) for row in rows]
+        want = [
+            [all(sum(map(mul, r, n)) >= 0 for r in c.ineq_rows_n) for n in ns]
+            for c in cat.clusters
+        ]
+        assert primes._admitting(cat, ns).tolist() == want
 
 
 def test_derived_lookup_and_solve_data_follow_replace(b2):

@@ -121,3 +121,14 @@ def test_collapse_relations_hold(a3, rng):
 def test_picture_to_lusztig_rejects_negatives():
     with pytest.raises(ValueError):
         sln.picture_to_lusztig(3, {(1, 2): -1})
+
+
+def test_picture_to_lusztig_rejects_non_integers():
+    """int() would read the multiplicity 1.9 as 1 and the pair ("1", "3") as (1, 3)."""
+    with pytest.raises(TypeError, match=r"^multiplicity at \(1, 2\) must be an integer, got 1\.9"):
+        sln.picture_to_lusztig(3, {(1, 2): 1.9, (1, 3): 2})
+    with pytest.raises(TypeError, match=r"^pair \('1', '3'\): entry 0 must be an integer, got '1'"):
+        sln.picture_to_lusztig(3, {(1, 2): 1, ("1", "3"): 2})
+    with pytest.raises(TypeError, match=r"^multiplicity at \(1, 3\) must be an integer, got True"):
+        sln.picture_to_lusztig(3, {(1, 3): True})
+    assert sln.picture_to_lusztig(3, {(1, 2): 1, (2, 3): 2}) == (1, 0, 2)
