@@ -9,6 +9,7 @@ they become floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import polytope
@@ -35,7 +36,7 @@ def _embed_basis(a12: int, a21: int) -> tuple[tuple[float, float], tuple[float, 
 def _face_points(group: WeylGroup, datum: BZDatum, face) -> tuple[list, int, tuple]:
     """The distinct 2-face vertices in the coroot basis of the face.
 
-    Returns integer numerators (x, y) over one common denominator ``det``:
+    Returns integer numerators (x, y) over one common denominator ``det > 0``:
     the vertex rows of the coset w<s_i, s_j>, less the row of w, solved
     exactly in the basis w.alpha_i^vee, w.alpha_j^vee.
     """
@@ -43,32 +44,26 @@ def _face_points(group: WeylGroup, datum: BZDatum, face) -> tuple[list, int, tup
     group.cartan._check_index(i)
     group.cartan._check_index(j)
     w = group.from_word(word)
-    table = index_table(group)
-    right = table.right
-    coset = {table.index[w]}
-    frontier = list(coset)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for t in (right[u][i - 1], right[u][j - 1]):
-                if t not in coset:
-                    coset.add(t)
-                    nxt.append(t)
-        frontier = nxt
     b1 = group.w_coroot(w, i).coords
     b2 = group.w_coroot(w, j).coords
-    pivot = None
-    for p in range(group.rank):
-        for q in range(p + 1, group.rank):
-            if b1[p] * b2[q] - b1[q] * b2[p]:
-                pivot = (p, q)
-                break
-        if pivot:
-            break
-    if pivot is None:
+    pivots = [
+        (p, q)
+        for p, q in itertools.combinations(range(group.rank), 2)
+        if b1[p] * b2[q] != b1[q] * b2[p]
+    ]
+    if not pivots:
         raise RuntimeError(f"face {face}: coroots {b1} and {b2} are not independent")
-    p, q = pivot
+    p, q = pivots[0]
     det = b1[p] * b2[q] - b1[q] * b2[p]
+    if det < 0:
+        # a negative det would put 0 / det = -0.0 on the plane, where atan2
+        # turns to -pi; swapping the pivot negates det and the numerators
+        p, q, det = q, p, -det
+    # the coset is the polygon's cycle w, w s_i, w s_i s_j, ... of 2 m_ij elements
+    table = index_table(group)
+    coset = [table.index[w]]
+    for k in range(2 * group.braid_order(i, j) - 1):
+        coset.append(table.right[coset[-1]][(i, j)[k % 2] - 1])
     rows = polytope.vertex_matrix(group, datum)
     base = rows[table.index[w]].tolist()
     pts = set()

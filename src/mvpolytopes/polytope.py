@@ -9,8 +9,6 @@ that ask for them.
 
 from __future__ import annotations
 
-from operator import mul
-
 import numpy as np
 
 from . import bz, lusztig
@@ -116,20 +114,14 @@ def psi(group: WeylGroup, datum: BZDatum, alpha: Weight) -> int:
         raise TypeError("psi takes a weight direction")
     if alpha.cartan != group.cartan:
         raise ValueError("weight belongs to a different Cartan datum")
-    a = alpha.coords
-    M = bz._values(group, datum)
-    best = None
-    for w, chambers in zip(group.elements(), index_table(group).chamber):
-        # column i of comat is w.alpha_i^vee
-        coefs = [sum(map(mul, column, a)) for column in zip(*w.comat)]
-        if min(coefs) < 0:
-            continue
-        val = sum(c * M[x] for c, x in zip(coefs, chambers))
-        if best is None or val < best:
-            best = val
-    if best is None:
+    M = np.array(bz._values(group, datum), dtype=object)
+    table = index_table(group)
+    # [t][i - 1]: <w_t.alpha_i^vee, alpha>, in exact integers
+    coefs = np.array(alpha.coords, dtype=object) @ table.coaction
+    inside = (coefs >= 0).all(axis=1)
+    if not inside.any():
         raise RuntimeError(f"weight {alpha.coords} lies in no chamber")
-    return best
+    return min((coefs[inside] * M[table.chamber_array[inside]]).sum(axis=1))
 
 
 def weyl_thresholds(group: WeylGroup, lam: Coweight) -> tuple[int, ...]:

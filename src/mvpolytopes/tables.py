@@ -23,7 +23,8 @@ the edge rows and the other arguments' rows are nonnegative.
 The vertices mu_w = sum_i M(w Lambda_i) w.alpha_i^vee of a datum are one
 integer product: the table keeps the chamber indices w Lambda_i as an
 ``(|W|, r)`` array and the coweight actions w.alpha_i^vee as an
-``(|W|, r, r)`` stack (see :func:`polytope.vertex_matrix`).  It also keeps
+``(|W|, r, r)`` stack (see :func:`polytope.vertex_matrix`), both the
+group's own arrays from its walk, not copies.  It also keeps
 the document keys of :mod:`serialize`: the canonical word of every element
 and the coordinates of every chamber weight, with the inverse map from a key
 to its chamber index.
@@ -128,7 +129,7 @@ class IndexTable:
     # intp (|Gamma|,): the first position in ``targets`` of each chamber
     # weight, and S * m (one past the end) for the identity chamber weights
     source: np.ndarray
-    chamber_array: np.ndarray  # int64 (|W|, r), the same indices as ``chamber``
+    chamber_array: np.ndarray  # intp (|W|, r), the same indices as ``chamber``
     coaction: np.ndarray  # int64 (|W|, r, r): [t][c][i - 1] is coordinate c of w_t . alpha_i^vee
     coaction_max: int  # max |entry| of ``coaction``
     word_keys: tuple[str, ...]  # [t]: serialize.word_key of the canonical word of w_t
@@ -178,8 +179,8 @@ def _build(group: WeylGroup) -> IndexTable:
     a = group.cartan.a
     elements = group.elements()
     index = group._index  # element -> position in elements
-    # column i of w.mat is w . Lambda_{i+1}
-    chamber = tuple(tuple(map(group.chamber_index, zip(*w.mat))) for w in elements)
+    chambers = group.chamber_weights()
+    chamber = tuple(map(tuple, group._chamber_array.tolist()))
     right = group._right
     # edge length at (w, i):
     #   -M(w Lambda_i) - M(w s_i Lambda_i) - sum_{j != i} a_ji M(w Lambda_j)
@@ -191,12 +192,7 @@ def _build(group: WeylGroup) -> IndexTable:
         )
         for t in range(len(elements))
     )
-    ascents = [
-        (t, i)
-        for t, w in enumerate(elements)
-        for i in range(1, r + 1)
-        if elements[right[t][i - 1]].length > w.length
-    ]
+    ascents = [(t, i + 1) for t, i in np.argwhere(group._ascents).tolist()]
     faces = group.two_faces(("hexagon", "octagon"))
     relations = []  # per relation, its rows arg_k - lhs
     for f in faces:
@@ -213,8 +209,7 @@ def _build(group: WeylGroup) -> IndexTable:
     graph = group.braid_graph()
     plan = _plan(group, graph, chamber, right)
     pairing, targets, source = _pairing_stack(group, plan, chamber[0])
-    coaction = np.array([w.comat for w in elements], dtype=np.int64).reshape(-1, r, r)
-    chamber_keys = tuple(coords_key(c.weight.coords) for c in group.chamber_weights())
+    chamber_keys = tuple(coords_key(c.weight.coords) for c in chambers)
     return IndexTable(
         index=index,
         chamber=chamber,
@@ -231,9 +226,9 @@ def _build(group: WeylGroup) -> IndexTable:
         pairing_norm=int(np.abs(pairing).sum(2).max()),
         targets=targets,
         source=source,
-        chamber_array=np.array(chamber, dtype=np.int64).reshape(-1, r),
-        coaction=coaction,
-        coaction_max=int(np.abs(coaction).max()),
+        chamber_array=group._chamber_array,
+        coaction=group._comats,
+        coaction_max=int(np.abs(group._comats).max()),
         word_keys=tuple(word_key(w.word) for w in elements),
         chamber_keys=chamber_keys,
         key_chamber={key: x for x, key in enumerate(chamber_keys)},

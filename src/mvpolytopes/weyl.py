@@ -5,12 +5,16 @@ A group element is carried as its integer action matrix on the weight lattice
 coweights (column i is w.alpha_i^vee).  The two stay dual, which is what makes
 chamber-weight bookkeeping cheap: {w.Lambda_i} and {w.alpha_i^vee} are dual
 bases for every w.
+
+One walk by length levels builds the group and keeps both matrices of every
+element in int64 ``(|W|, r, r)`` stacks.  The right table comes from the
+walk's steps; chamber weights, chamber indices, orbits and the index table's
+``coaction`` are read off the stacks.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,19 +25,8 @@ from .cartan import CartanDatum, Coweight, Weight
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    r = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)) for i in range(r)
-    )
-
-
 def _mat_vec(a: Matrix, v) -> tuple[int, ...]:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def _transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 @dataclass(frozen=True)
@@ -127,67 +120,83 @@ class WeylGroup:
     # -- construction -------------------------------------------------
 
     def _build(self) -> None:
-        """One breadth-first walk by right multiplication.
+        """One walk by length levels on int64 ``(N, r, r)`` stacks.
 
-        Each new element takes the word of the element it is first reached
-        from plus the letter.  Elements of one length are walked in the order
-        of their lexicographically least reduced words, so the next length
-        is discovered in that order too and each word found first is the
-        least one: the elements come out sorted by (length, word).
+        Each level is multiplied by every s_i with l(w s_i) > l(w), that is
+        w.alpha_i^vee > 0.  A new element, told apart by w rho (the row sums
+        of its matrix), is kept where it first appears in (parent, letter)
+        order and takes its parent's word plus the letter.  So each level
+        comes in the order of least reduced words, the next level is found in
+        that order, and the elements come out sorted by (length, word).
         """
         r = self.rank
-        a = self.cartan.a
+        a = np.array(self.cartan.a, dtype=np.int64)
         # s_i Lambda_j = Lambda_j - delta_ij alpha_i, and alpha_i is column i of a
-        gen_mats = tuple(
-            tuple(tuple(int(k == j) - (j == i) * a[k][i] for j in range(r)) for k in range(r))
-            for i in range(r)
-        )
-        self._gen_mats = gen_mats
-        gen_comats = tuple(_transpose(m) for m in gen_mats)
-
-        ident = tuple(tuple(int(k == j) for j in range(r)) for k in range(r))
+        gens = np.repeat(np.eye(r, dtype=np.int64)[None], r, axis=0)
+        gens[np.arange(r), :, np.arange(r)] -= a.T
+        mat = comat = np.eye(r, dtype=np.int64)[None]
+        ident = tuple(map(tuple, mat[0].tolist()))
         elements = [WeylElement(self.cartan, ident, ident, (), 0)]
-        by_mat = {ident: 0}
-        right = []
-        for w in elements:  # the list grows while it is walked: a FIFO queue
-            row = []
-            for i in range(r):
-                mat = _mat_mul(w.mat, gen_mats[i])
-                t = by_mat.get(mat)
-                if t is None:
-                    t = by_mat[mat] = len(elements)
-                    comat = _mat_mul(w.comat, gen_comats[i])
-                    elements.append(
-                        WeylElement(self.cartan, mat, comat, w.word + (i + 1,), w.length + 1)
-                    )
-                row.append(t)
-            right.append(tuple(row))
-        self._elements = tuple(elements)
-        self._by_mat = by_mat  # action matrix -> element index
-        self._index = {w: t for t, w in enumerate(elements)}
-        self._right = tuple(right)  # [t][i - 1]: element index of w_t s_i
-        self._identity = elements[0]
-        self._w0 = elements[-1]
-        if elements[-2].length == self._w0.length:
-            raise RuntimeError(
-                f"longest element is not unique: {elements[-2]} and {self._w0} "
-                f"both have length {self._w0.length}"
+        levels, steps = [(mat, comat)], []
+        while True:
+            start = len(elements) - len(mat)  # index of the level's first element
+            t, i = np.nonzero((comat >= 0).all(axis=1))
+            if not t.size:
+                break
+            found = mat[t] @ gens[i]
+            _, first, at = np.unique(
+                found.sum(axis=2), axis=0, return_index=True, return_inverse=True
             )
+            kept = np.sort(first)  # the new elements, by first appearance
+            at = first[at.reshape(-1)]  # numpy 2.0.0 gives the inverse another shape
+            steps.append((start + t, i, len(elements) + np.searchsorted(kept, at)))
+            t, i = t[kept], i[kept]
+            # s_i is an involution, so its comat is the transpose of its matrix
+            mat, comat = found[kept], comat[t] @ gens[i].transpose(0, 2, 1)
+            levels.append((mat, comat))
+            for p, k, m, c in zip((start + t).tolist(), i.tolist(), mat.tolist(), comat.tolist()):
+                word = elements[p].word + (k + 1,)
+                m, c = tuple(map(tuple, m)), tuple(map(tuple, c))
+                elements.append(WeylElement(self.cartan, m, c, word, len(word)))
+        if len(mat) > 1:
+            raise RuntimeError(
+                f"longest element is not unique: {len(mat)} elements have length {len(levels) - 1}"
+            )
+        # [t]: the action matrices of w_t on weights and on coweights
+        self._mats, self._comats = map(np.concatenate, zip(*levels))
+        self._mats.flags.writeable = self._comats.flags.writeable = False
+        # each step w -> w s_i of the walk, and its reverse, is an entry of the right table
+        src, letter, dst = map(np.concatenate, zip(*steps))
+        right = np.empty((len(elements), r), dtype=np.intp)
+        right[src, letter] = dst
+        right[dst, letter] = src
+        self._right = tuple(map(tuple, right.tolist()))  # [t][i - 1]: index of w_t s_i
+        self._elements = tuple(elements)
+        self._index = {w: t for t, w in enumerate(self._elements)}
+        self._identity = self._elements[0]
+        self._w0 = self._elements[-1]
         self.m = self._w0.length
 
     @functools.cached_property
     def _coroots(self) -> tuple[tuple[Coweight, ...], ...]:
         """[t][i - 1]: w_t . alpha_i^vee, one shared object each, built on first use."""
         return tuple(
-            tuple(Coweight(self.cartan, col) for col in zip(*w.comat)) for w in self._elements
+            tuple(Coweight(self.cartan, tuple(col)) for col in cols)
+            for cols in self._comats.transpose(0, 2, 1).tolist()
         )
 
     @functools.cached_property
     def _lambdas(self) -> tuple[tuple[Weight, ...], ...]:
         """[t][i - 1]: w_t . Lambda_i, one shared object each, built on first use."""
         return tuple(
-            tuple(Weight(self.cartan, col) for col in zip(*w.mat)) for w in self._elements
+            tuple(Weight(self.cartan, tuple(col)) for col in cols)
+            for cols in self._mats.transpose(0, 2, 1).tolist()
         )
+
+    @functools.cached_property
+    def _ascents(self) -> np.ndarray:
+        """[t][i - 1]: whether l(w_t s_i) > l(w_t), that is w_t.alpha_i^vee > 0."""
+        return (self._comats >= 0).all(axis=1)
 
     # -- basic group operations ----------------------------------------
 
@@ -208,8 +217,7 @@ class WeylGroup:
         return self._elements[self._right[self._index[w]][i - 1]]
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        # comat = (mat^{-1})^T, so the inverse matrix is free
-        return self._elements[self._by_mat[_transpose(w.comat)]]
+        return self.from_word(reversed(w.word))
 
     def from_word(self, word) -> WeylElement:
         w = self._identity
@@ -311,22 +319,22 @@ class WeylGroup:
     # -- chamber weights -------------------------------------------------
 
     def chamber_weights(self) -> tuple[ChamberWeight, ...]:
+        """The orbits of the fundamental weights, by level and coordinates;
+        ``_chamber_array[t][i - 1]`` is the chamber index of w_t . Lambda_i."""
         if self._chambers is None:
-            seen: dict[tuple[int, ...], int] = {}
-            for i in range(1, self.rank + 1):
-                for lam in self.weyl_orbit(self.cartan.fundamental_weight(i)):
-                    if lam.coords in seen:
-                        raise RuntimeError(
-                            f"weight {lam.coords} lies in the orbits of fundamental weights "
-                            f"{seen[lam.coords]} and {i}"
-                        )
-                    seen[lam.coords] = i
-            chambers = tuple(
-                ChamberWeight(Weight(self.cartan, coords), level)
-                for coords, level in sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
-            )
-            self._chambers = chambers
-            self._chamber_index = {c.weight.coords: t for t, c in enumerate(chambers)}
+            chambers, index = [], []
+            for i in range(self.rank):
+                orbit, at = np.unique(self._mats[:, :, i], axis=0, return_inverse=True)
+                index.append(at.reshape(-1) + len(chambers))
+                chambers += [
+                    ChamberWeight(Weight(self.cartan, tuple(c)), i + 1) for c in orbit.tolist()
+                ]
+            self._chamber_index = {c.weight.coords: x for x, c in enumerate(chambers)}
+            if len(self._chamber_index) < len(chambers):
+                raise RuntimeError("the orbits of two fundamental weights meet")
+            self._chamber_array = np.stack(index, axis=1)
+            self._chamber_array.flags.writeable = False
+            self._chambers = tuple(chambers)
         return self._chambers
 
     def chamber_index(self, coords: tuple[int, ...]) -> int:
@@ -334,18 +342,8 @@ class WeylGroup:
         return self._chamber_index[coords]
 
     def weyl_orbit(self, lam: Weight) -> tuple[Weight, ...]:
-        if not isinstance(lam, Weight):
-            raise TypeError("weyl_orbit acts on weights; apply_coweight handles coweights")
-        seen = {lam.coords}
-        queue = deque([lam.coords])
-        while queue:
-            coords = queue.popleft()
-            for i in range(self.rank):
-                nxt = _mat_vec(self._gen_mats[i], coords)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return tuple(Weight(self.cartan, c) for c in sorted(seen))
+        images = self._mats @ np.array(self._coords(lam, Weight), dtype=object)
+        return tuple(Weight(self.cartan, c) for c in sorted(set(map(tuple, images.tolist()))))
 
     # -- 2-faces ----------------------------------------------------------
 
@@ -365,9 +363,8 @@ class WeylGroup:
                         # orient octagons so that a_ij = -1, a_ji = -2
                         pair = (i, j) if self.cartan.entry(i, j) == -1 else (j, i)
                         kind = "octagon"
-                    for w in self._elements:
-                        if self.right(w, i).length > w.length and self.right(w, j).length > w.length:
-                            faces.append(Face(w, pair[0], pair[1], kind))
+                    for t in np.flatnonzero(self._ascents[:, [i - 1, j - 1]].all(1)).tolist():
+                        faces.append(Face(self._elements[t], pair[0], pair[1], kind))
             self._faces = tuple(faces)
         return tuple(f for f in self._faces if f.kind in kinds)
 

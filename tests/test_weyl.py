@@ -1,10 +1,15 @@
 import itertools
+from collections import deque
 
 import pytest
 
 from mvpolytopes import polytope
-from mvpolytopes.cartan import build_cartan
+from mvpolytopes.cartan import CartanDatum, build_cartan
+from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
+
+# F4 in Bourbaki labels; build_cartan covers types A-D only
+F4 = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
 
 
 @pytest.mark.parametrize(
@@ -254,3 +259,138 @@ def test_actions_check_the_vector_kind_and_datum(a3, b3):
         a3.apply(a3.w0, a3.cartan.coweight((1, 0, 0)))
     with pytest.raises(TypeError, match="expected a Coweight, got Weight"):
         a3.apply_coweight(a3.w0, a3.cartan.fundamental_weight(1))
+
+
+def test_weyl_orbit_checks_the_datum(a2, b3):
+    c3 = weyl_group(build_cartan("C", 3))
+    with pytest.raises(ValueError, match="weight belongs to a different Cartan datum"):
+        c3.weyl_orbit(b3.cartan.fundamental_weight(3))
+    with pytest.raises(ValueError, match="weight belongs to a different Cartan datum"):
+        a2.weyl_orbit(b3.cartan.fundamental_weight(1))
+
+
+# -- the object walk: the group one element at a time, on tuple matrices --------
+
+
+def _mat_mul(a, b):
+    r = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)) for i in range(r)
+    )
+
+
+def _mat_vec(a, v):
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+
+
+def _generators(cartan):
+    """s_i Lambda_j = Lambda_j - delta_ij alpha_i, and alpha_i is column i of a."""
+    r, a = cartan.rank, cartan.a
+    return tuple(
+        tuple(tuple(int(k == j) - (j == i) * a[k][i] for j in range(r)) for k in range(r))
+        for i in range(r)
+    )
+
+
+def object_walk(cartan):
+    """(elements, right): a breadth-first walk by right multiplication, each
+    new element taking the word of the element it is first reached from plus
+    the letter.  Elements are (mat, comat, word, length); right[t][i - 1] is
+    the index of w_t s_i."""
+    gens = _generators(cartan)
+    cogens = tuple(tuple(zip(*m)) for m in gens)
+    ident = tuple(tuple(int(k == j) for j in range(cartan.rank)) for k in range(cartan.rank))
+    elements = [(ident, ident, (), 0)]
+    by_mat = {ident: 0}
+    right = []
+    for mat, comat, word, length in elements:  # the list grows while it is walked
+        row = []
+        for i, (gen, cogen) in enumerate(zip(gens, cogens)):
+            new = _mat_mul(mat, gen)
+            if new not in by_mat:
+                by_mat[new] = len(elements)
+                elements.append((new, _mat_mul(comat, cogen), word + (i + 1,), length + 1))
+            row.append(by_mat[new])
+        right.append(tuple(row))
+    return elements, tuple(right)
+
+
+def orbit_walk(cartan, coords):
+    """The sorted orbit of a weight, breadth first on tuple vectors."""
+    gens = _generators(cartan)
+    seen, queue = {coords}, deque([coords])
+    while queue:
+        v = queue.popleft()
+        for gen in gens:
+            nxt = _mat_vec(gen, v)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return sorted(seen)
+
+
+def check_walk(g):
+    """The group, its chamber weights, 2-faces and orbits against the object walk."""
+    c, r = g.cartan, g.rank
+    elements, right = object_walk(c)
+    assert [(w.mat, w.comat, w.word, w.length) for w in g.elements()] == elements
+    assert g._right == right
+    orbits = [orbit_walk(c, tuple(int(k == i) for k in range(r))) for i in range(r)]
+    want = [(coords, i + 1) for i, orbit in enumerate(orbits) for coords in orbit]
+    assert [(cw.weight.coords, cw.level) for cw in g.chamber_weights()] == want
+    generic = tuple(range(1, r + 1))
+    assert [lam.coords for lam in g.weyl_orbit(c.weight(generic))] == orbit_walk(c, generic)
+    faces = []
+    for i, j in itertools.combinations(range(1, r + 1), 2):
+        prod = c.entry(i, j) * c.entry(j, i)
+        kind = ("rectangle", "hexagon", "octagon")[prod]
+        pair = (j, i) if prod == 2 and c.entry(i, j) == -2 else (i, j)
+        faces += [
+            (word, *pair, kind)
+            for t, (_, _, word, length) in enumerate(elements)
+            if elements[right[t][i - 1]][3] > length < elements[right[t][j - 1]][3]
+        ]
+    assert [(f.w.word, f.i, f.j, f.kind) for f in g.two_faces()] == faces
+    return elements, orbits
+
+
+WALK_GROUPS = [
+    ("A", 1), ("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 3),
+    ("A", 4), ("B", 4), ("C", 4), ("D", 4),
+]
+
+
+@pytest.mark.parametrize("family,rank", WALK_GROUPS)
+def test_array_walk_matches_object_walk(family, rank):
+    g = weyl_group(build_cartan(family, rank))
+    elements, orbits = check_walk(g)
+    for i, orbit in enumerate(orbits, 1):
+        lam = g.weyl_orbit(g.cartan.fundamental_weight(i))
+        assert [x.coords for x in lam] == orbit
+    if rank == 4 and family in "BC":
+        return  # their tables list every reduced word of w0, about 2 s each
+    # the table reads its chamber indices and coweight actions off the walk
+    table = index_table(g)
+    at = {(cw.weight.coords): x for x, cw in enumerate(g.chamber_weights())}
+    chamber = [tuple(at[col] for col in zip(*mat)) for mat, _, _, _ in elements]
+    assert table.chamber == tuple(chamber)
+    assert table.chamber_array.tolist() == [list(row) for row in chamber]
+    assert table.coaction.tolist() == [[list(row) for row in co] for _, co, _, _ in elements]
+
+
+def test_array_walk_builds_f4():
+    g = WeylGroup(CartanDatum("F", 4, F4))
+    check_walk(g)
+    assert len(g.elements()) == 1152 and g.m == 24
+    assert len(g.chamber_weights()) == 240
+    kinds = [f.kind for f in g.two_faces()]
+    counts = [kinds.count(kind) for kind in ("rectangle", "hexagon", "octagon")]
+    assert len(kinds) == 1392 and counts == [864, 384, 144]
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_array_walk_builds_rank_5(monkeypatch, family):
+    monkeypatch.setenv("MVPOLY_MAX_RANK", "5")
+    g = WeylGroup(build_cartan(family, 5))
+    check_walk(g)
+    assert len(g.elements()) == {"B": 3840, "D": 1920}[family]
