@@ -96,7 +96,7 @@ def edge_length(group: WeylGroup, datum: BZDatum, w: WeylElement, i: int) -> int
     """
     group.cartan._check_index(i)
     table = index_table(group)
-    return _dot(table.edge_rows[table.index[w]][i - 1], _values(group, datum))
+    return _dot(table.edge_rows[group._row(w)][i - 1], _values(group, datum))
 
 
 # -- validation ----------------------------------------------------------------

@@ -90,12 +90,13 @@ def _integer(v, what: str) -> int:
 
 def _integers(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints, entry k checked by :func:`_integer` as
-    ``what`` k.  A tuple of plain ints, the common case, is checked at C level
-    and returned as it is."""
+    ``what`` k.  A tuple of plain ints, the common case, is returned as it is;
+    the first entry of another type sends every entry through :func:`_integer`."""
     if type(values) is not tuple:
         values = tuple(values)
-    if set(map(type, values)) != {int}:
-        values = tuple(_integer(v, f"{what} {k}") for k, v in enumerate(values))
+    for v in values:
+        if type(v) is not int:
+            return tuple(_integer(v, f"{what} {k}") for k, v in enumerate(values))
     return values
 
 

@@ -61,11 +61,11 @@ def _face_points(group: WeylGroup, datum: BZDatum, face) -> tuple[list, int, tup
         p, q, det = q, p, -det
     # the coset is the polygon's cycle w, w s_i, w s_i s_j, ... of 2 m_ij elements
     table = index_table(group)
-    coset = [table.index[w]]
+    coset = [group._row(w)]
     for k in range(2 * group.braid_order(i, j) - 1):
         coset.append(table.right[coset[-1]][(i, j)[k % 2] - 1])
     rows = polytope.vertex_matrix(group, datum)
-    base = rows[table.index[w]].tolist()
+    base = rows[coset[0]].tolist()
     pts = set()
     for u in coset:
         diff = [a - b for a, b in zip(rows[u].tolist(), base)]

@@ -20,8 +20,8 @@ from .weyl import BraidEdge, WeylGroup
 def _checked(group: WeylGroup, n) -> tuple[int, ...]:
     """n as a tuple of plain ints, after checking its entries, length and signs.
 
-    A tuple of ints, the common case and the one every transition returns, is
-    checked at C level and not copied.
+    A tuple of plain ints, the common case and the one every transition
+    returns, is checked entry by entry for its type and not copied.
     """
     n = _integers(n, "Lusztig datum entry")
     if len(n) != group.m:

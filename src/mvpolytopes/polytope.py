@@ -22,12 +22,13 @@ from .weyl import WeylElement, WeylGroup
 def vertex(group: WeylGroup, datum: BZDatum, w: WeylElement) -> Coweight:
     """The vertex mu_w = sum_i M_{w Lambda_i} w.alpha_i^vee."""
     M = bz._values(group, datum)
-    table = index_table(group)
-    vals = [M[x] for x in table.chamber[table.index[w]]]
+    table, t = index_table(group), group._row(w)
+    vals = [M[x] for x in table.chamber[t]]
     # coordinate c is sum_i (w.alpha_i^vee)_c M_{w Lambda_i}, and w.alpha_i^vee
-    # is column i of comat
+    # is column i of the coaction
     return Coweight(
-        group.cartan, tuple(sum(a * v for a, v in zip(row, vals)) for row in w.comat)
+        group.cartan,
+        tuple(sum(a * v for a, v in zip(row, vals)) for row in table.coaction[t].tolist()),
     )
 
 

@@ -4,7 +4,10 @@ Every constraint on a datum, and every step of assembling one from Lusztig
 data, reads the values tuple at fixed chamber indices.  ``index_table``
 computes those indices once per group and keeps them on the group, so the
 loops in :mod:`bz`, :mod:`polytope` and :mod:`primes` touch ints only;
-``Weight`` and ``Coweight`` objects appear only at the API boundary.
+``Weight`` and ``Coweight`` objects appear only at the API boundary.  The
+tables are indexed by element index, which is each element's own
+``WeylElement.index`` (its row in the group's action stacks), so no map from
+elements back to indices is kept.
 
 The polytope constraints are integer rows over the values tuple, held here
 and nowhere else as the check rows: one padded gather pair ``(check_index,
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import BraidEdge, BraidGraph, Face, WeylElement, WeylGroup
+from .weyl import BraidEdge, BraidGraph, Face, WeylGroup
 
 Word = tuple[int, ...]
 # sparse integer row: the value is sum(coef * x[index] for index, coef in row)
@@ -101,11 +104,11 @@ class Stop:
 class IndexTable:
     """Chamber and element indices of one group; see the module docstring.
 
-    Element indices follow ``group.elements()`` (0 is the identity) and
-    chamber indices follow ``group.chamber_weights()``.
+    Element indices follow ``group.elements()`` (0 is the identity), so the
+    row of an element w is ``w.index``; chamber indices follow
+    ``group.chamber_weights()``.
     """
 
-    index: dict[WeylElement, int]
     chamber: tuple[tuple[int, ...], ...]  # [t][i - 1]: chamber index of w_t . Lambda_i
     right: tuple[tuple[int, ...], ...]  # [t][i - 1]: element index of w_t s_i
     edge_rows: tuple[tuple[Row, ...], ...]  # [t][i - 1]: edge length at (w_t, i)
@@ -178,7 +181,6 @@ def _build(group: WeylGroup) -> IndexTable:
     r = group.rank
     a = group.cartan.a
     elements = group.elements()
-    index = group._index  # element -> position in elements
     chambers = group.chamber_weights()
     chamber = tuple(map(tuple, group._chamber_array.tolist()))
     right = group._right
@@ -196,7 +198,7 @@ def _build(group: WeylGroup) -> IndexTable:
     faces = group.two_faces(("hexagon", "octagon"))
     relations = []  # per relation, its rows arg_k - lhs
     for f in faces:
-        at = _face_indices(chamber, right, index[f.w], f.i, f.j, f.kind)
+        at = _face_indices(chamber, right, group._row(f.w), f.i, f.j, f.kind)
         relations += [
             [_difference(at, arg, lhs) for arg in args] for lhs, args in FACE_RELATIONS[f.kind]
         ]
@@ -211,7 +213,6 @@ def _build(group: WeylGroup) -> IndexTable:
     pairing, targets, source = _pairing_stack(group, plan, chamber[0])
     chamber_keys = tuple(coords_key(c.weight.coords) for c in chambers)
     return IndexTable(
-        index=index,
         chamber=chamber,
         right=right,
         edge_rows=edge_rows,

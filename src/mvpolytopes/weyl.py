@@ -1,15 +1,14 @@
 """Weyl groups, reduced words, chamber weights and 2-faces, in exact integers.
 
-A group element is carried as its integer action matrix on the weight lattice
-(column i is w.Lambda_i) together with the contragredient matrix acting on
-coweights (column i is w.alpha_i^vee).  The two stay dual, which is what makes
-chamber-weight bookkeeping cheap: {w.Lambda_i} and {w.alpha_i^vee} are dual
-bases for every w.
-
-One walk by length levels builds the group and keeps both matrices of every
-element in int64 ``(|W|, r, r)`` stacks.  The right table comes from the
-walk's steps; chamber weights, chamber indices, orbits and the index table's
-``coaction`` are read off the stacks.
+One walk by length levels builds the group as two int64 ``(|W|, r, r)``
+stacks: the action matrices on the weight lattice (column i of row t is
+w_t.Lambda_i) and the contragredient matrices on coweights (column i is
+w_t.alpha_i^vee).  The two stay dual, which is what makes chamber-weight
+bookkeeping cheap: {w.Lambda_i} and {w.alpha_i^vee} are dual bases for every
+w.  An element is its position t in ``elements()``, which is also its row in
+both stacks; it carries its word and length but no copy of its action.  The
+right table comes from the walk's steps; chamber weights, chamber indices,
+orbits and the index table's ``coaction`` are read off the stacks.
 """
 
 from __future__ import annotations
@@ -22,20 +21,18 @@ import numpy as np
 from . import _kernels
 from .cartan import CartanDatum, Coweight, Weight
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def _mat_vec(a: Matrix, v) -> tuple[int, ...]:
+def _mat_vec(a: list[list[int]], v) -> tuple[int, ...]:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Group element; equality and hashing go through the action matrix."""
+    """Group element: ``index`` is its position in ``elements()`` and its row
+    in the group's action stacks; equality and hashing go through
+    (cartan, index)."""
 
     cartan: CartanDatum
-    mat: Matrix = field(repr=False)
-    comat: Matrix = field(repr=False, compare=False)
+    index: int = field(repr=False)
     word: tuple[int, ...] = field(compare=False)
     length: int = field(compare=False)
 
@@ -107,7 +104,7 @@ class WeylGroup:
         self.rank = cartan.rank
         self._build()
         self._word_data: dict[tuple[int, ...], WordData] = {}
-        self._reduced_words: dict[WeylElement, tuple[tuple[int, ...], ...]] = {}
+        self._reduced_words: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._braid_graph: BraidGraph | None = None
         self._chambers: tuple[ChamberWeight, ...] | None = None
         self._faces: tuple[Face, ...] | None = None
@@ -135,8 +132,7 @@ class WeylGroup:
         gens = np.repeat(np.eye(r, dtype=np.int64)[None], r, axis=0)
         gens[np.arange(r), :, np.arange(r)] -= a.T
         mat = comat = np.eye(r, dtype=np.int64)[None]
-        ident = tuple(map(tuple, mat[0].tolist()))
-        elements = [WeylElement(self.cartan, ident, ident, (), 0)]
+        elements = [WeylElement(self.cartan, 0, (), 0)]
         levels, steps = [(mat, comat)], []
         while True:
             start = len(elements) - len(mat)  # index of the level's first element
@@ -154,10 +150,9 @@ class WeylGroup:
             # s_i is an involution, so its comat is the transpose of its matrix
             mat, comat = found[kept], comat[t] @ gens[i].transpose(0, 2, 1)
             levels.append((mat, comat))
-            for p, k, m, c in zip((start + t).tolist(), i.tolist(), mat.tolist(), comat.tolist()):
+            for p, k in zip((start + t).tolist(), i.tolist()):
                 word = elements[p].word + (k + 1,)
-                m, c = tuple(map(tuple, m)), tuple(map(tuple, c))
-                elements.append(WeylElement(self.cartan, m, c, word, len(word)))
+                elements.append(WeylElement(self.cartan, len(elements), word, len(word)))
         if len(mat) > 1:
             raise RuntimeError(
                 f"longest element is not unique: {len(mat)} elements have length {len(levels) - 1}"
@@ -172,7 +167,6 @@ class WeylGroup:
         right[dst, letter] = src
         self._right = tuple(map(tuple, right.tolist()))  # [t][i - 1]: index of w_t s_i
         self._elements = tuple(elements)
-        self._index = {w: t for t, w in enumerate(self._elements)}
         self._identity = self._elements[0]
         self._w0 = self._elements[-1]
         self.m = self._w0.length
@@ -214,7 +208,7 @@ class WeylGroup:
     def right(self, w: WeylElement, i: int) -> WeylElement:
         """w * s_i."""
         self.cartan._check_index(i)
-        return self._elements[self._right[self._index[w]][i - 1]]
+        return self._elements[self._right[self._row(w)][i - 1]]
 
     def inverse(self, w: WeylElement) -> WeylElement:
         return self.from_word(reversed(w.word))
@@ -225,6 +219,12 @@ class WeylGroup:
             w = self.right(w, i)
         return w
 
+    def _row(self, w: WeylElement) -> int:
+        """w's position in ``elements()``, its row in the action stacks."""
+        if w.cartan != self.cartan:
+            raise ValueError("element belongs to a different Cartan datum")
+        return w.index
+
     def _coords(self, vec, kind) -> tuple[int, ...]:
         if not isinstance(vec, kind):
             raise TypeError(f"expected a {kind.__name__}, got {type(vec).__name__}")
@@ -233,20 +233,22 @@ class WeylGroup:
         return vec.coords
 
     def apply(self, w: WeylElement, lam: Weight) -> Weight:
-        return Weight(self.cartan, _mat_vec(w.mat, self._coords(lam, Weight)))
+        mat = self._mats[self._row(w)].tolist()
+        return Weight(self.cartan, _mat_vec(mat, self._coords(lam, Weight)))
 
     def apply_coweight(self, w: WeylElement, mu: Coweight) -> Coweight:
-        return Coweight(self.cartan, _mat_vec(w.comat, self._coords(mu, Coweight)))
+        comat = self._comats[self._row(w)].tolist()
+        return Coweight(self.cartan, _mat_vec(comat, self._coords(mu, Coweight)))
 
     def w_lambda(self, w: WeylElement, i: int) -> Weight:
         """The chamber weight w . Lambda_i (column i of the action matrix)."""
         self.cartan._check_index(i)
-        return self._lambdas[self._index[w]][i - 1]
+        return self._lambdas[self._row(w)][i - 1]
 
     def w_coroot(self, w: WeylElement, i: int) -> Coweight:
         """w . alpha_i^vee (column i of the coweight action matrix)."""
         self.cartan._check_index(i)
-        return self._coroots[self._index[w]][i - 1]
+        return self._coroots[self._row(w)][i - 1]
 
     # -- reduced words and word data ------------------------------------
 
@@ -256,17 +258,15 @@ class WeylGroup:
         The words of w are the words of w s_i followed by i, over the right
         descents i of w (those with l(w s_i) < l(w)).
         """
-        memo = self._reduced_words
-        if w not in memo:
+        memo, t = self._reduced_words, self._row(w)
+        if t not in memo:
             els = self._elements
             lower = [
-                (i, els[t])
-                for i, t in enumerate(self._right[self._index[w]], 1)
-                if els[t].length < w.length
+                (i, els[u]) for i, u in enumerate(self._right[t], 1) if els[u].length < w.length
             ]
             words = sorted(head + (i,) for i, u in lower for head in self.reduced_words(u))
-            memo[w] = tuple(words) if lower else ((),)  # the identity has no descents
-        return memo[w]
+            memo[t] = tuple(words) if lower else ((),)  # the identity has no descents
+        return memo[t]
 
     @property
     def reference_word(self) -> tuple[int, ...]:

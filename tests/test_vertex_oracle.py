@@ -120,7 +120,7 @@ def test_vertex_rows_leave_int64_before_they_could_wrap():
     g = group_of("D", 4)
     d = bz.from_lusztig(g, g.reference_word, (1,) * g.m)
     biggest = max(abs(v) for v in d.values)
-    coroot_max = max(abs(a) for w in g.elements() for row in w.comat for a in row)
+    coroot_max = max(abs(a) for a in g._comats.ravel().tolist())
     # the largest factor keeping max|M| * max|w.alpha_i^vee| * r below 2**62
     c = ((1 << 62) - 1) // (biggest * coroot_max * g.rank)
     for k, dtype in [(c, np.int64), (c + 1, object), (1 << 62, object)]:

@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from mvpolytopes import polytope
+from mvpolytopes import bz, polytope
 from mvpolytopes.cartan import CartanDatum, build_cartan
 from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
@@ -66,17 +66,26 @@ def test_reduced_words_match_brute_force(family, rank):
 
 
 def test_canonical_words_multiply_back(a3):
-    for w in a3.elements():
+    for t, w in enumerate(a3.elements()):
         assert a3.from_word(w.word) is w
         assert len(w.word) == w.length
+        assert w.index == t
+
+
+def test_elements_of_equal_data_are_equal():
+    c = build_cartan("B", 3)
+    fresh, cached = WeylGroup(c).elements(), weyl_group(c).elements()
+    assert fresh is not cached and fresh == cached
+    assert [hash(w) for w in fresh] == [hash(w) for w in cached]
+    other = weyl_group(build_cartan("C", 3)).elements()
+    assert len(other) == len(fresh)
+    assert all(u != v for u, v in zip(fresh, other))
 
 
 def _product(group, u, v):
     """The element whose action matrix is the product of those of u and v."""
-    mat = tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*v.mat)) for row in u.mat
-    )
-    return next(w for w in group.elements() if w.mat == mat)
+    mat = group._mats[u.index] @ group._mats[v.index]
+    return next(w for w in group.elements() if (group._mats[w.index] == mat).all())
 
 
 def test_inverse_and_product(b2):
@@ -261,6 +270,24 @@ def test_actions_check_the_vector_kind_and_datum(a3, b3):
         a3.apply_coweight(a3.w0, a3.cartan.fundamental_weight(1))
 
 
+def test_lookups_refuse_elements_of_another_datum(a3, b3):
+    w = a3.elements()[5]  # W[1 3]; B3 has an element at index 5 too
+    d = bz.from_lusztig(b3, b3.reference_word, (1,) * b3.m)
+    lookups = [
+        lambda: b3.right(w, 1),
+        lambda: b3.w_lambda(w, 1),
+        lambda: b3.w_coroot(w, 1),
+        lambda: b3.apply(w, b3.cartan.fundamental_weight(1)),
+        lambda: b3.apply_coweight(w, b3.two_rho),
+        lambda: b3.reduced_words(w),
+        lambda: polytope.vertex(b3, d, w),
+        lambda: bz.edge_length(b3, d, w, 1),
+    ]
+    for lookup in lookups:
+        with pytest.raises(ValueError, match="element belongs to a different Cartan datum"):
+            lookup()
+
+
 def test_weyl_orbit_checks_the_datum(a2, b3):
     c3 = weyl_group(build_cartan("C", 3))
     with pytest.raises(ValueError, match="weight belongs to a different Cartan datum"):
@@ -333,7 +360,10 @@ def check_walk(g):
     """The group, its chamber weights, 2-faces and orbits against the object walk."""
     c, r = g.cartan, g.rank
     elements, right = object_walk(c)
-    assert [(w.mat, w.comat, w.word, w.length) for w in g.elements()] == elements
+    mats, comats = (tuple(tuple(map(tuple, m)) for m in s.tolist()) for s in (g._mats, g._comats))
+    got = [(mats[w.index], comats[w.index], w.word, w.length) for w in g.elements()]
+    assert got == elements
+    assert [w.index for w in g.elements()] == list(range(len(elements)))
     assert g._right == right
     orbits = [orbit_walk(c, tuple(int(k == i) for k in range(r))) for i in range(r)]
     want = [(coords, i + 1) for i, orbit in enumerate(orbits) for coords in orbit]
