@@ -8,10 +8,16 @@ index table's check rows (see :mod:`mvpolytopes.tables`): the chosen
 argument's row arg_k - lhs at zero, and the edge rows and the other
 arguments' rows arg_t - lhs at least zero.  Where the chosen row vanishes,
 arg_t - lhs equals arg_t - arg_k, so these are the min-relations resolved.
-Cones whose dimension equals the number of positive coroots are the maximal
-ones; the Hilbert bases of their edge-length charts are the prime polytopes,
-and any polytope decomposes as a Minkowski sum of primes from the single
-cluster whose cone contains it.
+Cones whose dimension equals the number of positive coroots m are the
+maximal ones; the Hilbert bases of their edge-length charts are the prime
+polytopes, and any polytope decomposes as a Minkowski sum of primes from the
+single cluster whose cone contains it.
+
+Only a choice whose equations leave m dimensions can be maximal, so only
+those get a double description.  The maximal cones cover the valid data and
+every check row is >= 0 on them, so every other cone is a face of them: it
+is spanned by the maximal cones' rays on which its chosen rows vanish, and
+its dimension is their rank.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from .weyl import Face, WeylGroup
 Vec = tuple[int, ...]
 
 # Face choices build_catalog evaluates at most.  Rank 2, A3 and D3 (at most
-# 256) fit; B3 and C3 have about 1.4e8 choices, more than a day's work at
-# about 1 ms per choice, and every larger group has more.
+# 256) fit; B3 and C3 have about 1.4e8 choices, and every larger group has
+# more.  The elimination tree is pruned where no maximal cone can be, but
+# build_catalog still forms one mask over the maximal cones' rays per choice.
 MAX_CHOICES = 10_000
 
 
@@ -186,7 +193,12 @@ def _admitting(catalog: Catalog, ns) -> np.ndarray:
 
 
 def build_catalog(group: WeylGroup) -> Catalog:
-    """Evaluate every face choice, keep the maximal cones, extract the primes."""
+    """Evaluate every face choice, keep the maximal cones, extract the primes.
+
+    The double description runs only on choices whose nullspace has m
+    dimensions; every other choice's cone and dimension come from one product
+    of the check rows with the maximal cones' rays.
+    """
     if group._catalog is not None:
         return group._catalog
     table = index_table(group)
@@ -211,28 +223,51 @@ def build_catalog(group: WeylGroup) -> Catalog:
 
     dims: list[int] = []
     maximal = []  # (choice, ineq, basis, rays_m)
-    nonmax = []  # (choice, rays_m)
-    # one elimination shared along the tree of choices, visited in product order
+    faces = []  # (position in dims, choice) of the choices left to the faces below
+    # one elimination shared along the tree of choices, visited in product
+    # order; only a choice whose nullspace has m dimensions can be maximal
     choices = itertools.product(*[range(rel.n_args) for rel in relations])
-    bases = cones.product_nullspaces(pins, [checks[columns].tolist() for columns in args], size)
+    bases = cones.product_nullspaces(
+        pins, [checks[columns].tolist() for columns in args], size, least=group.m
+    )
     for choice, basis in zip(choices, bases, strict=True):
-        if not basis:
-            dims.append(0)
-            continue
-        # the edge rows, then the other arguments' rows arg_t - lhs, which read
-        # as arg_t - arg_k on the basis, where the chosen argument's row is zero
-        others = (c for columns, k in zip(args, choice) for c in columns if c != columns[k])
-        ineq = checks[[*range(len(table.edges)), *others]]
-        chart_rows = cones.matmul(ineq, np.transpose(basis)).tolist()
-        rays_x = cones.extreme_rays(chart_rows, len(basis))
-        rays_m = [cones.primitive(r) for r in cones.matmul(rays_x, basis).tolist()]
-        # x -> x . basis is injective, so the rays span as much in the chart
-        dim = cones.rank(rays_x) if rays_x else 0
-        dims.append(dim)
-        if dim == group.m:
-            maximal.append((choice, ineq, basis, rays_m))
-        elif dim > 0:
-            nonmax.append((choice, rays_m))
+        if basis is not None:
+            # the edge rows, then the other arguments' rows arg_t - lhs, which
+            # read as arg_t - arg_k on the basis, where the chosen row is zero
+            others = (c for columns, k in zip(args, choice) for c in columns if c != columns[k])
+            ineq = checks[[*range(len(table.edges)), *others]]
+            chart_rows = cones.matmul(ineq, np.transpose(basis)).tolist()
+            rays_x = cones.extreme_rays(chart_rows, len(basis))
+            # x -> x . basis is injective, so the rays span as much in the chart
+            if rays_x and cones.rank(rays_x) == group.m:
+                rays_m = [cones.primitive(r) for r in cones.matmul(rays_x, basis).tolist()]
+                maximal.append((choice, ineq, basis, rays_m))
+                dims.append(group.m)
+                continue
+        faces.append((len(dims), choice))
+        dims.append(0)
+
+    # Every other cone is a face of the maximal ones: they cover the valid
+    # data and every check row is >= 0 on them, so a cone meets each maximal
+    # cone where its chosen rows vanish, and it is spanned by the maximal
+    # cones' rays (the pool) on which its chosen rows are zero.
+    pool = np.array(
+        list(dict.fromkeys(ray for *_, rays_m in maximal for ray in rays_m)), dtype=np.int64
+    ).reshape(-1, size)
+    values = cones.matmul(checks, pool.T)
+    escapes = np.argwhere(values < 0)
+    if escapes.size:
+        row, j = escapes[0]
+        raise RuntimeError(f"maximal cone ray {tuple(pool[j].tolist())} fails check row {row}")
+    chosen = np.array(
+        [[columns[k] for columns, k in zip(args, choice)] for _, choice in faces], dtype=np.intp
+    ).reshape(len(faces), len(relations))
+    # masks[d]: the pool rays of distinct face d; at[f]: the face of faces[f]
+    masks, at = np.unique((values[chosen] == 0).all(axis=1), axis=0, return_inverse=True)
+    at = at.reshape(-1).tolist()  # numpy 2.0.0 gives the inverse another shape
+    ranks = [cones.rank(pool[mask].tolist()) for mask in masks]
+    for (position, _), d in zip(faces, at):
+        dims[position] = ranks[d]
 
     prime_data: dict[tuple[int, ...], BZDatum] = {}
     raw_clusters = []
@@ -294,20 +329,15 @@ def build_catalog(group: WeylGroup) -> Catalog:
         primes=primes,
         relations=relations,
     )
-    # every lower-dimensional cone should sit inside some maximal one; its rays
-    # are valid data, so the chart rows test their edge lengths along the
-    # reference word
-    if nonmax:
-        rays_n = cones.matmul(
-            [ray for _, rays_m in nonmax for ray in rays_m], np.transpose(length_rows)
-        )
-        # the cones share their rays: 12 distinct of 897 in A3
-        distinct, back = np.unique(rays_n, axis=0, return_inverse=True)
-        admits = _admitting(catalog, distinct)[:, back.ravel()]
-        starts = np.cumsum([0, *(len(rays_m) for _, rays_m in nonmax)])[:-1]
-        admits = np.logical_and.reduceat(admits, starts, axis=1)
-        for (choice, _), covered in zip(nonmax, admits.any(axis=0)):
-            if not covered:
+    # every lower-dimensional cone should sit inside some maximal one: its
+    # pool rays are valid data, so the chart rows test their edge lengths
+    # along the reference word
+    if faces:
+        admits = _admitting(catalog, cones.matmul(pool, np.transpose(length_rows)))
+        # covered[d]: some maximal cone admits every pool ray of face d
+        covered = (~masks[:, None, :] | admits[None, :, :]).all(axis=2).any(axis=1)
+        for (position, choice), d in zip(faces, at):
+            if dims[position] and not covered[d]:
                 warnings.warn(
                     f"choice {choice} spans a cone outside every maximal cone", stacklevel=2
                 )

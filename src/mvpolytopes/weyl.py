@@ -14,6 +14,7 @@ orbits and the index table's ``coaction`` are read off the stacks.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,19 @@ from .cartan import CartanDatum, Coweight, Weight
 
 def _mat_vec(a: list[list[int]], v) -> tuple[int, ...]:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row of a 2-D int64 array, in the rows' lexicographic
+    order: the row's mixed-radix number, each column shifted to start at 0.
+    ``np.unique`` on these keys costs far less than ``np.unique(axis=0)``,
+    whose structured view dominates the small levels of small groups."""
+    low = rows.min(axis=0)
+    spans = [high - lo + 1 for high, lo in zip(rows.max(axis=0).tolist(), low.tolist())]
+    if math.prod(spans) >= 1 << 63:
+        raise RuntimeError(f"rows spanning {spans} have no int64 mixed-radix key")
+    radix = np.cumprod([1, *spans[:0:-1]], dtype=np.int64)[::-1]
+    return (rows - low) @ radix
 
 
 @dataclass(frozen=True)
@@ -141,10 +155,10 @@ class WeylGroup:
                 break
             found = mat[t] @ gens[i]
             _, first, at = np.unique(
-                found.sum(axis=2), axis=0, return_index=True, return_inverse=True
+                _row_keys(found.sum(axis=2)), return_index=True, return_inverse=True
             )
             kept = np.sort(first)  # the new elements, by first appearance
-            at = first[at.reshape(-1)]  # numpy 2.0.0 gives the inverse another shape
+            at = first[at]
             steps.append((start + t, i, len(elements) + np.searchsorted(kept, at)))
             t, i = t[kept], i[kept]
             # s_i is an involution, so its comat is the transpose of its matrix
@@ -324,10 +338,12 @@ class WeylGroup:
         if self._chambers is None:
             chambers, index = [], []
             for i in range(self.rank):
-                orbit, at = np.unique(self._mats[:, :, i], axis=0, return_inverse=True)
-                index.append(at.reshape(-1) + len(chambers))
+                rows = self._mats[:, :, i]
+                _, first, at = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+                index.append(at + len(chambers))
                 chambers += [
-                    ChamberWeight(Weight(self.cartan, tuple(c)), i + 1) for c in orbit.tolist()
+                    ChamberWeight(Weight(self.cartan, tuple(c)), i + 1)
+                    for c in rows[first].tolist()
                 ]
             self._chamber_index = {c.weight.coords: x for x, c in enumerate(chambers)}
             if len(self._chamber_index) < len(chambers):

@@ -535,15 +535,22 @@ def test_pushing_rows_one_at_a_time_gives_the_whole_elimination(rows_width):
                 max_size=3,
             ),
         )
-    )
+    ),
+    st.integers(0, 7),
 )
-def test_product_nullspaces_match_each_leaf(tree):
-    """The bases built along the product tree are those of each leaf's rows."""
+def test_product_nullspaces_match_each_leaf(tree, least):
+    """The bases built along the product tree are those of each leaf's rows,
+    and None at the leaves whose nullspace has fewer than ``least``
+    dimensions, also where the walk stopped above them."""
     width, fixed, levels = tree
-    got = list(cones.product_nullspaces(fixed, levels, width))
+    got = list(cones.product_nullspaces(fixed, levels, width, least))
     leaves = [fixed + list(choice) for choice in itertools.product(*levels)]
-    assert got == [fraction_nullspace(rows, width) for rows in leaves]
-    assert got == [cones.nullspace(rows, width) for rows in leaves]
+    want = [fraction_nullspace(rows, width) for rows in leaves]
+    assert got == [basis if len(basis) >= least else None for basis in want]
+    assert [basis for basis in got if basis is not None] == [
+        cones.nullspace(rows, width) for rows in leaves if width - fraction_rank(rows) >= least
+    ]
+    assert list(cones.product_nullspaces(fixed, levels, width)) == want
 
 
 def test_matmul_refuses_products_that_could_overflow():
@@ -562,7 +569,10 @@ def test_matmul_refuses_products_that_could_overflow():
 # -- catalogs --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("D", 3)])
+CATALOG_GROUPS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("D", 3)]
+
+
+@pytest.mark.parametrize("family,rank", CATALOG_GROUPS)
 def test_catalog_matches_fraction_oracle(family, rank):
     group = weyl_group(build_cartan(family, rank))
     want = oracle_catalog(group)
@@ -615,7 +625,7 @@ def test_chart_rows_contain_the_rays_value_space_rows_contain(family, rank):
         ], choice
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("D", 3)])
+@pytest.mark.parametrize("family,rank", CATALOG_GROUPS)
 def test_fresh_catalog_build_finds_every_cone_covered(family, rank):
     """The chart coverage check warns about no cone; a fresh group bypasses
     the catalog memo that earlier builds on the shared group fill."""
@@ -624,9 +634,52 @@ def test_fresh_catalog_build_finds_every_cone_covered(family, rank):
         primes.build_catalog(WeylGroup(build_cartan(family, rank)))
 
 
-# -- Hilbert bases and decompositions against the pairwise and search oracles ----
+@pytest.mark.parametrize(
+    "family,rank,n_smaller", [("A", 2, 0), ("B", 2, 5), ("C", 2, 5), ("A", 3, 243), ("D", 3, 243)]
+)
+def test_smaller_cones_are_faces_spanned_by_maximal_cone_rays(family, rank, n_smaller):
+    """For every choice whose cone is not maximal, the maximal cones' rays on
+    which its equations vanish satisfy its inequalities, include every
+    extreme ray of the double description over all its rows, and span the
+    dimension the catalog records."""
+    group = weyl_group(build_cartan(family, rank))
+    cat = primes.build_catalog(group)
+    pool = {ray for c in cat.clusters for ray in c.rays_m}
+    relations = value_relations(group)
+    size = len(group.chamber_weights())
+    maximal = {c.choice for c in cat.clusters}
+    choices = list(itertools.product(*[range(r.n_args) for r in cat.relations]))
+    assert len(choices) - len(maximal) == n_smaller
+    for choice, dim in zip(choices, cat.dims, strict=True):
+        if choice in maximal:
+            continue
+        eq, ineq = choice_rows(group, relations, choice)
+        selected = [ray for ray in pool if all(dot(e, ray) == 0 for e in eq)]
+        assert all(dot(row, ray) >= 0 for ray in selected for row in ineq), choice
+        basis = fraction_nullspace(eq, size)
+        chart_rows = [tuple(dot(row, p) for p in basis) for row in ineq]
+        rays = {
+            clear_denominators([dot(x, col) for col in zip(*basis)])
+            for x in frozenset_extreme_rays(chart_rows, len(basis))
+        }
+        assert rays <= set(selected), choice
+        assert fraction_rank(selected) == dim < group.m, choice
 
-CATALOG_GROUPS = [("A", 2), ("B", 2), ("A", 3), ("D", 3)]
+
+def test_fresh_a3_build_runs_the_double_description_on_the_maximal_cones_only(monkeypatch):
+    calls = []
+    extreme_rays = cones.extreme_rays
+
+    def recorded(rows, dim):
+        calls.append(dim)
+        return extreme_rays(rows, dim)
+
+    monkeypatch.setattr(cones, "extreme_rays", recorded)
+    catalog = primes.build_catalog(WeylGroup(build_cartan("A", 3)))
+    assert len(calls) == catalog.n_maximal == 13
+
+
+# -- Hilbert bases and decompositions against the pairwise and search oracles ----
 
 
 @pytest.mark.parametrize("family,rank", CATALOG_GROUPS)

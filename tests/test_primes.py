@@ -253,8 +253,10 @@ def test_derived_lookup_and_solve_data_follow_replace(b2):
 
 
 PRIMES_SHA256 = {
+    ("A", 1): "b445db4130d7f01b3e9778a47bd37849da510ac3166f269a3a05e345582f0729",
     ("A", 2): "a78efc51d351e630d06e1f0face6c4d9c7df7f1769e16df748f68f0f4ef380ed",
     ("B", 2): "8a732f3e89c30b2883efded058bc8c426e7ff22c621d58c1f282515c8fc91cc8",
+    ("C", 2): "c1d0a7d49b278e390a4167b316f7771a356821869e9b2db73744da34eaf4631c",
     ("A", 3): "cda7301e978e615895a8a975d8ccfea5f3872581aeee5933fb632718b8dfeef4",
     ("D", 3): "ed6ac473bb01d216e751d646963a37b0afc4ec3de4629b2180db708d4fcf874d",
 }

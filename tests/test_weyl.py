@@ -1,12 +1,16 @@
 import itertools
+import math
 from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpolytopes import bz, polytope
 from mvpolytopes.cartan import CartanDatum, build_cartan
 from mvpolytopes.tables import index_table
-from mvpolytopes.weyl import WeylGroup, weyl_group
+from mvpolytopes.weyl import WeylGroup, _row_keys, weyl_group
 
 # F4 in Bourbaki labels; build_cartan covers types A-D only
 F4 = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
@@ -294,6 +298,38 @@ def test_weyl_orbit_checks_the_datum(a2, b3):
         c3.weyl_orbit(b3.cartan.fundamental_weight(3))
     with pytest.raises(ValueError, match="weight belongs to a different Cartan datum"):
         a2.weyl_orbit(b3.cartan.fundamental_weight(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.lists(
+            st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=1, max_size=12
+        )
+    ),
+    st.integers(0, 60),
+)
+def test_row_keys_order_rows_as_unique_does(rows, shift):
+    """The keys' unique order and inverse are those of np.unique(axis=0), also
+    with entries near the int64 bounds; rows with more distinct mixed-radix
+    values than int64 holds are refused."""
+    spans = [(max(col) - min(col)) * (1 << shift) + 1 for col in zip(*rows)]
+    rows = np.array(rows, dtype=np.int64) * (1 << shift)
+    if math.prod(spans) >= 1 << 63:
+        with pytest.raises(RuntimeError, match="no int64 mixed-radix key"):
+            _row_keys(rows)
+        return
+    _, first, at = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    want, want_at = np.unique(rows, axis=0, return_inverse=True)
+    assert rows[first].tolist() == want.tolist()
+    assert at.tolist() == want_at.reshape(-1).tolist()
+
+
+def test_row_keys_refuse_rows_without_an_int64_key():
+    assert _row_keys(np.array([[0], [(1 << 63) - 2]])).tolist() == [0, (1 << 63) - 2]
+    for rows in ([[0], [(1 << 63) - 1]], [[0, 0], [1 << 32, 1 << 31]], [[-(1 << 62)], [1 << 62]]):
+        with pytest.raises(RuntimeError, match="no int64 mixed-radix key"):
+            _row_keys(np.array(rows, dtype=np.int64))
 
 
 # -- the object walk: the group one element at a time, on tuple matrices --------
