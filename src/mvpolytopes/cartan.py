@@ -47,6 +47,8 @@ class CartanDatum:
 
     def entry(self, i: int, j: int) -> int:
         """Matrix entry a_{ij}, indices 1-based."""
+        self._check_index(i)
+        self._check_index(j)
         return self.a[i - 1][j - 1]
 
     def fundamental_weight(self, i: int) -> "Weight":

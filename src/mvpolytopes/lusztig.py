@@ -54,7 +54,7 @@ def _move(group: WeylGroup, edge: BraidEdge, n: tuple[int, ...]) -> tuple[int, .
         n1, n2, n3, n4 = window
         x, y = edge.i, edge.j
         p1 = min(n1 + n2, n1 + n4, n3 + n4)
-        if group.cartan.entry(x, y) == -1:
+        if group.cartan.a[x - 1][y - 1] == -1:
             p2 = min(n1 + 2 * n2, n1 + 2 * n4, n3 + 2 * n4)
             new = (n2 + n3 + n4 - p1, 2 * p1 - p2, p2 - p1, n1 + 2 * n2 + n3 - p2)
         else:

@@ -38,7 +38,11 @@ gamma_k = w_k Lambda_{i_k} of a word is sum_{l <= k} <beta_l, gamma_k> n_l,
 so it suffices to move n to a few words whose gamma_k cover every chamber
 weight.  The plan is a parent braid edge per reduced word, each one step
 closer to the reference word, and a fixed chain of braid edges from the
-reference word through such covering words (its stops).  Pairing rows are
+reference word through such covering words (its stops).  The tree is grown
+breadth first over the braid graph's move arrays, a level at a time with the
+first discovery in queue order, and the plan walks the same moves as integer
+neighbour lists.  Neither reads the graph's ``adjacency``: ``BraidEdge``
+objects are made only for the tree and the stops.  Pairing rows are
 kept for the stops only: rows for all 2316 reduced words of D4 would cost
 more memory than the rest of the table.  The stops' rows are stacked as an
 ``(S, m, m)`` array ``pairing`` with the chamber index of each row in
@@ -49,7 +53,6 @@ that the plan reaches every chamber weight.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,7 +212,8 @@ def _build(group: WeylGroup) -> IndexTable:
         rows += [args[min(k, len(args) - 1)] for args in relations]
     check_index, check_coef = _padded(rows)
     graph = group.braid_graph()
-    plan = _plan(group, graph, chamber, right)
+    ref = graph.words.index(group.reference_word)
+    plan = _plan(group, graph, ref)
     pairing, targets, source = _pairing_stack(group, plan, chamber[0])
     chamber_keys = tuple(coords_key(c.weight.coords) for c in chambers)
     return IndexTable(
@@ -218,7 +222,7 @@ def _build(group: WeylGroup) -> IndexTable:
         edge_rows=edge_rows,
         edges=tuple((elements[t].word, i) for t, i in ascents),
         faces=faces,
-        parent=_parents(graph, group.reference_word),
+        parent=_parents(graph, ref),
         plan=plan,
         check_index=check_index,
         check_coef=check_coef,
@@ -284,66 +288,97 @@ def _pairing_stack(
     return pairing, targets, source
 
 
-def _parents(graph: BraidGraph, ref: Word) -> dict[Word, BraidEdge | None]:
+def _levels(graph: BraidGraph, root: int):
+    """The breadth-first levels of the braid graph from word ``root``, each as
+    the moves that first reach its words, in queue order: a word's moves in
+    order of k, the words in the order their level reached them."""
+    seen = np.zeros(len(graph.words), dtype=bool)
+    seen[root] = True
+    frontier = np.array([root])
+    while True:
+        lo, hi = graph.starts[frontier], graph.starts[frontier + 1]
+        count = hi - lo
+        # the moves of every frontier word, one after another
+        ids = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        ids = ids[~seen[graph.dst[ids]]]
+        _, first = np.unique(graph.dst[ids], return_index=True)
+        ids = ids[np.sort(first)]
+        if not ids.size:
+            return
+        frontier = graph.dst[ids]
+        seen[frontier] = True
+        yield ids
+
+
+def _edges(graph: BraidGraph, ids: np.ndarray, back: bool = False) -> list[BraidEdge]:
+    """Braid moves ``ids`` as :class:`BraidEdge` objects, or their reverses if
+    ``back``: a flipped window alternates again, so the reverse of a move is
+    a move of its dst at the same k."""
+    words = graph.words
+    src, k, d, dst = (a[ids].tolist() for a in (graph.src, graph.k, graph.d, graph.dst))
+    if back:
+        src, dst = dst, src
+    return [BraidEdge(words[s], words[t], at, span) for s, t, at, span in zip(src, dst, k, d)]
+
+
+def _parents(graph: BraidGraph, ref: int) -> dict[Word, BraidEdge | None]:
     """For each word, the braid edge one step back along a breadth-first tree
-    grown from ``ref``."""
-    parent: dict[Word, BraidEdge | None] = {ref: None}
-    queue = deque([ref])
-    while queue:
-        word = queue.popleft()
-        for e in graph.adjacency[word]:
-            if e.dst not in parent:
-                # the flipped window alternates again, so this is dst's edge at k
-                parent[e.dst] = BraidEdge(e.dst, e.src, e.k, e.d)
-                queue.append(e.dst)
+    grown from word ``ref``."""
+    parent: dict[Word, BraidEdge | None] = {graph.words[ref]: None}
+    for ids in _levels(graph, ref):
+        parent.update((edge.src, edge) for edge in _edges(graph, ids, back=True))
     if len(parent) != len(graph.words):
         raise RuntimeError("braid graph is not connected")
     return parent
 
 
-def _plan(group: WeylGroup, graph: BraidGraph, chamber, right) -> tuple[Stop, ...]:
+def _plan(group: WeylGroup, graph: BraidGraph, ref: int) -> tuple[Stop, ...]:
     """Greedy cover of the chamber weights by words near each other.
 
     From the current stop, the next one is the nearest word, in braid moves,
     that adds uncovered chamber weights; among the nearest, the first found
     breadth first of those adding the most.
     """
-    masks = {}  # word -> bit mask of the chamber indices of its gamma_k
-    for word in graph.words:
-        t, mask = 0, 0
-        for i in word:
-            t = right[t][i - 1]
-            mask |= 1 << chamber[t][i - 1]
-        masks[word] = mask
-    full = (1 << len(group.chamber_weights())) - 1
-    at = group.reference_word
-    covered = masks[at]
-    for t in chamber[0]:
-        covered |= 1 << t
-    stops = [Stop(at, ())]
+    # masks[x]: bit c is set where chamber weight c is some gamma_k of word x
+    words = graph.array
+    cover = np.zeros((len(words), len(group.chamber_weights())), dtype=bool)
+    rows, t = np.arange(len(words)), np.zeros(len(words), dtype=np.intp)
+    for k in range(group.m):
+        i = words[:, k] - 1
+        t = group._right_array[t, i]
+        cover[rows, group._chamber_array[t, i]] = True
+    packed = np.packbits(cover, axis=1, bitorder="little").tobytes()
+    width = len(packed) // len(words)
+    masks = [int.from_bytes(packed[p : p + width], "little") for p in range(0, len(packed), width)]
+    full = (1 << cover.shape[1]) - 1
+    at, covered = ref, masks[ref]
+    for c in group._chamber_array[0].tolist():
+        covered |= 1 << c
+    starts, src, dst = graph.starts.tolist(), graph.src.tolist(), graph.dst.tolist()
+    stops = [Stop(graph.words[at], ())]
     while covered != full:
-        via: dict[Word, BraidEdge] = {}
+        via = {at: -1}  # the move that reached each word
         level, best, gain = [at], at, 0
         while not gain:
             if not level:
                 raise RuntimeError("reduced words of w0 miss some chamber weight")
             nxt = []
-            for word in level:
-                for e in graph.adjacency[word]:
-                    if e.dst == at or e.dst in via:
+            for x in level:
+                for e in range(starts[x], starts[x + 1]):
+                    y = dst[e]
+                    if y in via:
                         continue
-                    via[e.dst] = e
-                    nxt.append(e.dst)
-                    new = (masks[e.dst] & ~covered).bit_count()
+                    via[y] = e
+                    nxt.append(y)
+                    new = (masks[y] & ~covered).bit_count()
                     if new > gain:
-                        best, gain = e.dst, new
+                        best, gain = y, new
             level = nxt
-        path = []
-        word = best
-        while word != at:
-            path.append(via[word])
-            word = via[word].src
+        path, x = [], best
+        while x != at:
+            path.append(via[x])
+            x = src[via[x]]
         at = best
         covered |= masks[at]
-        stops.append(Stop(at, tuple(reversed(path))))
+        stops.append(Stop(graph.words[at], tuple(_edges(graph, np.array(path[::-1])))))
     return tuple(stops)

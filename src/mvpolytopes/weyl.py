@@ -8,14 +8,25 @@ bookkeeping cheap: {w.Lambda_i} and {w.alpha_i^vee} are dual bases for every
 w.  An element is its position t in ``elements()``, which is also its row in
 both stacks; it carries its word and length but no copy of its action.  The
 right table comes from the walk's steps; chamber weights, chamber indices,
-orbits and the index table's ``coaction`` are read off the stacks.
+orbits and the index table's ``coaction`` are read off the stacks.  The
+stacks are allocated at |W|, known in closed form from the Cartan type.
+
+The braid graph is arrays too: the reduced words of w0 are the rows of an
+int ``(N, m)`` matrix, grown a letter a level through the right table, and
+each braid move is a row of the ``(src, k, d, dst)`` move arrays, found by
+one window match per position k and looked up by the flipped word's radix-r
+key.  ``BraidEdge`` objects are made only where asked for: by
+``BraidGraph.adjacency`` and by the index table's parent tree and plan stops.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,6 +48,30 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
         raise RuntimeError(f"rows spanning {spans} have no int64 mixed-radix key")
     radix = np.cumprod([1, *spans[:0:-1]], dtype=np.int64)[::-1]
     return (rows - low) @ radix
+
+
+# |W| of the exceptional types, by (family, rank)
+EXCEPTIONAL_ORDERS = {
+    ("E", 6): 51840,
+    ("E", 7): 2903040,
+    ("E", 8): 696729600,
+    ("F", 4): 1152,
+    ("G", 2): 12,
+}
+
+
+def weyl_order(cartan: CartanDatum) -> int:
+    """|W| from the closed form for the family and rank of ``cartan``."""
+    n = cartan.rank
+    if cartan.family == "A":
+        return math.factorial(n + 1)
+    if cartan.family in ("B", "C"):
+        return 2**n * math.factorial(n)
+    if cartan.family == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    if (cartan.family, n) in EXCEPTIONAL_ORDERS:
+        return EXCEPTIONAL_ORDERS[cartan.family, n]
+    raise ValueError(f"no finite Weyl group of type {cartan.family}{n}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +141,35 @@ class BraidEdge:
 
 @dataclass(frozen=True)
 class BraidGraph:
+    """The reduced words of w0 and the braid moves between them.
+
+    ``array`` holds the words as an int64 ``(N, m)`` matrix, row x being
+    ``words[x]``, in lexicographic order.  Braid move e flips positions
+    k[e]..k[e] + d[e] - 1 of word src[e] to give word dst[e]; the moves are
+    sorted by (src, k), so word x's moves are ``starts[x]:starts[x + 1]``.
+    ``adjacency`` maps each word to those moves as :class:`BraidEdge`
+    objects, made on first access.
+    """
+
     words: tuple[tuple[int, ...], ...]
-    adjacency: dict[tuple[int, ...], tuple[BraidEdge, ...]] = field(compare=False)
+    array: np.ndarray = field(repr=False, compare=False)
+    src: np.ndarray = field(repr=False, compare=False)
+    k: np.ndarray = field(repr=False, compare=False)
+    d: np.ndarray = field(repr=False, compare=False)
+    dst: np.ndarray = field(repr=False, compare=False)
+    starts: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def adjacency(self) -> Mapping[tuple[int, ...], tuple[BraidEdge, ...]]:
+        words = self.words
+        edges = [
+            BraidEdge(words[s], words[t], k, d)
+            for s, k, d, t in zip(*(a.tolist() for a in (self.src, self.k, self.d, self.dst)))
+        ]
+        starts = self.starts.tolist()
+        return MappingProxyType(
+            {word: tuple(edges[starts[x] : starts[x + 1]]) for x, word in enumerate(words)}
+        )
 
 
 class WeylGroup:
@@ -116,6 +178,7 @@ class WeylGroup:
     def __init__(self, cartan: CartanDatum):
         self.cartan = cartan
         self.rank = cartan.rank
+        self._letters = frozenset(range(1, self.rank + 1))
         self._build()
         self._word_data: dict[tuple[int, ...], WordData] = {}
         self._reduced_words: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -131,25 +194,33 @@ class WeylGroup:
     # -- construction -------------------------------------------------
 
     def _build(self) -> None:
-        """One walk by length levels on int64 ``(N, r, r)`` stacks.
+        """One walk by length levels on int64 ``(|W|, r, r)`` stacks.
 
         Each level is multiplied by every s_i with l(w s_i) > l(w), that is
         w.alpha_i^vee > 0.  A new element, told apart by w rho (the row sums
         of its matrix), is kept where it first appears in (parent, letter)
         order and takes its parent's word plus the letter.  So each level
         comes in the order of least reduced words, the next level is found in
-        that order, and the elements come out sorted by (length, word).
+        that order, and the elements come out sorted by (length, word).  The
+        stacks are allocated once, at the order :func:`weyl_order` gives, and
+        each level is written into them as it is found.
         """
         r = self.rank
+        size = weyl_order(self.cartan)
         a = np.array(self.cartan.a, dtype=np.int64)
         # s_i Lambda_j = Lambda_j - delta_ij alpha_i, and alpha_i is column i of a
         gens = np.repeat(np.eye(r, dtype=np.int64)[None], r, axis=0)
         gens[np.arange(r), :, np.arange(r)] -= a.T
-        mat = comat = np.eye(r, dtype=np.int64)[None]
+        # [t]: the action matrices of w_t on weights and on coweights
+        mats = np.empty((size, r, r), dtype=np.int64)
+        comats = np.empty_like(mats)
+        mats[0] = comats[0] = np.eye(r, dtype=np.int64)
         elements = [WeylElement(self.cartan, 0, (), 0)]
-        levels, steps = [(mat, comat)], []
+        steps = []
+        start = 0  # index of the level's first element
         while True:
-            start = len(elements) - len(mat)  # index of the level's first element
+            end = len(elements)
+            mat, comat = mats[start:end], comats[start:end]
             t, i = np.nonzero((comat >= 0).all(axis=1))
             if not t.size:
                 break
@@ -158,28 +229,35 @@ class WeylGroup:
                 _row_keys(found.sum(axis=2)), return_index=True, return_inverse=True
             )
             kept = np.sort(first)  # the new elements, by first appearance
+            if end + len(kept) > size:
+                raise RuntimeError(f"the walk finds more than the {size} elements of {self.cartan}")
             at = first[at]
-            steps.append((start + t, i, len(elements) + np.searchsorted(kept, at)))
+            steps.append((start + t, i, end + np.searchsorted(kept, at)))
             t, i = t[kept], i[kept]
+            mats[end : end + len(kept)] = found[kept]
             # s_i is an involution, so its comat is the transpose of its matrix
-            mat, comat = found[kept], comat[t] @ gens[i].transpose(0, 2, 1)
-            levels.append((mat, comat))
+            np.matmul(comat[t], gens[i].transpose(0, 2, 1), out=comats[end : end + len(kept)])
             for p, k in zip((start + t).tolist(), i.tolist()):
                 word = elements[p].word + (k + 1,)
                 elements.append(WeylElement(self.cartan, len(elements), word, len(word)))
-        if len(mat) > 1:
+            start = end
+        if end != size:
+            raise RuntimeError(f"the walk finds {end} elements, but {self.cartan} has {size}")
+        if end - start > 1:
             raise RuntimeError(
-                f"longest element is not unique: {len(mat)} elements have length {len(levels) - 1}"
+                f"longest element is not unique: {end - start} elements have length "
+                f"{elements[-1].length}"
             )
-        # [t]: the action matrices of w_t on weights and on coweights
-        self._mats, self._comats = map(np.concatenate, zip(*levels))
+        self._mats, self._comats = mats, comats
         self._mats.flags.writeable = self._comats.flags.writeable = False
         # each step w -> w s_i of the walk, and its reverse, is an entry of the right table
         src, letter, dst = map(np.concatenate, zip(*steps))
-        right = np.empty((len(elements), r), dtype=np.intp)
+        right = np.empty((size, r), dtype=np.intp)
         right[src, letter] = dst
         right[dst, letter] = src
-        self._right = tuple(map(tuple, right.tolist()))  # [t][i - 1]: index of w_t s_i
+        right.flags.writeable = False
+        self._right_array = right  # [t][i - 1]: index of w_t s_i
+        self._right = tuple(map(tuple, right.tolist()))  # the same, as tuples
         self._elements = tuple(elements)
         self._identity = self._elements[0]
         self._w0 = self._elements[-1]
@@ -293,18 +371,22 @@ class WeylGroup:
             return cached
         if len(word) != self.m:
             raise ValueError(f"need a reduced word for w0 of length {self.m}, got {word}")
+        if not self._letters.issuperset(word):
+            for i in word:
+                self.cartan._check_index(i)
+        right = self._right
         path = [0]  # element indices of the prefixes
         for i in word:
-            self.cartan._check_index(i)
-            path.append(self._right[path[-1]][i - 1])
+            path.append(right[path[-1]][i - 1])
         if path[-1] != len(self._elements) - 1:
             raise ValueError(f"{word} is not a word for the longest element")
         # m letters whose product is w0 form a reduced word
-        coroots = tuple(self._coroots[path[k]][i - 1] for k, i in enumerate(word))
-        gammas = tuple(self._lambdas[path[k + 1]][i - 1] for k, i in enumerate(word))
+        at_coroots, at_lambdas = self._coroots, self._lambdas
+        coroots = tuple([at_coroots[t][i - 1] for t, i in zip(path, word)])
+        gammas = tuple([at_lambdas[t][i - 1] for t, i in zip(path[1:], word)])
         if len({b.coords for b in coroots}) != self.m:
             raise RuntimeError(f"reduced word {word} repeats a coroot in its coroot sequence")
-        prefixes = tuple(self._elements[t] for t in path)
+        prefixes = tuple([self._elements[t] for t in path])
         data = WordData(word, prefixes, coroots, gammas)
         self._word_data[word] = data
         return data
@@ -386,36 +468,80 @@ class WeylGroup:
 
     # -- braid graph -------------------------------------------------------
 
+    @functools.cached_property
+    def _orders(self) -> np.ndarray:
+        """[i - 1][j - 1]: the order of s_i s_j, which is 2, 3, 4 or 6 for
+        a_ij a_ji = 0, 1, 2 or 3, and 1 for i = j."""
+        a, r = self.cartan.a, self.rank
+        orders = np.ones((r, r), dtype=np.int64)
+        for i, j in itertools.permutations(range(r), 2):
+            orders[i, j] = {0: 2, 1: 3, 2: 4, 3: 6}[a[i][j] * a[j][i]]
+        orders.flags.writeable = False
+        return orders
+
     def braid_order(self, i: int, j: int) -> int:
-        """Order of s_i s_j: 2, 3 or 4 for a_ij a_ji = 0, 1, 2."""
-        prod = self.cartan.entry(i, j) * self.cartan.entry(j, i)
-        return {0: 2, 1: 3, 2: 4}[prod]
+        """Order of s_i s_j for i != j: 2, 3, 4 or 6 for a_ij a_ji = 0, 1, 2 or 3."""
+        self.cartan._check_index(i)
+        self.cartan._check_index(j)
+        if i == j:
+            raise ValueError(f"braid order needs two distinct indices, got i = {i} and j = {j}")
+        return int(self._orders[i - 1, j - 1])
 
     def braid_graph(self) -> BraidGraph:
+        """The reduced words of w0 and their braid moves, built on first use.
+
+        The words grow one letter a level from the empty prefix, each prefix
+        taking every ascent of the element it ends at, in letter order, so
+        the rows stay in lexicographic order.  A move at position k is an
+        alternating window x y x ... of length d = the order of s_x s_y; its
+        flip is looked up by its radix-r key among the words' keys.
+        """
         if self._braid_graph is None:
-            words = self.reduced_words(self._w0)
-            node_set = set(words)
-            adjacency = {}
-            for word in words:
-                out = []
-                for k in range(self.m - 1):
-                    x, y = word[k], word[k + 1]
-                    d = self.braid_order(x, y)
-                    if k + d > self.m:
-                        continue
-                    window = word[k : k + d]
-                    alt = tuple(x if t % 2 == 0 else y for t in range(d))
-                    if window != alt:
-                        continue
-                    flipped = tuple(y if t % 2 == 0 else x for t in range(d))
-                    dst = word[:k] + flipped + word[k + d :]
-                    if dst not in node_set:
-                        raise RuntimeError(
-                            f"braid move at {k} of {word} gives {dst}, not a reduced word of w0"
-                        )
-                    out.append(BraidEdge(word, dst, k, d))
-                adjacency[word] = tuple(out)
-            self._braid_graph = BraidGraph(words, adjacency)
+            r, m = self.rank, self.m
+            if r**m >= 1 << 63:
+                raise RuntimeError(f"words of length {m} in {r} letters have no int64 key")
+            cols, at = [], np.zeros(1, dtype=np.intp)  # the prefixes' letters, by position
+            for _ in range(m):
+                p, i = np.nonzero(self._ascents[at])
+                cols, at = [c[p] for c in cols] + [i + 1], self._right_array[at[p], i]
+            words = np.array(cols).T
+            radix = r ** np.arange(m - 1, -1, -1, dtype=np.int64)
+            keys = (words - 1) @ radix
+            # ok[x][k]: whether the window of word x at k alternates for d = its order
+            ok = np.zeros((len(words), m - 1), dtype=bool)
+            for k in range(m - 1):
+                d = self._orders[cols[k] - 1, cols[k + 1] - 1]
+                ok[:, k] = k + d <= m
+                for t in range(2, min(int(d.max()), m - k)):
+                    ok[:, k] &= (d <= t) | (cols[k + t] == cols[k + t - 2])
+            src, k = np.nonzero(ok)  # the moves, by (src, k)
+            x, y = words[src, k], words[src, k + 1]
+            d = self._orders[x - 1, y - 1]
+            # the flip adds y - x at the even places t of the window and x - y at the odd
+            step = np.zeros(len(src), dtype=np.int64)
+            for t in range(int(d.max(initial=0))):
+                step += np.where(t < d, (-1) ** t * radix[np.minimum(k + t, m - 1)], 0)
+            dst_keys = keys[src] + (y - x) * step
+            dst = np.searchsorted(keys, dst_keys)
+            miss = np.flatnonzero(keys[np.minimum(dst, len(keys) - 1)] != dst_keys)
+            if miss.size:
+                e = miss[0]
+                word, at, span = tuple(words[src[e]].tolist()), int(k[e]), int(d[e])
+                flip = ((word[at + 1], word[at]) * span)[:span]
+                raise RuntimeError(
+                    f"braid move at {at} of {word} gives "
+                    f"{word[:at] + flip + word[at + span :]}, not a reduced word of w0"
+                )
+            words.flags.writeable = False
+            self._braid_graph = BraidGraph(
+                tuple(map(tuple, words.tolist())),
+                words,
+                src,
+                k,
+                d,
+                dst,
+                np.searchsorted(src, np.arange(len(keys) + 1)),
+            )
         return self._braid_graph
 
     # -- numerics ----------------------------------------------------------

@@ -1,0 +1,157 @@
+"""The array braid graph, parent tree and transport plan against loop references.
+
+``loop_braid_graph`` lists the reduced words of w0 with
+``WeylGroup.reduced_words`` and finds every braid move by slicing each word
+in Python; ``loop_parents`` and ``loop_plan`` grow the table's parent tree
+and transport plan breadth first over that adjacency, on tuples and bit
+masks.  They read the Cartan matrix and the group's right table and chamber
+indices, never the braid arrays they check.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from mvpolytopes.cartan import build_cartan
+from mvpolytopes.tables import Stop, index_table
+from mvpolytopes.weyl import BraidEdge, WeylGroup, weyl_group
+
+GROUPS = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+    ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4),
+    ("D", 3), ("D", 4),
+]
+
+
+def loop_braid_graph(group):
+    """(words, adjacency): the reduced words of w0 in lexicographic order and,
+    per word, its braid moves in order of position."""
+    a = group.cartan.a
+    words = group.reduced_words(group.w0)
+    node_set = set(words)
+    adjacency = {}
+    for word in words:
+        out = []
+        for k in range(group.m - 1):
+            x, y = word[k], word[k + 1]
+            d = {0: 2, 1: 3, 2: 4}[a[x - 1][y - 1] * a[y - 1][x - 1]]
+            if k + d > group.m:
+                continue
+            window = word[k : k + d]
+            alt = tuple(x if t % 2 == 0 else y for t in range(d))
+            if window != alt:
+                continue
+            flipped = tuple(y if t % 2 == 0 else x for t in range(d))
+            dst = word[:k] + flipped + word[k + d :]
+            assert dst in node_set, (word, k)
+            out.append(BraidEdge(word, dst, k, d))
+        adjacency[word] = tuple(out)
+    return words, adjacency
+
+
+def loop_parents(words, adjacency, ref):
+    """For each word, the braid edge one step back along a breadth-first tree
+    grown from ``ref``, in the order the tree reaches the words."""
+    parent = {ref: None}
+    queue = deque([ref])
+    while queue:
+        word = queue.popleft()
+        for e in adjacency[word]:
+            if e.dst not in parent:
+                parent[e.dst] = BraidEdge(e.dst, e.src, e.k, e.d)
+                queue.append(e.dst)
+    assert len(parent) == len(words)
+    return parent
+
+
+def loop_plan(group, words, adjacency):
+    """Greedy cover of the chamber weights: from each stop, the nearest word
+    that adds uncovered chamber weights, the first found breadth first of
+    those adding the most."""
+    chamber, right = index_table(group).chamber, group._right
+    masks = {}
+    for word in words:
+        t, mask = 0, 0
+        for i in word:
+            t = right[t][i - 1]
+            mask |= 1 << chamber[t][i - 1]
+        masks[word] = mask
+    full = (1 << len(group.chamber_weights())) - 1
+    at = group.reference_word
+    covered = masks[at]
+    for t in chamber[0]:
+        covered |= 1 << t
+    stops = [Stop(at, ())]
+    while covered != full:
+        via = {}
+        level, best, gain = [at], at, 0
+        while not gain:
+            assert level, "reduced words of w0 miss some chamber weight"
+            nxt = []
+            for word in level:
+                for e in adjacency[word]:
+                    if e.dst == at or e.dst in via:
+                        continue
+                    via[e.dst] = e
+                    nxt.append(e.dst)
+                    new = (masks[e.dst] & ~covered).bit_count()
+                    if new > gain:
+                        best, gain = e.dst, new
+            level = nxt
+        path = []
+        word = best
+        while word != at:
+            path.append(via[word])
+            word = via[word].src
+        at = best
+        covered |= masks[at]
+        stops.append(Stop(at, tuple(reversed(path))))
+    return tuple(stops)
+
+
+@pytest.mark.parametrize("family,rank", GROUPS)
+def test_arrays_match_the_loops(family, rank):
+    g = weyl_group(build_cartan(family, rank))
+    words, adjacency = loop_braid_graph(g)
+    graph = g.braid_graph()
+    assert graph.words == words
+    assert graph.array.tolist() == [list(w) for w in words]
+    assert list(graph.adjacency.items()) == list(adjacency.items())
+    table = index_table(g)
+    parent = loop_parents(words, adjacency, g.reference_word)
+    assert list(table.parent.items()) == list(parent.items())
+    assert table.plan == loop_plan(g, words, adjacency)
+
+
+def test_table_reads_no_adjacency():
+    g = WeylGroup(build_cartan("D", 4))
+    table = index_table(g)
+    graph = g.braid_graph()
+    assert "adjacency" not in vars(graph)  # made on first access only
+    assert len(table.parent) == len(graph.words) == 2316
+    assert len(graph.adjacency) == 2316 and "adjacency" in vars(graph)
+    with pytest.raises(TypeError):
+        graph.adjacency[g.reference_word] = ()
+
+
+def test_move_arrays_are_sorted_by_word_then_position(b3):
+    graph = b3.braid_graph()
+    order = np.lexsort((graph.k, graph.src))
+    assert (order == np.arange(len(order))).all()
+    assert graph.starts[0] == 0 and graph.starts[-1] == len(graph.src)
+    for x in range(len(graph.words)):
+        assert (graph.src[graph.starts[x] : graph.starts[x + 1]] == x).all()
+    # a move and its reverse: the flipped window alternates again at k
+    back = {(s, k): t for s, k, t in zip(graph.src.tolist(), graph.k.tolist(), graph.dst.tolist())}
+    assert all(back[t, k] == s for (s, k), t in back.items())
+
+
+def test_a_flip_outside_the_words_is_refused():
+    g = WeylGroup(build_cartan("A", 2))
+    # claim s_1 s_2 has order 2: then 1 2 1 would flip to 2 1 1
+    g._orders = np.array([[1, 2], [2, 1]])
+    with pytest.raises(RuntimeError, match=r"at 0 of \(1, 2, 1\) gives \(2, 1, 1\), not a reduced"):
+        g.braid_graph()
+

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mvpolytopes import bz, polytope
 from mvpolytopes.cartan import CartanDatum, build_cartan
 from mvpolytopes.tables import index_table
-from mvpolytopes.weyl import WeylGroup, _row_keys, weyl_group
+from mvpolytopes.weyl import WeylGroup, _row_keys, weyl_group, weyl_order
 
 # F4 in Bourbaki labels; build_cartan covers types A-D only
 F4 = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
@@ -179,6 +179,59 @@ def test_braid_graph_connected(a3):
 def test_braid_order(family, rank, i, j, order):
     g = weyl_group(build_cartan(family, rank))
     assert g.braid_order(i, j) == order
+
+
+def test_braid_order_rejects_index_zero(a3):
+    with pytest.raises(IndexError, match=r"simple index 0 out of range 1\.\.3"):
+        a3.braid_order(0, 1)
+
+
+def test_braid_order_rejects_equal_indices(a3):
+    with pytest.raises(ValueError, match="i = 1 and j = 1"):
+        a3.braid_order(1, 1)
+
+
+def test_braid_order_rejects_index_past_rank(a3):
+    with pytest.raises(IndexError, match=r"simple index 5 out of range 1\.\.3"):
+        a3.braid_order(1, 5)
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (1, 5), (-1, 2)])
+def test_entry_rejects_out_of_range_indices(a3, i, j):
+    bad = i if not 1 <= i <= 3 else j
+    with pytest.raises(IndexError, match=rf"simple index {bad} out of range 1\.\.3"):
+        a3.cartan.entry(i, j)
+
+
+@pytest.mark.parametrize("letter", [0, 4])
+def test_word_data_rejects_out_of_range_letters(a3, letter):
+    word = (letter,) + a3.reference_word[1:]
+    with pytest.raises(IndexError, match=rf"simple index {letter} out of range 1\.\.3"):
+        a3.word_data(word)
+
+
+def test_braid_order_reads_the_order_table():
+    g2 = WeylGroup(CartanDatum("G", 2, ((2, -1), (-3, 2))))
+    assert len(g2.elements()) == 12 and g2.braid_order(1, 2) == g2.braid_order(2, 1) == 6
+    graph = g2.braid_graph()
+    assert graph.words == ((1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1))
+    assert graph.d.tolist() == [6, 6] and graph.dst.tolist() == [1, 0]
+    f4 = WeylGroup(CartanDatum("F", 4, F4))
+    got = [[f4.braid_order(i, j) for j in range(1, 5) if j != i] for i in range(1, 5)]
+    assert got == [[3, 2, 2], [3, 4, 2], [2, 4, 3], [2, 2, 3]]
+    assert f4._orders.tolist() == [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]
+
+
+def test_walk_must_find_the_closed_form_order():
+    b2, a2 = build_cartan("B", 2).a, build_cartan("A", 2).a
+    with pytest.raises(RuntimeError, match="more than the 6 elements"):
+        WeylGroup(CartanDatum("A", 2, b2))
+    with pytest.raises(RuntimeError, match="finds 6 elements, but CartanDatum.B2. has 8"):
+        WeylGroup(CartanDatum("B", 2, a2))
+    with pytest.raises(ValueError, match="no finite Weyl group of type H3"):
+        WeylGroup(CartanDatum("H", 3, build_cartan("A", 3).a))
+    assert weyl_order(CartanDatum("F", 4, F4)) == 1152
+    assert [weyl_order(build_cartan(f, 4)) for f in "ABCD"] == [120, 384, 384, 192]
 
 
 def test_kpf_frozen_values(a2, a3):
@@ -433,8 +486,6 @@ def test_array_walk_matches_object_walk(family, rank):
     for i, orbit in enumerate(orbits, 1):
         lam = g.weyl_orbit(g.cartan.fundamental_weight(i))
         assert [x.coords for x in lam] == orbit
-    if rank == 4 and family in "BC":
-        return  # their tables list every reduced word of w0, about 2 s each
     # the table reads its chamber indices and coweight actions off the walk
     table = index_table(g)
     at = {(cw.weight.coords): x for x, cw in enumerate(g.chamber_weights())}
