@@ -22,6 +22,7 @@ from .polytope import (
     minkowski_sum,
     mu1,
     mu2,
+    negate,
     normalize,
     psi,
     scale,
@@ -68,6 +69,7 @@ __all__ = [
     "minkowski_sum",
     "mu1",
     "mu2",
+    "negate",
     "normalize",
     "pairing",
     "prime_by_label",

@@ -8,11 +8,11 @@ hexagonal and octagonal 2-face relation holds.
 
 :func:`validate` evaluates every edge length and every 2-face residual as one
 gathered integer product over the index table's check rows, and a datum keeps
-its report, so it is validated once however often it is asked.
-:func:`from_lusztig` reads the values off every stop of the transport plan
-with one product over the table's pairing stack.  Both products run in int64
-while the sums provably fit, and on Python ints (``dtype=object``) above that
-bound (:func:`cones.exact_dtype`), so they stay exact at any size.
+its report, so it is validated once however often it is asked.  The product
+runs in int64 while the sums provably fit, and on Python ints
+(``dtype=object``) above that bound (:func:`cones.exact_dtype`), so it stays
+exact at any size.  :func:`from_lusztig` runs the table's assembly program, a
+straight-line program on Python ints, which is exact at any size as well.
 """
 
 from __future__ import annotations
@@ -178,16 +178,11 @@ def is_valid(group: WeylGroup, datum: BZDatum) -> bool:
 def from_lusztig(group: WeylGroup, word, n) -> BZDatum:
     """Datum of the polytope with Lusztig data ``n`` along ``word``.
 
-    Runs the group's transport plan (see :mod:`mvpolytopes.tables`): n moves
-    along parent braid edges to the reference word, then along a fixed chain
-    of braid edges through a few words whose chamber weights gamma_k cover
-    every chamber weight; at each of those words the values
-    M(gamma_k) = sum_{l <= k} <beta_l, gamma_k> n_l are read off, and a
-    chamber weight reached twice must get the same value both times.  The
-    result is then certified: it must pass :func:`validate`, and its Lusztig
-    data along ``word`` must be n again, because a valid datum is determined
-    by its Lusztig data along one word.  Failure of any of these checks is an
-    implementation error, not bad input.
+    n moves along parent braid edges to the reference word, where the table's
+    assembly program (see :mod:`mvpolytopes.tables`) solves the edge rows and
+    2-face relations for the values, on Python ints.  The result must pass
+    :func:`validate` and have Lusztig data n along ``word`` again, which fixes
+    a valid datum; failing either is an implementation error, not bad input.
     """
     word = tuple(word)
     table = index_table(group)
@@ -199,36 +194,11 @@ def from_lusztig(group: WeylGroup, word, n) -> BZDatum:
     while edge is not None:
         moved = lusztig._move(group, edge, moved)
         edge = table.parent[edge.dst]
-    at_stops: list[int] = []  # the data at every stop, one after another
-    for stop in table.plan:
-        for edge in stop.edges:
-            moved = lusztig._move(group, edge, moved)
-        at_stops += moved
-    # Lusztig data are nonnegative, so every value read off is at most their
-    # maximum times the largest absolute row sum of the pairing stack
-    dtype = exact_dtype(max(at_stops), table.pairing_norm)
-    read = np.einsum(
-        "skl,sl->sk",
-        table.pairing.astype(dtype, copy=False),
-        np.array(at_stops, dtype=dtype).reshape(len(table.plan), group.m),
-    ).ravel()
-    # each chamber weight takes the value of the first row reaching it, and
-    # the identity chamber weights the 0 appended after the last row
-    values = np.append(read, 0)[table.source]
-    clash = np.flatnonzero(values[table.targets] != read)
-    if clash.size:
-        p = clash[0]
-        x = table.targets[p]
-        raise RuntimeError(
-            f"inconsistent value at chamber weight "
-            f"{group.chamber_weights()[x].weight.coords}: "
-            f"{values[x]} vs {read[p]} from word {table.plan[p // group.m].word}"
-        )
-    datum = BZDatum(group.cartan, tuple(values.tolist()))
+    datum = BZDatum(group.cartan, table.assemble(moved))
     report = validate(group, datum)
     if not report.is_valid:
         raise RuntimeError(
-            "transported data violates polytope conditions: " + "; ".join(report.lines())
+            "assembled data violates polytope conditions: " + "; ".join(report.lines())
         )
     back = lusztig_data(group, datum, word)
     if back != n:

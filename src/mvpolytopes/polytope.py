@@ -1,5 +1,6 @@
 """Geometry of the polytopes behind validated data: vertices, support values,
-translation, Minkowski sums, and exhaustive enumeration by total coweight.
+translation, negation, Minkowski sums, and exhaustive enumeration by total
+coweight.
 
 The vertices of a datum are one integer product over the group's index
 table: :func:`vertex_matrix` returns every mu_w as a row, and
@@ -100,6 +101,17 @@ def scale(group: WeylGroup, datum: BZDatum, c: int) -> BZDatum:
     if c < 0:
         raise ValueError("scale factor must be nonnegative")
     return BZDatum(group.cartan, tuple(c * v for v in bz._values(group, datum)))
+
+
+def negate(group: WeylGroup, datum: BZDatum) -> BZDatum:
+    """The polytope -P, whose value at gamma is M(-gamma): one gather through
+    the table's negation column.  Its vertex at w is -mu_{w w0}, so its bottom
+    vertex is -mu2 (see :func:`normalize`).  P -> -P is Kashiwara's involution *
+    (Kamnitzer, Adv. Math. 215 (2007)): along the reversed word
+    (i_m^*, ..., i_1^*), where w0 . alpha_i = -alpha_{i^*}, -P has the
+    Lusztig data (n_m, ..., n_1) of P along (i_1, ..., i_m)."""
+    M = bz._values(group, datum)
+    return BZDatum(group.cartan, tuple([M[y] for y in index_table(group).negation]))
 
 
 def psi(group: WeylGroup, datum: BZDatum, alpha: Weight) -> int:

@@ -32,28 +32,28 @@ the document keys of :mod:`serialize`: the canonical word of every element
 and the coordinates of every chamber weight, with the inverse map from a key
 to its chamber index.
 
-The table also holds the transport plan of :func:`bz.from_lusztig`.  A
-datum is fixed by its Lusztig data along one reduced word, and the value at
-gamma_k = w_k Lambda_{i_k} of a word is sum_{l <= k} <beta_l, gamma_k> n_l,
-so it suffices to move n to a few words whose gamma_k cover every chamber
-weight.  The plan is a parent braid edge per reduced word, each one step
-closer to the reference word, and a fixed chain of braid edges from the
-reference word through such covering words (its stops).  The tree is grown
-breadth first over the braid graph's move arrays, a level at a time with the
-first discovery in queue order, and the plan walks the same moves as integer
-neighbour lists.  Neither reads the graph's ``adjacency``: ``BraidEdge``
-objects are made only for the tree and the stops.  Pairing rows are
-kept for the stops only: rows for all 2316 reduced words of D4 would cost
-more memory than the rest of the table.  The stops' rows are stacked as an
-``(S, m, m)`` array ``pairing`` with the chamber index of each row in
-``targets``, so that every stop is read off with one product; ``source``
-names, per chamber weight, the first row reaching it, and building it checks
-that the plan reaches every chamber weight.
+The table also holds the assembly program of :func:`bz.from_lusztig`: a
+straight-line program from the Lusztig data n along the reference word to the
+values tuple.  Its m edge steps solve the edge rows along that word for
+M(gamma_k).  A polytope is MV exactly when its 2-faces are, so each face step
+takes one relation lhs = min(args) of :data:`FACE_RELATIONS` with a single
+unknown x in lhs and sets x = min(args) - (lhs - x).  Relations of negated
+faces, read through the ``negation`` column gamma -> -gamma, count too, as -P
+is MV with P; without them the program stalls in C3 and C4.  The build checks
+that the program reaches every chamber weight and compiles it to one Python
+function on Python ints, exact at any size.
+
+The parent tree, a braid edge per reduced word of w0 one step toward the
+reference word, is grown breadth first over the braid graph's move arrays, a
+level at a time with the first discovery in queue order, without reading the
+graph's ``adjacency``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,13 +94,14 @@ FACE_RELATIONS: dict[str, tuple[tuple[Row, tuple[Row, ...]], ...]] = {
 RELATION_ARGS = max(len(args) for rels in FACE_RELATIONS.values() for _, args in rels)
 
 
-@dataclass(frozen=True)
-class Stop:
-    """A word of the plan whose chamber weights get values; ``edges`` lead to
-    it from the previous stop (none for the reference word)."""
+class Step(NamedTuple):
+    """One assignment of the assembly program: M[x] = min(args) - rest, less
+    n_k for an edge step.  A face step has ``k`` None."""
 
-    word: Word
-    edges: tuple[BraidEdge, ...]
+    x: int
+    args: tuple[Row, ...]
+    rest: Row
+    k: int | None
 
 
 @dataclass(frozen=True)
@@ -122,19 +123,17 @@ class IndexTable:
     # FACE_RELATIONS order per face, are the rows of ``by_relation``
     faces: tuple[Face, ...]
     parent: dict[Word, BraidEdge | None]  # toward the reference word; None at it
-    plan: tuple[Stop, ...]  # starts at the reference word
+    negation: tuple[int, ...]  # [x]: chamber index of -gamma for chamber weight x
+    program: tuple[Step, ...]  # the m edge steps, then the face steps
+    # the program compiled to one function from the Lusztig data along the
+    # reference word to the values tuple
+    assemble: Callable[[tuple[int, ...]], tuple[int, ...]]
     # the check rows, one per column, as chamber indices and coefficients
     # padded with 0: the E edge rows, then the rows arg_k - lhs of the R
     # relations, at the columns ``by_relation`` reads
     check_index: np.ndarray  # intp (width, E + RELATION_ARGS * R)
     check_coef: np.ndarray  # int64 (width, E + RELATION_ARGS * R)
     check_norm: int  # max over the check rows of sum |coef|
-    pairing: np.ndarray  # int64 (S, m, m): [s][k][l] is <beta_l, gamma_k> at stop s
-    pairing_norm: int  # max over the pairing rows of sum |coef|
-    targets: np.ndarray  # intp (S * m,): chamber index of gamma_k of stop s at s * m + k
-    # intp (|Gamma|,): the first position in ``targets`` of each chamber
-    # weight, and S * m (one past the end) for the identity chamber weights
-    source: np.ndarray
     chamber_array: np.ndarray  # intp (|W|, r), the same indices as ``chamber``
     coaction: np.ndarray  # int64 (|W|, r, r): [t][c][i - 1] is coordinate c of w_t . alpha_i^vee
     coaction_max: int  # max |entry| of ``coaction``
@@ -211,10 +210,8 @@ def _build(group: WeylGroup) -> IndexTable:
     for k in range(RELATION_ARGS):
         rows += [args[min(k, len(args) - 1)] for args in relations]
     check_index, check_coef = _padded(rows)
-    graph = group.braid_graph()
-    ref = graph.words.index(group.reference_word)
-    plan = _plan(group, graph, ref)
-    pairing, targets, source = _pairing_stack(group, plan, chamber[0])
+    negation = tuple(group.chamber_index(tuple(-v for v in c.weight.coords)) for c in chambers)
+    program = _program(group, chamber, right, edge_rows, faces, negation)
     chamber_keys = tuple(coords_key(c.weight.coords) for c in chambers)
     return IndexTable(
         chamber=chamber,
@@ -222,15 +219,13 @@ def _build(group: WeylGroup) -> IndexTable:
         edge_rows=edge_rows,
         edges=tuple((elements[t].word, i) for t, i in ascents),
         faces=faces,
-        parent=_parents(graph, ref),
-        plan=plan,
+        parent=_parents(group.braid_graph(), group.reference_word),
+        negation=negation,
+        program=program,
+        assemble=_compiled(program, len(chambers), chamber[0]),
         check_index=check_index,
         check_coef=check_coef,
         check_norm=int(np.abs(check_coef).sum(0).max()),
-        pairing=pairing,
-        pairing_norm=int(np.abs(pairing).sum(2).max()),
-        targets=targets,
-        source=source,
         chamber_array=group._chamber_array,
         coaction=group._comats,
         coaction_max=int(np.abs(group._comats).max()),
@@ -251,6 +246,101 @@ def _difference(at: tuple[int, ...], arg: Row, lhs: Row) -> Row:
     return tuple((t, c) for t, c in total.items() if c)
 
 
+def _program(
+    group: WeylGroup,
+    chamber: tuple[tuple[int, ...], ...],
+    right: tuple[tuple[int, ...], ...],
+    edge_rows: tuple[tuple[Row, ...], ...],
+    faces: tuple[Face, ...],
+    negation: tuple[int, ...],
+) -> tuple[Step, ...]:
+    """The assembly program over the relations of ``faces`` and their negations.
+
+    Edge step k solves the edge row at (w_{k-1}, i_k), of length n_k, for
+    M(gamma_k); the row's other chamber weights are Lambda_j or earlier
+    gamma_l.  Then, in passes, every relation with one unknown x in lhs, of
+    coefficient 1, and every other chamber weight known becomes a face step.
+    Raises if some chamber weight is left unreached.
+    """
+    known = set(chamber[0])
+    steps = []
+    t = 0
+    for k, i in enumerate(group.reference_word):
+        x = chamber[right[t][i - 1]][i - 1]
+        # the row is -M(x) plus the rest
+        steps.append(Step(x, (tuple(e for e in edge_rows[t][i - 1] if e[0] != x),), (), k))
+        known.add(x)
+        t = right[t][i - 1]
+    pending = []
+    for f in faces:
+        at = _face_indices(chamber, right, group._row(f.w), f.i, f.j, f.kind)
+        for face_at in (at, tuple(negation[p] for p in at)):
+            pending += [
+                (_gathered(face_at, lhs), tuple(_gathered(face_at, arg) for arg in args))
+                for lhs, args in FACE_RELATIONS[f.kind]
+            ]
+    while pending:
+        left = []
+        for lhs, args in pending:
+            unknown = [(p, c) for p, c in lhs if p not in known]
+            if not unknown:
+                continue
+            if len(unknown) == 1 and unknown[0][1] == 1 and all(
+                p in known for arg in args for p, _ in arg
+            ):
+                x = unknown[0][0]
+                steps.append(Step(x, args, tuple(e for e in lhs if e[0] != x), None))
+                known.add(x)
+            else:
+                left.append((lhs, args))
+        if len(left) == len(pending):
+            break
+        pending = left
+    missed = sorted(set(range(len(negation))) - known)
+    if missed:
+        coords = [group.chamber_weights()[x].weight.coords for x in missed]
+        raise RuntimeError(f"assembly program misses the chamber weights {coords}")
+    return tuple(steps)
+
+
+def _compiled(
+    program: tuple[Step, ...], size: int, identity: tuple[int, ...]
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The program as the source of one Python function, compiled: value x
+    is the local v<x>, n_k the local n<k>, and each step one assignment, so
+    evaluating it makes no call but ``min`` and stays on Python ints."""
+
+    def expr(row: Row) -> str:
+        text = ""
+        for x, c in row:
+            text += " - " if c < 0 else " + "
+            text += f"{abs(c)} * v{x}" if abs(c) != 1 else f"v{x}"
+        return text.removeprefix(" + ") or "0"
+
+    m = sum(step.k is not None for step in program)
+    lines = [
+        "def assemble(n):",
+        "    " + "".join(f"n{k}, " for k in range(m)) + "= n",
+        "    " + "".join(f"v{x} = " for x in identity) + "0",
+    ]
+    for x, args, rest, k in program:
+        value = expr(args[0]) if len(args) == 1 else "min(" + ", ".join(map(expr, args)) + ")"
+        if rest:
+            value += f" - ({expr(rest)})"
+        if k is not None:
+            value += f" - n{k}"
+        lines.append(f"    v{x} = {value}")
+    lines.append("    return (" + "".join(f"v{x}, " for x in range(size)) + ")")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<assembly program>", "exec"), namespace)
+    return namespace["assemble"]
+
+
+def _gathered(at: tuple[int, ...], row: Row) -> Row:
+    """A row over face positions as a row over their chamber indices ``at``."""
+    return tuple((at[p], c) for p, c in row)
+
+
 def _padded(rows: list[Row]) -> tuple[np.ndarray, np.ndarray]:
     """The rows as one ``(width, rows)`` pair of chamber indices and
     coefficients, padded with 0."""
@@ -260,32 +350,6 @@ def _padded(rows: list[Row]) -> tuple[np.ndarray, np.ndarray]:
         for p, (t, c) in enumerate(row):
             index[p, k], coef[p, k] = t, c
     return index, coef
-
-
-def _pairing_stack(
-    group: WeylGroup, plan: tuple[Stop, ...], identity: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stops' pairing rows as ``(pairing, targets, source)``: at stop s,
-    row k pairs gamma_k of its word with the coroots beta_l, l <= k."""
-    m = group.m
-    pairing = np.zeros((len(plan), m, m), dtype=np.int64)
-    targets = np.zeros(len(plan) * m, dtype=np.intp)
-    for s, stop in enumerate(plan):
-        data = group.word_data(stop.word)
-        gammas = [gamma.coords for gamma in data.gammas]
-        coroots = np.array([beta.coords for beta in data.coroots], dtype=np.int64)
-        pairing[s] = np.tril(np.array(gammas, dtype=np.int64) @ coroots.T)
-        targets[s * m : (s + 1) * m] = [group.chamber_index(g) for g in gammas]
-    source = np.full(len(group.chamber_weights()), -1, dtype=np.intp)
-    source[list(identity)] = targets.size
-    for p, t in enumerate(targets.tolist()):
-        if source[t] < 0:
-            source[t] = p
-    missed = np.flatnonzero(source < 0)
-    if missed.size:
-        coords = [group.chamber_weights()[x].weight.coords for x in missed]
-        raise RuntimeError(f"transport plan misses the chamber weights {coords}")
-    return pairing, targets, source
 
 
 def _levels(graph: BraidGraph, root: int):
@@ -310,75 +374,18 @@ def _levels(graph: BraidGraph, root: int):
         yield ids
 
 
-def _edges(graph: BraidGraph, ids: np.ndarray, back: bool = False) -> list[BraidEdge]:
-    """Braid moves ``ids`` as :class:`BraidEdge` objects, or their reverses if
-    ``back``: a flipped window alternates again, so the reverse of a move is
-    a move of its dst at the same k."""
-    words = graph.words
-    src, k, d, dst = (a[ids].tolist() for a in (graph.src, graph.k, graph.d, graph.dst))
-    if back:
-        src, dst = dst, src
-    return [BraidEdge(words[s], words[t], at, span) for s, t, at, span in zip(src, dst, k, d)]
-
-
-def _parents(graph: BraidGraph, ref: int) -> dict[Word, BraidEdge | None]:
+def _parents(graph: BraidGraph, root: Word) -> dict[Word, BraidEdge | None]:
     """For each word, the braid edge one step back along a breadth-first tree
-    grown from word ``ref``."""
-    parent: dict[Word, BraidEdge | None] = {graph.words[ref]: None}
-    for ids in _levels(graph, ref):
-        parent.update((edge.src, edge) for edge in _edges(graph, ids, back=True))
-    if len(parent) != len(graph.words):
+    grown from ``root``: a flipped window alternates again, so the reverse of
+    a move is a move of its dst at the same k."""
+    words = graph.words
+    parent: dict[Word, BraidEdge | None] = {root: None}
+    for ids in _levels(graph, words.index(root)):
+        src, k, d, dst = (a[ids].tolist() for a in (graph.src, graph.k, graph.d, graph.dst))
+        parent.update(
+            (words[t], BraidEdge(words[t], words[s], at, span))
+            for s, t, at, span in zip(src, dst, k, d)
+        )
+    if len(parent) != len(words):
         raise RuntimeError("braid graph is not connected")
     return parent
-
-
-def _plan(group: WeylGroup, graph: BraidGraph, ref: int) -> tuple[Stop, ...]:
-    """Greedy cover of the chamber weights by words near each other.
-
-    From the current stop, the next one is the nearest word, in braid moves,
-    that adds uncovered chamber weights; among the nearest, the first found
-    breadth first of those adding the most.
-    """
-    # masks[x]: bit c is set where chamber weight c is some gamma_k of word x
-    words = graph.array
-    cover = np.zeros((len(words), len(group.chamber_weights())), dtype=bool)
-    rows, t = np.arange(len(words)), np.zeros(len(words), dtype=np.intp)
-    for k in range(group.m):
-        i = words[:, k] - 1
-        t = group._right_array[t, i]
-        cover[rows, group._chamber_array[t, i]] = True
-    packed = np.packbits(cover, axis=1, bitorder="little").tobytes()
-    width = len(packed) // len(words)
-    masks = [int.from_bytes(packed[p : p + width], "little") for p in range(0, len(packed), width)]
-    full = (1 << cover.shape[1]) - 1
-    at, covered = ref, masks[ref]
-    for c in group._chamber_array[0].tolist():
-        covered |= 1 << c
-    starts, src, dst = graph.starts.tolist(), graph.src.tolist(), graph.dst.tolist()
-    stops = [Stop(graph.words[at], ())]
-    while covered != full:
-        via = {at: -1}  # the move that reached each word
-        level, best, gain = [at], at, 0
-        while not gain:
-            if not level:
-                raise RuntimeError("reduced words of w0 miss some chamber weight")
-            nxt = []
-            for x in level:
-                for e in range(starts[x], starts[x + 1]):
-                    y = dst[e]
-                    if y in via:
-                        continue
-                    via[y] = e
-                    nxt.append(y)
-                    new = (masks[y] & ~covered).bit_count()
-                    if new > gain:
-                        best, gain = y, new
-            level = nxt
-        path, x = [], best
-        while x != at:
-            path.append(via[x])
-            x = src[via[x]]
-        at = best
-        covered |= masks[at]
-        stops.append(Stop(graph.words[at], tuple(_edges(graph, np.array(path[::-1])))))
-    return tuple(stops)

@@ -16,7 +16,7 @@ int ``(N, m)`` matrix, grown a letter a level through the right table, and
 each braid move is a row of the ``(src, k, d, dst)`` move arrays, found by
 one window match per position k and looked up by the flipped word's radix-r
 key.  ``BraidEdge`` objects are made only where asked for: by
-``BraidGraph.adjacency`` and by the index table's parent tree and plan stops.
+``BraidGraph.adjacency`` and by the index table's parent tree.
 """
 
 from __future__ import annotations

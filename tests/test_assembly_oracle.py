@@ -10,10 +10,11 @@ edge lengths and 2-face residuals from ``Weight`` objects, over the edges
 constraints as dense rows over the values tuple, the latter placing
 ``tables.FACE_RELATIONS`` at a face's chamber weights A..H.  ``coweight_of``
 is the coweight sum n_k beta_k of Lusztig data along a word.  None of them
-reads the per-group index table, so they are independent of the transport
-plan, the parent tree and the check rows they check.
+reads the per-group index table, so they are independent of the assembly
+program, the parent tree and the check rows they check.
 """
 
+import ast
 import dataclasses
 import gc
 import itertools
@@ -250,9 +251,23 @@ def random_data(group, rng, count):
 # -- assembly ----------------------------------------------------------------------
 
 
+# the groups whose assembly program the tests below read
+PROGRAM_GROUPS = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+    ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4),
+    ("D", 3), ("D", 4),
+]
+
+
 @pytest.mark.parametrize(
     "family, rank, count",
-    [("A", 3, 20), ("B", 3, 8), ("C", 3, 8), ("A", 4, 4), ("D", 4, 2)],
+    [
+        ("A", 1, 4), ("A", 2, 12), ("A", 3, 20), ("A", 4, 4),
+        ("B", 2, 12), ("B", 3, 8), ("B", 4, 1),
+        ("C", 2, 12), ("C", 3, 8), ("C", 4, 1),
+        ("D", 3, 12), ("D", 4, 2),
+    ],
 )
 def test_plan_matches_bfs_oracle(family, rank, count):
     g = group_of(family, rank)
@@ -267,20 +282,59 @@ def test_plan_matches_bfs_oracle_every_word_b2(b2):
             assert bz.from_lusztig(b2, word, n) == bfs_from_lusztig(b2, word, n)
 
 
-def test_plan_covers_every_chamber_weight():
-    for family, rank in [("A", 1), ("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
-        g = group_of(family, rank)
-        table = index_table(g)
-        assert table.plan[0].word == g.reference_word and not table.plan[0].edges
-        reached = set(table.chamber[0])
-        for stop in table.plan:
-            at = stop.edges[0].src if stop.edges else stop.word
-            for e in stop.edges:
-                assert e.src == at
-                at = e.dst
-            assert at == stop.word
-        reached |= set(table.targets.tolist())
-        assert reached == set(range(len(g.chamber_weights())))
+def off_reference_word(group):
+    """The chamber weights neither Lambda_i nor a gamma_k of the reference word."""
+    lambdas = tuple(group.cartan.fundamental_weight(i) for i in range(1, group.rank + 1))
+    gammas = group.word_data(group.reference_word).gammas
+    on = {group.chamber_index(c.coords) for c in lambdas + gammas}
+    return set(range(len(group.chamber_weights()))) - on
+
+
+@pytest.mark.parametrize("family, rank", PROGRAM_GROUPS)
+def test_program_covers_every_chamber_weight(family, rank):
+    g = group_of(family, rank)
+    table = index_table(g)
+    edge, face = table.program[: g.m], table.program[g.m :]
+    # edge step k writes gamma_k of the reference word
+    assert [s.k for s in edge] == list(range(g.m))
+    gammas = g.word_data(g.reference_word).gammas
+    assert [s.x for s in edge] == [g.chamber_index(c.coords) for c in gammas]
+    assert all(s.k is None for s in face)
+    assert len(face) == len(off_reference_word(g)) == len(g.chamber_weights()) - g.rank - g.m
+    # every value is written once, after every value its step reads
+    written = set(table.chamber[0])
+    for s in table.program:
+        assert {x for row in s.args + (s.rest,) for x, _ in row} <= written
+        assert s.x not in written
+        written.add(s.x)
+    assert written == set(range(len(g.chamber_weights())))
+
+
+@pytest.mark.parametrize("family, rank", PROGRAM_GROUPS[1:])  # A1 has no 2-face
+def test_table_build_refuses_a_program_that_misses_a_chamber_weight(family, rank):
+    g = group_of(family, rank)
+    table = index_table(g)
+
+    def build(faces):
+        parts = table.chamber, table.right, table.edge_rows
+        return tables._program(g, *parts, faces, table.negation)
+
+    # withhold faces while the others still fix every value; each face left
+    # is then needed, and withholding one more must fail
+    needed = table.faces
+    for face in table.faces:
+        try:
+            build(tuple(f for f in needed if f != face))
+        except RuntimeError:
+            continue
+        needed = tuple(f for f in needed if f != face)
+    pattern = r"^assembly program misses the chamber weights \[\("
+    with pytest.raises(RuntimeError, match=pattern) as caught:
+        build(needed[1:])
+    named = [g.chamber_index(c) for c in ast.literal_eval(str(caught.value).split("weights ")[1])]
+    assert named == sorted(set(named)) and set(named) <= off_reference_word(g)
+    if len(table.faces) == 1:  # rank 2: the edge steps reach only the reference word
+        assert set(named) == off_reference_word(g)
 
 
 def test_table_lives_and_dies_with_its_group():
@@ -457,15 +511,22 @@ def test_validate_is_exact_at_the_int64_bound(family, rank):
             assert report == reference_validate(g, d)
 
 
+@pytest.mark.parametrize("family, rank", [("C", 3), ("C", 4)])
+def test_c_types_need_the_negated_relations(family, rank):
+    g = group_of(family, rank)
+    table = index_table(g)
+    unchanged = tuple(range(len(g.chamber_weights())))  # no face read negated
+    with pytest.raises(RuntimeError, match="^assembly program misses the chamber weights"):
+        tables._program(g, table.chamber, table.right, table.edge_rows, table.faces, unchanged)
+
+
 @pytest.mark.parametrize("family, rank", [("B", 3), ("A", 4), ("D", 4)])
 def test_from_lusztig_is_exact_past_int64(family, rank):
     g = group_of(family, rank)
-    table = index_table(g)
     rng = np.random.default_rng(rank * 11 + ord(family))
-    # the data (1, ..., 1) are fixed by every braid move, so each read-off
-    # sums b times a row of the pairing stack; 2**63 wraps in int64
-    at_bound = [-(-(1 << 63) // table.pairing_norm), ((1 << 62) - 1) // table.pairing_norm]
-    cases = [(g.reference_word, (1,) * g.m, c) for c in at_bound]
+    # the data (1, ..., 1) are fixed by every braid move; c (1, ..., 1) at c
+    # on both sides of 2**63, past which int64 wraps
+    cases = [(g.reference_word, (1,) * g.m, c) for c in [(1 << 63) - 1, 1 << 63]]
     cases += [(word, n, 1 << 70) for word, n in random_data(g, rng, 3)]
     for word, n, c in cases:
         big = tuple(c * v for v in n)
@@ -483,37 +544,40 @@ def corrupted(group, **fields):
 
 
 @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("D", 4)])
-def test_read_off_names_the_chamber_and_word_of_a_clash(family, rank):
+def test_a_corrupted_step_fails_certification(family, rank):
     g = group_of(family, rank)
     table = index_table(g)
-    ones = (1,) * g.m  # fixed by every braid move, so every stop reads ones
-    # a row that reaches a chamber weight some earlier row reached first
-    p = next(p for p, t in enumerate(table.targets) if table.source[t] != p)
-    s, k = divmod(p, g.m)
-    coords = g.chamber_weights()[table.targets[p]].weight.coords
-    word = table.plan[s].word
-    pairing = table.pairing.copy()
-    pairing[s, k, 0] += 1
-    with pytest.raises(RuntimeError, match="inconsistent value") as caught:
-        bz.from_lusztig(corrupted(g, pairing=pairing), g.reference_word, ones)
-    assert str(coords) in str(caught.value) and str(word) in str(caught.value)
-    # a row sent to an identity chamber weight must read 0 there
-    targets = table.targets.copy()
-    identity = table.chamber[0][0]
-    p = int(np.flatnonzero(table.pairing.sum(2).ravel())[0])  # reads nonzero on ones
-    targets[p] = identity
-    with pytest.raises(RuntimeError, match="inconsistent value") as caught:
-        bz.from_lusztig(corrupted(g, targets=targets), g.reference_word, ones)
-    coords = g.chamber_weights()[identity].weight.coords
-    assert coords == g.cartan.fundamental_weight(1).coords
-    assert str(coords) in str(caught.value)
-    assert str(table.plan[p // g.m].word) in str(caught.value)
-
-
-def test_table_build_refuses_a_plan_that_misses_a_chamber_weight(a3):
-    table = index_table(a3)
-    with pytest.raises(RuntimeError, match=r"^transport plan misses the chamber weights \[\("):
-        tables._pairing_stack(a3, table.plan[:1], table.chamber[0])
+    ones = (1,) * g.m  # fixed by every braid move, so the program runs on ones
+    good = table.assemble(ones)
+    # the last edge step and the last face step, each made to subtract one
+    # more value: a chamber weight written before it, nonzero on ones
+    for s in (g.m - 1, len(table.program) - 1):
+        step = table.program[s]
+        y = next(t.x for t in table.program[:s] if good[t.x])
+        program = list(table.program)
+        program[s] = step._replace(rest=step.rest + ((y, 1),))
+        bad = tables._compiled(tuple(program), len(good), table.chamber[0])
+        values = bad(ones)
+        assert values[step.x] == good[step.x] - good[y]
+        d = bz.BZDatum(g.cartan, values)
+        report = reference_validate(g, d)
+        if report.is_valid:
+            # another valid datum, whose Lusztig data are not n
+            data = g.word_data(g.reference_word)
+            back = tuple(
+                reference_edge_length(g, d, data.prefixes[k], i)
+                for k, i in enumerate(g.reference_word)
+            )
+            assert back != ones
+            want = f"assembled datum has Lusztig data {back} along {g.reference_word}, not {ones}"
+        else:
+            want = "assembled data violates polytope conditions: " + "; ".join(report.lines())
+        # a face step breaks a relation that validate reads
+        assert report.is_valid == (step.k is not None)
+        with pytest.raises(RuntimeError) as caught:
+            broken = corrupted(g, program=tuple(program), assemble=bad)
+            bz.from_lusztig(broken, g.reference_word, ones)
+        assert str(caught.value) == want
 
 
 def test_report_is_kept_on_the_datum(a3):

@@ -1,21 +1,29 @@
-"""The array braid graph, parent tree and transport plan against loop references.
+"""The array braid graph and parent tree against loop references, and the
+assembly program against the transport plan it replaced.
 
 ``loop_braid_graph`` lists the reduced words of w0 with
 ``WeylGroup.reduced_words`` and finds every braid move by slicing each word
-in Python; ``loop_parents`` and ``loop_plan`` grow the table's parent tree
-and transport plan breadth first over that adjacency, on tuples and bit
-masks.  They read the Cartan matrix and the group's right table and chamber
-indices, never the braid arrays they check.
+in Python; ``loop_parents`` grows the table's parent tree breadth first over
+that adjacency.  ``loop_plan`` grows a transport plan over it, on tuples and
+bit masks: a chain of braid moves from the reference word through stops
+whose chamber weights gamma_k cover every chamber weight.
+``plan_from_lusztig`` assembles a datum along that plan, reading each stop's
+values off its Lusztig data.  They read the Cartan matrix and the group's
+right table and chamber indices, never the braid arrays or the program they
+check.
 """
 
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from mvpolytopes import bz, lusztig
 from mvpolytopes.cartan import build_cartan
-from mvpolytopes.tables import Stop, index_table
+from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import BraidEdge, WeylGroup, weyl_group
+from test_assembly_oracle import n_to_partial_M, random_data
 
 GROUPS = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -64,6 +72,14 @@ def loop_parents(words, adjacency, ref):
                 queue.append(e.dst)
     assert len(parent) == len(words)
     return parent
+
+
+class Stop(NamedTuple):
+    """A word of the plan whose chamber weights get values; ``edges`` lead to
+    it from the previous stop (none for the reference word)."""
+
+    word: tuple[int, ...]
+    edges: tuple[BraidEdge, ...]
 
 
 def loop_plan(group, words, adjacency):
@@ -122,7 +138,27 @@ def test_arrays_match_the_loops(family, rank):
     table = index_table(g)
     parent = loop_parents(words, adjacency, g.reference_word)
     assert list(table.parent.items()) == list(parent.items())
-    assert table.plan == loop_plan(g, words, adjacency)
+    plan = loop_plan(g, words, adjacency)
+    rng = np.random.default_rng(100 * rank + ord(family))
+    for word, n in random_data(g, rng, 4):
+        want = plan_from_lusztig(g, parent, plan, word, n)
+        assert bz.from_lusztig(g, word, n) == want, (word, n)
+
+
+def plan_from_lusztig(group, parent, plan, word, n):
+    """The datum with Lusztig data n along ``word``, read off the stops of
+    the plan after moving n along ``parent`` to the reference word; a
+    chamber weight reached twice must get the same value both times."""
+    while parent[word] is not None:
+        n = lusztig.braid_transition(group, parent[word], n)
+        word = parent[word].dst
+    values = {}
+    for stop in plan:
+        for edge in stop.edges:
+            n = lusztig.braid_transition(group, edge, n)
+        for coords, value in n_to_partial_M(group, stop.word, n).items():
+            assert values.setdefault(coords, value) == value, (stop.word, coords)
+    return bz.make_bz(group, values)
 
 
 def test_table_reads_no_adjacency():

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpolytopes import bz, polytope
+from mvpolytopes.tables import index_table
 from test_acceptance import _psi_matrices
 from test_assembly_oracle import group_of, perturbed, random_data
 
@@ -145,3 +148,51 @@ def test_enumerate_mv_is_cached(a3):
     mu = a3.cartan.coweight((1, 1, 1))
     first = polytope.enumerate_mv(a3, mu)
     assert polytope.enumerate_mv(a3, mu) is first
+
+
+# -- negation --------------------------------------------------------------------
+
+NEGATION_GROUPS = [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3), ("A", 4), ("D", 4)]
+
+
+def star(group, i):
+    """i^*, where w0 . alpha_i = -alpha_{i^*}."""
+    image = group.apply(group.w0, group.cartan.simple_root(i)).coords
+    roots = {(-group.cartan.simple_root(j)).coords: j for j in range(1, group.rank + 1)}
+    return roots[image]
+
+
+@pytest.mark.parametrize("family, rank", NEGATION_GROUPS)
+def test_negation_column_negates_chamber_weights(family, rank):
+    g = group_of(family, rank)
+    negation = index_table(g).negation
+    chambers = g.chamber_weights()
+    for x, y in enumerate(negation):
+        assert chambers[y].weight.coords == tuple(-v for v in chambers[x].weight.coords)
+        assert y != x and negation[y] == x
+
+
+@st.composite
+def word_data(draw):
+    """(group, word, n): a random reduced word of w0 and Lusztig data along it."""
+    g = group_of(*draw(st.sampled_from(NEGATION_GROUPS)))
+    words = g.braid_graph().words
+    word = words[draw(st.integers(0, len(words) - 1))]
+    return g, word, tuple(draw(st.lists(st.integers(0, 6), min_size=g.m, max_size=g.m)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_data())
+def test_negation_is_kashiwaras_involution(case):
+    g, word, n = case
+    p = bz.from_lusztig(g, word, n)
+    neg = polytope.negate(g, p)
+    assert bz.is_valid(g, neg)
+    # along (i_m^*, ..., i_1^*) the data of -P are those of P, reversed
+    twisted = tuple(star(g, i) for i in reversed(word))
+    assert bz.lusztig_data(g, neg, twisted) == n[::-1]
+    # vertex w of -P is minus vertex w w0 of P
+    vertices = polytope.vertex_matrix(g, p)
+    for w, row in zip(g.elements(), polytope.vertex_matrix(g, neg).tolist()):
+        assert row == (-vertices[g.from_word(w.word + g.w0.word).index]).tolist()
+    assert polytope.negate(g, neg) == p
