@@ -178,23 +178,17 @@ def is_valid(group: WeylGroup, datum: BZDatum) -> bool:
 def from_lusztig(group: WeylGroup, word, n) -> BZDatum:
     """Datum of the polytope with Lusztig data ``n`` along ``word``.
 
-    n moves along parent braid edges to the reference word, where the table's
-    assembly program (see :mod:`mvpolytopes.tables`) solves the edge rows and
-    2-face relations for the values, on Python ints.  The result must pass
+    :func:`lusztig.transport` moves n along parent braid edges to the
+    reference word, where the table's assembly program (see
+    :mod:`mvpolytopes.tables`) solves the edge rows and 2-face relations for
+    the values, on Python ints.  The result must pass
     :func:`validate` and have Lusztig data n along ``word`` again, which fixes
     a valid datum; failing either is an implementation error, not bad input.
     """
     word = tuple(word)
-    table = index_table(group)
-    if word not in table.parent:
-        raise ValueError(f"{word} is not a reduced word for the longest element")
     n = lusztig._checked(group, n)
-    moved = n
-    edge = table.parent[word]
-    while edge is not None:
-        moved = lusztig._move(group, edge, moved)
-        edge = table.parent[edge.dst]
-    datum = BZDatum(group.cartan, table.assemble(moved))
+    moved = lusztig.transport(group, word, group.reference_word, n)
+    datum = BZDatum(group.cartan, index_table(group).assemble(moved))
     report = validate(group, datum)
     if not report.is_valid:
         raise RuntimeError(
@@ -212,11 +206,6 @@ def lusztig_data(group: WeylGroup, datum: BZDatum, word) -> tuple[int, ...]:
     """Edge lengths along the vertex path of ``word``; inverts from_lusztig."""
     word = tuple(word)
     M = _values(group, datum)
-    group.word_data(word)  # rejects anything but a reduced word for w0
-    table = index_table(group)
-    out = []
-    t = 0
-    for i in word:
-        out.append(_dot(table.edge_rows[t][i - 1], M))
-        t = table.right[t][i - 1]
-    return tuple(out)
+    path = group._prefixes(word)  # rejects anything but a reduced word for w0
+    rows = index_table(group).edge_rows
+    return tuple([_dot(rows[t][i - 1], M) for t, i in zip(path, word)])

@@ -14,7 +14,6 @@ import math
 
 from . import polytope
 from .bz import BZDatum
-from .tables import index_table
 from .weyl import WeylGroup
 
 FILL = "#cfe2f3"
@@ -60,10 +59,9 @@ def _face_points(group: WeylGroup, datum: BZDatum, face) -> tuple[list, int, tup
         # turns to -pi; swapping the pivot negates det and the numerators
         p, q, det = q, p, -det
     # the coset is the polygon's cycle w, w s_i, w s_i s_j, ... of 2 m_ij elements
-    table = index_table(group)
     coset = [group._row(w)]
     for k in range(2 * group.braid_order(i, j) - 1):
-        coset.append(table.right[coset[-1]][(i, j)[k % 2] - 1])
+        coset.append(group._right_array.item(coset[-1], (i, j)[k % 2] - 1))
     rows = polytope.vertex_matrix(group, datum)
     base = rows[coset[0]].tolist()
     pts = set()

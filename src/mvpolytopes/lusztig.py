@@ -80,8 +80,9 @@ def word_path(group: WeylGroup, src, dst) -> tuple[BraidEdge, ...]:
     """
     src, dst = tuple(src), tuple(dst)
     parent = index_table(group).parent
-    if src not in parent or dst not in parent:
-        raise ValueError("both endpoints must be reduced words for w0")
+    for word in (src, dst):
+        if word not in parent:
+            raise ValueError(f"endpoint {word} is not a reduced word for w0")
     up, down = _chain_up(parent, src), _chain_up(parent, dst)
     while up and down and up[-1] == down[-1]:
         up.pop()

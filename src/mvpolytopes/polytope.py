@@ -24,7 +24,7 @@ def vertex(group: WeylGroup, datum: BZDatum, w: WeylElement) -> Coweight:
     """The vertex mu_w = sum_i M_{w Lambda_i} w.alpha_i^vee."""
     M = bz._values(group, datum)
     table, t = index_table(group), group._row(w)
-    vals = [M[x] for x in table.chamber[t]]
+    vals = [M[x] for x in table.chamber_array[t].tolist()]
     # coordinate c is sum_i (w.alpha_i^vee)_c M_{w Lambda_i}, and w.alpha_i^vee
     # is column i of the coaction
     return Coweight(

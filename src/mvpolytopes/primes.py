@@ -219,7 +219,7 @@ def build_catalog(group: WeylGroup) -> Catalog:
     # per relation, the check columns of its arguments
     layout = by_relation(table, np.arange(len(checks))).tolist()
     args = [columns[: rel.n_args] for columns, rel in zip(layout, relations)]
-    pins = np.eye(size, dtype=np.int64)[list(table.chamber[0])].tolist()
+    pins = np.eye(size, dtype=np.int64)[table.chamber_array[0]].tolist()
 
     dims: list[int] = []
     maximal = []  # (choice, ineq, basis, rays_m)
@@ -363,7 +363,7 @@ def decompose(
     """
     M = bz._values(group, datum)
     # mu1 = sum_i M_{Lambda_i} alpha_i^vee vanishes iff every M_{Lambda_i} does
-    if any(M[x] for x in index_table(group).chamber[0]):
+    if any(M[x] for x in index_table(group).chamber_array[0].tolist()):
         raise ValueError("decompose needs a normalized datum (bottom vertex 0)")
     report = bz.validate(group, datum)
     if not report.is_valid:

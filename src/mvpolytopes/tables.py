@@ -27,10 +27,12 @@ The vertices mu_w = sum_i M(w Lambda_i) w.alpha_i^vee of a datum are one
 integer product: the table keeps the chamber indices w Lambda_i as an
 ``(|W|, r)`` array and the coweight actions w.alpha_i^vee as an
 ``(|W|, r, r)`` stack (see :func:`polytope.vertex_matrix`), both the
-group's own arrays from its walk, not copies.  It also keeps
-the document keys of :mod:`serialize`: the canonical word of every element
-and the coordinates of every chamber weight, with the inverse map from a key
-to its chamber index.
+group's own arrays from its walk, not copies.  These and the group's right
+table ``_right_array`` are the only form of each table: the build's loops
+read a local ``.tolist()`` that is not kept, and a reader of a few entries
+indexes the array.  The table also keeps the document keys of
+:mod:`serialize`: the canonical word of every element and the coordinates of
+every chamber weight, with the inverse map from a key to its chamber index.
 
 The table also holds the assembly program of :func:`bz.from_lusztig`: a
 straight-line program from the Lusztig data n along the reference word to the
@@ -113,8 +115,6 @@ class IndexTable:
     ``group.chamber_weights()``.
     """
 
-    chamber: tuple[tuple[int, ...], ...]  # [t][i - 1]: chamber index of w_t . Lambda_i
-    right: tuple[tuple[int, ...], ...]  # [t][i - 1]: element index of w_t s_i
     edge_rows: tuple[tuple[Row, ...], ...]  # [t][i - 1]: edge length at (w_t, i)
     # (word of w, i) for each w and then each i with l(w s_i) > l(w): the
     # edge block of the check rows, in column order
@@ -134,7 +134,7 @@ class IndexTable:
     check_index: np.ndarray  # intp (width, E + RELATION_ARGS * R)
     check_coef: np.ndarray  # int64 (width, E + RELATION_ARGS * R)
     check_norm: int  # max over the check rows of sum |coef|
-    chamber_array: np.ndarray  # intp (|W|, r), the same indices as ``chamber``
+    chamber_array: np.ndarray  # intp (|W|, r): [t][i - 1] is the chamber index of w_t . Lambda_i
     coaction: np.ndarray  # int64 (|W|, r, r): [t][c][i - 1] is coordinate c of w_t . alpha_i^vee
     coaction_max: int  # max |entry| of ``coaction``
     word_keys: tuple[str, ...]  # [t]: serialize.word_key of the canonical word of w_t
@@ -184,8 +184,9 @@ def _build(group: WeylGroup) -> IndexTable:
     a = group.cartan.a
     elements = group.elements()
     chambers = group.chamber_weights()
-    chamber = tuple(map(tuple, group._chamber_array.tolist()))
-    right = group._right
+    # build-time copies of the group's arrays, dropped when the build returns
+    chamber = group._chamber_array.tolist()
+    right = group._right_array.tolist()
     # edge length at (w, i):
     #   -M(w Lambda_i) - M(w s_i Lambda_i) - sum_{j != i} a_ji M(w Lambda_j)
     edge_rows = tuple(
@@ -214,8 +215,6 @@ def _build(group: WeylGroup) -> IndexTable:
     program = _program(group, chamber, right, edge_rows, faces, negation)
     chamber_keys = tuple(coords_key(c.weight.coords) for c in chambers)
     return IndexTable(
-        chamber=chamber,
-        right=right,
         edge_rows=edge_rows,
         edges=tuple((elements[t].word, i) for t, i in ascents),
         faces=faces,
@@ -248,8 +247,8 @@ def _difference(at: tuple[int, ...], arg: Row, lhs: Row) -> Row:
 
 def _program(
     group: WeylGroup,
-    chamber: tuple[tuple[int, ...], ...],
-    right: tuple[tuple[int, ...], ...],
+    chamber: list[list[int]],
+    right: list[list[int]],
     edge_rows: tuple[tuple[Row, ...], ...],
     faces: tuple[Face, ...],
     negation: tuple[int, ...],
@@ -304,7 +303,7 @@ def _program(
 
 
 def _compiled(
-    program: tuple[Step, ...], size: int, identity: tuple[int, ...]
+    program: tuple[Step, ...], size: int, identity: list[int]
 ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """The program as the source of one Python function, compiled: value x
     is the local v<x>, n_k the local n<k>, and each step one assignment, so

@@ -7,16 +7,19 @@ w_t.alpha_i^vee).  The two stay dual, which is what makes chamber-weight
 bookkeeping cheap: {w.Lambda_i} and {w.alpha_i^vee} are dual bases for every
 w.  An element is its position t in ``elements()``, which is also its row in
 both stacks; it carries its word and length but no copy of its action.  The
-right table comes from the walk's steps; chamber weights, chamber indices,
-orbits and the index table's ``coaction`` are read off the stacks.  The
-stacks are allocated at |W|, known in closed form from the Cartan type.
+right table comes from the walk's steps and is held once, as the int
+``(|W|, r)`` array ``_right_array``: a step of a walk reads one entry with
+``.item(t, i - 1)``, and a loop over the whole table takes a local
+``.tolist()`` that it does not keep.  Chamber weights, chamber indices, orbits
+and the index table's ``coaction`` are read off the stacks.  The stacks are
+allocated at |W|, known in closed form from the Cartan type.
 
-The braid graph is arrays too: the reduced words of w0 are the rows of an
-int ``(N, m)`` matrix, grown a letter a level through the right table, and
-each braid move is a row of the ``(src, k, d, dst)`` move arrays, found by
-one window match per position k and looked up by the flipped word's radix-r
-key.  ``BraidEdge`` objects are made only where asked for: by
-``BraidGraph.adjacency`` and by the index table's parent tree.
+The braid graph is arrays too: the reduced words of w0 are found as the rows
+of an int ``(N, m)`` matrix, grown a letter a level through the right table,
+and kept as tuples; each braid move is a row of the ``(src, k, d, dst)`` move
+arrays, found by one window match per position k and looked up by the
+flipped word's radix-r key.  ``BraidEdge`` objects are made only where asked
+for: by ``BraidGraph.adjacency`` and by the index table's parent tree.
 """
 
 from __future__ import annotations
@@ -143,8 +146,7 @@ class BraidEdge:
 class BraidGraph:
     """The reduced words of w0 and the braid moves between them.
 
-    ``array`` holds the words as an int64 ``(N, m)`` matrix, row x being
-    ``words[x]``, in lexicographic order.  Braid move e flips positions
+    ``words`` are in lexicographic order.  Braid move e flips positions
     k[e]..k[e] + d[e] - 1 of word src[e] to give word dst[e]; the moves are
     sorted by (src, k), so word x's moves are ``starts[x]:starts[x + 1]``.
     ``adjacency`` maps each word to those moves as :class:`BraidEdge`
@@ -152,7 +154,6 @@ class BraidGraph:
     """
 
     words: tuple[tuple[int, ...], ...]
-    array: np.ndarray = field(repr=False, compare=False)
     src: np.ndarray = field(repr=False, compare=False)
     k: np.ndarray = field(repr=False, compare=False)
     d: np.ndarray = field(repr=False, compare=False)
@@ -257,7 +258,6 @@ class WeylGroup:
         right[dst, letter] = src
         right.flags.writeable = False
         self._right_array = right  # [t][i - 1]: index of w_t s_i
-        self._right = tuple(map(tuple, right.tolist()))  # the same, as tuples
         self._elements = tuple(elements)
         self._identity = self._elements[0]
         self._w0 = self._elements[-1]
@@ -300,7 +300,7 @@ class WeylGroup:
     def right(self, w: WeylElement, i: int) -> WeylElement:
         """w * s_i."""
         self.cartan._check_index(i)
-        return self._elements[self._right[self._row(w)][i - 1]]
+        return self._elements[self._right_array.item(self._row(w), i - 1)]
 
     def inverse(self, w: WeylElement) -> WeylElement:
         return self.from_word(reversed(w.word))
@@ -354,7 +354,9 @@ class WeylGroup:
         if t not in memo:
             els = self._elements
             lower = [
-                (i, els[u]) for i, u in enumerate(self._right[t], 1) if els[u].length < w.length
+                (i, els[u])
+                for i, u in enumerate(self._right_array[t].tolist(), 1)
+                if els[u].length < w.length
             ]
             words = sorted(head + (i,) for i, u in lower for head in self.reduced_words(u))
             memo[t] = tuple(words) if lower else ((),)  # the identity has no descents
@@ -364,23 +366,30 @@ class WeylGroup:
     def reference_word(self) -> tuple[int, ...]:
         return self._w0.word
 
-    def word_data(self, word) -> WordData:
-        word = tuple(word)
-        cached = self._word_data.get(word)
-        if cached is not None:
-            return cached
+    def _prefixes(self, word: tuple[int, ...]) -> list[int]:
+        """The element indices of the prefixes e, w_1, ..., w_m of ``word``,
+        after checking that it is a reduced word for w0: m letters in range
+        whose product is w0."""
         if len(word) != self.m:
             raise ValueError(f"need a reduced word for w0 of length {self.m}, got {word}")
         if not self._letters.issuperset(word):
             for i in word:
                 self.cartan._check_index(i)
-        right = self._right
-        path = [0]  # element indices of the prefixes
+        item, t = self._right_array.item, 0
+        path = [0]
         for i in word:
-            path.append(right[path[-1]][i - 1])
-        if path[-1] != len(self._elements) - 1:
+            t = item(t, i - 1)
+            path.append(t)
+        if t != len(self._elements) - 1:
             raise ValueError(f"{word} is not a word for the longest element")
-        # m letters whose product is w0 form a reduced word
+        return path
+
+    def word_data(self, word) -> WordData:
+        word = tuple(word)
+        cached = self._word_data.get(word)
+        if cached is not None:
+            return cached
+        path = self._prefixes(word)
         at_coroots, at_lambdas = self._coroots, self._lambdas
         coroots = tuple([at_coroots[t][i - 1] for t, i in zip(path, word)])
         gammas = tuple([at_lambdas[t][i - 1] for t, i in zip(path[1:], word)])
@@ -532,10 +541,8 @@ class WeylGroup:
                     f"braid move at {at} of {word} gives "
                     f"{word[:at] + flip + word[at + span :]}, not a reduced word of w0"
                 )
-            words.flags.writeable = False
             self._braid_graph = BraidGraph(
                 tuple(map(tuple, words.tolist())),
-                words,
                 src,
                 k,
                 d,

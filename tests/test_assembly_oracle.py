@@ -302,7 +302,7 @@ def test_program_covers_every_chamber_weight(family, rank):
     assert all(s.k is None for s in face)
     assert len(face) == len(off_reference_word(g)) == len(g.chamber_weights()) - g.rank - g.m
     # every value is written once, after every value its step reads
-    written = set(table.chamber[0])
+    written = set(table.chamber_array[0].tolist())
     for s in table.program:
         assert {x for row in s.args + (s.rest,) for x, _ in row} <= written
         assert s.x not in written
@@ -316,7 +316,7 @@ def test_table_build_refuses_a_program_that_misses_a_chamber_weight(family, rank
     table = index_table(g)
 
     def build(faces):
-        parts = table.chamber, table.right, table.edge_rows
+        parts = g._chamber_array.tolist(), g._right_array.tolist(), table.edge_rows
         return tables._program(g, *parts, faces, table.negation)
 
     # withhold faces while the others still fix every value; each face left
@@ -517,7 +517,8 @@ def test_c_types_need_the_negated_relations(family, rank):
     table = index_table(g)
     unchanged = tuple(range(len(g.chamber_weights())))  # no face read negated
     with pytest.raises(RuntimeError, match="^assembly program misses the chamber weights"):
-        tables._program(g, table.chamber, table.right, table.edge_rows, table.faces, unchanged)
+        chamber, right = g._chamber_array.tolist(), g._right_array.tolist()
+        tables._program(g, chamber, right, table.edge_rows, table.faces, unchanged)
 
 
 @pytest.mark.parametrize("family, rank", [("B", 3), ("A", 4), ("D", 4)])
@@ -556,7 +557,7 @@ def test_a_corrupted_step_fails_certification(family, rank):
         y = next(t.x for t in table.program[:s] if good[t.x])
         program = list(table.program)
         program[s] = step._replace(rest=step.rest + ((y, 1),))
-        bad = tables._compiled(tuple(program), len(good), table.chamber[0])
+        bad = tables._compiled(tuple(program), len(good), table.chamber_array[0].tolist())
         values = bad(ones)
         assert values[step.x] == good[step.x] - good[y]
         d = bz.BZDatum(g.cartan, values)

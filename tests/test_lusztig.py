@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpolytopes import bz, lusztig, polytope
+from mvpolytopes.cartan import build_cartan
+from mvpolytopes.weyl import WeylGroup
 from test_assembly_oracle import coweight_of
 
 
@@ -38,6 +41,37 @@ def test_transport_checks_input_when_words_agree(a2):
         with pytest.raises(ValueError):
             lusztig.transport(a2, w, (2, 1, 2), n)
     assert lusztig.transport(a2, w, w, [2, 1, 1]) == (2, 1, 1)
+
+
+def test_a_bad_endpoint_is_named(a2):
+    """transport and from_lusztig name the word that is not a reduced word of w0."""
+    w, n = a2.reference_word, (1, 2, 0)
+    for bad in [(1, 2), (1, 1, 2), (2, 1, 2, 1)]:
+        for src, dst in [(bad, w), (w, bad), (bad, (2, 1, 2))]:
+            with pytest.raises(ValueError, match=rf"^endpoint {re.escape(str(bad))} is not"):
+                lusztig.transport(a2, src, dst, n)
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            bz.from_lusztig(a2, bad, n)
+
+
+def test_lusztig_data_checks_its_word_without_the_object_caches():
+    """Assembling along a word other than the reference word, and reading the
+    data back along it, walk the int right table and build no Weight or
+    Coweight object of the group."""
+    g = WeylGroup(build_cartan("D", 4))
+    word = g.braid_graph().words[-1]
+    n = tuple(k % 3 for k in range(g.m))
+    d = bz.from_lusztig(g, word, n)
+    assert word != g.reference_word
+    assert bz.lusztig_data(g, d, word) == n
+    assert "_coroots" not in g.__dict__ and "_lambdas" not in g.__dict__
+    with pytest.raises(ValueError, match="^need a reduced word for w0 of length 12"):
+        bz.lusztig_data(g, d, word[:-1])
+    with pytest.raises(ValueError, match="is not a word for the longest element$"):
+        bz.lusztig_data(g, d, word[:-1] + word[-2:-1])
+    with pytest.raises(IndexError, match=r"^simple index 5 out of range 1\.\.4"):
+        bz.lusztig_data(g, d, (5,) + word[1:])
+    assert not g._word_data
 
 
 def test_transition_checks_and_copies_only_foreign_entries(a2):
