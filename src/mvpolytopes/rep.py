@@ -1,9 +1,13 @@
 """Weight multiplicities and tensor product multiplicities.
 
-Primary route: count polytopes satisfying containment conditions.  Oracle
-routes: alternating sums over the Weyl group (partition-function formulas) and
-the product formula for dimensions.  The two routes are independent and the
-command line can cross-check them.
+Primary routes: a multiplicity is the number of MV polytopes of one total
+coweight that, translated by a coweight, fit inside a Weyl polytope; that is,
+whose values are at least a lower bound at the chamber weights.
+:func:`_count_inside` is that one count.  Oracle routes: alternating sums of
+partition-function values over the Weyl group, whose terms all come from
+:func:`_alternating`, and the product formula for dimensions.  The counts read
+polytopes and the oracles do not, so each checks the other, and the command
+line can cross-check them.
 
 All highest weights here are dominant coweights with integer coordinates in
 the simple-coroot basis; the doubled-weight trick (working with 2*lambda plus
@@ -27,22 +31,21 @@ def _require_dominant(name: str, mu: Coweight) -> None:
         raise ValueError(f"{name}={mu.coords} must be a dominant coweight")
 
 
-def _value_matrix(group: WeylGroup, data) -> np.ndarray:
+def _count_inside(
+    group: WeylGroup, diff: Coweight, shift: Coweight, lower, cols=slice(None)
+) -> int:
+    """Number of polytopes of ``enumerate_mv(group, diff)`` whose values,
+    translated by ``shift`` (M_gamma + <shift, gamma>), are at least ``lower``
+    at the chamber weights ``cols`` (all of them by default)."""
+    if not diff.is_nonneg():
+        return 0
+    data = polytope.enumerate_mv(group, diff)
     if not data:
-        return np.zeros((0, len(group.chamber_weights())), dtype=np.int64)
-    return np.array([d.values for d in data], dtype=np.int64)
-
-
-def _gamma_matrix(group: WeylGroup) -> np.ndarray:
-    return np.array(
-        [c.weight.coords for c in group.chamber_weights()], dtype=np.int64
-    )
-
-
-def _level_thresholds(group: WeylGroup, t: tuple[int, ...]) -> np.ndarray:
-    return np.array(
-        [t[c.level - 1] for c in group.chamber_weights()], dtype=np.int64
-    )
+        return 0
+    gammas = np.array([c.weight.coords for c in group.chamber_weights()], dtype=np.int64)
+    vals = np.array([d.values for d in data], dtype=np.int64)[:, cols]
+    vals += gammas[cols] @ shift.coords
+    return int((vals >= lower).all(axis=1).sum())
 
 
 def weight_mult_mv(group: WeylGroup, lam: Coweight, mu: Coweight) -> int:
@@ -52,63 +55,37 @@ def weight_mult_mv(group: WeylGroup, lam: Coweight, mu: Coweight) -> int:
     stay inside the convex hull of the orbit of lam.
     """
     _require_dominant("lambda", lam)
-    diff = lam - mu
-    if not diff.is_nonneg():
-        return 0
-    data = polytope.enumerate_mv(group, diff)
-    if not data:
-        return 0
-    vals = _value_matrix(group, data)
-    shift = _gamma_matrix(group) @ np.array(mu.coords, dtype=np.int64)
-    thresh = _level_thresholds(group, polytope.weyl_thresholds(group, lam))
-    return int(((vals + shift[None, :]) >= thresh[None, :]).all(axis=1).sum())
+    t = polytope.weyl_thresholds(group, lam)
+    lower = [t[c.level - 1] for c in group.chamber_weights()]
+    return _count_inside(group, lam - mu, mu, lower)
 
 
 def weight_mult_canonical(group: WeylGroup, lam: Coweight, mu: Coweight) -> int:
-    """Same count, but testing only the r chamber weights w0 s_i . Lambda_i."""
+    """Same count, but testing only the r chamber weights w0 s_i . Lambda_i,
+    whose level is i."""
     _require_dominant("lambda", lam)
-    diff = lam - mu
-    if not diff.is_nonneg():
-        return 0
-    data = polytope.enumerate_mv(group, diff)
-    if not data:
-        return 0
-    cols = [
-        group.chamber_index(group.w_lambda(group.right(group.w0, i), i).coords)
-        for i in range(1, group.rank + 1)
-    ]
-    vals = _value_matrix(group, data)[:, cols]
-    gammas = _gamma_matrix(group)[cols]
-    shift = gammas @ np.array(mu.coords, dtype=np.int64)
-    t = polytope.weyl_thresholds(group, lam)
-    levels = [group.chamber_weights()[c].level for c in cols]
-    thresh = np.array([t[l - 1] for l in levels], dtype=np.int64)
-    return int(((vals + shift[None, :]) >= thresh[None, :]).all(axis=1).sum())
+    group.chamber_weights()  # builds _chamber_array on first use
+    letters = np.arange(group.rank)
+    cols = group._chamber_array[group._right_array[group.w0.index], letters]
+    return _count_inside(group, lam - mu, mu, polytope.weyl_thresholds(group, lam), cols)
 
 
 def tensor_mult_mv(group: WeylGroup, lam: Coweight, mu: Coweight, nu: Coweight) -> int:
-    """Multiplicity of the nu-module inside the tensor product lam (x) mu."""
+    """Multiplicity of the nu-module inside the tensor product lam (x) mu.
+
+    Counts polytopes of total coweight lam + mu - nu that, translated by
+    nu - mu, lie in conv(W.lam) and have values at least
+    <nu, gamma> - mu_{level(gamma)}.
+    """
     _require_dominant("lambda", lam)
     _require_dominant("mu", mu)
     _require_dominant("nu", nu)
-    diff = lam + mu - nu
-    if not diff.is_nonneg():
-        return 0
-    data = polytope.enumerate_mv(group, diff)
-    if not data:
-        return 0
-    vals = _value_matrix(group, data)
-    gammas = _gamma_matrix(group)
-    shift = gammas @ np.array((nu - mu).coords, dtype=np.int64)
-    shifted = vals + shift[None, :]
-    thresh1 = _level_thresholds(group, polytope.weyl_thresholds(group, lam))
-    nu_pair = gammas @ np.array(nu.coords, dtype=np.int64)
-    mu_level = np.array(
-        [mu.coords[c.level - 1] for c in group.chamber_weights()], dtype=np.int64
-    )
-    thresh2 = nu_pair - mu_level
-    ok = (shifted >= thresh1[None, :]) & (shifted >= thresh2[None, :])
-    return int(ok.all(axis=1).sum())
+    chambers = group.chamber_weights()
+    levels = [c.level - 1 for c in chambers]
+    gammas = np.array([c.weight.coords for c in chambers], dtype=np.int64)
+    per_level = np.array([polytope.weyl_thresholds(group, lam), mu.coords], dtype=np.int64)
+    lower = np.maximum(per_level[0, levels], gammas @ nu.coords - per_level[1, levels])
+    return _count_inside(group, lam + mu - nu, nu - mu, lower)
 
 
 # -- oracle routes -------------------------------------------------------------
@@ -121,18 +98,21 @@ def _kpf_halved(group: WeylGroup, doubled: Coweight) -> int:
     return group.kpf(group.cartan.coweight(tuple(c // 2 for c in doubled.coords)))
 
 
+def _alternating(group: WeylGroup, base: Coweight) -> list[tuple[int, Coweight]]:
+    """The terms (-1)^l(w) and w . base, for every w in W."""
+    return [((-1) ** w.length, group.apply_coweight(w, base)) for w in group.elements()]
+
+
 def kostant_weight_mult(group: WeylGroup, lam: Coweight, mu: Coweight) -> int:
-    """Alternating partition-function formula for the weight multiplicity."""
+    """Alternating partition-function formula for the weight multiplicity:
+    the sum over w of (-1)^l(w) P((w(2 lam + T) - (T + 2 mu)) / 2)."""
     _require_dominant("lambda", lam)
     T = group.two_rho
-    base = 2 * lam + T
-    total = 0
-    for w in group.elements():
-        arg = group.apply_coweight(w, base) - T - 2 * mu
-        term = _kpf_halved(group, arg)
-        if term:
-            total += (-1) ** w.length * term
-    return total
+    fixed = T + 2 * mu
+    return sum(
+        sign * _kpf_halved(group, image - fixed)
+        for sign, image in _alternating(group, 2 * lam + T)
+    )
 
 
 def steinberg_tensor_mult(
@@ -143,23 +123,13 @@ def steinberg_tensor_mult(
     _require_dominant("mu", mu)
     _require_dominant("nu", nu)
     T = group.two_rho
-    lbase = 2 * lam + T
-    mbase = 2 * mu + T
     fixed = 2 * nu + 2 * T
-    total = 0
-    lterms = [
-        ((-1) ** w.length, group.apply_coweight(w, lbase)) for w in group.elements()
-    ]
-    mterms = [
-        ((-1) ** v.length, group.apply_coweight(v, mbase)) for v in group.elements()
-    ]
-    for sw, wl in lterms:
-        for sv, vm in mterms:
-            arg = wl + vm - fixed
-            term = _kpf_halved(group, arg)
-            if term:
-                total += sw * sv * term
-    return total
+    mterms = _alternating(group, 2 * mu + T)
+    return sum(
+        sw * sv * _kpf_halved(group, wl + vm - fixed)
+        for sw, wl in _alternating(group, 2 * lam + T)
+        for sv, vm in mterms
+    )
 
 
 def weyl_dim(group: WeylGroup, lam: Coweight) -> int:

@@ -189,6 +189,9 @@ class WeylGroup:
         self._kpf: dict[tuple[int, ...], int] = {}
         self._parts: np.ndarray | None = None
         self._mv_cache: dict = {}
+        # (t, i): w_t . alpha_i^vee and w_t . Lambda_i, each made on first use
+        self._coroots: dict[tuple[int, int], Coweight] = {}
+        self._lambdas: dict[tuple[int, int], Weight] = {}
         self._catalog = None
         self._table = None  # tables.IndexTable, built on first use
 
@@ -263,21 +266,18 @@ class WeylGroup:
         self._w0 = self._elements[-1]
         self.m = self._w0.length
 
-    @functools.cached_property
-    def _coroots(self) -> tuple[tuple[Coweight, ...], ...]:
-        """[t][i - 1]: w_t . alpha_i^vee, one shared object each, built on first use."""
-        return tuple(
-            tuple(Coweight(self.cartan, tuple(col)) for col in cols)
-            for cols in self._comats.transpose(0, 2, 1).tolist()
-        )
-
-    @functools.cached_property
-    def _lambdas(self) -> tuple[tuple[Weight, ...], ...]:
-        """[t][i - 1]: w_t . Lambda_i, one shared object each, built on first use."""
-        return tuple(
-            tuple(Weight(self.cartan, tuple(col)) for col in cols)
-            for cols in self._mats.transpose(0, 2, 1).tolist()
-        )
+    def _shared(self, store: dict, stack: np.ndarray, kind: type, keys) -> tuple:
+        """Column i of ``stack[t]`` as a ``kind`` for each (t, i) in ``keys``:
+        each object is made on first use and kept in ``store``, so every
+        lookup of it returns the same one."""
+        out = []
+        for key in keys:
+            vec = store.get(key)
+            if vec is None:
+                t, i = key
+                vec = store[key] = kind(self.cartan, tuple(stack[t, :, i - 1].tolist()))
+            out.append(vec)
+        return tuple(out)
 
     @functools.cached_property
     def _ascents(self) -> np.ndarray:
@@ -335,12 +335,12 @@ class WeylGroup:
     def w_lambda(self, w: WeylElement, i: int) -> Weight:
         """The chamber weight w . Lambda_i (column i of the action matrix)."""
         self.cartan._check_index(i)
-        return self._lambdas[self._row(w)][i - 1]
+        return self._shared(self._lambdas, self._mats, Weight, [(self._row(w), i)])[0]
 
     def w_coroot(self, w: WeylElement, i: int) -> Coweight:
         """w . alpha_i^vee (column i of the coweight action matrix)."""
         self.cartan._check_index(i)
-        return self._coroots[self._row(w)][i - 1]
+        return self._shared(self._coroots, self._comats, Coweight, [(self._row(w), i)])[0]
 
     # -- reduced words and word data ------------------------------------
 
@@ -390,9 +390,8 @@ class WeylGroup:
         if cached is not None:
             return cached
         path = self._prefixes(word)
-        at_coroots, at_lambdas = self._coroots, self._lambdas
-        coroots = tuple([at_coroots[t][i - 1] for t, i in zip(path, word)])
-        gammas = tuple([at_lambdas[t][i - 1] for t, i in zip(path[1:], word)])
+        coroots = self._shared(self._coroots, self._comats, Coweight, zip(path, word))
+        gammas = self._shared(self._lambdas, self._mats, Weight, zip(path[1:], word))
         if len({b.coords for b in coroots}) != self.m:
             raise RuntimeError(f"reduced word {word} repeats a coroot in its coroot sequence")
         prefixes = tuple([self._elements[t] for t in path])

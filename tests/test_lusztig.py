@@ -64,7 +64,7 @@ def test_lusztig_data_checks_its_word_without_the_object_caches():
     d = bz.from_lusztig(g, word, n)
     assert word != g.reference_word
     assert bz.lusztig_data(g, d, word) == n
-    assert "_coroots" not in g.__dict__ and "_lambdas" not in g.__dict__
+    assert not g._coroots and not g._lambdas
     with pytest.raises(ValueError, match="^need a reduced word for w0 of length 12"):
         bz.lusztig_data(g, d, word[:-1])
     with pytest.raises(ValueError, match="is not a word for the longest element$"):

@@ -1,8 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpolytopes import rep
+from mvpolytopes.cartan import build_cartan
+from mvpolytopes.weyl import weyl_group
 
 
 def dominant_coweights(group, bound):
@@ -126,3 +130,50 @@ def test_tensor_dimension_identity_a2(a2):
         if m:
             total += m * rep.weyl_dim(a2, nu)
     assert total == rep.weyl_dim(a2, theta) ** 2 == 64
+
+
+# -- properties in rank 3: lambda, mu and nu with coordinates at most 2 ------
+
+
+def _group(draw):
+    return weyl_group(build_cartan(*draw(st.sampled_from([("A", 3), ("B", 3), ("C", 3)]))))
+
+
+def _dominant(draw, group):
+    box = itertools.product(range(3), repeat=group.rank)
+    return draw(st.sampled_from([m for m in map(group.cartan.coweight, box) if m.is_dominant()]))
+
+
+@st.composite
+def weight_queries(draw):
+    g = _group(draw)
+    mu = g.cartan.coweight(draw(st.tuples(*[st.integers(-2, 2)] * g.rank)))
+    return g, _dominant(draw, g), mu, draw(st.sampled_from(g.elements()))
+
+
+@st.composite
+def tensor_queries(draw):
+    g = _group(draw)
+    return g, _dominant(draw, g), _dominant(draw, g), _dominant(draw, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(weight_queries())
+def test_weight_mult_is_weyl_invariant_rank3(query):
+    """The shift w.mu is in general not dominant, and lambda - w.mu runs over
+    other enumeration keys than lambda - mu."""
+    g, lam, mu, w = query
+    moved = g.apply_coweight(w, mu)
+    got = rep.weight_mult_mv(g, lam, mu)
+    assert got == rep.weight_mult_mv(g, lam, moved) == rep.kostant_weight_mult(g, lam, moved)
+    assert got == rep.weight_mult_canonical(g, lam, moved)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tensor_queries())
+def test_tensor_mult_is_symmetric_rank3(query):
+    """Swapping lambda and mu swaps which bound binds: conv(W.lambda) against
+    <nu, gamma> - mu_level, and conv(W.mu) against <nu, gamma> - lambda_level."""
+    g, lam, mu, nu = query
+    got = rep.tensor_mult_mv(g, lam, mu, nu)
+    assert got == rep.tensor_mult_mv(g, mu, lam, nu) == rep.steinberg_tensor_mult(g, lam, mu, nu)

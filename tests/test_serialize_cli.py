@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import mvpolytopes
-from mvpolytopes import _kernels, bz, polytope, rep, serialize
+from mvpolytopes import _kernels, bz, polytope, rep, serialize, sln
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.cli import main
 from mvpolytopes.weyl import weyl_group
@@ -169,6 +169,18 @@ def test_cli_collapse_malformed(tmp_path, capsys):
     pic = tmp_path / "pic.json"
     pic.write_text('{"entries": "what"}')
     assert main(["collapse", str(pic), "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc", [{"n": 100000, "entries": []}, [[1, 100000, 1]]], ids=["explicit", "inferred"]
+)
+def test_cli_collapse_refuses_a_large_n(tmp_path, capsys, doc):
+    pic = tmp_path / "pic.json"
+    pic.write_text(json.dumps(doc))
+    assert main(["collapse", str(pic), "50000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: collapse takes n up to {sln.MAX_N}, got n = 100000\n"
 
 
 def test_cli_draw(tmp_path, capsys):

@@ -81,6 +81,15 @@ def test_collapse_drops_k_pairs():
     assert all(3 not in pair for pair in out)
 
 
+@pytest.mark.parametrize("picture", [{}, {(1, sln.MAX_N + 1): 1}], ids=["empty", "one-pair"])
+def test_collapse_refuses_n_above_the_limit(picture):
+    n = sln.MAX_N + 1
+    with pytest.raises(ValueError, match=f"^collapse takes n up to {sln.MAX_N}, got n = {n}$"):
+        sln.collapse(n, n // 2, picture)
+    out = sln.collapse(sln.MAX_N, 1, {})  # the limit itself is accepted
+    assert len(out) == (sln.MAX_N - 1) * (sln.MAX_N - 2) // 2 and not any(out.values())
+
+
 def test_collapse_matches_facet_exhaustive_n3(a2):
     for vals in itertools.product(range(3), repeat=3):
         picture = dict(zip(((1, 2), (1, 3), (2, 3)), vals))

@@ -296,7 +296,7 @@ def test_elements_carry_their_least_reduced_words(family, rank):
 
 def test_word_data_shares_the_group_vectors():
     g = WeylGroup(build_cartan("D", 4))
-    assert "_coroots" not in vars(g) and "_lambdas" not in vars(g)  # built on first use
+    assert not g._coroots and not g._lambdas  # each object is made on first use
     words = g.reduced_words(g.w0)
     assert len(words) == 2316
     for word in words:
@@ -304,6 +304,12 @@ def test_word_data_shares_the_group_vectors():
         for k, i in enumerate(word):
             assert data.coroots[k] is g.w_coroot(data.prefixes[k], i)
             assert data.gammas[k] is g.w_lambda(data.prefixes[k + 1], i)
+
+
+def test_two_rho_makes_only_the_reference_word_vectors():
+    g = WeylGroup(build_cartan("D", 4))
+    assert g.two_rho.coords == (6, 10, 6, 6)
+    assert len(g._coroots) == len(g._lambdas) == g.m
 
 
 @pytest.mark.parametrize("i", [0, -1, 4])
