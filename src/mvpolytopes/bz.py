@@ -72,8 +72,11 @@ def make_bz(group: WeylGroup, values: dict) -> BZDatum:
 
 
 def _values(group: WeylGroup, datum: BZDatum) -> tuple[int, ...]:
-    """The datum's values, after checking that they index this group's tables."""
-    if datum.cartan != group.cartan:
+    """The datum's values, after checking that they index this group's tables.
+
+    Cartan data are shared (see :func:`cartan.build_cartan`), so the identity
+    test settles the common case without a call."""
+    if datum.cartan is not group.cartan and datum.cartan != group.cartan:
         raise ValueError("datum belongs to a different Cartan datum")
     return datum.values
 

@@ -37,13 +37,38 @@ def max_rank() -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CartanDatum:
-    """An indecomposable Cartan matrix of type A-D with its label."""
+    """An indecomposable Cartan matrix of type A-D with its label.
+
+    :func:`build_cartan` returns one instance per (family, rank), so data
+    compare by identity first; equal data built by hand still compare equal
+    by value.  The hash is computed once, at construction, and is not
+    pickled: str hashes differ from one process to the next, so an unpickled
+    datum computes its own.
+    """
 
     family: str
     rank: int
     a: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.family, self.rank, self.a)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not CartanDatum:
+            return NotImplemented
+        return self._hash == other._hash and (
+            (self.family, self.rank, self.a) == (other.family, other.rank, other.a)
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return CartanDatum, (self.family, self.rank, self.a)
 
     def entry(self, i: int, j: int) -> int:
         """Matrix entry a_{ij}, indices 1-based."""
@@ -178,6 +203,10 @@ def _chain(rank: int) -> list[list[int]]:
     return a
 
 
+# build_cartan's data, by (family, rank): one instance each
+_BUILT: dict[tuple[str, int], CartanDatum] = {}
+
+
 def build_cartan(family: str, rank: int) -> CartanDatum:
     """Standard Cartan matrix for the given family and rank.
 
@@ -186,6 +215,8 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
     a_{r-1,r} = -1, a_{r,r-1} = -2 for B and the transpose for C.  G is
     rejected (triple bonds are out of scope), as is any rank above the cap
     (default 4, override with the MVPOLY_MAX_RANK environment variable).
+    Every call checks the cap and returns the same instance for the same
+    family and rank.
     """
     fam = str(family).strip().upper()
     if fam == "G":
@@ -204,6 +235,9 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
         raise ValueError(f"type {fam} needs rank >= 2")
     if fam == "D" and rank < 3:
         raise ValueError("type D needs rank >= 3 (D2 would be decomposable A1 x A1)")
+    built = _BUILT.get((fam, rank))
+    if built is not None:
+        return built
 
     a = _chain(rank)
     if fam in ("B", "C") and rank >= 2:
@@ -219,4 +253,5 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
         a[rank - 1][rank - 2] = 0
         a[rank - 3][rank - 1] = -1
         a[rank - 1][rank - 3] = -1
-    return CartanDatum(fam, rank, tuple(tuple(row) for row in a))
+    built = _BUILT[fam, rank] = CartanDatum(fam, rank, tuple(tuple(row) for row in a))
+    return built

@@ -86,13 +86,12 @@ def normalize(group: WeylGroup, datum: BZDatum) -> BZDatum:
 
 
 def minkowski_sum(group: WeylGroup, *data: BZDatum) -> BZDatum:
-    """Componentwise sum of the values; support functions of polytopes add."""
+    """Componentwise sum of the values; support functions of polytopes add.
+
+    The sum of no data is the zero datum, the polytope {0}."""
     if not data:
-        raise ValueError("need at least one datum")
-    vals = [0] * len(data[0].values)
-    for d in data:
-        vals = [a + b for a, b in zip(vals, bz._values(group, d))]
-    return BZDatum(group.cartan, tuple(vals))
+        return BZDatum(group.cartan, (0,) * len(group.chamber_weights()))
+    return BZDatum(group.cartan, tuple(map(sum, zip(*[bz._values(group, d) for d in data]))))
 
 
 def scale(group: WeylGroup, datum: BZDatum, c: int) -> BZDatum:
@@ -100,7 +99,7 @@ def scale(group: WeylGroup, datum: BZDatum, c: int) -> BZDatum:
     c = _integer(c, "scale factor")
     if c < 0:
         raise ValueError("scale factor must be nonnegative")
-    return BZDatum(group.cartan, tuple(c * v for v in bz._values(group, datum)))
+    return BZDatum(group.cartan, tuple([c * v for v in bz._values(group, datum)]))
 
 
 def negate(group: WeylGroup, datum: BZDatum) -> BZDatum:

@@ -34,7 +34,7 @@ from . import bz, cones, polytope
 from .bz import BZDatum
 from .cartan import CartanDatum
 from .cones import exact_dtype
-from .tables import FACE_RELATIONS, IndexTable, by_relation, index_table
+from .tables import FACE_RELATIONS, IndexTable, Row, by_relation, index_table
 from .weyl import Face, WeylGroup
 
 Vec = tuple[int, ...]
@@ -92,11 +92,18 @@ class Catalog:
     clusters: tuple[Cluster, ...]
     primes: tuple[PrimePolytope, ...]
     relations: tuple[Relation, ...]
+    # the edge rows along the reference word, sparse over the values tuple:
+    # row k dotted with a datum's values is its Lusztig datum n_k
+    lengths: tuple[Row, ...] = field(repr=False, compare=False)
+    # the chamber indices of Lambda_1..Lambda_r, the bottom vertex's chamber
+    # weights
+    bottom: tuple[int, ...] = field(repr=False, compare=False)
     # derived from clusters: their chart rows stacked, where each starts, and
-    # the largest sum of |coef| of a row
+    # the largest sum of |coef| of a row; and from primes, each by its label
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
     _norm: int = field(init=False, repr=False, compare=False)
+    _by_label: dict[str, PrimePolytope] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = [row for c in self.clusters for row in c.ineq_rows_n]
@@ -104,6 +111,7 @@ class Catalog:
         object.__setattr__(self, "_rows", np.array(rows, dtype=np.int64))
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_norm", max((sum(map(abs, r)) for r in rows), default=0))
+        object.__setattr__(self, "_by_label", {p.label: p for p in self.primes})
 
     @property
     def n_maximal(self) -> int:
@@ -328,6 +336,10 @@ def build_catalog(group: WeylGroup) -> Catalog:
         clusters=tuple(clusters),
         primes=primes,
         relations=relations,
+        lengths=tuple(
+            tuple((x, c) for x, c in enumerate(row) if c) for row in length_rows.tolist()
+        ),
+        bottom=tuple(table.chamber_array[0].tolist()),
     )
     # every lower-dimensional cone should sit inside some maximal one: its
     # pool rays are valid data, so the chart rows test their edge lengths
@@ -346,10 +358,7 @@ def build_catalog(group: WeylGroup) -> Catalog:
 
 
 def prime_by_label(catalog: Catalog, label: str) -> PrimePolytope:
-    for p in catalog.primes:
-        if p.label == label:
-            return p
-    raise KeyError(label)
+    return catalog._by_label[label]
 
 
 def decompose(
@@ -359,20 +368,22 @@ def decompose(
 
     The datum must be normalized (bottom vertex at the origin) and valid.  A
     valid datum is fixed by its Lusztig data n along the reference word, so it
-    lies in a maximal cone exactly when that cone's chart rows admit n.
+    lies in a maximal cone exactly when that cone's chart rows admit n.  The
+    catalog holds what every datum reads: the bottom vertex's chamber indices,
+    the edge rows along the reference word and the primes by label.
     """
     M = bz._values(group, datum)
-    # mu1 = sum_i M_{Lambda_i} alpha_i^vee vanishes iff every M_{Lambda_i} does
-    if any(M[x] for x in index_table(group).chamber_array[0].tolist()):
-        raise ValueError("decompose needs a normalized datum (bottom vertex 0)")
-    report = bz.validate(group, datum)
-    if not report.is_valid:
-        raise ValueError("cannot decompose invalid data: " + "; ".join(report.lines()))
     if catalog is None:
         catalog = build_catalog(group)
     elif catalog.cartan != group.cartan:
         raise ValueError("catalog belongs to a different Cartan datum")
-    target = bz.lusztig_data(group, datum, group.reference_word)
+    # mu1 = sum_i M_{Lambda_i} alpha_i^vee vanishes iff every M_{Lambda_i} does
+    if any([M[x] for x in catalog.bottom]):
+        raise ValueError("decompose needs a normalized datum (bottom vertex 0)")
+    report = bz.validate(group, datum)
+    if not report.is_valid:
+        raise ValueError("cannot decompose invalid data: " + "; ".join(report.lines()))
+    target = tuple([bz._dot(row, M) for row in catalog.lengths])
     admitting = np.flatnonzero(_admitting(catalog, [target]))
     if not admitting.size:
         raise RuntimeError(f"no maximal cone contains the datum with {_where(group, target)}")
@@ -383,7 +394,7 @@ def decompose(
             "Hilbert generators failed to reach the datum with "
             + _where(group, target, cluster)
         )
-    by_label = {p.label: p for p in catalog.primes}
+    by_label = catalog._by_label
     out = []
     total = [0] * len(M)
     for label, count in zip(cluster.labels, counts):

@@ -42,9 +42,8 @@ def _count_inside(
     data = polytope.enumerate_mv(group, diff)
     if not data:
         return 0
-    gammas = np.array([c.weight.coords for c in group.chamber_weights()], dtype=np.int64)
     vals = np.array([d.values for d in data], dtype=np.int64)[:, cols]
-    vals += gammas[cols] @ shift.coords
+    vals += group._chamber_coords[cols] @ shift.coords
     return int((vals >= lower).all(axis=1).sum())
 
 
@@ -55,8 +54,8 @@ def weight_mult_mv(group: WeylGroup, lam: Coweight, mu: Coweight) -> int:
     stay inside the convex hull of the orbit of lam.
     """
     _require_dominant("lambda", lam)
-    t = polytope.weyl_thresholds(group, lam)
-    lower = [t[c.level - 1] for c in group.chamber_weights()]
+    group.chamber_weights()  # builds _chamber_levels on first use
+    lower = np.array(polytope.weyl_thresholds(group, lam))[group._chamber_levels - 1]
     return _count_inside(group, lam - mu, mu, lower)
 
 
@@ -80,11 +79,12 @@ def tensor_mult_mv(group: WeylGroup, lam: Coweight, mu: Coweight, nu: Coweight) 
     _require_dominant("lambda", lam)
     _require_dominant("mu", mu)
     _require_dominant("nu", nu)
-    chambers = group.chamber_weights()
-    levels = [c.level - 1 for c in chambers]
-    gammas = np.array([c.weight.coords for c in chambers], dtype=np.int64)
+    group.chamber_weights()  # builds _chamber_coords and _chamber_levels on first use
+    levels = group._chamber_levels - 1
     per_level = np.array([polytope.weyl_thresholds(group, lam), mu.coords], dtype=np.int64)
-    lower = np.maximum(per_level[0, levels], gammas @ nu.coords - per_level[1, levels])
+    lower = np.maximum(
+        per_level[0, levels], group._chamber_coords @ nu.coords - per_level[1, levels]
+    )
     return _count_inside(group, lam + mu - nu, nu - mu, lower)
 
 

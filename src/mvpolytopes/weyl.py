@@ -424,22 +424,29 @@ class WeylGroup:
 
     def chamber_weights(self) -> tuple[ChamberWeight, ...]:
         """The orbits of the fundamental weights, by level and coordinates;
-        ``_chamber_array[t][i - 1]`` is the chamber index of w_t . Lambda_i."""
+        ``_chamber_array[t][i - 1]`` is the chamber index of w_t . Lambda_i,
+        and row x of the int ``(chambers, r)`` array ``_chamber_coords`` and
+        entry x of ``_chamber_levels`` are chamber weight x's coordinates and
+        level."""
         if self._chambers is None:
-            chambers, index = [], []
+            chambers, index, coords = [], [], []
             for i in range(self.rank):
                 rows = self._mats[:, :, i]
                 _, first, at = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
                 index.append(at + len(chambers))
+                coords.append(rows[first])
                 chambers += [
                     ChamberWeight(Weight(self.cartan, tuple(c)), i + 1)
-                    for c in rows[first].tolist()
+                    for c in coords[-1].tolist()
                 ]
             self._chamber_index = {c.weight.coords: x for x, c in enumerate(chambers)}
             if len(self._chamber_index) < len(chambers):
                 raise RuntimeError("the orbits of two fundamental weights meet")
             self._chamber_array = np.stack(index, axis=1)
-            self._chamber_array.flags.writeable = False
+            self._chamber_coords = np.concatenate(coords)
+            self._chamber_levels = np.repeat(np.arange(1, self.rank + 1), list(map(len, coords)))
+            for array in (self._chamber_array, self._chamber_coords, self._chamber_levels):
+                array.flags.writeable = False
             self._chambers = tuple(chambers)
         return self._chambers
 

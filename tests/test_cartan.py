@@ -1,10 +1,11 @@
 import os
+import pickle
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from mvpolytopes.cartan import Coweight, Weight, build_cartan, pairing
+from mvpolytopes.cartan import CartanDatum, Coweight, Weight, build_cartan, pairing
 
 
 def test_a2_matrix():
@@ -51,6 +52,36 @@ def test_rank_cap_default_and_override():
         build_cartan("A", 5)
     with mock.patch.dict(os.environ, {"MVPOLY_MAX_RANK": "5"}):
         assert build_cartan("A", 5).rank == 5
+
+
+def test_build_cartan_returns_one_datum_per_family_and_rank():
+    for family, rank in [("A", 1), ("A", 3), ("B", 2), ("C", 2), ("C", 3), ("D", 4)]:
+        assert build_cartan(family, rank) is build_cartan(family, rank)
+    assert build_cartan(" b ", np.int64(3)) is build_cartan("B", 3)
+    assert build_cartan("B", 2) is not build_cartan("C", 2)
+
+
+def test_rank_cap_is_checked_on_every_call():
+    with mock.patch.dict(os.environ, {"MVPOLY_MAX_RANK": "5"}):
+        a5 = build_cartan("A", 5)
+    with pytest.raises(ValueError, match="rank 5 exceeds the cap 4"):
+        build_cartan("A", 5)
+    with mock.patch.dict(os.environ, {"MVPOLY_MAX_RANK": "3"}):
+        with pytest.raises(ValueError, match="rank 4 exceeds the cap 3"):
+            build_cartan("D", 4)
+    with mock.patch.dict(os.environ, {"MVPOLY_MAX_RANK": "5"}):
+        assert build_cartan("A", 5) is a5
+
+
+def test_equal_data_built_apart_compare_and_hash_by_value():
+    b3 = build_cartan("B", 3)
+    twin = CartanDatum("B", 3, b3.a)
+    assert twin is not b3 and twin == b3 and hash(twin) == hash(b3)
+    assert CartanDatum("C", 3, b3.a) != b3
+    assert CartanDatum("B", 3, build_cartan("C", 3).a) != b3
+    assert {twin: 1}[b3] == 1
+    back = pickle.loads(pickle.dumps(b3))
+    assert back == b3 and hash(back) == hash(b3)
 
 
 def test_pairing_is_coordinate_dot():

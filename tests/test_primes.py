@@ -1,11 +1,18 @@
 import dataclasses
 import hashlib
 import itertools
+import json
+import os
 import re
+import subprocess
+import sys
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpolytopes import bz, polytope, primes
 from mvpolytopes.cartan import build_cartan
@@ -152,6 +159,91 @@ def test_decompose_accepts_a_catalog_of_an_equal_cartan_datum(b2):
     fresh = primes.build_catalog(WeylGroup(b2.cartan))
     for p in fresh.primes:
         assert primes.decompose(b2, p.datum, fresh) == ((p, 1),)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3)])
+def test_zero_polytope_sums_back_from_no_primes(family, rank):
+    group = weyl_group(build_cartan(family, rank))
+    zero = bz.from_lusztig(group, group.reference_word, (0,) * group.m)
+    assert zero.values == (0,) * len(group.chamber_weights())
+    parts = primes.decompose(group, zero)
+    assert parts == ()
+    assert polytope.minkowski_sum(group, *(polytope.scale(group, p.datum, c) for p, c in parts)) == zero
+
+
+# Builds the A3 and B2 catalogs on fresh groups and pickles them ("dump"), or
+# loads them ("load"); either way prints the decompositions of fixed data
+# against them as JSON.
+PICKLE_SCRIPT = """
+import json, pickle, sys
+from mvpolytopes import bz, polytope, primes
+from mvpolytopes.cartan import build_cartan
+from mvpolytopes.weyl import WeylGroup, weyl_group
+
+KEYS = [("A", 3), ("B", 2)]
+mode, path = sys.argv[1:]
+if mode == "dump":
+    catalogs = [primes.build_catalog(WeylGroup(build_cartan(*key))) for key in KEYS]
+    with open(path, "wb") as f:
+        pickle.dump(catalogs, f)
+else:
+    with open(path, "rb") as f:
+        catalogs = pickle.load(f)
+out = []
+for key, catalog in zip(KEYS, catalogs):
+    g = weyl_group(build_cartan(*key))
+    for k in range(12):
+        n = tuple((5 * k + 3 * j) % 4 for j in range(g.m))
+        datum = polytope.normalize(g, bz.from_lusztig(g, g.reference_word, n))
+        out.append([(p.label, c) for p, c in primes.decompose(g, datum, catalog)])
+print(json.dumps(out))
+"""
+
+
+def test_pickled_catalog_decomposes_alike_under_another_hash_seed(tmp_path):
+    """str hashes differ between the two interpreters, so a Cartan datum's
+    hash kept through the pickle would not match the loading side's."""
+    src = str(Path(primes.__file__).resolve().parents[1])
+    path = str(tmp_path / "catalogs.pickle")
+    outputs = []
+    for mode, seed in [("dump", "1"), ("load", "2")]:
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", PICKLE_SCRIPT, mode, path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(json.loads(run.stdout))
+    assert outputs[0] == outputs[1]
+    assert sum(map(len, outputs[0])) > 12  # the data decompose into several primes
+
+
+@pytest.fixture(scope="session")
+def fresh_catalogs():
+    """Catalogs built on fresh groups, apart from the shared groups' memos."""
+    return {
+        key: primes.build_catalog(WeylGroup(build_cartan(*key)))
+        for key in [("A", 2), ("B", 2), ("A", 3)]
+    }
+
+
+@st.composite
+def lusztig_queries(draw):
+    key = draw(st.sampled_from([("A", 2), ("B", 2), ("A", 3)]))
+    group = weyl_group(build_cartan(*key))
+    unit = draw(st.sampled_from([1, 1 << 70]))
+    return key, group, tuple(unit * v for v in draw(st.tuples(*[st.integers(0, 6)] * group.m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lusztig_queries())
+def test_decompose_sums_back_on_shared_and_fresh_catalogs(fresh_catalogs, query):
+    key, group, n = query
+    datum = polytope.normalize(group, bz.from_lusztig(group, group.reference_word, n))
+    parts = primes.decompose(group, datum)
+    total = polytope.minkowski_sum(group, *(polytope.scale(group, p.datum, c) for p, c in parts))
+    assert total == datum
+    assert primes.decompose(group, datum, fresh_catalogs[key]) == parts
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("D", 3)])
