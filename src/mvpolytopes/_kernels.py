@@ -25,11 +25,8 @@ def resolve_backend() -> str:
 
 def _suffix_support(parts: np.ndarray) -> np.ndarray:
     """supp[pos, j] is True when some row at index >= pos has a positive j-entry."""
-    m, r = parts.shape
-    supp = np.zeros((m + 1, r), dtype=np.bool_)
-    for pos in range(m - 1, -1, -1):
-        supp[pos] = supp[pos + 1] | (parts[pos] > 0)
-    return supp
+    positive = np.vstack([parts > 0, np.zeros((1, parts.shape[1]), dtype=bool)])
+    return np.logical_or.accumulate(positive[::-1], axis=0)[::-1]
 
 
 def _alive(rems: np.ndarray, supp: np.ndarray) -> np.ndarray:
@@ -57,29 +54,17 @@ def _branch(rems: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return idx, counts
 
 
-def _combinations_numpy(parts: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Frontier expansion over positions; rows come out lex ascending."""
-    m, r = parts.shape
-    supp = _suffix_support(parts)
-    rems = target[None, :].copy()
-    prefs = np.zeros((1, 0), dtype=np.int64)
-    for pos in range(m):
-        alive = _alive(rems, supp[pos])
-        rems, prefs = rems[alive], prefs[alive]
-        if rems.shape[0] == 0:
-            return np.zeros((0, m), dtype=np.int64)
-        idx, counts = _branch(rems, parts[pos])
-        rems = rems[idx] - counts[:, None] * parts[pos][None, :]
-        prefs = np.concatenate([prefs[idx], counts[:, None]], axis=1)
-    done = (rems == 0).all(axis=1)
-    return np.ascontiguousarray(prefs[done])
+def _as_i64(a) -> np.ndarray:
+    return np.ascontiguousarray(np.asarray(a, dtype=np.int64))
 
 
-def _count_numpy(parts: np.ndarray, target: np.ndarray) -> int:
-    """The same frontier with equal remainders merged, each carrying the number
-    of prefixes that reach it, so memory follows the distinct remainders."""
+def count_nonneg_combinations(parts, target) -> int:
+    """Number of nonnegative integer vectors c with sum_l c_l parts[l] == target,
+    by the enumeration's frontier with equal remainders merged, each carrying
+    the number of prefixes that reach it, so memory follows the remainders."""
+    parts = _as_i64(parts)
     supp = _suffix_support(parts)
-    rems = target[None, :]
+    rems = _as_i64(target)[None, :]
     mult = np.ones(1, dtype=np.int64)
     for pos, part in enumerate(parts):
         alive = _alive(rems, supp[pos])
@@ -98,42 +83,38 @@ def _count_numpy(parts: np.ndarray, target: np.ndarray) -> int:
     return int(mult[(rems == 0).all(axis=1)].sum())
 
 
-def _box_numpy(bounds: np.ndarray, ineqs: np.ndarray) -> np.ndarray:
-    r = bounds.shape[0]
-    dims = bounds.astype(np.int64) + 1
-    total = math.prod(int(d) for d in dims)
-    keep_rows = []
-    for start in range(0, total, BOX_CHUNK):
-        idxs = np.arange(start, min(start + BOX_CHUNK, total), dtype=np.int64)
-        x = np.empty((idxs.shape[0], r), dtype=np.int64)
-        rem = idxs
-        for j in range(r - 1, -1, -1):
-            x[:, j] = rem % dims[j]
-            rem = rem // dims[j]
-        keep = (x @ ineqs.T >= 0).all(axis=1) if ineqs.shape[0] else np.ones(len(x), bool)
-        keep_rows.append(x[keep])
-    if not keep_rows:
-        return np.zeros((0, r), dtype=np.int64)
-    return np.ascontiguousarray(np.concatenate(keep_rows, axis=0))
-
-
-def _as_i64(a) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(a, dtype=np.int64))
-
-
-def count_nonneg_combinations(parts, target) -> int:
-    """Number of nonnegative integer vectors c with sum_l c_l parts[l] == target."""
-    return _count_numpy(_as_i64(parts), _as_i64(target))
-
-
 def enumerate_nonneg_combinations(parts, target) -> np.ndarray:
-    """All such vectors c as rows, in lexicographically ascending order."""
-    return _combinations_numpy(_as_i64(parts), _as_i64(target))
+    """All such vectors c as rows, in lexicographically ascending order: a
+    frontier expansion over positions."""
+    parts = _as_i64(parts)
+    m, r = parts.shape
+    supp = _suffix_support(parts)
+    rems = _as_i64(target)[None, :].copy()
+    prefs = np.zeros((1, 0), dtype=np.int64)
+    for pos in range(m):
+        alive = _alive(rems, supp[pos])
+        rems, prefs = rems[alive], prefs[alive]
+        if rems.shape[0] == 0:
+            return np.zeros((0, m), dtype=np.int64)
+        idx, counts = _branch(rems, parts[pos])
+        rems = rems[idx] - counts[:, None] * parts[pos][None, :]
+        prefs = np.concatenate([prefs[idx], counts[:, None]], axis=1)
+    done = (rems == 0).all(axis=1)
+    return np.ascontiguousarray(prefs[done])
 
 
 def filter_box_points(bounds, ineqs) -> np.ndarray:
-    """Lattice points x with 0 <= x <= bounds and ineqs @ x >= 0, lex ascending."""
+    """Lattice points x with 0 <= x <= bounds and ineqs @ x >= 0, lex ascending,
+    decoded and tested ``BOX_CHUNK`` box points at a time."""
     bounds, ineqs = _as_i64(bounds), _as_i64(ineqs)
+    r = bounds.shape[0]
     if ineqs.ndim != 2:
-        ineqs = ineqs.reshape(-1, bounds.shape[0])
-    return _box_numpy(bounds, ineqs)
+        ineqs = ineqs.reshape(-1, r)
+    dims = (bounds + 1).tolist()
+    total = math.prod(dims)
+    keep_rows = [np.zeros((0, r), dtype=np.int64)]  # so that an empty box concatenates
+    for start in range(0, total, BOX_CHUNK):
+        idxs = np.arange(start, min(start + BOX_CHUNK, total), dtype=np.int64)
+        x = np.stack(np.unravel_index(idxs, dims), axis=1).astype(np.int64, copy=False)
+        keep_rows.append(x[(x @ ineqs.T >= 0).all(axis=1)])
+    return np.concatenate(keep_rows, axis=0)

@@ -92,14 +92,34 @@ def _dot(row: Row, x) -> int:
 
 
 def edge_length(group: WeylGroup, datum: BZDatum, w: WeylElement, i: int) -> int:
-    """Lattice length of the polytope edge from vertex mu_w towards mu_{w s_i}.
+    """Lattice length of the polytope edge between vertices mu_w and mu_{w s_i}.
 
-    Requires l(w s_i) > l(w).  Nonnegative on valid data; the edge inequality
-    at (w, i) is exactly "this length is >= 0".
+    Nonnegative on valid data; when l(w s_i) > l(w), the edge inequality at
+    (w, i) is exactly "this length is >= 0".  A descent i of w names the same
+    edge from its other end, w s_i, and gets the same length.
     """
     group.cartan._check_index(i)
+    t = group._row(w)
+    return _lengths(group, _values(group, datum), [t, group._right_array.item(t, i - 1)], (i,))[0]
+
+
+def _lengths(group: WeylGroup, M: tuple[int, ...], path, word) -> list[int]:
+    """The lengths -M(w Lambda_i) - M(w s_i Lambda_i) - sum_{j != i} a_ji M(w Lambda_j)
+    of the edges (w, i) = (w_{path[k]}, word[k]), w_{path[k + 1]} = w s_i, by one
+    walk of v_j = M(w Lambda_j) on Python ints: a step by s_i reads one chamber
+    index, as s_i fixes Lambda_j for j != i."""
     table = index_table(group)
-    return _dot(table.edge_rows[group._row(w)][i - 1], _values(group, datum))
+    item, columns = table.chamber_array.item, table.cartan_columns
+    v = [M[x] for x in table.chamber_array[path[0]].tolist()]
+    out = []
+    for t, i in zip(path[1:], word):
+        i -= 1
+        new = M[item(t, i)]
+        length, v[i] = -v[i] - new, new
+        for j, a in columns[i]:
+            length -= a * v[j]
+        out.append(length)
+    return out
 
 
 # -- validation ----------------------------------------------------------------
@@ -139,28 +159,31 @@ def validate(group: WeylGroup, datum: BZDatum) -> ValidationReport:
     """
     M = _values(group, datum)
     if datum._report is None:
-        object.__setattr__(datum, "_report", _check(index_table(group), M))
+        object.__setattr__(datum, "_report", _check(group, index_table(group), M))
     return datum._report
 
 
-def _check(table: IndexTable, M: tuple[int, ...]) -> ValidationReport:
+def _check(group: WeylGroup, table: IndexTable, M: tuple[int, ...]) -> ValidationReport:
     """The report of the values M, from one product over the check rows.
 
     Each sum is bounded by max|M| times the largest absolute row sum, which
-    picks the dtype (:func:`cones.exact_dtype`).
+    picks the dtype (:func:`cones.exact_dtype`).  A violated edge is named
+    from ``group._ascents``, whose row-major order is the edge block's.
     """
     dtype = exact_dtype(max(max(M), -min(M)), table.check_norm)
     sums = (
         np.array(M, dtype=dtype)[table.check_index]
         * table.check_coef.astype(dtype, copy=False)
     ).sum(0)
-    n_edges = len(table.edges)
+    lengths = sums[: table.n_edges]
     # per relation lhs = min(args), the residual min(args) - lhs
     residuals = by_relation(table, sums).min(1)
-    if sums[:n_edges].min() >= 0 and not residuals.any():
+    if lengths.min() >= 0 and not residuals.any():
         return _VALID
+    t, i = np.nonzero(group._ascents)
     edge_bad = tuple(
-        (word, i, c) for (word, i), c in zip(table.edges, sums[:n_edges].tolist()) if c < 0
+        (group.elements()[t[e]].word, int(i[e]) + 1, c)
+        for e, c in enumerate(lengths.tolist()) if c < 0
     )
     face_bad = []
     residual = iter(residuals.tolist())
@@ -181,10 +204,10 @@ def is_valid(group: WeylGroup, datum: BZDatum) -> bool:
 def from_lusztig(group: WeylGroup, word, n) -> BZDatum:
     """Datum of the polytope with Lusztig data ``n`` along ``word``.
 
-    :func:`lusztig.transport` moves n along parent braid edges to the
-    reference word, where the table's assembly program (see
-    :mod:`mvpolytopes.tables`) solves the edge rows and 2-face relations for
-    the values, on Python ints.  The result must pass
+    :func:`lusztig.transport` moves n along :func:`lusztig.parent_tree` to
+    the reference word, where the table's assembly program (see
+    :mod:`mvpolytopes.tables`) solves the check rows' edge block and 2-face
+    relations for the values, on Python ints.  The result must pass
     :func:`validate` and have Lusztig data n along ``word`` again, which fixes
     a valid datum; failing either is an implementation error, not bad input.
     """
@@ -210,5 +233,4 @@ def lusztig_data(group: WeylGroup, datum: BZDatum, word) -> tuple[int, ...]:
     word = tuple(word)
     M = _values(group, datum)
     path = group._prefixes(word)  # rejects anything but a reduced word for w0
-    rows = index_table(group).edge_rows
-    return tuple([_dot(rows[t][i - 1], M) for t, i in zip(path, word)])
+    return tuple(_lengths(group, M, path, word))

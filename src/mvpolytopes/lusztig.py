@@ -13,7 +13,6 @@ import numpy as np
 
 from . import _kernels
 from .cartan import Coweight, _integers
-from .tables import index_table
 from .weyl import BraidEdge, WeylGroup
 
 
@@ -70,16 +69,51 @@ def _move(group: WeylGroup, edge: BraidEdge, n: tuple[int, ...]) -> tuple[int, .
     return n[:k] + new + n[k + d :]
 
 
+def parent_tree(group: WeylGroup) -> dict[tuple[int, ...], BraidEdge | None]:
+    """For each reduced word of w0, the braid edge one step toward the
+    reference word (None at it), kept on the group like its index table.
+
+    The tree grows breadth first over the braid graph's move arrays, not its
+    ``adjacency``: each level takes the moves that first reach its words, in
+    queue order.  A flipped window alternates again, so the reverse of a move
+    is a move of its dst at the same k.
+    """
+    if group._parent_tree is not None:
+        return group._parent_tree
+    graph, words = group.braid_graph(), group.braid_graph().words
+    parent = {group.reference_word: None}
+    seen = np.arange(len(words)) == words.index(group.reference_word)
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        lo, count = graph.starts[frontier], graph.starts[frontier + 1] - graph.starts[frontier]
+        # the moves of every frontier word, one after another
+        ids = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        ids = ids[~seen[graph.dst[ids]]]
+        ids = ids[np.sort(np.unique(graph.dst[ids], return_index=True)[1])]
+        frontier = graph.dst[ids]
+        seen[frontier] = True
+        src, k, d, dst = (a[ids].tolist() for a in (graph.src, graph.k, graph.d, graph.dst))
+        parent.update(
+            (words[t], BraidEdge(words[t], words[s], at, span))
+            for s, t, at, span in zip(src, dst, k, d)
+        )
+    if len(parent) != len(words):
+        raise RuntimeError("braid graph is not connected")
+    group._parent_tree = parent
+    return parent
+
+
 def word_path(group: WeylGroup, src, dst) -> tuple[BraidEdge, ...]:
     """A chain of braid moves from one reduced word to another.
 
-    It follows the parent edges of the group's index table from ``src`` up
-    toward ``reference_word`` and back down to ``dst``, turning at the first
-    word the two parent chains share.  The chain is at most twice the depth
-    of the parent tree long, and need not be the shortest one.
+    It follows the edges of :func:`parent_tree`, which the first call builds,
+    from ``src`` up toward ``reference_word`` and back down to ``dst``,
+    turning at the first word the two parent chains share.  The chain is at
+    most twice the depth of the parent tree long, and need not be the
+    shortest one.
     """
     src, dst = tuple(src), tuple(dst)
-    parent = index_table(group).parent
+    parent = parent_tree(group)
     for word in (src, dst):
         if word not in parent:
             raise ValueError(f"endpoint {word} is not a reduced word for w0")

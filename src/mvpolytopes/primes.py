@@ -34,7 +34,7 @@ from . import bz, cones, polytope
 from .bz import BZDatum
 from .cartan import CartanDatum
 from .cones import exact_dtype
-from .tables import FACE_RELATIONS, IndexTable, Row, by_relation, index_table
+from .tables import FACE_RELATIONS, IndexTable, Row, _edge_columns, by_relation, index_table
 from .weyl import Face, WeylGroup
 
 Vec = tuple[int, ...]
@@ -221,9 +221,7 @@ def build_catalog(group: WeylGroup) -> Catalog:
     size = len(group.chamber_weights())
     checks = _check_matrix(table, size)
     # the edge lengths along the reference word: its Lusztig data
-    data = group.word_data(group.reference_word)
-    edge_column = {edge: e for e, edge in enumerate(table.edges)}
-    length_rows = checks[[edge_column[w.word, i] for w, i in zip(data.prefixes, data.word)]]
+    length_rows = checks[_edge_columns(group, group.reference_word)]
     # per relation, the check columns of its arguments
     layout = by_relation(table, np.arange(len(checks))).tolist()
     args = [columns[: rel.n_args] for columns, rel in zip(layout, relations)]
@@ -243,7 +241,7 @@ def build_catalog(group: WeylGroup) -> Catalog:
             # the edge rows, then the other arguments' rows arg_t - lhs, which
             # read as arg_t - arg_k on the basis, where the chosen row is zero
             others = (c for columns, k in zip(args, choice) for c in columns if c != columns[k])
-            ineq = checks[[*range(len(table.edges)), *others]]
+            ineq = checks[[*range(table.n_edges), *others]]
             chart_rows = cones.matmul(ineq, np.transpose(basis)).tolist()
             rays_x = cones.extreme_rays(chart_rows, len(basis))
             # x -> x . basis is injective, so the rays span as much in the chart

@@ -10,18 +10,21 @@ tables are indexed by element index, which is each element's own
 elements back to indices is kept.
 
 The polytope constraints are integer rows over the values tuple, held here
-and nowhere else as the check rows: one padded gather pair ``(check_index,
-check_coef)`` with a column per row.  The edge block comes first, one row per
-(w, i) whose value is the edge length; then, for each min-relation
-lhs = min(args) of a hexagonal or octagonal 2-face, a row arg_k - lhs per
-argument k, laid out as :func:`by_relation` reads them (a hexagon repeats its
-last).  The relations are written once, in :data:`FACE_RELATIONS`, over a
-face's chamber weights A..H.  :func:`bz.validate` sums every column: a datum
-is valid when the edge lengths are nonnegative and the least sum over each
-relation's columns, its residual min(args) - lhs, is zero.
-:func:`primes.build_catalog` reads the same rows: a choice of one argument
-per relation cuts out the cone where the chosen argument's row is zero and
-the edge rows and the other arguments' rows are nonnegative.
+and nowhere else, each once, as the check rows: one padded gather pair
+``(check_index, check_coef)`` with a column per row.  The edge block comes
+first, one row per ascent (w, i), l(w s_i) > l(w), whose value is the edge
+length; it follows the row-major order of ``group._ascents``, so the column
+of (w, i) counts the ascents before it (:func:`_edge_columns`).  Then, for
+each min-relation lhs = min(args) of a hexagonal or octagonal 2-face, a row
+arg_k - lhs per argument k, laid out as :func:`by_relation` reads them (a
+hexagon repeats its last).  The relations are written once, in
+:data:`FACE_RELATIONS`, over a face's chamber weights A..H.
+:func:`bz.validate` sums every column: a datum is valid when the edge lengths
+are nonnegative and the least sum over each relation's columns, its residual
+min(args) - lhs, is zero.  :func:`primes.build_catalog` reads the same rows:
+a choice of one argument per relation cuts out the cone where the chosen
+argument's row is zero and the edge rows and the other arguments' rows are
+nonnegative.
 
 The vertices mu_w = sum_i M(w Lambda_i) w.alpha_i^vee of a datum are one
 integer product: the table keeps the chamber indices w Lambda_i as an
@@ -36,19 +39,15 @@ every chamber weight, with the inverse map from a key to its chamber index.
 
 The table also holds the assembly program of :func:`bz.from_lusztig`: a
 straight-line program from the Lusztig data n along the reference word to the
-values tuple.  Its m edge steps solve the edge rows along that word for
-M(gamma_k).  A polytope is MV exactly when its 2-faces are, so each face step
-takes one relation lhs = min(args) of :data:`FACE_RELATIONS` with a single
-unknown x in lhs and sets x = min(args) - (lhs - x).  Relations of negated
-faces, read through the ``negation`` column gamma -> -gamma, count too, as -P
-is MV with P; without them the program stalls in C3 and C4.  The build checks
-that the program reaches every chamber weight and compiles it to one Python
-function on Python ints, exact at any size.
-
-The parent tree, a braid edge per reduced word of w0 one step toward the
-reference word, is grown breadth first over the braid graph's move arrays, a
-level at a time with the first discovery in queue order, without reading the
-graph's ``adjacency``.
+values tuple.  Its m edge steps solve the edge block's rows along that word
+for M(gamma_k).  A polytope is MV exactly when its 2-faces are, so each face
+step takes one relation lhs = min(args) of :data:`FACE_RELATIONS` with a
+single unknown x in lhs and sets x = min(args) - (lhs - x).  Relations of
+negated faces, read through the ``negation`` column gamma -> -gamma, count
+too, as -P is MV with P; without them the program stalls in C3 and C4.  The
+build checks that the program reaches every chamber weight and compiles it to
+one Python function on Python ints, exact at any size.  No reduced word of w0
+but the reference word is read, so the braid graph is never built.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weyl import BraidEdge, BraidGraph, Face, WeylGroup
+from .weyl import Face, WeylGroup
 
 Word = tuple[int, ...]
 # sparse integer row: the value is sum(coef * x[index] for index, coef in row)
@@ -115,14 +114,12 @@ class IndexTable:
     ``group.chamber_weights()``.
     """
 
-    edge_rows: tuple[tuple[Row, ...], ...]  # [t][i - 1]: edge length at (w_t, i)
-    # (word of w, i) for each w and then each i with l(w s_i) > l(w): the
-    # edge block of the check rows, in column order
-    edges: tuple[tuple[Word, int], ...]
+    n_edges: int  # E, the columns of the check rows' edge block
+    # [i - 1]: (j - 1, a_ji) for each j != i with a_ji != 0, Cartan column i
+    cartan_columns: tuple[tuple[tuple[int, int], ...], ...]
     # the hexagons and octagons in group.two_faces order; their relations, in
     # FACE_RELATIONS order per face, are the rows of ``by_relation``
     faces: tuple[Face, ...]
-    parent: dict[Word, BraidEdge | None]  # toward the reference word; None at it
     negation: tuple[int, ...]  # [x]: chamber index of -gamma for chamber weight x
     program: tuple[Step, ...]  # the m edge steps, then the face steps
     # the program compiled to one function from the Lusztig data along the
@@ -154,7 +151,7 @@ def by_relation(table: IndexTable, per_column: np.ndarray) -> np.ndarray:
     ``(R, RELATION_ARGS)`` view whose entry [r][k] belongs to the row
     arg_k - lhs of relation r.  Applied to the check sums it gives each
     relation's residuals, and applied to the column numbers the columns."""
-    return per_column[len(table.edges) :].reshape(RELATION_ARGS, -1).T
+    return per_column[table.n_edges :].reshape(RELATION_ARGS, -1).T
 
 
 def _face_indices(chamber, right, t: int, i: int, j: int, kind: str) -> tuple[int, ...]:
@@ -180,24 +177,12 @@ def _face_indices(chamber, right, t: int, i: int, j: int, kind: str) -> tuple[in
 def _build(group: WeylGroup) -> IndexTable:
     from .serialize import coords_key, word_key  # serialize imports this module
 
-    r = group.rank
-    a = group.cartan.a
-    elements = group.elements()
     chambers = group.chamber_weights()
+    a, r = group.cartan.a, group.rank
+    columns = tuple(tuple((j, a[j][i]) for j in range(r) if j != i and a[j][i]) for i in range(r))
     # build-time copies of the group's arrays, dropped when the build returns
     chamber = group._chamber_array.tolist()
     right = group._right_array.tolist()
-    # edge length at (w, i):
-    #   -M(w Lambda_i) - M(w s_i Lambda_i) - sum_{j != i} a_ji M(w Lambda_j)
-    edge_rows = tuple(
-        tuple(
-            ((chamber[t][i], -1), (chamber[right[t][i]][i], -1))
-            + tuple((chamber[t][j], -a[j][i]) for j in range(r) if j != i and a[j][i])
-            for i in range(r)
-        )
-        for t in range(len(elements))
-    )
-    ascents = [(t, i + 1) for t, i in np.argwhere(group._ascents).tolist()]
     faces = group.two_faces(("hexagon", "octagon"))
     relations = []  # per relation, its rows arg_k - lhs
     for f in faces:
@@ -207,18 +192,17 @@ def _build(group: WeylGroup) -> IndexTable:
         ]
     # the layout by_relation reads: the edge block, then block k holds
     # argument k of every relation, a hexagon's last argument repeated
-    rows = [edge_rows[t][i - 1] for t, i in ascents]
-    for k in range(RELATION_ARGS):
-        rows += [args[min(k, len(args) - 1)] for args in relations]
-    check_index, check_coef = _padded(rows)
+    rows = [args[min(k, len(args) - 1)] for k in range(RELATION_ARGS) for args in relations]
+    edges = _edge_block(group, columns)
+    check_index, check_coef = _padded(edges, rows)
+    del relations, rows  # the program's build peaks the memory; free them first
     negation = tuple(group.chamber_index(tuple(-v for v in c.weight.coords)) for c in chambers)
-    program = _program(group, chamber, right, edge_rows, faces, negation)
+    program = _program(group, chamber, right, (check_index, check_coef), faces, negation)
     chamber_keys = tuple(coords_key(c.weight.coords) for c in chambers)
     return IndexTable(
-        edge_rows=edge_rows,
-        edges=tuple((elements[t].word, i) for t, i in ascents),
+        n_edges=edges[0].shape[1],
+        cartan_columns=columns,
         faces=faces,
-        parent=_parents(group.braid_graph(), group.reference_word),
         negation=negation,
         program=program,
         assemble=_compiled(program, len(chambers), chamber[0]),
@@ -228,10 +212,31 @@ def _build(group: WeylGroup) -> IndexTable:
         chamber_array=group._chamber_array,
         coaction=group._comats,
         coaction_max=int(np.abs(group._comats).max()),
-        word_keys=tuple(word_key(w.word) for w in elements),
+        word_keys=tuple(word_key(w.word) for w in group.elements()),
         chamber_keys=chamber_keys,
         key_chamber={key: x for x, key in enumerate(chamber_keys)},
     )
+
+
+def _edge_block(group: WeylGroup, columns) -> tuple[np.ndarray, np.ndarray]:
+    """The edge rows as a padded gather pair, one column per ascent (t, i) in
+    row-major order, whose value is the edge length at (w_t, i):
+    -M(w Lambda_i) - M(w s_i Lambda_i) - sum_{j != i} a_ji M(w Lambda_j)."""
+    width = max(map(len, columns))
+    # [i][p]: (j, a_ji) of the Cartan column i, padded with (i, 0)
+    near = [col + ((i, 0),) * (width - len(col)) for i, col in enumerate(columns)]
+    near = np.array(near, dtype=np.intp).reshape(len(columns), width, 2)
+    t, i = np.nonzero(group._ascents)
+    j, a, chamber = near[i, :, 0].T, near[i, :, 1].T, group._chamber_array  # (width, E)
+    index = [chamber[t, i], chamber[group._right_array[t, i], i], np.where(a, chamber[t, j], 0)]
+    return np.vstack(index), np.vstack([np.full((2, len(t)), -1), -a]).astype(np.int64)
+
+
+def _edge_columns(group: WeylGroup, word: Word) -> np.ndarray:
+    """The check columns of the edges (w_{k-1}, i_k) along a reduced word of
+    w0: in the edge block, an ascent's column counts the ascents before it."""
+    at = np.array(group._prefixes(word)[:-1]) * group.rank + np.array(word) - 1
+    return np.cumsum(group._ascents.ravel())[at] - 1
 
 
 def _difference(at: tuple[int, ...], arg: Row, lhs: Row) -> Row:
@@ -246,38 +251,33 @@ def _difference(at: tuple[int, ...], arg: Row, lhs: Row) -> Row:
 
 
 def _program(
-    group: WeylGroup,
-    chamber: list[list[int]],
-    right: list[list[int]],
-    edge_rows: tuple[tuple[Row, ...], ...],
-    faces: tuple[Face, ...],
-    negation: tuple[int, ...],
+    group: WeylGroup, chamber, right, checks, faces: tuple[Face, ...], negation: tuple[int, ...]
 ) -> tuple[Step, ...]:
     """The assembly program over the relations of ``faces`` and their negations.
 
-    Edge step k solves the edge row at (w_{k-1}, i_k), of length n_k, for
-    M(gamma_k); the row's other chamber weights are Lambda_j or earlier
-    gamma_l.  Then, in passes, every relation with one unknown x in lhs, of
-    coefficient 1, and every other chamber weight known becomes a face step.
-    Raises if some chamber weight is left unreached.
+    Edge step k solves the edge block's row at (w_{k-1}, i_k), of length n_k,
+    for M(gamma_k), whose other chamber weights are Lambda_j or earlier
+    gamma_l.  Then, in passes over the distinct relations, each one with a
+    single unknown x in lhs, of coefficient 1, and all else known becomes a
+    face step.  Raises if some chamber weight is left unreached.
     """
-    known = set(chamber[0])
-    steps = []
-    t = 0
-    for k, i in enumerate(group.reference_word):
-        x = chamber[right[t][i - 1]][i - 1]
-        # the row is -M(x) plus the rest
-        steps.append(Step(x, (tuple(e for e in edge_rows[t][i - 1] if e[0] != x),), (), k))
+    known, steps = set(chamber[0]), []
+    index, coef = checks
+    for k, e in enumerate(_edge_columns(group, group.reference_word).tolist()):
+        # the row is -M(x) plus the rest, x = gamma_k its second entry
+        row = list(zip(index[:, e].tolist(), coef[:, e].tolist()))
+        x = row[1][0]
+        steps.append(Step(x, (tuple(p for p in row if p[1] and p[0] != x),), (), k))
         known.add(x)
-        t = right[t][i - 1]
-    pending = []
+    # the distinct relations in first-occurrence order: a negated face often
+    # gives a relation already listed, whose later copies would never be a step
+    pending = {}
     for f in faces:
         at = _face_indices(chamber, right, group._row(f.w), f.i, f.j, f.kind)
         for face_at in (at, tuple(negation[p] for p in at)):
-            pending += [
-                (_gathered(face_at, lhs), tuple(_gathered(face_at, arg) for arg in args))
-                for lhs, args in FACE_RELATIONS[f.kind]
-            ]
+            for lhs, args in FACE_RELATIONS[f.kind]:
+                pending[_gathered(face_at, lhs), tuple(_gathered(face_at, a) for a in args)] = None
+    pending = list(pending)
     while pending:
         left = []
         for lhs, args in pending:
@@ -340,51 +340,14 @@ def _gathered(at: tuple[int, ...], row: Row) -> Row:
     return tuple((at[p], c) for p, c in row)
 
 
-def _padded(rows: list[Row]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows as one ``(width, rows)`` pair of chamber indices and
-    coefficients, padded with 0."""
-    shape = (max(map(len, rows)), len(rows))
+def _padded(edges, rows: list[Row]) -> tuple[np.ndarray, np.ndarray]:
+    """The edge block's columns, then the rows, as one ``(width, columns)``
+    pair of chamber indices and coefficients padded with 0."""
+    width, e = edges[0].shape
+    shape = (max([width, *map(len, rows)]), e + len(rows))
     index, coef = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.int64)
-    for k, row in enumerate(rows):
+    index[:width, :e], coef[:width, :e] = edges
+    for k, row in enumerate(rows, e):
         for p, (t, c) in enumerate(row):
             index[p, k], coef[p, k] = t, c
     return index, coef
-
-
-def _levels(graph: BraidGraph, root: int):
-    """The breadth-first levels of the braid graph from word ``root``, each as
-    the moves that first reach its words, in queue order: a word's moves in
-    order of k, the words in the order their level reached them."""
-    seen = np.zeros(len(graph.words), dtype=bool)
-    seen[root] = True
-    frontier = np.array([root])
-    while True:
-        lo, hi = graph.starts[frontier], graph.starts[frontier + 1]
-        count = hi - lo
-        # the moves of every frontier word, one after another
-        ids = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        ids = ids[~seen[graph.dst[ids]]]
-        _, first = np.unique(graph.dst[ids], return_index=True)
-        ids = ids[np.sort(first)]
-        if not ids.size:
-            return
-        frontier = graph.dst[ids]
-        seen[frontier] = True
-        yield ids
-
-
-def _parents(graph: BraidGraph, root: Word) -> dict[Word, BraidEdge | None]:
-    """For each word, the braid edge one step back along a breadth-first tree
-    grown from ``root``: a flipped window alternates again, so the reverse of
-    a move is a move of its dst at the same k."""
-    words = graph.words
-    parent: dict[Word, BraidEdge | None] = {root: None}
-    for ids in _levels(graph, words.index(root)):
-        src, k, d, dst = (a[ids].tolist() for a in (graph.src, graph.k, graph.d, graph.dst))
-        parent.update(
-            (words[t], BraidEdge(words[t], words[s], at, span))
-            for s, t, at, span in zip(src, dst, k, d)
-        )
-    if len(parent) != len(words):
-        raise RuntimeError("braid graph is not connected")
-    return parent

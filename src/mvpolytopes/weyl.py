@@ -19,7 +19,7 @@ of an int ``(N, m)`` matrix, grown a letter a level through the right table,
 and kept as tuples; each braid move is a row of the ``(src, k, d, dst)`` move
 arrays, found by one window match per position k and looked up by the
 flipped word's radix-r key.  ``BraidEdge`` objects are made only where asked
-for: by ``BraidGraph.adjacency`` and by the index table's parent tree.
+for: by ``BraidGraph.adjacency`` and by :func:`lusztig.parent_tree`.
 """
 
 from __future__ import annotations
@@ -194,6 +194,7 @@ class WeylGroup:
         self._lambdas: dict[tuple[int, int], Weight] = {}
         self._catalog = None
         self._table = None  # tables.IndexTable, built on first use
+        self._parent_tree = None  # lusztig.parent_tree, built on first use
 
     # -- construction -------------------------------------------------
 

@@ -316,8 +316,9 @@ def test_table_build_refuses_a_program_that_misses_a_chamber_weight(family, rank
     table = index_table(g)
 
     def build(faces):
-        parts = g._chamber_array.tolist(), g._right_array.tolist(), table.edge_rows
-        return tables._program(g, *parts, faces, table.negation)
+        parts = g._chamber_array.tolist(), g._right_array.tolist()
+        checks = table.check_index, table.check_coef
+        return tables._program(g, *parts, checks, faces, table.negation)
 
     # withhold faces while the others still fix every value; each face left
     # is then needed, and withholding one more must fail
@@ -348,6 +349,27 @@ def test_table_lives_and_dies_with_its_group():
     del g
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3)])
+def test_table_and_edge_lengths_build_no_braid_graph(family, rank):
+    shared = group_of(family, rank)
+    n = tuple(range(1, shared.m + 1))
+    datum = bz.BZDatum(shared.cartan, index_table(shared).assemble(n))
+    readers = [
+        index_table,
+        lambda g: bz.validate(g, bz.BZDatum(g.cartan, datum.values)),
+        lambda g: bz.lusztig_data(g, datum, g.reference_word),
+        lambda g: [bz.edge_length(g, datum, w, i) for w in g.elements() for i in (1, 2)],
+    ]
+    for read in readers:
+        g = WeylGroup(shared.cartan)  # nothing built on it yet
+        read(g)
+        assert g._braid_graph is None and g._parent_tree is None
+    assert bz.validate(g, datum).is_valid and bz.lusztig_data(g, datum, g.reference_word) == n
+    # the first transport builds the braid graph and the parent tree
+    assert lusztig.transport(g, g.reference_word, g.reference_word, n) == n
+    assert g._braid_graph is not None and g._parent_tree is lusztig.parent_tree(g)
 
 
 # -- transport ---------------------------------------------------------------------
@@ -382,19 +404,19 @@ def test_transport_matches_shortest_chain(case):
     assert lusztig.transport(g, src, dst, n) == want
 
 
-def parent_chain(table, word):
+def parent_chain(parent, word):
     chain = []
-    while table.parent[word] is not None:
-        chain.append(table.parent[word])
+    while parent[word] is not None:
+        chain.append(parent[word])
         word = chain[-1].dst
     return chain
 
 
 def test_word_path_turns_where_the_parent_chains_meet(b3):
-    table = index_table(b3)
+    parent = lusztig.parent_tree(b3)
     words = b3.braid_graph().words
     for src in words[::3]:
-        up = parent_chain(table, src)
+        up = parent_chain(parent, src)
         assert list(lusztig.word_path(b3, src, b3.reference_word)) == up
         for dst in words[::5]:
             path = lusztig.word_path(b3, src, dst)
@@ -403,7 +425,7 @@ def test_word_path_turns_where_the_parent_chains_meet(b3):
                 assert e.src == at
                 at = e.dst
             assert at == dst
-            assert len(path) <= len(up) + len(parent_chain(table, dst))
+            assert len(path) <= len(up) + len(parent_chain(parent, dst))
             assert len({e.src for e in path} | {dst}) == len(path) + 1  # no word twice
     with pytest.raises(ValueError):
         lusztig.word_path(b3, b3.reference_word, (1, 2, 3))
@@ -518,7 +540,8 @@ def test_c_types_need_the_negated_relations(family, rank):
     unchanged = tuple(range(len(g.chamber_weights())))  # no face read negated
     with pytest.raises(RuntimeError, match="^assembly program misses the chamber weights"):
         chamber, right = g._chamber_array.tolist(), g._right_array.tolist()
-        tables._program(g, chamber, right, table.edge_rows, table.faces, unchanged)
+        checks = table.check_index, table.check_coef
+        tables._program(g, chamber, right, checks, table.faces, unchanged)
 
 
 @pytest.mark.parametrize("family, rank", [("B", 3), ("A", 4), ("D", 4)])
@@ -611,10 +634,12 @@ def test_face_relations_rows_match_residuals():
         layout = tables.by_relation(table, np.arange(len(checks))).tolist()
         assert np.shape(layout) == (len(n_args), tables.RELATION_ARGS)
         assert sorted(c for columns in layout for c in columns) == list(
-            range(len(table.edges), len(checks))
+            range(table.n_edges, len(checks))
         )
         assert list(table.faces) == list(g.two_faces(("hexagon", "octagon")))
-        assert table.edges == tuple((w.word, i) for w, i in edge_pairs(g))
+        # the edge block's columns are the ascents in row-major order
+        edges = [(g.elements()[t].word, i + 1) for t, i in np.argwhere(g._ascents).tolist()]
+        assert edges == [(w.word, i) for w, i in edge_pairs(g)] and table.n_edges == len(edges)
         for columns, k in zip(layout, n_args):
             # a relation with fewer arguments repeats its last
             assert all(checks[c] == checks[columns[k - 1]] for c in columns[k:])

@@ -3,7 +3,7 @@ assembly program against the transport plan it replaced.
 
 ``loop_braid_graph`` lists the reduced words of w0 with
 ``WeylGroup.reduced_words`` and finds every braid move by slicing each word
-in Python; ``loop_parents`` grows the table's parent tree breadth first over
+in Python; ``loop_parents`` grows ``lusztig.parent_tree`` breadth first over
 that adjacency.  ``loop_plan`` grows a transport plan over it, on tuples and
 bit masks: a chain of braid moves from the reference word through stops
 whose chamber weights gamma_k cover every chamber weight.
@@ -134,9 +134,8 @@ def test_arrays_match_the_loops(family, rank):
     graph = g.braid_graph()
     assert graph.words == words
     assert list(graph.adjacency.items()) == list(adjacency.items())
-    table = index_table(g)
     parent = loop_parents(words, adjacency, g.reference_word)
-    assert list(table.parent.items()) == list(parent.items())
+    assert list(lusztig.parent_tree(g).items()) == list(parent.items())
     plan = loop_plan(g, words, adjacency)
     rng = np.random.default_rng(100 * rank + ord(family))
     for word, n in random_data(g, rng, 4):
@@ -162,10 +161,11 @@ def plan_from_lusztig(group, parent, plan, word, n):
 
 def test_table_reads_no_adjacency():
     g = WeylGroup(build_cartan("D", 4))
-    table = index_table(g)
+    index_table(g)
+    parent = lusztig.parent_tree(g)
     graph = g.braid_graph()
     assert "adjacency" not in vars(graph)  # made on first access only
-    assert len(table.parent) == len(graph.words) == 2316
+    assert len(parent) == len(graph.words) == 2316
     assert len(graph.adjacency) == 2316 and "adjacency" in vars(graph)
     with pytest.raises(TypeError):
         graph.adjacency[g.reference_word] = ()
