@@ -25,7 +25,7 @@ from . import lusztig
 from .cartan import CartanDatum, _integers
 from .cones import exact_dtype
 from .tables import FACE_RELATIONS, IndexTable, Row, by_relation, index_table
-from .weyl import WeylElement, WeylGroup, weyl_group
+from .weyl import FACE_KINDS, WeylElement, WeylGroup, weyl_group
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,8 @@ def _check(group: WeylGroup, table: IndexTable, M: tuple[int, ...]) -> Validatio
 
     Each sum is bounded by max|M| times the largest absolute row sum, which
     picks the dtype (:func:`cones.exact_dtype`).  A violated edge is named
-    from ``group._ascents``, whose row-major order is the edge block's.
+    from ``group._ascents``, whose row-major order is the edge block's, and a
+    violated face from its (t, i, j) row in ``table.faces``.
     """
     dtype = exact_dtype(max(max(M), -min(M)), table.check_norm)
     sums = (
@@ -185,12 +186,13 @@ def _check(group: WeylGroup, table: IndexTable, M: tuple[int, ...]) -> Validatio
         (group.elements()[t[e]].word, int(i[e]) + 1, c)
         for e, c in enumerate(lengths.tolist()) if c < 0
     )
-    face_bad = []
+    face_bad, a = [], group.cartan.a
     residual = iter(residuals.tolist())
-    for face in table.faces:
-        res = tuple(next(residual) for _ in FACE_RELATIONS[face.kind])
+    for t, i, j in table.faces.tolist():
+        kind = FACE_KINDS[a[i - 1][j - 1] * a[j - 1][i - 1]]
+        res = tuple(next(residual) for _ in FACE_RELATIONS[kind])
         if any(res):
-            face_bad.append((face.w.word, face.i, face.j, res))
+            face_bad.append((group.elements()[t].word, i, j, res))
     return ValidationReport(edge_bad, tuple(face_bad))
 
 

@@ -212,7 +212,7 @@ def build_catalog(group: WeylGroup) -> Catalog:
     table = index_table(group)
     relations = tuple(
         Relation(face, k, len(args))
-        for face in table.faces
+        for face in group.two_faces(("hexagon", "octagon"))
         for k, (_, args) in enumerate(FACE_RELATIONS[face.kind])
     )
     n_choices = math.prod(rel.n_args for rel in relations)

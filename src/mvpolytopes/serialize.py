@@ -3,7 +3,8 @@
 Values are keyed by chamber-weight coordinates ("c1,c2"); type A documents may
 instead use subset digit strings ("13" for {1,3}).  Serialization is
 canonical: sorted keys, no whitespace, one trailing newline, so equal objects
-produce byte-identical documents.
+produce byte-identical documents.  A group's keys are made on its first
+document and kept on the group.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 from . import bz, polytope, primes, sln
 from .bz import BZDatum
 from .cartan import build_cartan
-from .tables import index_table
 from .weyl import WeylGroup, weyl_group
 
 
@@ -48,6 +48,17 @@ def parse_word_key(key: str) -> tuple[int, ...]:
         raise ValueError(f"bad word key {key!r}") from None
 
 
+def _keys(group: WeylGroup) -> tuple[tuple[str, ...], tuple[str, ...], dict[str, int]]:
+    """The group's document keys, made on first use and kept on the group:
+    the word key of each element, the coordinate key of each chamber weight,
+    and the chamber index of each coordinate key."""
+    if group._doc_keys is None:
+        chambers = tuple(coords_key(c.weight.coords) for c in group.chamber_weights())
+        words = tuple(word_key(w.word) for w in group.elements())
+        group._doc_keys = words, chambers, {key: x for x, key in enumerate(chambers)}
+    return group._doc_keys
+
+
 def group_doc(group: WeylGroup) -> dict:
     return {"family": group.cartan.family, "rank": group.cartan.rank}
 
@@ -64,11 +75,9 @@ def datum_to_doc(
     words=(),
     subset_keys: bool = False,
 ) -> dict:
-    table = index_table(group)
+    vertex_keys, keys, _ = _keys(group)
     if subset_keys:
         keys = [_subset_key(group, c.weight.coords) for c in group.chamber_weights()]
-    else:
-        keys = table.chamber_keys
     rows = polytope.vertex_matrix(group, datum).tolist()
     doc = {
         "group": group_doc(group),
@@ -77,7 +86,7 @@ def datum_to_doc(
         "mu1": list(rows[0]),
         "mu2": list(rows[-1]),
         "valid": bz.is_valid(group, datum),
-        "vertices": dict(zip(table.word_keys, rows)),
+        "vertices": dict(zip(vertex_keys, rows)),
     }
     if words:
         doc["lusztig"] = {
@@ -89,10 +98,10 @@ def datum_to_doc(
 def _chamber_of_key(group: WeylGroup, key: str) -> int:
     """Chamber index named by a value key.
 
-    Canonical coordinate keys resolve through the index table; other
+    Canonical coordinate keys resolve through the group's keys; other
     spellings of the coordinates, and type A subset keys, are parsed.
     """
-    found = index_table(group).key_chamber.get(key)
+    found = _keys(group)[2].get(key)
     if found is not None:
         return found
     try:
@@ -148,7 +157,7 @@ def load_datum(text: str) -> tuple[WeylGroup, BZDatum]:
 
 
 def catalog_to_doc(group: WeylGroup, catalog: primes.Catalog) -> dict:
-    keys = index_table(group).chamber_keys
+    _, keys, _ = _keys(group)
     return {
         "group": group_doc(group),
         "counts": {

@@ -143,24 +143,25 @@ def collapse(n: int, k: int, picture: dict) -> dict[Pair, int]:
 
 def facet_lusztig(group: WeylGroup, k: int, picture: dict) -> dict[Pair, int]:
     """Edge lengths along the facet path avoiding index k; the geometric
-    counterpart of collapse."""
+    counterpart of collapse, read in one walk along the path."""
     n = group.rank + 1
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     vec = picture_to_lusztig(n, picture)
     datum = bz.from_lusztig(group, ak_word(n), vec)
-    u = group.from_word(range(k, n))
-    out: dict[Pair, int] = {}
-    if n >= 3:
-        for l in ak_word(n - 1):
-            nxt = group.right(u, l)
-            if nxt.length <= u.length:
-                raise RuntimeError(f"facet path for k={k}: s_{l} after {u} is not reduced")
-            pair = pair_of_coroot(group.w_coroot(u, l).coords)
-            if k in pair or pair in out:
-                raise RuntimeError(f"facet path for k={k}: unexpected leg {pair} at {u}, s_{l}")
-            out[pair] = bz.edge_length(group, datum, u, l)
-            u = nxt
+    elements, item = group.elements(), group._right_array.item
+    word = ak_word(n - 1) if n >= 3 else ()
+    path, pairs = [group.from_word(range(k, n)).index], []
+    for l in word:
+        u, nxt = elements[path[-1]], elements[item(path[-1], l - 1)]
+        if nxt.length <= u.length:
+            raise RuntimeError(f"facet path for k={k}: s_{l} after {u} is not reduced")
+        pair = pair_of_coroot(tuple(group._comats[u.index, :, l - 1].tolist()))
+        if k in pair or pair in pairs:
+            raise RuntimeError(f"facet path for k={k}: unexpected leg {pair} at {u}, s_{l}")
+        pairs.append(pair)
+        path.append(nxt.index)
+    out = dict(zip(pairs, bz._lengths(group, datum.values, path, word)))
     expected = {pair for pair in all_pairs(n) if k not in pair}
     if set(out) != expected:
         raise RuntimeError(f"facet path for k={k} missed the pairs {sorted(expected - set(out))}")

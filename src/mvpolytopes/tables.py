@@ -7,7 +7,7 @@ loops in :mod:`bz`, :mod:`polytope` and :mod:`primes` touch ints only;
 ``Weight`` and ``Coweight`` objects appear only at the API boundary.  The
 tables are indexed by element index, which is each element's own
 ``WeylElement.index`` (its row in the group's action stacks), so no map from
-elements back to indices is kept.
+elements back to indices is kept, and the table holds no objects but ints.
 
 The polytope constraints are integer rows over the values tuple, held here
 and nowhere else, each once, as the check rows: one padded gather pair
@@ -26,16 +26,15 @@ a choice of one argument per relation cuts out the cone where the chosen
 argument's row is zero and the edge rows and the other arguments' rows are
 nonnegative.
 
+Each block of 2-faces (``group._face_blocks``) gathers its chamber indices
+A..H as one int array, which fills its relations' check columns and feeds the
+program; ``faces`` keeps each face as (t, i, j).
+
 The vertices mu_w = sum_i M(w Lambda_i) w.alpha_i^vee of a datum are one
 integer product: the table keeps the chamber indices w Lambda_i as an
 ``(|W|, r)`` array and the coweight actions w.alpha_i^vee as an
 ``(|W|, r, r)`` stack (see :func:`polytope.vertex_matrix`), both the
-group's own arrays from its walk, not copies.  These and the group's right
-table ``_right_array`` are the only form of each table: the build's loops
-read a local ``.tolist()`` that is not kept, and a reader of a few entries
-indexes the array.  The table also keeps the document keys of
-:mod:`serialize`: the canonical word of every element and the coordinates of
-every chamber weight, with the inverse map from a key to its chamber index.
+group's own arrays from its walk, not copies.
 
 The table also holds the assembly program of :func:`bz.from_lusztig`: a
 straight-line program from the Lusztig data n along the reference word to the
@@ -52,15 +51,15 @@ but the reference word is read, so the braid graph is never built.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .weyl import Face, WeylGroup
+from .weyl import WeylGroup
 
-Word = tuple[int, ...]
 # sparse integer row: the value is sum(coef * x[index] for index, coef in row)
 Row = tuple[tuple[int, int], ...]
 
@@ -117,9 +116,10 @@ class IndexTable:
     n_edges: int  # E, the columns of the check rows' edge block
     # [i - 1]: (j - 1, a_ji) for each j != i with a_ji != 0, Cartan column i
     cartan_columns: tuple[tuple[tuple[int, int], ...], ...]
-    # the hexagons and octagons in group.two_faces order; their relations, in
-    # FACE_RELATIONS order per face, are the rows of ``by_relation``
-    faces: tuple[Face, ...]
+    # intp (F, 3): (t, i, j) of the hexagons and octagons in group.two_faces
+    # order; their relations, in FACE_RELATIONS order per face, are the rows
+    # of ``by_relation``
+    faces: np.ndarray
     negation: tuple[int, ...]  # [x]: chamber index of -gamma for chamber weight x
     program: tuple[Step, ...]  # the m edge steps, then the face steps
     # the program compiled to one function from the Lusztig data along the
@@ -134,9 +134,6 @@ class IndexTable:
     chamber_array: np.ndarray  # intp (|W|, r): [t][i - 1] is the chamber index of w_t . Lambda_i
     coaction: np.ndarray  # int64 (|W|, r, r): [t][c][i - 1] is coordinate c of w_t . alpha_i^vee
     coaction_max: int  # max |entry| of ``coaction``
-    word_keys: tuple[str, ...]  # [t]: serialize.word_key of the canonical word of w_t
-    chamber_keys: tuple[str, ...]  # [x]: serialize.coords_key of chamber weight x
-    key_chamber: dict[str, int]  # inverse of ``chamber_keys``
 
 
 def index_table(group: WeylGroup) -> IndexTable:
@@ -154,67 +151,30 @@ def by_relation(table: IndexTable, per_column: np.ndarray) -> np.ndarray:
     return per_column[table.n_edges :].reshape(RELATION_ARGS, -1).T
 
 
-def _face_indices(chamber, right, t: int, i: int, j: int, kind: str) -> tuple[int, ...]:
-    """Chamber indices A..F of a hexagon, or A..H of an octagon."""
-    ti, tj = right[t][i - 1], right[t][j - 1]
-    tij, tji = right[ti][j - 1], right[tj][i - 1]
-    out = (
-        chamber[t][i - 1],  # A
-        chamber[t][j - 1],  # B
-        chamber[ti][i - 1],  # C
-        chamber[tj][j - 1],  # D
-        chamber[tij][j - 1],  # E
-        chamber[tji][i - 1],  # F
-    )
-    if kind == "octagon":
-        out += (
-            chamber[right[tij][i - 1]][i - 1],  # G
-            chamber[right[tji][j - 1]][j - 1],  # H
-        )
-    return out
-
-
 def _build(group: WeylGroup) -> IndexTable:
-    from .serialize import coords_key, word_key  # serialize imports this module
-
     chambers = group.chamber_weights()
     a, r = group.cartan.a, group.rank
     columns = tuple(tuple((j, a[j][i]) for j in range(r) if j != i and a[j][i]) for i in range(r))
-    # build-time copies of the group's arrays, dropped when the build returns
-    chamber = group._chamber_array.tolist()
-    right = group._right_array.tolist()
-    faces = group.two_faces(("hexagon", "octagon"))
-    relations = []  # per relation, its rows arg_k - lhs
-    for f in faces:
-        at = _face_indices(chamber, right, group._row(f.w), f.i, f.j, f.kind)
-        relations += [
-            [_difference(at, arg, lhs) for arg in args] for lhs, args in FACE_RELATIONS[f.kind]
-        ]
-    # the layout by_relation reads: the edge block, then block k holds
-    # argument k of every relation, a hexagon's last argument repeated
-    rows = [args[min(k, len(args) - 1)] for k in range(RELATION_ARGS) for args in relations]
+    blocks = group._face_blocks(("hexagon", "octagon"))
+    gathered = [(kind, _face_chambers(group, kind, i, j, t)) for kind, i, j, t in blocks]
     edges = _edge_block(group, columns)
-    check_index, check_coef = _padded(edges, rows)
-    del relations, rows  # the program's build peaks the memory; free them first
+    check_index, check_coef = _checks(edges, gathered)
     negation = tuple(group.chamber_index(tuple(-v for v in c.weight.coords)) for c in chambers)
-    program = _program(group, chamber, right, (check_index, check_coef), faces, negation)
-    chamber_keys = tuple(coords_key(c.weight.coords) for c in chambers)
+    program = _program(group, (check_index, check_coef), gathered, negation)
+    faces = [np.stack(np.broadcast_arrays(t, i, j), axis=1) for _, i, j, t in blocks]
     return IndexTable(
         n_edges=edges[0].shape[1],
         cartan_columns=columns,
-        faces=faces,
+        faces=np.concatenate([np.zeros((0, 3), dtype=np.intp), *faces]),
         negation=negation,
         program=program,
-        assemble=_compiled(program, len(chambers), chamber[0]),
+        assemble=_compiled(program, len(chambers), group._chamber_array[0].tolist()),
         check_index=check_index,
         check_coef=check_coef,
         check_norm=int(np.abs(check_coef).sum(0).max()),
         chamber_array=group._chamber_array,
         coaction=group._comats,
-        coaction_max=int(np.abs(group._comats).max()),
-        word_keys=tuple(word_key(w.word) for w in group.elements()),
-        chamber_keys=chamber_keys,
-        key_chamber={key: x for x, key in enumerate(chamber_keys)},
+        coaction_max=int(max(group._comats.max(), -group._comats.min())),
     )
 
 
@@ -232,28 +192,57 @@ def _edge_block(group: WeylGroup, columns) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(index), np.vstack([np.full((2, len(t)), -1), -a]).astype(np.int64)
 
 
-def _edge_columns(group: WeylGroup, word: Word) -> np.ndarray:
+def _edge_columns(group: WeylGroup, word: tuple[int, ...]) -> np.ndarray:
     """The check columns of the edges (w_{k-1}, i_k) along a reduced word of
     w0: in the edge block, an ascent's column counts the ascents before it."""
     at = np.array(group._prefixes(word)[:-1]) * group.rank + np.array(word) - 1
     return np.cumsum(group._ascents.ravel())[at] - 1
 
 
-def _difference(at: tuple[int, ...], arg: Row, lhs: Row) -> Row:
-    """The row arg - lhs over face positions as a row over the chamber indices
-    ``at`` of those positions, one entry per index, zeros dropped."""
-    total: dict[int, int] = {}
-    for p, c in arg:
-        total[at[p]] = total.get(at[p], 0) + c
-    for p, c in lhs:
-        total[at[p]] = total.get(at[p], 0) - c
-    return tuple((t, c) for t, c in total.items() if c)
+def _face_chambers(group: WeylGroup, kind: str, i: int, j: int, t: np.ndarray) -> np.ndarray:
+    """The chamber indices A..F of the hexagons of s_i and s_j at the w_t,
+    or A..H of the octagons, as one ``(F, 6 | 8)`` gather from the group's
+    chamber and right arrays."""
+    right, i, j = group._right_array, i - 1, j - 1
+    ti, tj = right[t, i], right[t, j]
+    rows, letters = [t, t, ti, tj, right[ti, j], right[tj, i]], [i, j, i, j, j, i]  # A..F
+    if kind == "octagon":  # G, H
+        rows, letters = rows + [right[rows[4], i], right[rows[5], j]], letters + [i, j]
+    return group._chamber_array[np.stack(rows, axis=1), letters]
 
 
-def _program(
-    group: WeylGroup, chamber, right, checks, faces: tuple[Face, ...], negation: tuple[int, ...]
-) -> tuple[Step, ...]:
-    """The assembly program over the relations of ``faces`` and their negations.
+def _checks(edges, blocks: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The edge block's columns, then the relation rows of the face blocks,
+    as one ``(width, columns)`` pair padded with 0.  Argument k of relation q
+    of face f in a block, a hexagon's last repeated, is column E + k R +
+    start + f * (relations per face) + q (see :func:`by_relation`); its row
+    arg - lhs is merged over face positions, then gathered over the faces."""
+    n = sum(len(FACE_RELATIONS[kind]) * len(at) for kind, at in blocks)  # R
+    columns, start = [], edges[0].shape[1]  # (row, column numbers, faces)
+    for kind, at in blocks:
+        rels = FACE_RELATIONS[kind]
+        for q, (lhs, args) in enumerate(rels):
+            numbers = start + q + len(rels) * np.arange(len(at))
+            for k in range(RELATION_ARGS):
+                total = Counter(dict(args[min(k, len(args) - 1)]))
+                total.subtract(dict(lhs))
+                row = [(p, c) for p, c in total.items() if c]
+                columns.append((row, numbers + k * n, at))
+        start += len(rels) * len(at)
+    width, e = edges[0].shape
+    shape = (max([width, *(len(row) for row, *_ in columns)]), e + RELATION_ARGS * n)
+    index, coef = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.int64)
+    index[:width, :e], coef[:width, :e] = edges
+    for row, numbers, at in columns:
+        positions, coefs = zip(*row)
+        index[: len(row), numbers] = at[:, positions].T
+        coef[: len(row), numbers] = np.array(coefs)[:, None]
+    return index, coef
+
+
+def _program(group: WeylGroup, checks, blocks: list, negation: tuple[int, ...]) -> tuple[Step, ...]:
+    """The assembly program over the relations of the face blocks, each a
+    kind and its :func:`_face_chambers`, and of their negations.
 
     Edge step k solves the edge block's row at (w_{k-1}, i_k), of length n_k,
     for M(gamma_k), whose other chamber weights are Lambda_j or earlier
@@ -261,7 +250,7 @@ def _program(
     single unknown x in lhs, of coefficient 1, and all else known becomes a
     face step.  Raises if some chamber weight is left unreached.
     """
-    known, steps = set(chamber[0]), []
+    known, steps = set(group._chamber_array[0].tolist()), []
     index, coef = checks
     for k, e in enumerate(_edge_columns(group, group.reference_word).tolist()):
         # the row is -M(x) plus the rest, x = gamma_k its second entry
@@ -271,12 +260,12 @@ def _program(
         known.add(x)
     # the distinct relations in first-occurrence order: a negated face often
     # gives a relation already listed, whose later copies would never be a step
-    pending = {}
-    for f in faces:
-        at = _face_indices(chamber, right, group._row(f.w), f.i, f.j, f.kind)
-        for face_at in (at, tuple(negation[p] for p in at)):
-            for lhs, args in FACE_RELATIONS[f.kind]:
-                pending[_gathered(face_at, lhs), tuple(_gathered(face_at, a) for a in args)] = None
+    pending, negate = {}, np.array(negation, dtype=np.intp)
+    for kind, at in blocks:
+        for face in zip(at.tolist(), negate[at].tolist()):
+            for x in face:
+                for lhs, args in FACE_RELATIONS[kind]:
+                    pending[_gathered(x, lhs), tuple(_gathered(x, a) for a in args)] = None
     pending = list(pending)
     while pending:
         left = []
@@ -335,19 +324,6 @@ def _compiled(
     return namespace["assemble"]
 
 
-def _gathered(at: tuple[int, ...], row: Row) -> Row:
+def _gathered(at: list[int], row: Row) -> Row:
     """A row over face positions as a row over their chamber indices ``at``."""
     return tuple((at[p], c) for p, c in row)
-
-
-def _padded(edges, rows: list[Row]) -> tuple[np.ndarray, np.ndarray]:
-    """The edge block's columns, then the rows, as one ``(width, columns)``
-    pair of chamber indices and coefficients padded with 0."""
-    width, e = edges[0].shape
-    shape = (max([width, *map(len, rows)]), e + len(rows))
-    index, coef = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.int64)
-    index[:width, :e], coef[:width, :e] = edges
-    for k, row in enumerate(rows, e):
-        for p, (t, c) in enumerate(row):
-            index[p, k], coef[p, k] = t, c
-    return index, coef

@@ -20,6 +20,10 @@ and kept as tuples; each braid move is a row of the ``(src, k, d, dst)`` move
 arrays, found by one window match per position k and looked up by the
 flipped word's radix-r key.  ``BraidEdge`` objects are made only where asked
 for: by ``BraidGraph.adjacency`` and by :func:`lusztig.parent_tree`.
+
+So are the 2-faces: ``_face_blocks`` gives per pair (i, j) the kind, the
+oriented pair and the int array of the faces' elements, which the index table
+gathers over; ``two_faces`` wraps them in ``Face`` objects on first use.
 """
 
 from __future__ import annotations
@@ -98,6 +102,9 @@ class ChamberWeight:
 
     weight: Weight
     level: int
+
+
+FACE_KINDS = ("rectangle", "hexagon", "octagon")
 
 
 @dataclass(frozen=True)
@@ -194,6 +201,7 @@ class WeylGroup:
         self._lambdas: dict[tuple[int, int], Weight] = {}
         self._catalog = None
         self._table = None  # tables.IndexTable, built on first use
+        self._doc_keys = None  # serialize's document keys, built on first use
         self._parent_tree = None  # lusztig.parent_tree, built on first use
 
     # -- construction -------------------------------------------------
@@ -461,25 +469,28 @@ class WeylGroup:
 
     # -- 2-faces ----------------------------------------------------------
 
-    def two_faces(
-        self, kinds: tuple[str, ...] = ("rectangle", "hexagon", "octagon")
-    ) -> tuple[Face, ...]:
+    def _face_blocks(self, kinds: tuple[str, ...]) -> list[tuple[str, int, int, np.ndarray]]:
+        """The 2-faces of the given kinds as (kind, i, j, t), one block per
+        pair in order: (i, j) oriented and t the int array of the w_t with
+        ascents s_i and s_j, the faces' minimal coset representatives."""
+        blocks = []
+        for i, j in itertools.combinations(range(1, self.rank + 1), 2):
+            kind = FACE_KINDS[self.cartan.entry(i, j) * self.cartan.entry(j, i)]
+            if kind in kinds:
+                if kind == "octagon" and self.cartan.entry(i, j) != -1:
+                    i, j = j, i  # oriented so that a_ij = -1 and a_ji = -2
+                t = np.flatnonzero(self._ascents[:, [i - 1, j - 1]].all(1))
+                blocks.append((kind, i, j, t))
+        return blocks
+
+    def two_faces(self, kinds: tuple[str, ...] = FACE_KINDS) -> tuple[Face, ...]:
+        """:meth:`_face_blocks` as :class:`Face` objects, made on first use."""
         if self._faces is None:
-            faces = []
-            for i in range(1, self.rank + 1):
-                for j in range(i + 1, self.rank + 1):
-                    prod = self.cartan.entry(i, j) * self.cartan.entry(j, i)
-                    if prod == 0:
-                        kind, pair = "rectangle", (i, j)
-                    elif prod == 1:
-                        kind, pair = "hexagon", (i, j)
-                    else:
-                        # orient octagons so that a_ij = -1, a_ji = -2
-                        pair = (i, j) if self.cartan.entry(i, j) == -1 else (j, i)
-                        kind = "octagon"
-                    for t in np.flatnonzero(self._ascents[:, [i - 1, j - 1]].all(1)).tolist():
-                        faces.append(Face(self._elements[t], pair[0], pair[1], kind))
-            self._faces = tuple(faces)
+            self._faces = tuple(
+                Face(self._elements[t], i, j, kind)
+                for kind, i, j, ts in self._face_blocks(FACE_KINDS)
+                for t in ts.tolist()
+            )
         return tuple(f for f in self._faces if f.kind in kinds)
 
     # -- braid graph -------------------------------------------------------

@@ -8,7 +8,10 @@ chain of braid moves between two words.  ``reference_validate`` recomputes
 edge lengths and 2-face residuals from ``Weight`` objects, over the edges
 ``edge_pairs`` lists; ``edge_row`` and ``relation_rows`` are the same
 constraints as dense rows over the values tuple, the latter placing
-``tables.FACE_RELATIONS`` at a face's chamber weights A..H.  ``coweight_of``
+``tables.FACE_RELATIONS`` at a face's chamber weights A..H.
+``reference_checks`` lays the same rows out as the table's padded check
+rows, by a walk over ``Face`` objects that merges each row per chamber
+index.  ``coweight_of``
 is the coweight sum n_k beta_k of Lusztig data along a word.  None of them
 reads the per-group index table, so they are independent of the assembly
 program, the parent tree and the check rows they check.
@@ -103,6 +106,67 @@ def relation_rows(group, face):
     return [
         (dense(lhs), tuple(map(dense, args))) for lhs, args in tables.FACE_RELATIONS[face.kind]
     ]
+
+
+def face_chambers(group, face):
+    """The chamber indices of the face's chamber weights A..F or A..H."""
+    return [group.chamber_index(x.coords) for x in face_weights(group, face)]
+
+
+def face_blocks(group):
+    """The hexagons and octagons in ``two_faces`` order as the blocks that
+    ``tables._program`` reads, one per face: its kind and its chamber
+    indices as a one-row array."""
+    faces = group.two_faces(("hexagon", "octagon"))
+    return [(f.kind, np.array([face_chambers(group, f)])) for f in faces]
+
+
+def merged(at, arg, lhs):
+    """The row arg - lhs over face positions as a row over the chamber
+    indices ``at`` of those positions, one entry per index, zeros dropped."""
+    total = {}
+    for p, c in arg:
+        total[at[p]] = total.get(at[p], 0) + c
+    for p, c in lhs:
+        total[at[p]] = total.get(at[p], 0) - c
+    return tuple((x, c) for x, c in total.items() if c)
+
+
+def reference_checks(group):
+    """The check rows as ``(check_index, check_coef)``, padded with 0: one
+    edge row per pair of ``edge_pairs``, -1 at w Lambda_i and w s_i Lambda_i
+    and -a_ji at w Lambda_j; then, for each argument k, the row arg_k - lhs
+    of every relation of the hexagons and octagons in ``two_faces`` order, a
+    hexagon's last argument repeated."""
+    at = lambda u, t: group.chamber_index(group.w_lambda(u, t).coords)
+    a = group.cartan.a
+    rows = []
+    for w, i in edge_pairs(group):
+        rows.append(((at(w, i), -1), (at(group.right(w, i), i), -1)))
+        rows[-1] += tuple(
+            (at(w, j), -a[j - 1][i - 1])
+            for j in range(1, group.rank + 1)
+            if j != i and a[j - 1][i - 1]
+        )
+    relations = []
+    for face in group.two_faces(("hexagon", "octagon")):
+        chambers = face_chambers(group, face)
+        for lhs, args in tables.FACE_RELATIONS[face.kind]:
+            relations.append([merged(chambers, arg, lhs) for arg in args])
+    rows += [
+        args[min(k, len(args) - 1)] for k in range(tables.RELATION_ARGS) for args in relations
+    ]
+    index = np.zeros((max(map(len, rows)), len(rows)), dtype=np.intp)
+    coef = np.zeros(index.shape, dtype=np.int64)
+    for column, row in enumerate(rows):
+        for p, (x, c) in enumerate(row):
+            index[p, column], coef[p, column] = x, c
+    return index, coef
+
+
+def reference_negation(group):
+    """[x]: the chamber index of -gamma for chamber weight x."""
+    return tuple(group.chamber_index((-c.weight).coords) for c in group.chamber_weights())
 
 
 def reference_residuals(group, datum, face):
@@ -310,25 +374,42 @@ def test_program_covers_every_chamber_weight(family, rank):
     assert written == set(range(len(g.chamber_weights())))
 
 
+@pytest.mark.parametrize("family, rank", PROGRAM_GROUPS)
+def test_table_matches_the_face_walk(family, rank):
+    """The gathered check rows, negation, program and faces equal the ones
+    a walk over ``Face`` objects builds, face by face."""
+    g = group_of(family, rank)
+    table = index_table(g)
+    index, coef = reference_checks(g)
+    assert table.check_index.dtype == index.dtype and table.check_coef.dtype == coef.dtype
+    assert np.array_equal(table.check_index, index) and np.array_equal(table.check_coef, coef)
+    negation = reference_negation(g)
+    assert table.negation == negation
+    assert table.program == tables._program(g, (index, coef), face_blocks(g), negation)
+    faces = g.two_faces(("hexagon", "octagon"))
+    assert table.faces.dtype == np.intp and table.faces.shape == (len(faces), 3)
+    assert table.faces.tolist() == [[f.w.index, f.i, f.j] for f in faces]
+
+
 @pytest.mark.parametrize("family, rank", PROGRAM_GROUPS[1:])  # A1 has no 2-face
 def test_table_build_refuses_a_program_that_misses_a_chamber_weight(family, rank):
     g = group_of(family, rank)
     table = index_table(g)
+    faces = face_blocks(g)  # one block per face, in the table's face order
 
-    def build(faces):
-        parts = g._chamber_array.tolist(), g._right_array.tolist()
+    def build(kept):
         checks = table.check_index, table.check_coef
-        return tables._program(g, *parts, checks, faces, table.negation)
+        return tables._program(g, checks, [faces[p] for p in kept], table.negation)
 
     # withhold faces while the others still fix every value; each face left
     # is then needed, and withholding one more must fail
-    needed = table.faces
-    for face in table.faces:
+    needed = range(len(table.faces))
+    for face in range(len(table.faces)):
         try:
-            build(tuple(f for f in needed if f != face))
+            build([p for p in needed if p != face])
         except RuntimeError:
             continue
-        needed = tuple(f for f in needed if f != face)
+        needed = [p for p in needed if p != face]
     pattern = r"^assembly program misses the chamber weights \[\("
     with pytest.raises(RuntimeError, match=pattern) as caught:
         build(needed[1:])
@@ -370,6 +451,27 @@ def test_table_and_edge_lengths_build_no_braid_graph(family, rank):
     # the first transport builds the braid graph and the parent tree
     assert lusztig.transport(g, g.reference_word, g.reference_word, n) == n
     assert g._braid_graph is not None and g._parent_tree is lusztig.parent_tree(g)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3)])
+def test_table_validation_and_assembly_make_no_face_objects(family, rank):
+    shared = group_of(family, rank)
+    n = tuple(range(shared.m))
+    datum = bz.from_lusztig(shared, shared.reference_word, n)
+    bad = bz.BZDatum(shared.cartan, tuple(v + x % 2 for x, v in enumerate(datum.values)))
+    report = reference_validate(shared, bad)
+    assert report.face_violations
+    readers = [
+        index_table,
+        lambda g: bz.validate(g, bz.BZDatum(g.cartan, datum.values)),
+        lambda g: bz.validate(g, bz.BZDatum(g.cartan, bad.values)),  # names faces
+        lambda g: bz.from_lusztig(g, g.reference_word, n),
+    ]
+    for read in readers:
+        g = WeylGroup(shared.cartan)  # nothing built on it yet
+        read(g)
+        assert g._faces is None
+    assert bz.validate(g, bz.BZDatum(g.cartan, bad.values)) == report
 
 
 # -- transport ---------------------------------------------------------------------
@@ -539,9 +641,8 @@ def test_c_types_need_the_negated_relations(family, rank):
     table = index_table(g)
     unchanged = tuple(range(len(g.chamber_weights())))  # no face read negated
     with pytest.raises(RuntimeError, match="^assembly program misses the chamber weights"):
-        chamber, right = g._chamber_array.tolist(), g._right_array.tolist()
         checks = table.check_index, table.check_coef
-        tables._program(g, chamber, right, checks, table.faces, unchanged)
+        tables._program(g, checks, face_blocks(g), unchanged)
 
 
 @pytest.mark.parametrize("family, rank", [("B", 3), ("A", 4), ("D", 4)])
@@ -630,13 +731,14 @@ def test_face_relations_rows_match_residuals():
         g = group_of(family, rank)
         table = index_table(g)
         checks = primes._check_matrix(table, len(g.chamber_weights())).tolist()
-        n_args = [len(args) for f in table.faces for _, args in tables.FACE_RELATIONS[f.kind]]
+        faces = g.two_faces(("hexagon", "octagon"))
+        n_args = [len(args) for f in faces for _, args in tables.FACE_RELATIONS[f.kind]]
         layout = tables.by_relation(table, np.arange(len(checks))).tolist()
         assert np.shape(layout) == (len(n_args), tables.RELATION_ARGS)
         assert sorted(c for columns in layout for c in columns) == list(
             range(table.n_edges, len(checks))
         )
-        assert list(table.faces) == list(g.two_faces(("hexagon", "octagon")))
+        assert table.faces.tolist() == [[f.w.index, f.i, f.j] for f in faces]
         # the edge block's columns are the ascents in row-major order
         edges = [(g.elements()[t].word, i + 1) for t, i in np.argwhere(g._ascents).tolist()]
         assert edges == [(w.word, i) for w, i in edge_pairs(g)] and table.n_edges == len(edges)
@@ -649,6 +751,6 @@ def test_face_relations_rows_match_residuals():
             for (w, i), c in zip(edge_pairs(g), sums):
                 assert c == reference_edge_length(g, d, w, i)
             residuals = iter(min(sums[c] for c in cols[:k]) for cols, k in zip(layout, n_args))
-            for face in table.faces:
+            for face in faces:
                 res = tuple(next(residuals) for _ in tables.FACE_RELATIONS[face.kind])
                 assert res == row_residuals(g, d, face) == reference_residuals(g, d, face)

@@ -118,6 +118,25 @@ def test_collapse_matches_facet_random_n5(rng):
             assert sln.collapse(5, k, picture) == sln.facet_lusztig(a4, k, picture)
 
 
+@pytest.mark.parametrize(
+    "k, facet_word, message",
+    [
+        (1, (1, 1, 2), "facet path for k=1: s_1 after W[1 2 1 3] is not reduced"),
+        (2, (1, 2, 3), "facet path for k=2: unexpected leg (1, 2) at W[2 1 3 2], s_3"),
+        (4, (3, 2, 1), "facet path for k=4: unexpected leg (3, 4) at W[e], s_3"),
+        (2, (1, 2), "facet path for k=2 missed the pairs [(3, 4)]"),
+    ],
+)
+def test_facet_path_errors_name_the_leg(a3, monkeypatch, k, facet_word, message):
+    """A broken facet word is refused with the leg that breaks it; the
+    assembly still reads the real word for n = 4."""
+    real = sln.ak_word
+    monkeypatch.setattr(sln, "ak_word", lambda n: facet_word if n == 3 else real(n))
+    with pytest.raises(RuntimeError) as caught:
+        sln.facet_lusztig(a3, k, {(1, 2): 1, (2, 4): 2})
+    assert str(caught.value) == message
+
+
 def test_collapse_relations_hold(a3, rng):
     ref = a3.reference_word
     for _ in range(25):
