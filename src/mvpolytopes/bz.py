@@ -35,8 +35,11 @@ class BZDatum:
     ``values`` is aligned with ``weyl_group(cartan).chamber_weights()``; the
     tuple form makes data hashable so collections of polytopes deduplicate.
     Values must be integers (``bool`` is refused); other integer types are
-    converted to ``int``.  ``_report`` holds the :func:`validate` report once
-    it is known; it takes no part in equality.
+    converted to ``int``.  The package's own arithmetic on data (sums,
+    multiples, translates, the negation gather and the assembly program)
+    builds its results through :meth:`_trusted`, which skips these checks.
+    ``_report`` holds the :func:`validate` report once it is known; it takes
+    no part in equality.
     """
 
     cartan: CartanDatum
@@ -53,6 +56,17 @@ class BZDatum:
                 f"expected {len(group.chamber_weights())} values, got {len(values)}"
             )
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _trusted(cls, cartan: CartanDatum, values: tuple[int, ...]) -> BZDatum:
+        """A datum without the checks of ``__post_init__``, for producers whose
+        ``values`` are by construction a tuple of plain ints, one per chamber
+        weight of ``cartan``'s group: sums, multiples and gathers of other
+        data's values, and the assembly program's output."""
+        datum = object.__new__(cls)
+        object.__setattr__(datum, "cartan", cartan)
+        object.__setattr__(datum, "values", values)
+        return datum
 
     def value(self, coords) -> int:
         return self.values[weyl_group(self.cartan).chamber_index(tuple(coords))]
@@ -216,7 +230,7 @@ def from_lusztig(group: WeylGroup, word, n) -> BZDatum:
     word = tuple(word)
     n = lusztig._checked(group, n)
     moved = lusztig.transport(group, word, group.reference_word, n)
-    datum = BZDatum(group.cartan, index_table(group).assemble(moved))
+    datum = BZDatum._trusted(group.cartan, index_table(group).assemble(moved))
     report = validate(group, datum)
     if not report.is_valid:
         raise RuntimeError(

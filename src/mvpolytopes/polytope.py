@@ -75,8 +75,8 @@ def translate(group: WeylGroup, datum: BZDatum, nu: Coweight) -> BZDatum:
     """Shift the polytope by nu: every M_gamma gains <nu, gamma>."""
     M = bz._values(group, datum)
     chambers = group.chamber_weights()
-    return BZDatum(
-        group.cartan, tuple(v + pairing(nu, c.weight) for v, c in zip(M, chambers))
+    return BZDatum._trusted(
+        group.cartan, tuple([v + pairing(nu, c.weight) for v, c in zip(M, chambers)])
     )
 
 
@@ -90,8 +90,10 @@ def minkowski_sum(group: WeylGroup, *data: BZDatum) -> BZDatum:
 
     The sum of no data is the zero datum, the polytope {0}."""
     if not data:
-        return BZDatum(group.cartan, (0,) * len(group.chamber_weights()))
-    return BZDatum(group.cartan, tuple(map(sum, zip(*[bz._values(group, d) for d in data]))))
+        return BZDatum._trusted(group.cartan, (0,) * len(group.chamber_weights()))
+    return BZDatum._trusted(
+        group.cartan, tuple(map(sum, zip(*[bz._values(group, d) for d in data])))
+    )
 
 
 def scale(group: WeylGroup, datum: BZDatum, c: int) -> BZDatum:
@@ -99,7 +101,7 @@ def scale(group: WeylGroup, datum: BZDatum, c: int) -> BZDatum:
     c = _integer(c, "scale factor")
     if c < 0:
         raise ValueError("scale factor must be nonnegative")
-    return BZDatum(group.cartan, tuple([c * v for v in bz._values(group, datum)]))
+    return BZDatum._trusted(group.cartan, tuple([c * v for v in bz._values(group, datum)]))
 
 
 def negate(group: WeylGroup, datum: BZDatum) -> BZDatum:
@@ -110,7 +112,7 @@ def negate(group: WeylGroup, datum: BZDatum) -> BZDatum:
     (i_m^*, ..., i_1^*), where w0 . alpha_i = -alpha_{i^*}, -P has the
     Lusztig data (n_m, ..., n_1) of P along (i_1, ..., i_m)."""
     M = bz._values(group, datum)
-    return BZDatum(group.cartan, tuple([M[y] for y in index_table(group).negation]))
+    return BZDatum._trusted(group.cartan, tuple([M[y] for y in index_table(group).negation]))
 
 
 def psi(group: WeylGroup, datum: BZDatum, alpha: Weight) -> int:

@@ -18,6 +18,15 @@ those get a double description.  The maximal cones cover the valid data and
 every check row is >= 0 on them, so every other cone is a face of them: it
 is spanned by the maximal cones' rays on which its chosen rows vanish, and
 its dimension is their rank.
+
+:func:`decompose` reads a datum's Lusztig data n along the reference word
+off the catalog's edge rows, then finds its cluster in two numpy calls: one
+int64 product of every cluster's chart rows, stacked, with n, and one
+``np.minimum.reduceat`` for the least value per cluster; the first cluster
+whose least value is nonnegative admits n.  The product runs in int64 while
+max(n) times the largest row norm stays below 2**62 (:func:`cones.exact_dtype`),
+and on Python ints past that.  The cluster's generator counts, and the check
+that their multiples sum back to the datum, finish it.
 """
 
 from __future__ import annotations
@@ -186,18 +195,29 @@ def _check_matrix(table: IndexTable, size: int) -> np.ndarray:
     return checks
 
 
-def _admitting(catalog: Catalog, ns) -> np.ndarray:
-    """Boolean (clusters x data) array: cluster t's chart rows admit ns[j].
+def _admitting(catalog: Catalog, n) -> np.ndarray:
+    """Boolean (clusters,) array: cluster t's chart rows admit the Lusztig
+    datum n.
 
-    One product of the stacked chart rows with every datum, then the least
-    value per cluster.  The data are nonnegative, so the product's dtype
-    (:func:`cones.exact_dtype`) follows from their maximum and the rows' norm.
+    One product of the stacked chart rows with n, then the least value per
+    cluster.  n is nonnegative, so the product's dtype
+    (:func:`cones.exact_dtype`) follows from its maximum and the rows' norm:
+    int64 below the bound, Python ints past it.  The catalog has a cluster.
     """
-    if not catalog.clusters:
-        return np.zeros((0, len(ns)), dtype=bool)
-    dtype = exact_dtype(max(map(max, ns)), catalog._norm)
-    values = catalog._rows.astype(dtype, copy=False) @ np.array(ns, dtype=dtype).T
-    return np.minimum.reduceat(values, catalog._starts, axis=0) >= 0
+    dtype = exact_dtype(max(n), catalog._norm)
+    values = catalog._rows.astype(dtype, copy=False) @ np.array(n, dtype=dtype)
+    return np.minimum.reduceat(values, catalog._starts) >= 0
+
+
+def _cluster_of(catalog: Catalog, target: Vec) -> Cluster | None:
+    """The first cluster whose chart rows admit the Lusztig datum ``target``,
+    or None."""
+    if catalog.clusters:
+        admits = _admitting(catalog, target)
+        t = admits.argmax()  # the first admitting cluster, if any admits
+        if admits[t]:
+            return catalog.clusters[t]
+    return None
 
 
 def build_catalog(group: WeylGroup) -> Catalog:
@@ -276,6 +296,7 @@ def build_catalog(group: WeylGroup) -> Catalog:
         dims[position] = ranks[d]
 
     prime_data: dict[tuple[int, ...], BZDatum] = {}
+    assembled: dict[Vec, BZDatum] = {}  # by generator: clusters share most of theirs
     raw_clusters = []
     for choice, ineq, basis, rays_m in maximal:
         # chart back-map: value vector = back @ edge-length vector / den
@@ -298,7 +319,9 @@ def build_catalog(group: WeylGroup) -> Catalog:
         for g, scaled in zip(gens, gen_values):
             if any(v % den for v in scaled):
                 raise RuntimeError(f"choice {choice}: generator {g} maps to non-integer values")
-            datum = bz.from_lusztig(group, group.reference_word, g)
+            datum = assembled.get(g)
+            if datum is None:
+                datum = assembled[g] = bz.from_lusztig(group, group.reference_word, g)
             if datum.values != tuple(v // den for v in scaled):
                 raise RuntimeError(
                     f"choice {choice}: generator {g} maps to values that differ "
@@ -343,7 +366,9 @@ def build_catalog(group: WeylGroup) -> Catalog:
     # pool rays are valid data, so the chart rows test their edge lengths
     # along the reference word
     if faces:
-        admits = _admitting(catalog, cones.matmul(pool, np.transpose(length_rows)))
+        pool_n = cones.matmul(pool, np.transpose(length_rows)).tolist()
+        admits = np.array([_admitting(catalog, n) for n in pool_n], dtype=bool)
+        admits = admits.reshape(len(pool_n), len(clusters)).T
         # covered[d]: some maximal cone admits every pool ray of face d
         covered = (~masks[:, None, :] | admits[None, :, :]).all(axis=2).any(axis=1)
         for (position, choice), d in zip(faces, at):
@@ -382,10 +407,9 @@ def decompose(
     if not report.is_valid:
         raise ValueError("cannot decompose invalid data: " + "; ".join(report.lines()))
     target = tuple([bz._dot(row, M) for row in catalog.lengths])
-    admitting = np.flatnonzero(_admitting(catalog, [target]))
-    if not admitting.size:
+    cluster = _cluster_of(catalog, target)
+    if cluster is None:
         raise RuntimeError(f"no maximal cone contains the datum with {_where(group, target)}")
-    cluster = catalog.clusters[admitting[0]]
     counts = cluster._solver.solve(target)
     if counts is None:
         raise RuntimeError(

@@ -3,8 +3,9 @@
 Values are keyed by chamber-weight coordinates ("c1,c2"); type A documents may
 instead use subset digit strings ("13" for {1,3}).  Serialization is
 canonical: sorted keys, no whitespace, one trailing newline, so equal objects
-produce byte-identical documents.  A group's keys are made on its first
-document and kept on the group.
+produce byte-identical documents.  A group's chamber keys are made on its
+first document and kept on the group; the word keys of its elements, which
+only the vertices of :func:`datum_to_doc` read, on the first of those.
 """
 
 from __future__ import annotations
@@ -48,15 +49,22 @@ def parse_word_key(key: str) -> tuple[int, ...]:
         raise ValueError(f"bad word key {key!r}") from None
 
 
-def _keys(group: WeylGroup) -> tuple[tuple[str, ...], tuple[str, ...], dict[str, int]]:
-    """The group's document keys, made on first use and kept on the group:
-    the word key of each element, the coordinate key of each chamber weight,
-    and the chamber index of each coordinate key."""
+def _keys(group: WeylGroup) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The group's chamber keys, made on its first document and kept on the
+    group: the coordinate key of each chamber weight, and the chamber index of
+    each coordinate key."""
     if group._doc_keys is None:
         chambers = tuple(coords_key(c.weight.coords) for c in group.chamber_weights())
-        words = tuple(word_key(w.word) for w in group.elements())
-        group._doc_keys = words, chambers, {key: x for x, key in enumerate(chambers)}
+        group._doc_keys = chambers, {key: x for x, key in enumerate(chambers)}
     return group._doc_keys
+
+
+def _word_keys(group: WeylGroup) -> tuple[str, ...]:
+    """The word key of each element, which only :func:`datum_to_doc` reads
+    (its vertices), made on its first call for the group and kept there."""
+    if group._word_keys is None:
+        group._word_keys = tuple(word_key(w.word) for w in group.elements())
+    return group._word_keys
 
 
 def group_doc(group: WeylGroup) -> dict:
@@ -75,7 +83,7 @@ def datum_to_doc(
     words=(),
     subset_keys: bool = False,
 ) -> dict:
-    vertex_keys, keys, _ = _keys(group)
+    keys, _ = _keys(group)
     if subset_keys:
         keys = [_subset_key(group, c.weight.coords) for c in group.chamber_weights()]
     rows = polytope.vertex_matrix(group, datum).tolist()
@@ -86,7 +94,7 @@ def datum_to_doc(
         "mu1": list(rows[0]),
         "mu2": list(rows[-1]),
         "valid": bz.is_valid(group, datum),
-        "vertices": dict(zip(vertex_keys, rows)),
+        "vertices": dict(zip(_word_keys(group), rows)),
     }
     if words:
         doc["lusztig"] = {
@@ -101,7 +109,7 @@ def _chamber_of_key(group: WeylGroup, key: str) -> int:
     Canonical coordinate keys resolve through the group's keys; other
     spellings of the coordinates, and type A subset keys, are parsed.
     """
-    found = _keys(group)[2].get(key)
+    found = _keys(group)[1].get(key)
     if found is not None:
         return found
     try:
@@ -157,7 +165,7 @@ def load_datum(text: str) -> tuple[WeylGroup, BZDatum]:
 
 
 def catalog_to_doc(group: WeylGroup, catalog: primes.Catalog) -> dict:
-    _, keys, _ = _keys(group)
+    keys, _ = _keys(group)
     return {
         "group": group_doc(group),
         "counts": {

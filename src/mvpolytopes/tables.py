@@ -211,32 +211,54 @@ def _face_chambers(group: WeylGroup, kind: str, i: int, j: int, t: np.ndarray) -
     return group._chamber_array[np.stack(rows, axis=1), letters]
 
 
+def _relation_rows(rels) -> tuple[np.ndarray, np.ndarray]:
+    """The rows arg_k - lhs of one face kind's relations over face positions,
+    a hexagon's last argument repeated, as positions and coefficients of shape
+    ``(RELATION_ARGS, relations, width)``, padded with 0 in both."""
+    rows = []
+    for k in range(RELATION_ARGS):
+        for lhs, args in rels:
+            total = Counter(dict(args[min(k, len(args) - 1)]))
+            total.subtract(dict(lhs))
+            rows.append([(p, c) for p, c in total.items() if c])
+    cells = np.zeros((len(rows), max(map(len, rows)), 2), dtype=np.int64)
+    for row, cell in zip(rows, cells):
+        cell[: len(row)] = row
+    cells = cells.reshape(RELATION_ARGS, len(rels), -1, 2)
+    return cells[..., 0].astype(np.intp), cells[..., 1].copy()
+
+
+# per face kind, its relation rows over face positions (see _relation_rows)
+RELATION_ROWS = {kind: _relation_rows(rels) for kind, rels in FACE_RELATIONS.items()}
+
+
 def _checks(edges, blocks: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """The edge block's columns, then the relation rows of the face blocks,
     as one ``(width, columns)`` pair padded with 0.  Argument k of relation q
     of face f in a block, a hexagon's last repeated, is column E + k R +
-    start + f * (relations per face) + q (see :func:`by_relation`); its row
-    arg - lhs is merged over face positions, then gathered over the faces."""
+    start + f * (relations per face) + q (see :func:`by_relation`); a block
+    fills its columns with one gather of its chamber indices through its
+    kind's :data:`RELATION_ROWS`."""
     n = sum(len(FACE_RELATIONS[kind]) * len(at) for kind, at in blocks)  # R
-    columns, start = [], edges[0].shape[1]  # (row, column numbers, faces)
+    edge_width, e = edges[0].shape
+    width = max([edge_width, *(RELATION_ROWS[kind][0].shape[2] for kind, _ in blocks)])
+    index = np.zeros((width, e + RELATION_ARGS * n), dtype=np.intp)
+    coef = np.zeros(index.shape, dtype=np.int64)
+    index[:edge_width, :e], coef[:edge_width, :e] = edges
+    # the relation columns, as (width, RELATION_ARGS, R) views
+    rel_index = index[:, e:].reshape(width, RELATION_ARGS, n)
+    rel_coef = coef[:, e:].reshape(width, RELATION_ARGS, n)
+    start = 0
     for kind, at in blocks:
-        rels = FACE_RELATIONS[kind]
-        for q, (lhs, args) in enumerate(rels):
-            numbers = start + q + len(rels) * np.arange(len(at))
-            for k in range(RELATION_ARGS):
-                total = Counter(dict(args[min(k, len(args) - 1)]))
-                total.subtract(dict(lhs))
-                row = [(p, c) for p, c in total.items() if c]
-                columns.append((row, numbers + k * n, at))
-        start += len(rels) * len(at)
-    width, e = edges[0].shape
-    shape = (max([width, *(len(row) for row, *_ in columns)]), e + RELATION_ARGS * n)
-    index, coef = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.int64)
-    index[:width, :e], coef[:width, :e] = edges
-    for row, numbers, at in columns:
-        positions, coefs = zip(*row)
-        index[: len(row), numbers] = at[:, positions].T
-        coef[: len(row), numbers] = np.array(coefs)[:, None]
+        positions, coefs = RELATION_ROWS[kind]
+        w, stop = positions.shape[2], start + positions.shape[1] * len(at)
+        # [f, k, q, p] -> [p, k, f, q]: cell p of argument k of relation q of face f
+        cells = np.where(coefs != 0, at[:, positions], 0).transpose(3, 1, 0, 2)
+        rel_index[:w, :, start:stop] = cells.reshape(w, RELATION_ARGS, -1)
+        rel_coef[:w, :, start:stop] = np.broadcast_to(
+            coefs.transpose(2, 0, 1)[:, :, None], cells.shape
+        ).reshape(w, RELATION_ARGS, -1)
+        start = stop
     return index, coef
 
 

@@ -201,7 +201,8 @@ class WeylGroup:
         self._lambdas: dict[tuple[int, int], Weight] = {}
         self._catalog = None
         self._table = None  # tables.IndexTable, built on first use
-        self._doc_keys = None  # serialize's document keys, built on first use
+        self._doc_keys = None  # serialize's chamber keys, built on first use
+        self._word_keys = None  # serialize's word keys, built on first use
         self._parent_tree = None  # lusztig.parent_tree, built on first use
 
     # -- construction -------------------------------------------------

@@ -41,6 +41,56 @@ def test_values_must_be_integers(a2):
     assert bz.BZDatum(a2.cartan, zeros).values is zeros
 
 
+def test_checked_constructor_refuses_bools_floats_and_wrong_lengths(a2, b2):
+    zeros = (0,) * 6
+    for bad in [True, False, 1.0, 0.0]:
+        with pytest.raises(TypeError, match=r"^value at chamber index 0 must be an integer"):
+            bz.BZDatum(a2.cartan, (bad, *zeros[1:]))
+    for values in [zeros[:5], zeros + (0,), (), [0] * 8]:
+        with pytest.raises(ValueError, match=rf"^expected 6 values, got {len(values)}$"):
+            bz.BZDatum(a2.cartan, values)
+    d = bz.from_lusztig(a2, a2.reference_word, (1, 2, 1))
+    for c in [True, False, 2.0, 0.0]:
+        with pytest.raises(TypeError, match="^scale factor must be an integer"):
+            polytope.scale(a2, d, c)
+    # a datum of another group has another length; scale refuses it
+    with pytest.raises(ValueError, match="^datum belongs to a different Cartan datum"):
+        polytope.scale(b2, d, 2)
+
+
+@pytest.mark.parametrize("unit", [1, 1 << 70])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("C", 3)])
+def test_trusted_producers_return_what_the_checked_constructor_accepts(family, rank, unit):
+    """Each producer that skips the constructor's checks gives a tuple of
+    plain ints, one per chamber weight, equal to the checked datum of the same
+    values; at 2**70 the values are far past int64."""
+    group = weyl_group(build_cartan(family, rank))
+    d = bz.from_lusztig(group, group.reference_word, [unit * (k % 3 + 1) for k in range(group.m)])
+    e = bz.from_lusztig(group, group.reference_word, [unit * (k % 2) for k in range(group.m)])
+    nu = polytope.mu2(group, e) - polytope.mu1(group, d)
+    produced = {
+        "from_lusztig": d,
+        "scale": polytope.scale(group, d, np.int64(3)),
+        "sum of none": polytope.minkowski_sum(group),
+        "sum": polytope.minkowski_sum(group, d, e, d),
+        "translate": polytope.translate(group, d, nu),
+        "normalize": polytope.normalize(group, e),
+        "negate": polytope.negate(group, d),
+    }
+    size = len(group.chamber_weights())
+    for name, out in produced.items():
+        assert out.cartan is group.cartan, name
+        assert type(out.values) is tuple and len(out.values) == size, name
+        assert all(type(v) is int for v in out.values), name
+        checked = bz.BZDatum(group.cartan, out.values)
+        assert out == checked and hash(out) == hash(checked), name
+    assert max(map(abs, produced["sum"].values)) >= unit
+    assert produced["scale"].values == tuple(3 * v for v in d.values)
+    assert produced["sum"].values == tuple(2 * x + y for x, y in zip(d.values, e.values))
+    assert bz.is_valid(group, produced["negate"]) and bz.is_valid(group, produced["normalize"])
+    assert polytope.mu1(group, produced["normalize"]).coords == (0,) * rank
+
+
 def test_value_lookup(a2):
     d = a2_datum(a2, -2, -3, -2, -1)
     assert d.value((-1, 0)) == -3

@@ -618,7 +618,8 @@ def test_chart_rows_contain_the_rays_value_space_rows_contain(family, rank):
             for t, (eq_c, ineq_c) in enumerate(value_rows)
             if (eq_c @ rays_m.T == 0).all() and (ineq_c @ rays_m.T >= 0).all()
         ]
-        by_chart = np.flatnonzero(primes._admitting(cat, rays_n).all(axis=1)).tolist()
+        admits = np.array([primes._admitting(cat, n) for n in rays_n])
+        by_chart = np.flatnonzero(admits.all(axis=0)).tolist()
         assert by_chart == by_values, choice
         assert by_chart == [
             t for t, c in enumerate(cat.clusters) if all(in_cone(c.ineq_rows_n, n) for n in rays_n)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from mvpolytopes import bz, polytope, primes
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.cli import main
+from mvpolytopes.cones import exact_dtype
 from mvpolytopes.weyl import WeylGroup, weyl_group
 from test_cone_oracle import choice_rows, value_relations
 
@@ -322,13 +323,27 @@ def test_admitting_is_exact_at_the_int64_bound(family, rank):
     assert cat._norm == max(sum(map(abs, row)) for row in rows)
     top = max(sum(c for c in row if c > 0) for row in rows)
     bounds = [((1 << 62) - 1) // cat._norm, -(-(1 << 62) // cat._norm), -(-(1 << 63) // top)]
+    # the first two bounds sit just under and just over the int64 limit of
+    # decompose's single-datum lookup
+    assert [exact_dtype(b, cat._norm) for b in bounds[:2]] == [np.int64, object]
     for b in [*bounds, 1 << 70]:
         ns = [tuple(b if c > 0 else 0 for c in row) for row in rows]
         want = [
             [all(sum(map(mul, r, n)) >= 0 for r in c.ineq_rows_n) for n in ns]
             for c in cat.clusters
         ]
-        assert primes._admitting(cat, ns).tolist() == want
+        assert [primes._admitting(cat, n).tolist() for n in ns] == [*map(list, zip(*want))]
+        # the same on Python ints, which _admitting uses past the bound
+        on_objects = np.minimum.reduceat(
+            cat._rows.astype(object) @ np.array(ns, dtype=object).T, cat._starts, axis=0
+        ) >= 0
+        assert on_objects.tolist() == want
+        for j, n in enumerate(ns):
+            first = next((c for c, admits in zip(cat.clusters, on_objects[:, j]) if admits), None)
+            got = primes._cluster_of(cat, n)
+            assert got is first
+            if first is not None:
+                assert got._solver.solve(n) == first._solver.solve(n)
 
 
 def test_derived_lookup_and_solve_data_follow_replace(b2):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import mvpolytopes
-from mvpolytopes import _kernels, bz, polytope, rep, serialize, sln
+from mvpolytopes import _kernels, bz, polytope, primes, rep, serialize, sln
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.cli import main
 from mvpolytopes.weyl import weyl_group
@@ -59,6 +59,25 @@ def test_load_datum_rejects_malformed(a2):
             serialize.load_datum(text)
 
 
+def test_load_datum_leaves_the_word_keys_unbuilt(b2):
+    """Reading a document makes the chamber keys only; the word keys of the
+    vertices wait for the first datum_to_doc, and documents are the same
+    bytes either way."""
+    d = bz.from_lusztig(b2, b2.reference_word, (1, 0, 2, 1))
+    text = serialize.canonical_json(serialize.datum_to_doc(b2, d, words=(b2.reference_word,)))
+    b2._doc_keys = b2._word_keys = None  # as on a fresh group
+    g, back = serialize.load_datum(text)
+    assert g is b2 and back == d
+    assert b2._doc_keys is not None and b2._word_keys is None
+    serialize.catalog_to_doc(b2, primes.build_catalog(b2))
+    assert b2._word_keys is None
+    doc = serialize.datum_to_doc(b2, back, words=(b2.reference_word,))
+    assert serialize.canonical_json(doc) == text
+    rows = polytope.vertex_matrix(b2, d).tolist()
+    assert doc["vertices"] == {",".join(map(str, w.word)): r for w, r in zip(b2.elements(), rows)}
+    assert b2._word_keys == tuple(doc["vertices"])
+
+
 def test_word_key_round_trip():
     assert serialize.parse_word_key("1,2,1") == (1, 2, 1)
     assert serialize.word_key((1, 2, 1)) == "1,2,1"
@@ -66,8 +85,6 @@ def test_word_key_round_trip():
 
 
 def test_catalog_doc(b2):
-    from mvpolytopes import primes
-
     doc = serialize.catalog_to_doc(b2, primes.build_catalog(b2))
     assert doc["counts"] == {"choices": 9, "maximal": 4, "primes": 8}
     assert len(doc["clusters"]) == 4
