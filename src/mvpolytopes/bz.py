@@ -220,8 +220,8 @@ def is_valid(group: WeylGroup, datum: BZDatum) -> bool:
 def from_lusztig(group: WeylGroup, word, n) -> BZDatum:
     """Datum of the polytope with Lusztig data ``n`` along ``word``.
 
-    :func:`lusztig.transport` moves n along :func:`lusztig.parent_tree` to
-    the reference word, where the table's assembly program (see
+    :func:`lusztig.transport` moves n to the reference word (along it, with
+    no move and no braid graph), where the table's assembly program (see
     :mod:`mvpolytopes.tables`) solves the check rows' edge block and 2-face
     relations for the values, on Python ints.  The result must pass
     :func:`validate` and have Lusztig data n along ``word`` again, which fixes

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import bz, polytope, primes, rep, serialize, sln
@@ -200,8 +201,16 @@ def cmd_validate(args) -> int:
     return 0 if report.is_valid else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1,0 is a value, not an option: argparse on Python 3.10 and 3.11 reads
+        # only -N and -N.N as negative numbers
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvpoly",
         description="Exact engine for Mirkovic-Vilonen polytopes",
     )
@@ -279,10 +288,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,14 @@ def _checked(group: WeylGroup, n) -> tuple[int, ...]:
 
 
 def braid_transition(group: WeylGroup, edge: BraidEdge, n) -> tuple[int, ...]:
-    """Transport Lusztig data across one braid move of the underlying word."""
+    """Transport Lusztig data across one braid move of its ``src`` word: a
+    window at 0 <= k <= m - d alternating letters i != j, d = braid_order(i, j)
+    long.  Any other edge is refused with a ValueError that names it."""
+    k, d, src, m = edge.k, edge.d, tuple(edge.src), group.m
+    i, j = src[k : k + 2] if len(src) == m and 0 <= k <= m - max(d, 2) else (0, 0)
+    ok = i != j and {i, j} <= group._letters and d == group.braid_order(i, j)
+    if not ok or src[k : k + d] != ((i, j) * d)[:d]:
+        raise ValueError(f"{edge} is not a braid move of its src word of length {m}")
     return _move(group, edge, _checked(group, n))
 
 
@@ -71,32 +78,22 @@ def _move(group: WeylGroup, edge: BraidEdge, n: tuple[int, ...]) -> tuple[int, .
 
 def parent_tree(group: WeylGroup) -> dict[tuple[int, ...], BraidEdge | None]:
     """For each reduced word of w0, the braid edge one step toward the
-    reference word (None at it), kept on the group like its index table.
-
-    The tree grows breadth first over the braid graph's move arrays, not its
-    ``adjacency``: each level takes the moves that first reach its words, in
-    queue order.  A flipped window alternates again, so the reverse of a move
-    is a move of its dst at the same k.
-    """
+    reference word (None at it), kept on the group like its index table.  A
+    plain breadth-first search over the braid graph's move arrays gives each
+    word the first move that reaches it, reversed: a flipped window
+    alternates again, so that is a move of its dst at the same k."""
     if group._parent_tree is not None:
         return group._parent_tree
-    graph, words = group.braid_graph(), group.braid_graph().words
+    graph = group.braid_graph()
+    words, starts = graph.words, graph.starts.tolist()
+    dst, k, d = graph.dst.tolist(), graph.k.tolist(), graph.d.tolist()
     parent = {group.reference_word: None}
-    seen = np.arange(len(words)) == words.index(group.reference_word)
-    frontier = np.flatnonzero(seen)
-    while frontier.size:
-        lo, count = graph.starts[frontier], graph.starts[frontier + 1] - graph.starts[frontier]
-        # the moves of every frontier word, one after another
-        ids = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        ids = ids[~seen[graph.dst[ids]]]
-        ids = ids[np.sort(np.unique(graph.dst[ids], return_index=True)[1])]
-        frontier = graph.dst[ids]
-        seen[frontier] = True
-        src, k, d, dst = (a[ids].tolist() for a in (graph.src, graph.k, graph.d, graph.dst))
-        parent.update(
-            (words[t], BraidEdge(words[t], words[s], at, span))
-            for s, t, at, span in zip(src, dst, k, d)
-        )
+    queue = [words.index(group.reference_word)]
+    for s in queue:  # the queue grows as the search goes
+        for e in range(starts[s], starts[s + 1]):
+            if words[dst[e]] not in parent:
+                parent[words[dst[e]]] = BraidEdge(words[dst[e]], words[s], k[e], d[e])
+                queue.append(dst[e])
     if len(parent) != len(words):
         raise RuntimeError("braid graph is not connected")
     group._parent_tree = parent
@@ -104,19 +101,21 @@ def parent_tree(group: WeylGroup) -> dict[tuple[int, ...], BraidEdge | None]:
 
 
 def word_path(group: WeylGroup, src, dst) -> tuple[BraidEdge, ...]:
-    """A chain of braid moves from one reduced word to another.
-
-    It follows the edges of :func:`parent_tree`, which the first call builds,
-    from ``src`` up toward ``reference_word`` and back down to ``dst``,
-    turning at the first word the two parent chains share.  The chain is at
-    most twice the depth of the parent tree long, and need not be the
-    shortest one.
+    """A chain of braid moves from one reduced word to another, after
+    ``group._prefixes`` checks both: empty, with no braid graph built, when
+    they are equal.  Otherwise it follows :func:`parent_tree` from ``src`` up
+    toward ``reference_word`` and back down to ``dst``, turning at the first
+    word the two parent chains share: at most twice the tree's depth long.
     """
     src, dst = tuple(src), tuple(dst)
+    for word in (src,) if src == dst else (src, dst):
+        try:
+            group._prefixes(word)
+        except (IndexError, ValueError):  # IndexError: a letter out of range
+            raise ValueError(f"endpoint {word} is not a reduced word for w0") from None
+    if src == dst:
+        return ()
     parent = parent_tree(group)
-    for word in (src, dst):
-        if word not in parent:
-            raise ValueError(f"endpoint {word} is not a reduced word for w0")
     up, down = _chain_up(parent, src), _chain_up(parent, dst)
     while up and down and up[-1] == down[-1]:
         up.pop()
@@ -133,7 +132,7 @@ def _chain_up(parent, word) -> list[BraidEdge]:
 
 
 def transport(group: WeylGroup, src, dst, n) -> tuple[int, ...]:
-    """Move Lusztig data from word ``src`` to word ``dst`` along braid moves."""
+    """Move Lusztig data from word ``src`` to word ``dst`` along :func:`word_path`."""
     n = _checked(group, n)
     for edge in word_path(group, src, dst):
         n = _move(group, edge, n)
@@ -142,7 +141,6 @@ def transport(group: WeylGroup, src, dst, n) -> tuple[int, ...]:
 
 def enumerate_lusztig(group: WeylGroup, word, mu: Coweight) -> list[tuple[int, ...]]:
     """All Lusztig data along ``word`` with total coweight mu, lex ascending."""
-    word = tuple(word)
     if mu.cartan != group.cartan:
         raise ValueError("coweight belongs to a different Cartan datum")
     data = group.word_data(word)

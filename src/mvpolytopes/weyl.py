@@ -188,7 +188,6 @@ class WeylGroup:
         self.rank = cartan.rank
         self._letters = frozenset(range(1, self.rank + 1))
         self._build()
-        self._word_data: dict[tuple[int, ...], WordData] = {}
         self._reduced_words: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._braid_graph: BraidGraph | None = None
         self._chambers: tuple[ChamberWeight, ...] | None = None
@@ -395,19 +394,14 @@ class WeylGroup:
         return path
 
     def word_data(self, word) -> WordData:
+        """The prefixes, coroots and gammas of a reduced word for w0, made anew."""
         word = tuple(word)
-        cached = self._word_data.get(word)
-        if cached is not None:
-            return cached
         path = self._prefixes(word)
         coroots = self._shared(self._coroots, self._comats, Coweight, zip(path, word))
         gammas = self._shared(self._lambdas, self._mats, Weight, zip(path[1:], word))
         if len({b.coords for b in coroots}) != self.m:
             raise RuntimeError(f"reduced word {word} repeats a coroot in its coroot sequence")
-        prefixes = tuple([self._elements[t] for t in path])
-        data = WordData(word, prefixes, coroots, gammas)
-        self._word_data[word] = data
-        return data
+        return WordData(word, tuple([self._elements[t] for t in path]), coroots, gammas)
 
     @functools.cached_property
     def positive_coroots(self) -> tuple[Coweight, ...]:

@@ -21,6 +21,7 @@ import ast
 import dataclasses
 import gc
 import itertools
+import re
 import weakref
 from collections import deque
 
@@ -448,9 +449,64 @@ def test_table_and_edge_lengths_build_no_braid_graph(family, rank):
         read(g)
         assert g._braid_graph is None and g._parent_tree is None
     assert bz.validate(g, datum).is_valid and bz.lusztig_data(g, datum, g.reference_word) == n
-    # the first transport builds the braid graph and the parent tree
-    assert lusztig.transport(g, g.reference_word, g.reference_word, n) == n
+    # the first transport between two distinct words builds the braid graph
+    # and the parent tree
+    other = g.reduced_words(g.w0)[-1]
+    assert other != g.reference_word
+    there = lusztig.transport(g, g.reference_word, other, n)
+    assert bz.lusztig_data(g, datum, other) == there
     assert g._braid_graph is not None and g._parent_tree is lusztig.parent_tree(g)
+
+
+# a fresh group per read, of every family the tier-1 tests build
+FRESH_GROUPS = [("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 3), ("D", 4)]
+
+
+@pytest.mark.parametrize("family, rank", FRESH_GROUPS)
+def test_reference_word_paths_build_no_braid_graph(family, rank):
+    """Assembly along the reference word, enumeration, the prime catalog and
+    transport from a word to itself cross no braid move, so they build
+    neither the braid graph nor the parent tree."""
+    shared = group_of(family, rank)
+    n = tuple(k % 3 for k in range(shared.m))
+    word = shared.reduced_words(shared.w0)[-1]
+    assert word != shared.reference_word
+    datum = bz.from_lusztig(shared, word, n)
+    mu = shared.cartan.coweight((1,) * rank)
+    readers = [
+        lambda g: bz.from_lusztig(g, g.reference_word, bz.lusztig_data(g, datum, g.reference_word)),
+        lambda g: polytope.enumerate_mv(g, mu),
+        lambda g: lusztig.transport(g, word, word, n),
+    ]
+    if (family, rank) in [("A", 2), ("B", 2), ("A", 3), ("D", 3)]:
+        readers.append(primes.build_catalog)
+    for read in readers:
+        g = WeylGroup(shared.cartan)  # nothing built on it yet
+        read(g)
+        assert g._braid_graph is None and g._parent_tree is None
+    g = WeylGroup(shared.cartan)
+    at_ref = bz.lusztig_data(g, datum, g.reference_word)
+    assert bz.from_lusztig(g, g.reference_word, at_ref) == datum
+    assert lusztig.transport(g, word, word, n) == n
+    assert len(polytope.enumerate_mv(g, mu)) == shared.kpf(mu)
+    # a word of the wrong length, a letter out of range, a product other than w0
+    for bad in [word[1:], (rank + 1,) + word[1:], word[:1] * shared.m]:
+        with pytest.raises(ValueError, match=rf"^endpoint {re.escape(str(bad))} is not"):
+            lusztig.transport(g, bad, bad, n)
+    assert g._braid_graph is None and g._parent_tree is None
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_rank_5_assembles_along_the_reference_word(monkeypatch, family):
+    """Rank 5 assembles along the reference word without the braid graph,
+    whose words number from 292,864 (A5) to 7.0e8 (B5, C5)."""
+    monkeypatch.setenv("MVPOLY_MAX_RANK", "5")
+    g = WeylGroup(build_cartan(family, 5))
+    n = tuple(k % 3 for k in range(g.m))
+    datum = bz.from_lusztig(g, g.reference_word, n)
+    assert bz.validate(g, datum).is_valid
+    assert bz.lusztig_data(g, datum, g.reference_word) == n
+    assert g._braid_graph is None and g._parent_tree is None
 
 
 @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3)])

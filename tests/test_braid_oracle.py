@@ -13,6 +13,7 @@ right table and chamber indices, never the braid arrays or the program they
 check.
 """
 
+import hashlib
 from collections import deque
 from typing import NamedTuple
 
@@ -157,6 +158,38 @@ def plan_from_lusztig(group, parent, plan, word, n):
         for coords, value in n_to_partial_M(group, stop.word, n).items():
             assert values.setdefault(coords, value) == value, (stop.word, coords)
     return bz.make_bz(group, values)
+
+
+# sha256 of repr(sorted((src, dst, k, d) of every parent edge)): the parent
+# trees of the frontier-array search that the plain breadth-first one replaced
+PARENT_TREE_SHA256 = {
+    ("A", 3): "b182eff952e9d4a9400759c287e456be01d54859663cfd936d19affb8f8ad916",
+    ("B", 3): "c3958986bc5c9c92e4e31b1fcce6f5a43fd4f3bf07e0907c590a5337ff2200b9",
+    ("C", 3): "c3958986bc5c9c92e4e31b1fcce6f5a43fd4f3bf07e0907c590a5337ff2200b9",
+    ("A", 4): "cc3e40576075cf9985b7256ed791b586bb887209334d97c13dcfc9d7a797ba45",
+    ("D", 4): "a11545c5ae81c22bde32ee592d35fbb3aa9c75f9e5da06c290d8b27303ecaf96",
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(PARENT_TREE_SHA256))
+def test_parent_tree_is_pinned_and_breadth_first(family, rank):
+    """The tree is unchanged, and each word's chain up it is as long as the
+    word's distance to the reference word in the braid graph."""
+    g = WeylGroup(build_cartan(family, rank))
+    parent = lusztig.parent_tree(g)
+    rows = sorted((e.src, e.dst, e.k, e.d) for e in parent.values() if e is not None)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PARENT_TREE_SHA256[family, rank]
+    adjacency, ref = g.braid_graph().adjacency, g.reference_word
+    distance, queue = {ref: 0}, deque([ref])
+    while queue:
+        word = queue.popleft()
+        for e in adjacency[word]:
+            if e.dst not in distance:
+                distance[e.dst] = distance[word] + 1
+                queue.append(e.dst)
+    assert len(distance) == len(parent)
+    for word, d in distance.items():
+        assert len(lusztig.word_path(g, word, ref)) == d, word
 
 
 def test_table_reads_no_adjacency():

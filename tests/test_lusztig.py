@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mvpolytopes import bz, lusztig, polytope
 from mvpolytopes.cartan import build_cartan
-from mvpolytopes.weyl import WeylGroup
+from mvpolytopes.weyl import BraidEdge, WeylGroup
 from test_assembly_oracle import coweight_of
 
 
@@ -46,8 +46,8 @@ def test_transport_checks_input_when_words_agree(a2):
 def test_a_bad_endpoint_is_named(a2):
     """transport and from_lusztig name the word that is not a reduced word of w0."""
     w, n = a2.reference_word, (1, 2, 0)
-    for bad in [(1, 2), (1, 1, 2), (2, 1, 2, 1)]:
-        for src, dst in [(bad, w), (w, bad), (bad, (2, 1, 2))]:
+    for bad in [(1, 2), (1, 1, 2), (2, 1, 2, 1), (1, 2, 3)]:
+        for src, dst in [(bad, w), (w, bad), (bad, (2, 1, 2)), (bad, bad)]:
             with pytest.raises(ValueError, match=rf"^endpoint {re.escape(str(bad))} is not"):
                 lusztig.transport(a2, src, dst, n)
         with pytest.raises(ValueError, match=re.escape(str(bad))):
@@ -71,7 +71,7 @@ def test_lusztig_data_checks_its_word_without_the_object_caches():
         bz.lusztig_data(g, d, word[:-1] + word[-2:-1])
     with pytest.raises(IndexError, match=r"^simple index 5 out of range 1\.\.4"):
         bz.lusztig_data(g, d, (5,) + word[1:])
-    assert not g._word_data
+    assert not g._coroots and not g._lambdas
 
 
 def test_transition_checks_and_copies_only_foreign_entries(a2):
@@ -87,6 +87,28 @@ def test_transition_checks_and_copies_only_foreign_entries(a2):
     for n in [(True, 1, 1), [2.0, 1, 1]]:
         with pytest.raises(TypeError, match="^Lusztig datum entry 0 must be an integer"):
             lusztig.braid_transition(a2, edge, n)
+
+
+def test_transition_refuses_an_edge_that_is_no_braid_move(a2, b2):
+    """The window length must be braid_order(i, j), the window must fit at
+    0 <= k <= m - d and alternate; the error names the edge."""
+    edges = [
+        BraidEdge((1, 2, 1), (2, 1, 2), 0, 5),  # A2 hexagon of length 5
+        BraidEdge((1, 2, 1), (2, 1, 2), 0, 2),  # s_1 and s_2 do not commute
+        BraidEdge((1, 2, 1), (2, 1, 2), 1, 3),  # k > m - d
+        BraidEdge((1, 2, 1), (2, 1, 2), -1, 3),
+        BraidEdge((1, 2, 1), (1, 2, 1), 2, 1),
+        BraidEdge((1, 2, 2), (2, 1, 1), 0, 3),  # no alternating window
+        BraidEdge((1, 3, 1), (3, 1, 3), 0, 3),  # a letter out of range
+        BraidEdge((1, 2), (2, 1), 0, 2),  # a word of the wrong length
+    ]
+    for edge in edges:
+        with pytest.raises(ValueError, match=rf"^{re.escape(repr(edge))} is not a braid move"):
+            lusztig.braid_transition(a2, edge, (1, 2, 0))
+    with pytest.raises(ValueError, match=r"^BraidEdge\(src=\(1, 2, 1, 2\).* is not a braid move"):
+        lusztig.braid_transition(b2, BraidEdge((1, 2, 1, 2), (2, 1, 2, 1), 0, 3), (1, 2, 0, 0))
+    octagon = BraidEdge((1, 2, 1, 2), (2, 1, 2, 1), 0, 4)
+    assert lusztig.braid_transition(b2, octagon, (0,) * 4) == (0,) * 4
 
 
 def test_lusztig_data_must_be_integers(a2):

@@ -109,14 +109,21 @@ def test_cli_enumerate_json_format(capsys):
 
 
 def test_cli_enumerate_rejects_negative(capsys):
-    assert main(["enumerate", "A", "2", "--coweight=-1,1"]) == 2
-    assert "negative" in capsys.readouterr().err
+    # a coordinate list that starts with a minus sign is a value, not an option
+    for coweight in (["--coweight=-1,1"], ["--coweight", "-1,0"]):
+        assert main(["enumerate", "A", "2", *coweight]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "negative" in captured.err
+        assert [l for l in captured.err.splitlines() if l] == [captured.err.strip()]
+        assert captured.err.startswith("error: ")
 
 
 def test_cli_mult_weight(capsys):
-    assert main(["mult", "weight", "A", "2", "1,1", "0,0", "--check-oracle"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["multiplicity"] == 2 and doc["oracle"] == 2
+    # -1,-1 is the lowest weight: a value, not an option
+    for mu, count in [("0,0", 2), ("-1,-1", 1), ("-1,0", 1), ("1,-2", 0)]:
+        assert main(["mult", "weight", "A", "2", "1,1", mu, "--check-oracle"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["multiplicity"] == doc["oracle"] == count
 
 
 def test_cli_mult_oracle_mismatch_exit_code(capsys, monkeypatch):
