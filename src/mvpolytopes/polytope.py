@@ -43,7 +43,7 @@ def vertex_matrix(group: WeylGroup, datum: BZDatum) -> np.ndarray:
     """
     M = bz._values(group, datum)
     table = index_table(group)
-    dtype = exact_dtype(max(max(M), -min(M)), table.coaction_max * group.rank)
+    dtype = exact_dtype(max(max(M), -min(M)), group._action_max * group.rank)
     vals = np.array(M, dtype=dtype)[table.chamber_array]
     return (table.coaction.astype(dtype, copy=False) @ vals[:, :, None])[:, :, 0]
 

@@ -133,7 +133,6 @@ class IndexTable:
     check_norm: int  # max over the check rows of sum |coef|
     chamber_array: np.ndarray  # intp (|W|, r): [t][i - 1] is the chamber index of w_t . Lambda_i
     coaction: np.ndarray  # int64 (|W|, r, r): [t][c][i - 1] is coordinate c of w_t . alpha_i^vee
-    coaction_max: int  # max |entry| of ``coaction``
 
 
 def index_table(group: WeylGroup) -> IndexTable:
@@ -174,7 +173,6 @@ def _build(group: WeylGroup) -> IndexTable:
         check_norm=int(np.abs(check_coef).sum(0).max()),
         chamber_array=group._chamber_array,
         coaction=group._comats,
-        coaction_max=int(max(group._comats.max(), -group._comats.min())),
     )
 
 

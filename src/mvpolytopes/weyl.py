@@ -293,6 +293,19 @@ class WeylGroup:
         """[t][i - 1]: whether l(w_t s_i) > l(w_t), that is w_t.alpha_i^vee > 0."""
         return (self._comats >= 0).all(axis=1)
 
+    @functools.cached_property
+    def _signs(self) -> np.ndarray:
+        """[t]: (-1)^l(w_t), the determinant of w_t."""
+        signs = np.array([1 - 2 * (w.length % 2) for w in self._elements], dtype=np.int64)
+        signs.flags.writeable = False
+        return signs
+
+    @functools.cached_property
+    def _action_max(self) -> int:
+        """max |entry| of the two action stacks, so of every w . alpha_i^vee
+        and every chamber weight's coordinates too."""
+        return int(max(np.abs(self._mats).max(), np.abs(self._comats).max()))
+
     # -- basic group operations ----------------------------------------
 
     @property
