@@ -27,8 +27,8 @@ argument's row is zero and the edge rows and the other arguments' rows are
 nonnegative.
 
 Each block of 2-faces (``group._face_blocks``) gathers its chamber indices
-A..H as one int array, which fills its relations' check columns and feeds the
-program; ``faces`` keeps each face as (t, i, j).
+A..H as one int array, which fills its relations' check columns; ``faces``
+keeps each face as (t, i, j).
 
 The vertices mu_w = sum_i M(w Lambda_i) w.alpha_i^vee of a datum are one
 integer product: the table keeps the chamber indices w Lambda_i as an
@@ -36,28 +36,30 @@ integer product: the table keeps the chamber indices w Lambda_i as an
 ``(|W|, r, r)`` stack (see :func:`polytope.vertex_matrix`), both the
 group's own arrays from its walk, not copies.
 
-The table also holds the assembly program of :func:`bz.from_lusztig`: a
-straight-line program from the Lusztig data n along the reference word to the
-values tuple.  Its m edge steps solve the edge block's rows along that word
-for M(gamma_k).  A polytope is MV exactly when its 2-faces are, so each face
-step takes one relation lhs = min(args) of :data:`FACE_RELATIONS` with a
-single unknown x in lhs and sets x = min(args) - (lhs - x).  Relations of
-negated faces, read through the ``negation`` column gamma -> -gamma, count
-too, as -P is MV with P; without them the program stalls in C3 and C4.  The
-build checks that the program reaches every chamber weight and compiles it to
-one Python function on Python ints, exact at any size.  No reduced word of w0
-but the reference word is read, so the braid graph is never built.
+The table also holds the assembly program of :func:`bz.from_lusztig`, from
+the Lusztig data n along the reference word to the values tuple, read off the
+check rows alone.  Each step writes one chamber weight x from check columns,
+read directly or through the ``negation`` column gamma -> -gamma, in whose
+rows x has coefficient -1 and every other cell is known: x is the least of
+those rows without x, less n_k for an edge step.  The m edge steps solve the
+edge rows along the reference word, and each face step one relation, as a
+polytope is MV exactly when its 2-faces are.  Negated faces count too, as -P
+is MV with P; without them the program stalls in C3 and C4.  The program
+(:class:`Program`) and its compiled Python function, exact at any size, are
+kept per Cartan datum.  No reduced word of w0 but the reference word is read,
+so the braid graph is never built.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .cartan import CartanDatum
 from .weyl import WeylGroup
 
 # sparse integer row: the value is sum(coef * x[index] for index, coef in row)
@@ -94,14 +96,14 @@ FACE_RELATIONS: dict[str, tuple[tuple[Row, tuple[Row, ...]], ...]] = {
 RELATION_ARGS = max(len(args) for rels in FACE_RELATIONS.values() for _, args in rels)
 
 
-class Step(NamedTuple):
-    """One assignment of the assembly program: M[x] = min(args) - rest, less
-    n_k for an edge step.  A face step has ``k`` None."""
+class Program(NamedTuple):
+    """The assembly program, one entry per step, the m edge steps first: a
+    step writes x as the least of its columns' rows without x, less n_k."""
 
-    x: int
-    args: tuple[Row, ...]
-    rest: Row
-    k: int | None
+    x: np.ndarray  # intp (S,): the chamber index the step writes
+    columns: np.ndarray  # intp (S, RELATION_ARGS): its check columns, an edge step's repeated
+    negated: np.ndarray  # bool (S,): whether it reads them through ``negation``
+    k: np.ndarray  # intp (S,): k for edge step k, -1 for a face step
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class IndexTable:
     # of ``by_relation``
     faces: np.ndarray
     negation: tuple[int, ...]  # [x]: chamber index of -gamma for chamber weight x
-    program: tuple[Step, ...]  # the m edge steps, then the face steps
+    program: Program  # shared by every table of the Cartan datum, as is ``assemble``
     # the program compiled to one function from the Lusztig data along the
     # reference word to the values tuple
     assemble: Callable[[tuple[int, ...]], tuple[int, ...]]
@@ -133,6 +135,10 @@ class IndexTable:
     check_norm: int  # max over the check rows of sum |coef|
     chamber_array: np.ndarray  # intp (|W|, r): [t][i - 1] is the chamber index of w_t . Lambda_i
     coaction: np.ndarray  # int64 (|W|, r, r): [t][c][i - 1] is coordinate c of w_t . alpha_i^vee
+
+
+# per Cartan datum, its program and the program compiled, which keep no group alive
+_PROGRAMS: dict[CartanDatum, tuple[Program, Callable[[tuple[int, ...]], tuple[int, ...]]]] = {}
 
 
 def index_table(group: WeylGroup) -> IndexTable:
@@ -159,7 +165,12 @@ def _build(group: WeylGroup) -> IndexTable:
     edges = _edge_block(group, columns)
     check_index, check_coef = _checks(edges, gathered)
     negation = tuple(group.chamber_index(tuple(-v for v in c.weight.coords)) for c in chambers)
-    program = _program(group, (check_index, check_coef), gathered, negation)
+    if group.cartan not in _PROGRAMS:
+        program = _program(group, check_index, check_coef, negation)
+        for array in program:  # shared by every table of the datum
+            array.flags.writeable = False
+        _PROGRAMS[group.cartan] = program, _compiled(program, check_index, check_coef, negation)
+    program, assemble = _PROGRAMS[group.cartan]
     faces = [np.stack(np.broadcast_arrays(t, i, j), axis=1) for _, i, j, t in blocks]
     return IndexTable(
         n_edges=edges[0].shape[1],
@@ -167,7 +178,7 @@ def _build(group: WeylGroup) -> IndexTable:
         faces=np.concatenate([np.zeros((0, 3), dtype=np.intp), *faces]),
         negation=negation,
         program=program,
-        assemble=_compiled(program, len(chambers), group._chamber_array[0].tolist()),
+        assemble=assemble,
         check_index=check_index,
         check_coef=check_coef,
         check_norm=int(np.abs(check_coef).sum(0).max()),
@@ -237,7 +248,7 @@ def _checks(edges, blocks: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, np
     start + f * (relations per face) + q (see :func:`by_relation`); a block
     fills its columns with one gather of its chamber indices through its
     kind's :data:`RELATION_ROWS`."""
-    n = sum(len(FACE_RELATIONS[kind]) * len(at) for kind, at in blocks)  # R
+    n = sum(RELATION_ROWS[kind][0].shape[1] * len(at) for kind, at in blocks)  # R
     edge_width, e = edges[0].shape
     width = max([edge_width, *(RELATION_ROWS[kind][0].shape[2] for kind, _ in blocks)])
     index = np.zeros((width, e + RELATION_ARGS * n), dtype=np.intp)
@@ -260,90 +271,94 @@ def _checks(edges, blocks: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, np
     return index, coef
 
 
-def _program(group: WeylGroup, checks, blocks: list, negation: tuple[int, ...]) -> tuple[Step, ...]:
-    """The assembly program over the relations of the face blocks, each a
-    kind and its :func:`_face_chambers`, and of their negations.
-
-    Edge step k solves the edge block's row at (w_{k-1}, i_k), of length n_k,
-    for M(gamma_k), whose other chamber weights are Lambda_j or earlier
-    gamma_l.  Then, in passes over the distinct relations, each one with a
-    single unknown x in lhs, of coefficient 1, and all else known becomes a
-    face step.  Raises if some chamber weight is left unreached.
-    """
-    known, steps = set(group._chamber_array[0].tolist()), []
-    index, coef = checks
-    for k, e in enumerate(_edge_columns(group, group.reference_word).tolist()):
-        # the row is -M(x) plus the rest, x = gamma_k its second entry
-        row = list(zip(index[:, e].tolist(), coef[:, e].tolist()))
-        x = row[1][0]
-        steps.append(Step(x, (tuple(p for p in row if p[1] and p[0] != x),), (), k))
-        known.add(x)
-    # the distinct relations in first-occurrence order: a negated face often
-    # gives a relation already listed, whose later copies would never be a step
-    pending, negate = {}, np.array(negation, dtype=np.intp)
-    for kind, at in blocks:
-        for face in zip(at.tolist(), negate[at].tolist()):
-            for x in face:
-                for lhs, args in FACE_RELATIONS[kind]:
-                    pending[_gathered(x, lhs), tuple(_gathered(x, a) for a in args)] = None
-    pending = list(pending)
-    while pending:
-        left = []
-        for lhs, args in pending:
-            unknown = [(p, c) for p, c in lhs if p not in known]
-            if not unknown:
-                continue
-            if len(unknown) == 1 and unknown[0][1] == 1 and all(
-                p in known for arg in args for p, _ in arg
-            ):
-                x = unknown[0][0]
-                steps.append(Step(x, args, tuple(e for e in lhs if e[0] != x), None))
-                known.add(x)
-            else:
-                left.append((lhs, args))
-        if len(left) == len(pending):
-            break
-        pending = left
-    missed = sorted(set(range(len(negation))) - known)
+def _program(group: WeylGroup, index: np.ndarray, coef: np.ndarray, negation) -> Program:
+    """The assembly program over the check rows ``(index, coef)``; see the
+    module docstring.  The face steps are found in linear time by a count of
+    unknowns per relation and a queue of the relations down to one unknown.
+    Raises if some chamber weight is unreached."""
+    size, edge = len(negation), _edge_columns(group, group.reference_word)
+    e = int(group._ascents.sum())
+    n = (index.shape[1] - e) // RELATION_ARGS  # R
+    # every relation's rows (by_relation's layout), read directly (numbered
+    # 0..R) and through negation (R..2R), as int32 (width, RELATION_ARGS, 2R)
+    # cells, 0 at the padding, and coefficients, stacked as the relations' keys
+    keys = np.concatenate([index[:, e:], coef[:, e:]]).astype(np.int32)
+    keys = np.tile(keys.reshape(2 * len(index), RELATION_ARGS, n), 2)
+    cells, coefs = keys[: len(index)], keys[len(index) :]
+    cells[:, :, n:] = np.asarray(negation, dtype=np.int32)[cells[:, :, n:]]
+    cells[coefs == 0] = 0
+    # the distinct relations at first occurrence, as a negated face often
+    # gives one already listed
+    keys = keys.reshape(2 * RELATION_ARGS * len(index), -1)
+    order = np.lexsort(keys)
+    ranked, new = keys[:, order], np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(0)
+    first = np.sort(order[new])
+    cells, coefs = cells[:, :, first], coefs[:, :, first]
+    del keys, ranked
+    # edge step k writes gamma_k, the second cell of its row
+    written, edge = index[1, edge].tolist(), edge.tolist()
+    known = np.zeros(size, dtype=bool)
+    known[group._chamber_array[0]] = known[written] = True
+    # the (relation, unknown chamber) pairs; a pair is solvable when the
+    # chamber has coefficient -1 in every row of the relation.  return_index
+    # keeps np.unique on the stable sort that the group walk already loaded
+    cell = (coefs != 0) & ~known[cells]
+    key = np.nonzero(cell)[2] * size + cells[cell]  # relation * size + chamber
+    pairs, _, pair = np.unique(key, return_index=True, return_inverse=True)
+    solvable = set(pairs[np.bincount(pair, coefs[cell] == -1) == RELATION_ARGS].tolist())
+    rel, at = pairs // size, pairs % size
+    by_chamber = np.argsort(at, kind="stable")  # per chamber, the relations it is unknown in
+    readers = np.split(rel[by_chamber], np.searchsorted(at[by_chamber], np.arange(1, size)))
+    # per relation, its unknowns' count and sum, which is the unknown once one is left
+    count, total = np.bincount(rel, minlength=len(first)), np.bincount(rel, at, len(first))
+    queue = deque(np.flatnonzero(count == 1).tolist())
+    count, total, first = count.tolist(), total.astype(np.intp).tolist(), first.tolist()
+    steps = [(x, (c,) * RELATION_ARGS, False, k) for k, (x, c) in enumerate(zip(written, edge))]
+    while queue:
+        r = queue.popleft()
+        x = total[r]
+        if count[r] == 1 and r * size + x in solvable:
+            # its relation's columns, read through negation past the first R
+            columns = range(e + first[r] % n, index.shape[1], n)
+            steps.append((x, tuple(columns), first[r] >= n, -1))
+            known[x] = True
+            for q in readers[x].tolist():
+                count[q] -= 1
+                total[q] -= x
+                if count[q] == 1:
+                    queue.append(q)
+    missed = np.flatnonzero(~known).tolist()
     if missed:
         coords = [group.chamber_weights()[x].weight.coords for x in missed]
         raise RuntimeError(f"assembly program misses the chamber weights {coords}")
-    return tuple(steps)
+    return Program(*map(np.array, zip(*steps)))
 
 
-def _compiled(
-    program: tuple[Step, ...], size: int, identity: list[int]
-) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def _compiled(program: Program, index, coef, negation) -> Callable[[tuple[int, ...]], tuple]:
     """The program as the source of one Python function, compiled: value x
-    is the local v<x>, n_k the local n<k>, and each step one assignment, so
-    evaluating it makes no call but ``min`` and stays on Python ints."""
+    is the local v<x>, and each step one assignment, the least of its distinct
+    columns' rows without x, less n[k] for an edge step, so evaluating it makes
+    no call but ``min`` and stays on Python ints.  The values no step writes,
+    at the Lambda_i, are 0."""
+    negation = np.asarray(negation)
 
-    def expr(row: Row) -> str:
+    def term(x: int, column: int, negated: bool) -> str:
+        at = negation[index[:, column]] if negated else index[:, column]
         text = ""
-        for x, c in row:
-            text += " - " if c < 0 else " + "
-            text += f"{abs(c)} * v{x}" if abs(c) != 1 else f"v{x}"
+        for y, c in zip(at.tolist(), coef[:, column].tolist()):
+            if c and y != x:
+                text += " - " if c < 0 else " + "
+                text += f"{abs(c)} * v{y}" if abs(c) != 1 else f"v{y}"
         return text.removeprefix(" + ") or "0"
 
-    m = sum(step.k is not None for step in program)
-    lines = [
-        "def assemble(n):",
-        "    " + "".join(f"n{k}, " for k in range(m)) + "= n",
-        "    " + "".join(f"v{x} = " for x in identity) + "0",
-    ]
-    for x, args, rest, k in program:
-        value = expr(args[0]) if len(args) == 1 else "min(" + ", ".join(map(expr, args)) + ")"
-        if rest:
-            value += f" - ({expr(rest)})"
-        if k is not None:
-            value += f" - n{k}"
-        lines.append(f"    v{x} = {value}")
-    lines.append("    return (" + "".join(f"v{x}, " for x in range(size)) + ")")
+    unwritten = sorted(set(range(len(negation))) - set(program.x.tolist()))
+    lines = ["def assemble(n):", "    " + "".join(f"v{x} = " for x in unwritten) + "0"]
+    for x, columns, negated, k in zip(*(a.tolist() for a in program)):
+        terms = [term(x, c, negated) for c in dict.fromkeys(columns)]
+        value = terms[0] if len(terms) == 1 else "min(" + ", ".join(terms) + ")"
+        lines.append(f"    v{x} = {value}" + (f" - n[{k}]" if k >= 0 else ""))
+    lines.append("    return (" + "".join(f"v{x}, " for x in range(len(negation))) + ")")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<assembly program>", "exec"), namespace)
     return namespace["assemble"]
-
-
-def _gathered(at: list[int], row: Row) -> Row:
-    """A row over face positions as a row over their chamber indices ``at``."""
-    return tuple((at[p], c) for p, c in row)

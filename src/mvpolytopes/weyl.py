@@ -590,15 +590,12 @@ class WeylGroup:
         """Number of multisets of positive coroots summing to mu."""
         if mu.cartan != self.cartan:
             raise ValueError("coweight belongs to a different Cartan datum")
+        if not mu.is_nonneg():
+            return 0  # kept out of the memo, which the alternating sums would flood
         key = mu.coords
         if key not in self._kpf:
-            if not mu.is_nonneg():
-                self._kpf[key] = 0
-            else:
-                target = np.array(key, dtype=np.int64)
-                self._kpf[key] = int(
-                    _kernels.count_nonneg_combinations(self._parts_matrix(), target)
-                )
+            target = np.array(key, dtype=np.int64)
+            self._kpf[key] = int(_kernels.count_nonneg_combinations(self._parts_matrix(), target))
         return self._kpf[key]
 
 

@@ -11,7 +11,9 @@ constraints as dense rows over the values tuple, the latter placing
 ``tables.FACE_RELATIONS`` at a face's chamber weights A..H.
 ``reference_checks`` lays the same rows out as the table's padded check
 rows, by a walk over ``Face`` objects that merges each row per chamber
-index.  ``coweight_of``
+index.  ``reference_program`` is the assembly program as tuples, built in
+passes over ``tables.FACE_RELATIONS`` at the faces' chamber indices and their
+negations, and ``run_reference`` evaluates it.  ``coweight_of``
 is the coweight sum n_k beta_k of Lusztig data along a word.  None of them
 reads the per-group index table, so they are independent of the assembly
 program, the parent tree and the check rows they check.
@@ -114,14 +116,6 @@ def face_chambers(group, face):
     return [group.chamber_index(x.coords) for x in face_weights(group, face)]
 
 
-def face_blocks(group):
-    """The hexagons and octagons in ``two_faces`` order as the blocks that
-    ``tables._program`` reads, one per face: its kind and its chamber
-    indices as a one-row array."""
-    faces = group.two_faces(("hexagon", "octagon"))
-    return [(f.kind, np.array([face_chambers(group, f)])) for f in faces]
-
-
 def merged(at, arg, lhs):
     """The row arg - lhs over face positions as a row over the chamber
     indices ``at`` of those positions, one entry per index, zeros dropped."""
@@ -168,6 +162,74 @@ def reference_checks(group):
 def reference_negation(group):
     """[x]: the chamber index of -gamma for chamber weight x."""
     return tuple(group.chamber_index((-c.weight).coords) for c in group.chamber_weights())
+
+
+def gathered(at, row):
+    """A row over face positions as a row over their chamber indices ``at``."""
+    return tuple((at[p], c) for p, c in row)
+
+
+def reference_program(group):
+    """The assembly program as (x, args, rest, k) tuples, M[x] = min(args) -
+    rest, less n_k for an edge step, which has one argument; a face step has
+    k None.
+
+    Edge step k solves the edge row at (w_{k-1}, i_k) of ``reference_checks``
+    for M(gamma_k), its second entry.  Then, in passes over the distinct
+    relations lhs = min(args) of ``tables.FACE_RELATIONS`` at the chamber
+    indices of every hexagon and octagon and at their negations, each one
+    with a single unknown x in lhs, of coefficient 1, and all args known
+    becomes a face step.  Raises if some chamber weight is left unreached.
+    """
+    index, coef = reference_checks(group)
+    known, steps = set(group._chamber_array[0].tolist()), []
+    ascents = [(w.index, i) for w, i in edge_pairs(group)]
+    for k, (t, i) in enumerate(zip(group._prefixes(group.reference_word), group.reference_word)):
+        e = ascents.index((t, i))
+        row = list(zip(index[:, e].tolist(), coef[:, e].tolist()))
+        x = row[1][0]
+        steps.append((x, (tuple(p for p in row if p[1] and p[0] != x),), (), k))
+        known.add(x)
+    negation = reference_negation(group)
+    pending = {}
+    for face in group.two_faces(("hexagon", "octagon")):
+        at = face_chambers(group, face)
+        for chambers in (at, [negation[x] for x in at]):
+            for lhs, args in tables.FACE_RELATIONS[face.kind]:
+                key = gathered(chambers, lhs), tuple(gathered(chambers, a) for a in args)
+                pending[key] = None
+    pending = list(pending)
+    while pending:
+        left = []
+        for lhs, args in pending:
+            unknown = [(p, c) for p, c in lhs if p not in known]
+            if not unknown:
+                continue
+            if len(unknown) == 1 and unknown[0][1] == 1 and all(
+                p in known for arg in args for p, _ in arg
+            ):
+                x = unknown[0][0]
+                steps.append((x, args, tuple(e for e in lhs if e[0] != x), None))
+                known.add(x)
+            else:
+                left.append((lhs, args))
+        if len(left) == len(pending):
+            break
+        pending = left
+    missed = sorted(set(range(len(negation))) - known)
+    if missed:
+        raise RuntimeError(f"reference program misses the chamber indices {missed}")
+    return steps
+
+
+def run_reference(program, size, n):
+    """The values tuple ``reference_program`` writes from Lusztig data n along
+    the reference word; the values it does not write, at the Lambda_i, are 0."""
+    v = [0] * size
+    dot = lambda row: sum(c * v[y] for y, c in row)
+    for x, args, rest, k in program:
+        v[x] = min(map(dot, args)) - dot(rest) - (n[k] if k is not None else 0)
+    return tuple(v)
 
 
 def reference_residuals(group, datum, face):
@@ -355,24 +417,61 @@ def off_reference_word(group):
     return set(range(len(group.chamber_weights()))) - on
 
 
+def step_rows(table, s):
+    """The rows step s of the table's program reads, as chamber indices,
+    through ``negation`` where it reads them so, and coefficients, each of
+    shape ``(width, RELATION_ARGS)``."""
+    program = table.program
+    at = table.check_index[:, program.columns[s]]
+    at = np.array(table.negation)[at] if program.negated[s] else at
+    return at, table.check_coef[:, program.columns[s]]
+
+
 @pytest.mark.parametrize("family, rank", PROGRAM_GROUPS)
 def test_program_covers_every_chamber_weight(family, rank):
     g = group_of(family, rank)
     table = index_table(g)
-    edge, face = table.program[: g.m], table.program[g.m :]
-    # edge step k writes gamma_k of the reference word
-    assert [s.k for s in edge] == list(range(g.m))
+    program = table.program
+    assert program.x.dtype == program.columns.dtype == program.k.dtype == np.intp
+    assert program.negated.dtype == bool
+    assert program.columns.shape == (len(program.x), tables.RELATION_ARGS)
+    # edge step k writes gamma_k of the reference word from its edge column
+    assert program.k[: g.m].tolist() == list(range(g.m))
     gammas = g.word_data(g.reference_word).gammas
-    assert [s.x for s in edge] == [g.chamber_index(c.coords) for c in gammas]
-    assert all(s.k is None for s in face)
+    assert program.x[: g.m].tolist() == [g.chamber_index(c.coords) for c in gammas]
+    edges = tables._edge_columns(g, g.reference_word)
+    assert (program.columns[: g.m] == edges[:, None]).all() and not program.negated[: g.m].any()
+    # the face steps read the columns of one relation each
+    face = program.columns[g.m :]
+    assert (program.k[g.m :] == -1).all() and (face >= table.n_edges).all()
+    layout = tables.by_relation(table, np.arange(table.check_index.shape[1]))
+    assert all(tuple(c) in set(map(tuple, layout.tolist())) for c in face.tolist())
     assert len(face) == len(off_reference_word(g)) == len(g.chamber_weights()) - g.rank - g.m
-    # every value is written once, after every value its step reads
+    # every value is written once, after every value its step reads, and has
+    # coefficient -1 in every row its step reads
     written = set(table.chamber_array[0].tolist())
-    for s in table.program:
-        assert {x for row in s.args + (s.rest,) for x, _ in row} <= written
-        assert s.x not in written
-        written.add(s.x)
+    for s, x in enumerate(program.x.tolist()):
+        at, coef = step_rows(table, s)
+        assert set(at[coef != 0].tolist()) - {x} <= written and x not in written
+        assert (coef[at == x] == -1).sum() == tables.RELATION_ARGS
+        written.add(x)
     assert written == set(range(len(g.chamber_weights())))
+
+
+@pytest.mark.parametrize("family, rank", PROGRAM_GROUPS)
+def test_table_assembles_as_the_reference_program(family, rank):
+    """The compiled program of the check rows gives the values of the
+    reference program over ``tables.FACE_RELATIONS``, and both write the same
+    chamber weights; C4's octagon steps read negated faces."""
+    g = group_of(family, rank)
+    table = index_table(g)
+    reference = reference_program(g)
+    assert {x for x, *_ in reference} == set(table.program.x.tolist())
+    size = len(g.chamber_weights())
+    rng = np.random.default_rng(100 * rank + ord(family))
+    data = [(0,) * g.m, (1,) * g.m] + [tuple(rng.integers(0, 9, g.m).tolist()) for _ in range(60)]
+    for n in data + [tuple(c << 70 for c in data[-1])]:
+        assert table.assemble(n) == run_reference(reference, size, n), n
 
 
 @pytest.mark.parametrize("family, rank", PROGRAM_GROUPS)
@@ -386,21 +485,31 @@ def test_table_matches_the_face_walk(family, rank):
     assert np.array_equal(table.check_index, index) and np.array_equal(table.check_coef, coef)
     negation = reference_negation(g)
     assert table.negation == negation
-    assert table.program == tables._program(g, (index, coef), face_blocks(g), negation)
+    program = tables._program(g, index, coef, negation)
+    assert all(map(np.array_equal, table.program, program))
     faces = g.two_faces(("hexagon", "octagon"))
     assert table.faces.dtype == np.intp and table.faces.shape == (len(faces), 3)
     assert table.faces.tolist() == [[f.w.index, f.i, f.j] for f in faces]
+
+
+def kept_checks(group, table, kept):
+    """The table's check rows with the relations of the faces ``kept`` only,
+    laid out as ``tables.by_relation`` reads them."""
+    counts = [len(tables.FACE_RELATIONS[f.kind]) for f in group.two_faces(("hexagon", "octagon"))]
+    ends = np.cumsum(counts).tolist()
+    relations = [r for p in kept for r in range(ends[p] - counts[p], ends[p])]
+    layout = tables.by_relation(table, np.arange(table.check_index.shape[1]))
+    columns = np.r_[np.arange(table.n_edges), layout[relations].T.ravel()]
+    return table.check_index[:, columns], table.check_coef[:, columns]
 
 
 @pytest.mark.parametrize("family, rank", PROGRAM_GROUPS[1:])  # A1 has no 2-face
 def test_table_build_refuses_a_program_that_misses_a_chamber_weight(family, rank):
     g = group_of(family, rank)
     table = index_table(g)
-    faces = face_blocks(g)  # one block per face, in the table's face order
 
     def build(kept):
-        checks = table.check_index, table.check_coef
-        return tables._program(g, checks, [faces[p] for p in kept], table.negation)
+        return tables._program(g, *kept_checks(g, table, kept), table.negation)
 
     # withhold faces while the others still fix every value; each face left
     # is then needed, and withholding one more must fail
@@ -418,6 +527,20 @@ def test_table_build_refuses_a_program_that_misses_a_chamber_weight(family, rank
     assert named == sorted(set(named)) and set(named) <= off_reference_word(g)
     if len(table.faces) == 1:  # rank 2: the edge steps reach only the reference word
         assert set(named) == off_reference_word(g)
+
+
+def test_fresh_tables_of_one_type_share_one_compiled_program(monkeypatch):
+    cartan = build_cartan("B", 2)
+    monkeypatch.delitem(tables._PROGRAMS, cartan, raising=False)
+    calls, compiled = [], tables._compiled
+    monkeypatch.setattr(tables, "_compiled", lambda *args: calls.append(args) or compiled(*args))
+    first = index_table(WeylGroup(cartan))
+    assert len(calls) == 1
+    second = index_table(WeylGroup(cartan))
+    assert len(calls) == 1  # the second build compiles nothing
+    assert second is not first
+    assert second.assemble is first.assemble and second.program is first.program
+    assert not any(array.flags.writeable for array in first.program)
 
 
 def test_table_lives_and_dies_with_its_group():
@@ -697,8 +820,7 @@ def test_c_types_need_the_negated_relations(family, rank):
     table = index_table(g)
     unchanged = tuple(range(len(g.chamber_weights())))  # no face read negated
     with pytest.raises(RuntimeError, match="^assembly program misses the chamber weights"):
-        checks = table.check_index, table.check_coef
-        tables._program(g, checks, face_blocks(g), unchanged)
+        tables._program(g, table.check_index, table.check_coef, unchanged)
 
 
 @pytest.mark.parametrize("family, rank", [("B", 3), ("A", 4), ("D", 4)])
@@ -724,6 +846,23 @@ def corrupted(group, **fields):
     return fresh
 
 
+def subtracting(table, s, y):
+    """The table's program and check rows with step s made to subtract M[y]
+    as well: its columns are copied to new columns, each with one more cell
+    -1 at y (at -y where the step reads through ``negation``), and the step
+    reads those."""
+    program, index, coef = table.program, table.check_index, table.check_coef
+    columns, back = np.unique(program.columns[s], return_inverse=True)
+    cell = table.negation[y] if program.negated[s] else y
+    pad = np.zeros((1, index.shape[1]), dtype=index.dtype)
+    extra = np.vstack([index[:, columns], [cell] * len(columns)])
+    index = np.hstack([np.vstack([index, pad]), extra])
+    coef = np.hstack([np.vstack([coef, pad]), np.vstack([coef[:, columns], [-1] * len(columns)])])
+    moved = program.columns.copy()
+    moved[s] = table.check_index.shape[1] + back.ravel()
+    return program._replace(columns=moved), index, coef
+
+
 @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("D", 4)])
 def test_a_corrupted_step_fails_certification(family, rank):
     g = group_of(family, rank)
@@ -732,14 +871,13 @@ def test_a_corrupted_step_fails_certification(family, rank):
     good = table.assemble(ones)
     # the last edge step and the last face step, each made to subtract one
     # more value: a chamber weight written before it, nonzero on ones
-    for s in (g.m - 1, len(table.program) - 1):
-        step = table.program[s]
-        y = next(t.x for t in table.program[:s] if good[t.x])
-        program = list(table.program)
-        program[s] = step._replace(rest=step.rest + ((y, 1),))
-        bad = tables._compiled(tuple(program), len(good), table.chamber_array[0].tolist())
+    for s in (g.m - 1, len(table.program.x) - 1):
+        x, k = int(table.program.x[s]), int(table.program.k[s])
+        y = next(t for t in table.program.x[:s].tolist() if good[t])
+        program, index, coef = subtracting(table, s, y)
+        bad = tables._compiled(program, index, coef, table.negation)
         values = bad(ones)
-        assert values[step.x] == good[step.x] - good[y]
+        assert values[x] == good[x] - good[y]
         d = bz.BZDatum(g.cartan, values)
         report = reference_validate(g, d)
         if report.is_valid:
@@ -754,9 +892,9 @@ def test_a_corrupted_step_fails_certification(family, rank):
         else:
             want = "assembled data violates polytope conditions: " + "; ".join(report.lines())
         # a face step breaks a relation that validate reads
-        assert report.is_valid == (step.k is not None)
+        assert report.is_valid == (k >= 0)
         with pytest.raises(RuntimeError) as caught:
-            broken = corrupted(g, program=tuple(program), assemble=bad)
+            broken = corrupted(g, program=program, assemble=bad)
             bz.from_lusztig(broken, g.reference_word, ones)
         assert str(caught.value) == want
 

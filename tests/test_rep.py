@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mvpolytopes import rep
 from mvpolytopes.cartan import build_cartan
-from mvpolytopes.weyl import weyl_group
+from mvpolytopes.weyl import WeylGroup, weyl_group
 
 
 def kostant_loop(group, lam, mu):
@@ -96,6 +96,18 @@ def test_tensor_adjoint_cubed_spot(a2):
     theta = a2.cartan.coweight((1, 1))
     assert rep.tensor_mult_mv(a2, theta, theta, theta) == 2
     assert rep.steinberg_tensor_mult(a2, theta, theta, theta) == 2
+
+
+def test_steinberg_keeps_no_negative_argument_in_the_kpf_memo():
+    """The double alternating sum sends many negative arguments to ``kpf``;
+    they are 0 without a memo entry, and the answer stays the MV route's."""
+    g = WeylGroup(build_cartan("A", 3))  # a fresh memo
+    theta = g.cartan.coweight((1, 1, 1))  # the highest coroot
+    assert rep.steinberg_tensor_mult(g, theta, theta, theta) == 2
+    assert g._kpf and all(min(key) >= 0 for key in g._kpf)
+    assert rep.tensor_mult_mv(g, theta, theta, theta) == 2
+    size = len(g._kpf)
+    assert g.kpf(g.cartan.coweight((-1, 2, 0))) == 0 and len(g._kpf) == size
 
 
 def test_tensor_routes_agree_a2(a2):
