@@ -153,20 +153,31 @@ def enumerate_mv(group: WeylGroup, mu: Coweight) -> tuple[BZDatum, ...]:
     """All polytopes from the origin to mu, one per Lusztig datum; cached."""
     if mu.cartan != group.cartan:
         raise ValueError("coweight belongs to a different Cartan datum")
-    key = mu.coords
+    return _enumerated(group, mu.coords)[0]
+
+
+def _enumerated(group: WeylGroup, key: tuple[int, ...]) -> tuple[tuple[BZDatum, ...], np.ndarray]:
+    """The cache entry of :func:`enumerate_mv` at the coordinates ``key``:
+    the data, and their values as the rows of a read-only ``(N, chambers)``
+    array, int64 while :func:`cones.exact_dtype` bounds every value below
+    2**62 and Python ints beyond.  Both are built once per key."""
     cache = group._mv_cache
-    if key not in cache:
-        if not mu.is_nonneg():
-            cache[key] = ()
-        else:
+    entry = cache.get(key)
+    if entry is None:
+        data = ()
+        if min(key) >= 0:
             word = group.reference_word
-            out = tuple(
+            data = tuple(
                 bz.from_lusztig(group, word, n)
-                for n in lusztig.enumerate_lusztig(group, word, mu)
+                for n in lusztig.enumerate_lusztig(group, word, group.cartan.coweight(key))
             )
-            if len({d.values for d in out}) != len(out):
+            if len({d.values for d in data}) != len(data):
                 raise RuntimeError(
                     f"coweight {key}: distinct Lusztig data along {word} produced equal polytopes"
                 )
-            cache[key] = out
-    return cache[key]
+        size = max((max(max(d.values), -min(d.values)) for d in data), default=0)
+        values = np.array([d.values for d in data], dtype=exact_dtype(size, 1))
+        values = values.reshape(len(data), len(group.chamber_weights()))
+        values.flags.writeable = False
+        entry = cache[key] = (data, values)
+    return entry

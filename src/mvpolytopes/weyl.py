@@ -467,6 +467,14 @@ class WeylGroup:
             self._chambers = tuple(chambers)
         return self._chambers
 
+    @functools.cached_property
+    def _canonical_cols(self) -> np.ndarray:
+        """[i - 1]: the chamber index of w0 s_i . Lambda_i, whose level is i."""
+        self.chamber_weights()
+        cols = self._chamber_array[self._right_array[-1], np.arange(self.rank)]
+        cols.flags.writeable = False
+        return cols
+
     def chamber_index(self, coords: tuple[int, ...]) -> int:
         self.chamber_weights()
         return self._chamber_index[coords]
@@ -588,15 +596,19 @@ class WeylGroup:
 
     def kpf(self, mu: Coweight) -> int:
         """Number of multisets of positive coroots summing to mu."""
-        if mu.cartan != self.cartan:
-            raise ValueError("coweight belongs to a different Cartan datum")
-        if not mu.is_nonneg():
-            return 0  # kept out of the memo, which the alternating sums would flood
-        key = mu.coords
-        if key not in self._kpf:
+        return self._kpf_at(self._coords(mu, Coweight))
+
+    def _kpf_at(self, key: tuple[int, ...]) -> int:
+        """:meth:`kpf` at the coordinates ``key``, a tuple of ints, unchecked."""
+        value = self._kpf.get(key)
+        if value is None:
+            if min(key) < 0:
+                return 0  # kept out of the memo, which the alternating sums would flood
             target = np.array(key, dtype=np.int64)
-            self._kpf[key] = int(_kernels.count_nonneg_combinations(self._parts_matrix(), target))
-        return self._kpf[key]
+            value = self._kpf[key] = int(
+                _kernels.count_nonneg_combinations(self._parts_matrix(), target)
+            )
+        return value
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvpolytopes import rep
-from mvpolytopes.cartan import build_cartan
+from mvpolytopes import polytope, rep
+from mvpolytopes.bz import BZDatum
+from mvpolytopes.cartan import Coweight, build_cartan
 from mvpolytopes.weyl import WeylGroup, weyl_group
 
 
@@ -14,13 +15,78 @@ def kostant_loop(group, lam, mu):
     """The per-element Kostant sum that ``rep.kostant_weight_mult`` replaced:
     one ``Coweight`` per element of W, and every even argument, negative ones
     too, sent to the partition function."""
-    rep._require_dominant("lambda", lam)
+    ref_require_dominant("lambda", lam)
     T = group.two_rho
     fixed = T + 2 * mu
     return sum(
         sign * rep._kpf_halved(group, image - fixed)
         for sign, image in rep._alternating(group, 2 * lam + T)
     )
+
+
+# -- the object-based MV routes that the coordinate-tuple routes replaced ------
+#
+# Each builds its vectors as ``Coweight`` objects (lam - mu, the Weyl
+# thresholds, nu - mu) and its value matrix from the cached ``BZDatum``s on
+# every call.
+
+
+def ref_require_dominant(name: str, mu: Coweight) -> None:
+    if not mu.is_dominant():
+        raise ValueError(f"{name}={mu.coords} must be a dominant coweight")
+
+
+def ref_count_inside(
+    group: WeylGroup, diff: Coweight, shift: Coweight, lower: np.ndarray, cols=slice(None)
+) -> int:
+    if not diff.is_nonneg():
+        return 0
+    data = polytope.enumerate_mv(group, diff)
+    if not data:
+        return 0
+    dtype = lower.dtype
+    vals = np.array([d.values for d in data], dtype=dtype)[:, cols]
+    coords = group._chamber_coords[cols].astype(dtype, copy=False)
+    vals += coords @ np.array(shift.coords, dtype=dtype)
+    return int((vals >= lower).all(axis=1).sum())
+
+
+def ref_weight_thresholds(group: WeylGroup, lam: Coweight, mu: Coweight):
+    diff, thresholds = lam - mu, polytope.weyl_thresholds(group, lam)
+    return diff, np.array(thresholds, dtype=rep._dtype(group, diff.coords, mu.coords, thresholds))
+
+
+def ref_weight_mult_mv(group: WeylGroup, lam: Coweight, mu: Coweight) -> int:
+    ref_require_dominant("lambda", lam)
+    diff, thresholds = ref_weight_thresholds(group, lam, mu)
+    group.chamber_weights()  # builds _chamber_levels on first use
+    return ref_count_inside(group, diff, mu, thresholds[group._chamber_levels - 1])
+
+
+def ref_weight_mult_canonical(group: WeylGroup, lam: Coweight, mu: Coweight) -> int:
+    ref_require_dominant("lambda", lam)
+    diff, thresholds = ref_weight_thresholds(group, lam, mu)
+    group.chamber_weights()  # builds _chamber_array on first use
+    letters = np.arange(group.rank)
+    cols = group._chamber_array[group._right_array[group.w0.index], letters]
+    return ref_count_inside(group, diff, mu, thresholds, cols)
+
+
+def ref_tensor_mult_mv(group: WeylGroup, lam: Coweight, mu: Coweight, nu: Coweight) -> int:
+    ref_require_dominant("lambda", lam)
+    ref_require_dominant("mu", mu)
+    ref_require_dominant("nu", nu)
+    diff, shift = lam + mu - nu, nu - mu
+    thresholds = polytope.weyl_thresholds(group, lam)
+    dtype = rep._dtype(group, diff.coords, shift.coords, thresholds, mu.coords, nu.coords)
+    group.chamber_weights()  # builds _chamber_coords and _chamber_levels on first use
+    levels = group._chamber_levels - 1
+    per_level = np.array([thresholds, mu.coords], dtype=dtype)
+    coords = group._chamber_coords.astype(dtype, copy=False)
+    lower = np.maximum(
+        per_level[0, levels], coords @ np.array(nu.coords, dtype=dtype) - per_level[1, levels]
+    )
+    return ref_count_inside(group, diff, shift, lower)
 
 
 def dominant_coweights(group, bound):
@@ -279,16 +345,17 @@ def test_kostant_rejects_other_data_and_nondominant_lambda(b3):
 # -- the MV routes beyond int64 --------------------------------------------------
 
 
-BIG = [2**62, 2**63 - 1, 2**70]
+BIG = [2**62, 2**63 - 1, 2**63, 2**64 - 1, 2**70]
 BIG_GROUPS = [("A", 2), ("B", 2), ("A", 3)]
 
 
-@pytest.mark.parametrize("size", BIG, ids=["2^62", "2^63-1", "2^70"])
+@pytest.mark.parametrize("size", BIG, ids=["2^62", "2^63-1", "2^63", "2^64-1", "2^70"])
 @pytest.mark.parametrize("family, rank", BIG_GROUPS, ids=[f"{f}{r}" for f, r in BIG_GROUPS])
 def test_three_weight_routes_agree_beyond_int64(family, rank, size):
     """lambda at ``size`` and lambda - mu in [-1, 2]^rank: the values of the
     small polytopes, translated by mu, and the thresholds of lambda all pass
-    2**62, where the counts run on Python ints."""
+    2**62, where the counts run on Python ints.  At 2**63 and 2**64 - 1 numpy
+    would read such entries as float64 if it chose the dtype itself."""
     g = weyl_group(build_cartan(family, rank))
     c = g.cartan
     lam = c.coweight((size,) * rank)
@@ -310,6 +377,25 @@ def test_tensor_route_matches_steinberg_at_2_70(family, rank):
     for nu in nus:
         want = rep.steinberg_tensor_mult(g, lam, lam, nu)
         assert rep.tensor_mult_mv(g, lam, lam, nu) == want, (2 * lam - nu).coords
+
+
+@pytest.mark.parametrize("size", [2**63, 2**64 - 1], ids=["2^63", "2^64-1"])
+@pytest.mark.parametrize("family, rank", BIG_GROUPS, ids=[f"{f}{r}" for f, r in BIG_GROUPS])
+def test_tensor_route_matches_steinberg_past_2_63(family, rank, size):
+    """mu a little below lambda, so mu, nu and nu - mu mix entries on both
+    sides of 2**63, which numpy would read as float64 if it chose the dtype
+    itself."""
+    g = weyl_group(build_cartan(family, rank))
+    c = g.cartan
+    lam = c.coweight((size,) * rank)
+    mus = [lam - c.coweight(d) for d in itertools.product(range(2), repeat=rank)]
+    mus = [mu for mu in mus if mu.is_dominant() and mu != lam][:2]
+    assert mus
+    for mu in mus:
+        nus = [lam + mu - c.coweight(d) for d in itertools.product(range(3), repeat=rank)]
+        for nu in filter(Coweight.is_dominant, nus):
+            want = rep.steinberg_tensor_mult(g, lam, mu, nu)
+            assert rep.tensor_mult_mv(g, lam, mu, nu) == want, (mu.coords, nu.coords)
 
 
 # -- rank 4: the dimension from multiplicities and orbit sizes ------------------
@@ -337,3 +423,118 @@ def test_dimension_is_the_orbit_weighted_kostant_sum_rank4():
                     orbit = len(np.unique(g._comats @ np.array(mu.coords), axis=0))
                     total += rep.kostant_weight_mult(g, lam, mu) * orbit
             assert total == rep.weyl_dim(g, lam), (family, lam.coords)
+
+
+# -- the coordinate-tuple routes against the object reference -------------------
+
+
+REFERENCE_GROUPS = [("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 3)]
+
+
+@pytest.mark.parametrize(
+    "family, rank", REFERENCE_GROUPS, ids=[f"{f}{r}" for f, r in REFERENCE_GROUPS]
+)
+def test_routes_match_the_object_reference(family, rank):
+    """Every weight query with lambda dominant in [0, 3]^rank and lambda - mu in
+    [0, 3]^rank, and every tensor query with lambda and mu dominant in
+    [0, 2]^rank and lambda + mu - nu in [-1, 2]^rank, nu dominant."""
+    g = weyl_group(build_cartan(family, rank))
+    c = g.cartan
+    box = [c.coweight(d) for d in itertools.product(range(4), repeat=rank)]
+    nonzero = 0
+    for lam in dominant_coweights(g, 3):
+        if not lam.is_nonneg():
+            continue
+        for d in box:
+            mu = lam - d
+            want, at = ref_weight_mult_mv(g, lam, mu), (lam.coords, mu.coords)
+            assert rep.weight_mult_mv(g, lam, mu) == want, at
+            canonical = rep.weight_mult_canonical(g, lam, mu)
+            assert canonical == ref_weight_mult_canonical(g, lam, mu) == want, at
+            nonzero += want != 0
+    assert nonzero
+    small = [lam for lam in dominant_coweights(g, 2) if lam.is_nonneg()]
+    near = [c.coweight(d) for d in itertools.product(range(-1, 3), repeat=rank)]
+    nonzero = 0
+    for lam, mu in itertools.product(small, repeat=2):
+        for d in near:
+            nu = lam + mu - d
+            if not nu.is_dominant():
+                continue
+            want = ref_tensor_mult_mv(g, lam, mu, nu)
+            assert rep.tensor_mult_mv(g, lam, mu, nu) == want, (lam.coords, mu.coords, nu.coords)
+            nonzero += want != 0
+    assert nonzero
+
+
+# -- the argument checks at the boundary ---------------------------------------
+
+
+ROUTES = {
+    "weight_mult_mv": ("lambda", "mu"),
+    "weight_mult_canonical": ("lambda", "mu"),
+    "kostant_weight_mult": ("lambda", "mu"),
+    "tensor_mult_mv": ("lambda", "mu", "nu"),
+    "steinberg_tensor_mult": ("lambda", "mu", "nu"),
+    "weyl_dim": ("lambda",),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_routes_reject_other_arguments_by_name(a2, route):
+    """Each argument in turn is a ``Weight``, a tuple or a coweight of B2;
+    the others are the A2 coweight (1, 1).  The error names the argument."""
+    fn, names = getattr(rep, route), ROUTES[route]
+    good = a2.cartan.coweight((1, 1))
+    bad = [
+        (TypeError, a2.cartan.weight((1, 1))),
+        (TypeError, (1, 1)),
+        (ValueError, build_cartan("B", 2).coweight((1, 1))),
+    ]
+    for k, name in enumerate(names):
+        for error, arg in bad:
+            args = [good] * len(names)
+            args[k] = arg
+            with pytest.raises(error, match=f"^{name}[ =]"):
+                fn(a2, *args)
+
+
+# -- the weight routes on a warm cache -----------------------------------------
+
+
+def test_weight_routes_make_no_objects_on_a_warm_cache(monkeypatch):
+    """After one call of each weight route, a second call builds no
+    ``Coweight`` and no ``BZDatum``; the cached value array is read-only, and
+    a repeated lambda - mu adds no cache entry."""
+    g = WeylGroup(build_cartan("B", 3))  # a fresh cache
+    c = g.cartan
+    lam, mu = c.coweight((2, 3, 2)), c.coweight((1, 2, 1))
+    routes = (rep.weight_mult_mv, rep.weight_mult_canonical, rep.kostant_weight_mult)
+    got = [route(g, lam, mu) for route in routes]
+    assert len(set(got)) == 1 and got[0] > 0
+    # the same lambda - mu from another lambda and mu
+    up = c.coweight((3, 4, 2))
+    up_mu = up - (lam - mu)
+    up_want = rep.kostant_weight_mult(g, up, up_mu)
+    entries = len(g._mv_cache)
+    made = []
+    post_init, trusted = Coweight.__post_init__, BZDatum._trusted.__func__
+
+    def counted_post_init(self):
+        made.append(type(self))
+        post_init(self)
+
+    def counted_trusted(cls, *args):
+        made.append(cls)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Coweight, "__post_init__", counted_post_init)
+    monkeypatch.setattr(BZDatum, "_trusted", classmethod(counted_trusted))
+    assert [route(g, lam, mu) for route in routes] == got
+    assert rep.weight_mult_mv(g, up, up_mu) == up_want
+    assert made == [] and len(g._mv_cache) == entries
+    monkeypatch.undo()
+    data, values = polytope._enumerated(g, (lam - mu).coords)
+    assert values.shape == (len(data), len(g.chamber_weights()))
+    assert values.dtype == np.int64 and not values.flags.writeable
+    assert values.tolist() == [list(d.values) for d in data]
