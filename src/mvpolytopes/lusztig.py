@@ -141,10 +141,6 @@ def transport(group: WeylGroup, src, dst, n) -> tuple[int, ...]:
 
 def enumerate_lusztig(group: WeylGroup, word, mu: Coweight) -> list[tuple[int, ...]]:
     """All Lusztig data along ``word`` with total coweight mu, lex ascending."""
-    if mu.cartan != group.cartan:
-        raise ValueError("coweight belongs to a different Cartan datum")
-    data = group.word_data(word)
-    parts = np.array([b.coords for b in data.coroots], dtype=np.int64)
-    target = np.array(mu.coords, dtype=np.int64)
-    rows = _kernels.enumerate_nonneg_combinations(parts, target)
+    target = np.array(group._coords(mu, Coweight), dtype=np.int64)
+    rows = _kernels.enumerate_nonneg_combinations(group.word_data(word).coroots, target)
     return [tuple(int(v) for v in row) for row in rows]

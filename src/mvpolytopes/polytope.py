@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bz, lusztig
 from .bz import BZDatum
-from .cartan import Coweight, Weight, _integer, pairing
+from .cartan import Coweight, Weight, _integer
 from .cones import exact_dtype
 from .tables import index_table
 from .weyl import WeylElement, WeylGroup
@@ -72,12 +72,14 @@ def coweight(group: WeylGroup, datum: BZDatum) -> Coweight:
 
 
 def translate(group: WeylGroup, datum: BZDatum, nu: Coweight) -> BZDatum:
-    """Shift the polytope by nu: every M_gamma gains <nu, gamma>."""
+    """Shift the polytope by nu: every M_gamma gains <nu, gamma>, in one exact
+    product of the chamber coordinates with nu."""
+    nu = group._coords(nu, Coweight)
     M = bz._values(group, datum)
-    chambers = group.chamber_weights()
-    return BZDatum._trusted(
-        group.cartan, tuple([v + pairing(nu, c.weight) for v, c in zip(M, chambers)])
-    )
+    group.chamber_weights()  # builds _chamber_coords on first use
+    dtype = exact_dtype(max(map(abs, nu)), group._action_max * group.rank)
+    shifts = group._chamber_coords.astype(dtype, copy=False) @ np.array(nu, dtype=dtype)
+    return BZDatum._trusted(group.cartan, tuple([v + s for v, s in zip(M, shifts.tolist())]))
 
 
 def normalize(group: WeylGroup, datum: BZDatum) -> BZDatum:
@@ -144,6 +146,7 @@ def weyl_thresholds(group: WeylGroup, lam: Coweight) -> tuple[int, ...]:
     A polytope lies in conv(W.lam) iff M_gamma >= t_{level(gamma)} for all
     gamma, where t_i = <w0.lam, Lambda_i>.
     """
+    group._coords(lam, Coweight)
     if not lam.is_dominant():
         raise ValueError(f"coweight {lam.coords} is not dominant")
     return group.apply_coweight(group.w0, lam).coords
@@ -151,9 +154,7 @@ def weyl_thresholds(group: WeylGroup, lam: Coweight) -> tuple[int, ...]:
 
 def enumerate_mv(group: WeylGroup, mu: Coweight) -> tuple[BZDatum, ...]:
     """All polytopes from the origin to mu, one per Lusztig datum; cached."""
-    if mu.cartan != group.cartan:
-        raise ValueError("coweight belongs to a different Cartan datum")
-    return _enumerated(group, mu.coords)[0]
+    return _enumerated(group, group._coords(mu, Coweight))[0]
 
 
 def _enumerated(group: WeylGroup, key: tuple[int, ...]) -> tuple[tuple[BZDatum, ...], np.ndarray]:

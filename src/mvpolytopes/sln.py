@@ -149,18 +149,18 @@ def facet_lusztig(group: WeylGroup, k: int, picture: dict) -> dict[Pair, int]:
         raise ValueError(f"k must lie in 1..{n}")
     vec = picture_to_lusztig(n, picture)
     datum = bz.from_lusztig(group, ak_word(n), vec)
-    elements, item = group.elements(), group._right_array.item
+    els, ascent, item = group.elements(), group._ascents.item, group._right_array.item
     word = ak_word(n - 1) if n >= 3 else ()
     path, pairs = [group.from_word(range(k, n)).index], []
     for l in word:
-        u, nxt = elements[path[-1]], elements[item(path[-1], l - 1)]
-        if nxt.length <= u.length:
-            raise RuntimeError(f"facet path for k={k}: s_{l} after {u} is not reduced")
-        pair = pair_of_coroot(tuple(group._comats[u.index, :, l - 1].tolist()))
+        t = path[-1]
+        if not ascent(t, l - 1):
+            raise RuntimeError(f"facet path for k={k}: s_{l} after {els[t]} is not reduced")
+        pair = pair_of_coroot(tuple(group._comats[t, :, l - 1].tolist()))
         if k in pair or pair in pairs:
-            raise RuntimeError(f"facet path for k={k}: unexpected leg {pair} at {u}, s_{l}")
+            raise RuntimeError(f"facet path for k={k}: unexpected leg {pair} at {els[t]}, s_{l}")
         pairs.append(pair)
-        path.append(nxt.index)
+        path.append(item(t, l - 1))
     out = dict(zip(pairs, bz._lengths(group, datum.values, path, word)))
     expected = {pair for pair in all_pairs(n) if k not in pair}
     if set(out) != expected:

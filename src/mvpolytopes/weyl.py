@@ -10,8 +10,11 @@ both stacks; it carries its word and length but no copy of its action.  The
 right table comes from the walk's steps and is held once, as the int
 ``(|W|, r)`` array ``_right_array``: a step of a walk reads one entry with
 ``.item(t, i - 1)``, and a loop over the whole table takes a local
-``.tolist()`` that it does not keep.  Chamber weights, chamber indices, orbits
-and the index table's ``coaction`` are read off the stacks.  The stacks are
+``.tolist()`` that it does not keep.  Chamber weights, chamber indices, orbits,
+the index table's ``coaction`` and a word's data, its coroots and gammas as
+int ``(m, r)`` arrays, are read off the stacks.  ``Weight`` and ``Coweight``
+objects are made only at the API boundary: in ``w_lambda``, ``w_coroot``,
+``positive_*``, ``two_rho``, ``apply`` and the chamber weights.  The stacks are
 allocated at |W|, known in closed form from the Cartan type.
 
 The braid graph is arrays too: the reduced words of w0 are found as the rows
@@ -23,7 +26,8 @@ for: by ``BraidGraph.adjacency`` and by :func:`lusztig.parent_tree`.
 
 So are the 2-faces: ``_face_blocks`` gives per pair (i, j) the kind, the
 oriented pair and the int array of the faces' elements, which the index table
-gathers over; ``two_faces`` wraps them in ``Face`` objects on first use.
+gathers over; ``two_faces`` wraps them in ``Face`` objects on first use, for
+``primes.build_catalog``, the tests and the benchmark harness.
 """
 
 from __future__ import annotations
@@ -123,12 +127,13 @@ class Face:
 
 @dataclass(frozen=True)
 class WordData:
-    """Prefix path of a reduced word for w0 and its attached data."""
+    """Prefix path of a reduced word for w0, and its coroots and gammas as
+    rows of read-only int64 ``(m, r)`` arrays, which equality skips."""
 
     word: tuple[int, ...]
     prefixes: tuple[WeylElement, ...]  # w_0 = e, w_1, ..., w_m
-    coroots: tuple[Coweight, ...]  # beta_k = w_{k-1} . alpha_{i_k}^vee
-    gammas: tuple[Weight, ...]  # gamma_k = w_k . Lambda_{i_k}
+    coroots: np.ndarray = field(repr=False, compare=False)  # beta_k = w_{k-1} . alpha_{i_k}^vee
+    gammas: np.ndarray = field(repr=False, compare=False)  # gamma_k = w_k . Lambda_{i_k}
 
 
 @dataclass(frozen=True)
@@ -193,11 +198,7 @@ class WeylGroup:
         self._chambers: tuple[ChamberWeight, ...] | None = None
         self._faces: tuple[Face, ...] | None = None
         self._kpf: dict[tuple[int, ...], int] = {}
-        self._parts: np.ndarray | None = None
         self._mv_cache: dict = {}
-        # (t, i): w_t . alpha_i^vee and w_t . Lambda_i, each made on first use
-        self._coroots: dict[tuple[int, int], Coweight] = {}
-        self._lambdas: dict[tuple[int, int], Weight] = {}
         self._catalog = None
         self._table = None  # tables.IndexTable, built on first use
         self._doc_keys = None  # serialize's chamber keys, built on first use
@@ -275,19 +276,6 @@ class WeylGroup:
         self._w0 = self._elements[-1]
         self.m = self._w0.length
 
-    def _shared(self, store: dict, stack: np.ndarray, kind: type, keys) -> tuple:
-        """Column i of ``stack[t]`` as a ``kind`` for each (t, i) in ``keys``:
-        each object is made on first use and kept in ``store``, so every
-        lookup of it returns the same one."""
-        out = []
-        for key in keys:
-            vec = store.get(key)
-            if vec is None:
-                t, i = key
-                vec = store[key] = kind(self.cartan, tuple(stack[t, :, i - 1].tolist()))
-            out.append(vec)
-        return tuple(out)
-
     @functools.cached_property
     def _ascents(self) -> np.ndarray:
         """[t][i - 1]: whether l(w_t s_i) > l(w_t), that is w_t.alpha_i^vee > 0."""
@@ -357,12 +345,12 @@ class WeylGroup:
     def w_lambda(self, w: WeylElement, i: int) -> Weight:
         """The chamber weight w . Lambda_i (column i of the action matrix)."""
         self.cartan._check_index(i)
-        return self._shared(self._lambdas, self._mats, Weight, [(self._row(w), i)])[0]
+        return Weight(self.cartan, tuple(self._mats[self._row(w), :, i - 1].tolist()))
 
     def w_coroot(self, w: WeylElement, i: int) -> Coweight:
         """w . alpha_i^vee (column i of the coweight action matrix)."""
         self.cartan._check_index(i)
-        return self._shared(self._coroots, self._comats, Coweight, [(self._row(w), i)])[0]
+        return Coweight(self.cartan, tuple(self._comats[self._row(w), :, i - 1].tolist()))
 
     # -- reduced words and word data ------------------------------------
 
@@ -407,35 +395,42 @@ class WeylGroup:
         return path
 
     def word_data(self, word) -> WordData:
-        """The prefixes, coroots and gammas of a reduced word for w0, made anew."""
+        """The prefixes of a reduced word for w0, and its coroots and gammas
+        gathered as rows from the action stacks, made anew."""
         word = tuple(word)
         path = self._prefixes(word)
-        coroots = self._shared(self._coroots, self._comats, Coweight, zip(path, word))
-        gammas = self._shared(self._lambdas, self._mats, Weight, zip(path[1:], word))
-        if len({b.coords for b in coroots}) != self.m:
+        at, letters = np.array(path), np.subtract(word, 1)
+        coroots = self._comats[at[:-1], :, letters]
+        gammas = self._mats[at[1:], :, letters]
+        if len(set(map(tuple, coroots.tolist()))) != self.m:
             raise RuntimeError(f"reduced word {word} repeats a coroot in its coroot sequence")
+        coroots.flags.writeable = gammas.flags.writeable = False
         return WordData(word, tuple([self._elements[t] for t in path]), coroots, gammas)
+
+    @functools.cached_property
+    def _coroot_rows(self) -> np.ndarray:
+        """The positive coroots as the rows of the reference word's data, which
+        ``kpf`` and ``two_rho`` read."""
+        return self.word_data(self.reference_word).coroots
 
     @functools.cached_property
     def positive_coroots(self) -> tuple[Coweight, ...]:
         """All positive coroots, in the order induced by the reference word."""
-        return self.word_data(self.reference_word).coroots
+        return tuple(Coweight(self.cartan, tuple(b)) for b in self._coroot_rows.tolist())
 
     @functools.cached_property
     def positive_roots(self) -> tuple[Weight, ...]:
-        data = self.word_data(self.reference_word)
-        return tuple(
-            self.apply(data.prefixes[k], self.cartan.simple_root(data.word[k]))
-            for k in range(self.m)
-        )
+        """All positive roots w_{k-1} . alpha_{i_k} in the reference word's order;
+        alpha_i, as a weight, is column i of the Cartan matrix."""
+        word = self.reference_word
+        cols = np.array(self.cartan.a, dtype=np.int64).T[np.subtract(word, 1)]
+        roots = np.einsum("kab,kb->ka", self._mats[self._prefixes(word)[:-1]], cols)
+        return tuple(Weight(self.cartan, tuple(root)) for root in roots.tolist())
 
     @functools.cached_property
     def two_rho(self) -> Coweight:
         """Sum of the positive coroots (twice the Weyl vector of the dual side)."""
-        total = self.cartan.zero_coweight()
-        for b in self.positive_coroots:
-            total = total + b
-        return total
+        return Coweight(self.cartan, tuple(self._coroot_rows.sum(axis=0).tolist()))
 
     # -- chamber weights -------------------------------------------------
 
@@ -587,13 +582,6 @@ class WeylGroup:
 
     # -- numerics ----------------------------------------------------------
 
-    def _parts_matrix(self) -> np.ndarray:
-        if self._parts is None:
-            self._parts = np.array(
-                [b.coords for b in self.positive_coroots], dtype=np.int64
-            )
-        return self._parts
-
     def kpf(self, mu: Coweight) -> int:
         """Number of multisets of positive coroots summing to mu."""
         return self._kpf_at(self._coords(mu, Coweight))
@@ -606,7 +594,7 @@ class WeylGroup:
                 return 0  # kept out of the memo, which the alternating sums would flood
             target = np.array(key, dtype=np.int64)
             value = self._kpf[key] = int(
-                _kernels.count_nonneg_combinations(self._parts_matrix(), target)
+                _kernels.count_nonneg_combinations(self._coroot_rows, target)
             )
         return value
 

@@ -53,8 +53,8 @@ def edge_pairs(group):
 def coweight_of(group, word, n):
     """Total coweight sum n_k beta_k along the word; invariant under braid moves."""
     total = group.cartan.zero_coweight()
-    for c, b in zip(n, group.word_data(tuple(word)).coroots):
-        total = total + c * b
+    for c, b in zip(n, group.word_data(tuple(word)).coroots.tolist()):
+        total = total + c * group.cartan.coweight(b)
     return total
 
 
@@ -284,16 +284,17 @@ def n_to_partial_M(group, word, n):
     out = {}
     for i in range(1, group.rank + 1):
         out[group.cartan.fundamental_weight(i).coords] = 0
-    for k, gamma in enumerate(data.gammas):
+    coroots = data.coroots.tolist()
+    for k, gamma in enumerate(map(tuple, data.gammas.tolist())):
         val = 0
         for l in range(k + 1):
-            val += n[l] * sum(a * b for a, b in zip(data.coroots[l].coords, gamma.coords))
-        if gamma.coords in out and out[gamma.coords] != val:
+            val += n[l] * sum(a * b for a, b in zip(coroots[l], gamma))
+        if gamma in out and out[gamma] != val:
             raise RuntimeError(
-                f"word {word}: chamber weight {gamma.coords} revisited at {k} with value "
-                f"{val}, not {out[gamma.coords]}"
+                f"word {word}: chamber weight {gamma} revisited at {k} with value "
+                f"{val}, not {out[gamma]}"
             )
-        out[gamma.coords] = val
+        out[gamma] = val
     return out
 
 
@@ -411,9 +412,9 @@ def test_plan_matches_bfs_oracle_every_word_b2(b2):
 
 def off_reference_word(group):
     """The chamber weights neither Lambda_i nor a gamma_k of the reference word."""
-    lambdas = tuple(group.cartan.fundamental_weight(i) for i in range(1, group.rank + 1))
-    gammas = group.word_data(group.reference_word).gammas
-    on = {group.chamber_index(c.coords) for c in lambdas + gammas}
+    lambdas = [group.cartan.fundamental_weight(i).coords for i in range(1, group.rank + 1)]
+    gammas = list(map(tuple, group.word_data(group.reference_word).gammas.tolist()))
+    on = {group.chamber_index(c) for c in lambdas + gammas}
     return set(range(len(group.chamber_weights()))) - on
 
 
@@ -437,8 +438,8 @@ def test_program_covers_every_chamber_weight(family, rank):
     assert program.columns.shape == (len(program.x), tables.RELATION_ARGS)
     # edge step k writes gamma_k of the reference word from its edge column
     assert program.k[: g.m].tolist() == list(range(g.m))
-    gammas = g.word_data(g.reference_word).gammas
-    assert program.x[: g.m].tolist() == [g.chamber_index(c.coords) for c in gammas]
+    gammas = g.word_data(g.reference_word).gammas.tolist()
+    assert program.x[: g.m].tolist() == [g.chamber_index(tuple(c)) for c in gammas]
     edges = tables._edge_columns(g, g.reference_word)
     assert (program.columns[: g.m] == edges[:, None]).all() and not program.negated[: g.m].any()
     # the face steps read the columns of one relation each

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvpolytopes import bz, lusztig, polytope, serialize
-from mvpolytopes.cartan import CartanDatum, build_cartan
+from mvpolytopes.cartan import CartanDatum, build_cartan, pairing
 from mvpolytopes.weyl import WeylGroup, weyl_group
 
 
@@ -86,6 +86,8 @@ def test_trusted_producers_return_what_the_checked_constructor_accepts(family, r
         assert out == checked and hash(out) == hash(checked), name
     assert max(map(abs, produced["sum"].values)) >= unit
     assert produced["scale"].values == tuple(3 * v for v in d.values)
+    shifts = [pairing(nu, c.weight) for c in group.chamber_weights()]
+    assert produced["translate"].values == tuple(v + s for v, s in zip(d.values, shifts))
     assert produced["sum"].values == tuple(2 * x + y for x, y in zip(d.values, e.values))
     assert bz.is_valid(group, produced["negate"]) and bz.is_valid(group, produced["normalize"])
     assert polytope.mu1(group, produced["normalize"]).coords == (0,) * rank

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mvpolytopes import bz, lusztig, polytope
 from mvpolytopes.cartan import build_cartan
+from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import BraidEdge, WeylGroup
 from test_assembly_oracle import coweight_of
 
@@ -54,24 +55,28 @@ def test_a_bad_endpoint_is_named(a2):
             bz.from_lusztig(a2, bad, n)
 
 
-def test_lusztig_data_checks_its_word_without_the_object_caches():
+def test_lusztig_data_checks_its_word_without_the_object_caches(vectors_built):
     """Assembling along a word other than the reference word, and reading the
     data back along it, walk the int right table and build no Weight or
-    Coweight object of the group."""
+    Coweight object.  Only the group's chamber weights are objects, made once
+    with its index table."""
     g = WeylGroup(build_cartan("D", 4))
+    index_table(g)
+    assert vectors_built == {"Weight": len(g.chamber_weights())}
+    vectors_built.clear()
     word = g.braid_graph().words[-1]
     n = tuple(k % 3 for k in range(g.m))
     d = bz.from_lusztig(g, word, n)
     assert word != g.reference_word
     assert bz.lusztig_data(g, d, word) == n
-    assert not g._coroots and not g._lambdas
+    assert not vectors_built
     with pytest.raises(ValueError, match="^need a reduced word for w0 of length 12"):
         bz.lusztig_data(g, d, word[:-1])
     with pytest.raises(ValueError, match="is not a word for the longest element$"):
         bz.lusztig_data(g, d, word[:-1] + word[-2:-1])
     with pytest.raises(IndexError, match=r"^simple index 5 out of range 1\.\.4"):
         bz.lusztig_data(g, d, (5,) + word[1:])
-    assert not g._coroots and not g._lambdas
+    assert not vectors_built
 
 
 def test_transition_checks_and_copies_only_foreign_entries(a2):

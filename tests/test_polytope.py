@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvpolytopes import bz, polytope
+from mvpolytopes import bz, lusztig, polytope
 from mvpolytopes.tables import index_table
 from test_acceptance import _psi_matrices
 from test_assembly_oracle import group_of, perturbed, random_data
@@ -148,6 +148,28 @@ def test_enumerate_mv_is_cached(a3):
     mu = a3.cartan.coweight((1, 1, 1))
     first = polytope.enumerate_mv(a3, mu)
     assert polytope.enumerate_mv(a3, mu) is first
+
+
+COWEIGHT_ROUTES = {
+    "enumerate_mv": lambda g, mu: polytope.enumerate_mv(g, mu),
+    "enumerate_lusztig": lambda g, mu: lusztig.enumerate_lusztig(g, g.reference_word, mu),
+    "weyl_thresholds": lambda g, mu: polytope.weyl_thresholds(g, mu),
+    "translate": lambda g, mu: polytope.translate(g, bz.from_lusztig(g, (1, 2, 1), (1, 0, 2)), mu),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COWEIGHT_ROUTES))
+def test_coweight_routes_refuse_other_vectors(a2, b2, name):
+    """A weight, a bare tuple or a coweight of another datum is refused, not
+    read as a coweight by its coordinates."""
+    route = COWEIGHT_ROUTES[name]
+    assert route(a2, a2.cartan.coweight((1, 1)))
+    with pytest.raises(TypeError, match="^expected a Coweight, got Weight$"):
+        route(a2, a2.cartan.weight((1, 1)))
+    with pytest.raises(TypeError, match="^expected a Coweight, got tuple$"):
+        route(a2, (1, 1))
+    with pytest.raises(ValueError, match="^coweight belongs to a different Cartan datum$"):
+        route(a2, b2.cartan.coweight((1, 1)))
 
 
 # -- negation --------------------------------------------------------------------

@@ -135,8 +135,9 @@ def test_positive_roots_a2(a2):
 
 def test_word_data_a2(a2):
     wd = a2.word_data((1, 2, 1))
-    assert [b.coords for b in wd.coroots] == [(1, 0), (1, 1), (0, 1)]
-    assert [g.coords for g in wd.gammas] == [(-1, 1), (-1, 0), (0, -1)]
+    assert wd.coroots.tolist() == [[1, 0], [1, 1], [0, 1]]
+    assert wd.gammas.tolist() == [[-1, 1], [-1, 0], [0, -1]]
+    assert wd == a2.word_data([1, 2, 1]) and hash(wd) == hash(a2.word_data((1, 2, 1)))
 
 
 def test_word_data_rejects_nonreduced(a2):
@@ -294,22 +295,35 @@ def test_elements_carry_their_least_reduced_words(family, rank):
             assert g.right(w, i) is g.from_word(w.word + (i,))
 
 
-def test_word_data_shares_the_group_vectors():
+def test_word_data_builds_no_vector_objects(vectors_built):
     g = WeylGroup(build_cartan("D", 4))
-    assert not g._coroots and not g._lambdas  # each object is made on first use
-    words = g.reduced_words(g.w0)
+    words = g.braid_graph().words
     assert len(words) == 2316
     for word in words:
+        g.word_data(word)
+    assert not vectors_built
+
+
+def test_word_data_rows_are_the_column_lookups():
+    g = weyl_group(build_cartan("D", 4))
+    for word in g.braid_graph().words:
         data = g.word_data(word)
+        for a in (data.coroots, data.gammas):
+            assert a.dtype == np.int64 and a.shape == (g.m, g.rank)
+            assert not a.flags.writeable
         for k, i in enumerate(word):
-            assert data.coroots[k] is g.w_coroot(data.prefixes[k], i)
-            assert data.gammas[k] is g.w_lambda(data.prefixes[k + 1], i)
+            assert tuple(data.coroots[k].tolist()) == g.w_coroot(data.prefixes[k], i).coords
+            assert tuple(data.gammas[k].tolist()) == g.w_lambda(data.prefixes[k + 1], i).coords
+    ref = g.word_data(g.reference_word)
+    roots = [g.apply(w, g.cartan.simple_root(i)) for w, i in zip(ref.prefixes, ref.word)]
+    assert g.positive_roots == tuple(roots)
+    assert g.positive_coroots == tuple(map(g.cartan.coweight, ref.coroots.tolist()))
 
 
-def test_two_rho_makes_only_the_reference_word_vectors():
+def test_two_rho_builds_one_coweight(vectors_built):
     g = WeylGroup(build_cartan("D", 4))
     assert g.two_rho.coords == (6, 10, 6, 6)
-    assert len(g._coroots) == len(g._lambdas) == g.m
+    assert vectors_built == {"Coweight": 1}
 
 
 @pytest.mark.parametrize("i", [0, -1, 4])
