@@ -54,6 +54,15 @@ def _branch(rems: np.ndarray, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return idx, counts
 
 
+def as_target(coords: tuple[int, ...], what: str) -> np.ndarray:
+    """The coordinates as the int64 target of a kernel, or a ValueError that
+    names ``what`` and the first coordinate that does not fit in 64 bits."""
+    for c in coords:
+        if not -(1 << 63) <= c < 1 << 63:
+            raise ValueError(f"{what} {coords}: coordinate {c} does not fit in 64 bits")
+    return np.array(coords, dtype=np.int64)
+
+
 def _as_i64(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.int64))
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import lusztig
 from .cartan import CartanDatum, _integers
-from .cones import exact_dtype
-from .tables import FACE_RELATIONS, IndexTable, Row, by_relation, index_table
+from .tables import FACE_RELATIONS, IndexTable, Row, by_relation, check_sums, index_table
 from .weyl import FACE_KINDS, WeylElement, WeylGroup, weyl_group
 
 
@@ -178,18 +177,12 @@ def validate(group: WeylGroup, datum: BZDatum) -> ValidationReport:
 
 
 def _check(group: WeylGroup, table: IndexTable, M: tuple[int, ...]) -> ValidationReport:
-    """The report of the values M, from one product over the check rows.
-
-    Each sum is bounded by max|M| times the largest absolute row sum, which
-    picks the dtype (:func:`cones.exact_dtype`).  A violated edge is named
-    from ``group._ascents``, whose row-major order is the edge block's, and a
+    """The report of the values M, from one product over the check rows
+    (:func:`tables.check_sums`).  A violated edge is named from
+    ``group._ascents``, whose row-major order is the edge block's, and a
     violated face from its (t, i, j) row in ``table.faces``.
     """
-    dtype = exact_dtype(max(max(M), -min(M)), table.check_norm)
-    sums = (
-        np.array(M, dtype=dtype)[table.check_index]
-        * table.check_coef.astype(dtype, copy=False)
-    ).sum(0)
+    sums = check_sums(table, M)
     lengths = sums[: table.n_edges]
     # per relation lhs = min(args), the residual min(args) - lhs
     residuals = by_relation(table, sums).min(1)

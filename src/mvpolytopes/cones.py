@@ -7,24 +7,21 @@ denominator; integer matrix products run in int64 and raise rather than wrap.
 No floating point ever enters, so cone membership and ray computations are
 decisions, not approximations.
 
-Elimination is one row step (``_step``) that leaves its input state intact:
-``_eliminate`` folds it over a list, and ``product_nullspaces`` pushes it
-along a tree of row choices, so choices with a common prefix share the
-elimination of that prefix; it stops descending where the nullspace has
-fallen below the dimension its caller needs.  The double description in
-``extreme_rays`` runs on the distinct primitive inequality rows only, with
-int bitmasks as zero sets; repeated rows never change the rays (Fukuda and
-Prodon, *Double description method revisited*, 1996).  Its starting rays
-come from the pass that picks the first independent rows
-(``_invert_first``), which carries the identity along.  ``hilbert_basis``
+Elimination is one row step (``_step``), which ``_eliminate`` folds over a
+list of rows.  The double description in ``extreme_rays`` runs on the
+distinct primitive inequality rows only, with int bitmasks as zero sets;
+repeated rows never change the rays (Fukuda and Prodon, *Double description
+method revisited*, 1996).  Its starting rays come from the pass that picks
+the first independent rows (``_invert_first``), which carries the identity
+along.  :func:`primes.build_catalog` runs it once per maximal cone of its
+fan walk, on the cone's rows in the Lusztig chart.  ``hilbert_basis``
 marks the pairwise sums of its candidates on int64 arrays, by their
 mixed-radix codes in the box.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from math import gcd, prod
+from math import gcd
 from operator import mul
 
 import numpy as np
@@ -48,7 +45,7 @@ def _step(pivots: tuple[int, ...], reduced: list[list[int]], d: int, row, limit=
     state ``(pivots, reduced, d)`` and return the state with it kept, or None
     when the row depends on the rows already kept.  Pivots are sought in the
     first ``limit`` columns only (all by default).  The state passed in is
-    left as it was, so states can be shared along a tree of pushes.
+    left as it was, so a caller can keep it when the row is dependent.
     """
     row = [int(v) for v in row]
     new = [d * v for v in row]
@@ -97,38 +94,7 @@ def rank(rows) -> int:
 def nullspace(rows, width: int) -> list[Vec]:
     """Primitive integer basis of {x : row . x = 0 for all rows}, one vector per
     free column of the reduced row echelon form, with +1 direction there."""
-    return _basis(*_eliminate(rows, width)[1:], width)
-
-
-def product_nullspaces(fixed, levels, width: int, least: int = 0):
-    """Yield ``nullspace(fixed + list(choice), width)`` for every ``choice`` in
-    ``itertools.product(*levels)``, in that order, or None for a choice whose
-    nullspace has fewer than ``least`` dimensions.
-
-    The fixed rows are eliminated once, and each level pushes one row onto
-    the state of its prefix, so choices that share a prefix share its
-    elimination: a tree of pushes instead of one elimination per choice.
-    Pushing rows only shrinks the nullspace, so a subtree whose prefix is
-    already below ``least`` dimensions is not descended.
-    """
-    for level in levels:
-        for row in level:
-            if len(row) != width:
-                raise ValueError(f"level row has width {len(row)}, not {width}")
-    yield from _walk(_eliminate(fixed, width)[1:], tuple(levels), width, least)
-
-
-def _walk(state, levels, width: int, least: int):
-    if width - len(state[0]) < least:
-        yield from repeat(None, prod(map(len, levels)))
-    elif not levels:
-        yield _basis(*state, width)
-    else:
-        for row in levels[0]:
-            yield from _walk(_step(*state, row) or state, levels[1:], width, least)
-
-
-def _basis(pivots, reduced, d: int, width: int) -> list[Vec]:
+    _, pivots, reduced, d = _eliminate(rows, width)
     sign = 1 if d > 0 else -1
     basis = []
     for f in sorted(set(range(width)) - set(pivots)):

@@ -9,8 +9,6 @@ beta_l is preserved.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import _kernels
 from .cartan import Coweight, _integers
 from .weyl import BraidEdge, WeylGroup
@@ -141,6 +139,6 @@ def transport(group: WeylGroup, src, dst, n) -> tuple[int, ...]:
 
 def enumerate_lusztig(group: WeylGroup, word, mu: Coweight) -> list[tuple[int, ...]]:
     """All Lusztig data along ``word`` with total coweight mu, lex ascending."""
-    target = np.array(group._coords(mu, Coweight), dtype=np.int64)
+    target = _kernels.as_target(group._coords(mu, Coweight), "Lusztig data at the coweight")
     rows = _kernels.enumerate_nonneg_combinations(group.word_data(word).coroots, target)
     return [tuple(int(v) for v in row) for row in rows]

@@ -13,11 +13,19 @@ maximal ones; the Hilbert bases of their edge-length charts are the prime
 polytopes, and any polytope decomposes as a Minkowski sum of primes from the
 single cluster whose cone contains it.
 
-Only a choice whose equations leave m dimensions can be maximal, so only
-those get a double description.  The maximal cones cover the valid data and
-every check row is >= 0 on them, so every other cone is a face of them: it
-is spanned by the maximal cones' rays on which its chosen rows vanish, and
-its dimension is their rank.
+A polytope is MV exactly when its 2-faces are, so the valid data in the
+Lusztig chart (the Lusztig data n along the reference word) form a fan whose
+maximal cones are the clusters.  :func:`build_catalog` walks it breadth
+first, as Speyer and Williams walk the tropical Grassmannian (J. Algebraic
+Combin. 22, 2005), from the cone of a generic datum across every facet off
+the orthant walls n_k = 0.  The assembly program of the index table is linear
+on a cone, so m + 1 of its runs give the cone's integer back map from n to
+the values, certified by the check rows before use, and the check rows times
+it are the cone's chart rows; one double description per maximal cone gives
+its rays.  The maximal cones cover the valid data and every check row is
+>= 0 on them, so every other choice's cone is a face of them: it is spanned
+by the maximal cones' rays on which its chosen rows vanish, and its
+dimension is their rank.
 
 :func:`decompose` reads a datum's Lusztig data n along the reference word
 off the catalog's edge rows, then finds its cluster in two numpy calls: one
@@ -33,9 +41,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,16 +54,29 @@ from . import bz, cones, polytope
 from .bz import BZDatum
 from .cartan import CartanDatum
 from .cones import exact_dtype
-from .tables import FACE_RELATIONS, IndexTable, Row, _edge_columns, by_relation, index_table
+from .tables import (
+    FACE_RELATIONS,
+    RELATION_ARGS,
+    IndexTable,
+    Row,
+    _edge_columns,
+    by_relation,
+    check_sums,
+    index_table,
+)
 from .weyl import Face, WeylGroup
 
 Vec = tuple[int, ...]
 
-# Face choices build_catalog evaluates at most.  Rank 2, A3 and D3 (at most
+# Face choices build_catalog accepts at most.  Rank 2, A3 and D3 (at most
 # 256) fit; B3 and C3 have about 1.4e8 choices, and every larger group has
-# more.  The elimination tree is pruned where no maximal cone can be, but
-# build_catalog still forms one mask over the maximal cones' rays per choice.
+# more.  The walk visits only the maximal cones, but build_catalog still
+# gives every choice its dimension, from one mask over their rays each.
 MAX_CHOICES = 10_000
+
+# Points a search of build_catalog tries before it gives up: the random
+# starts of the walk, and the doublings of a probe or of a back map's point.
+_PROBES = 64
 
 
 @dataclass(frozen=True)
@@ -84,7 +108,7 @@ class Cluster:
     choice: Vec  # chosen argument per relation
     labels: tuple[str, ...]
     gens_n: tuple[Vec, ...]  # generator edge-length vectors, aligned with labels
-    rays_m: tuple[Vec, ...]
+    rays_m: tuple[Vec, ...]  # the extreme rays in value space, sorted
     ineq_rows_n: tuple[Vec, ...]
     # derived from gens_n, see _Solver
     _solver: "_Solver" = field(init=False, repr=False, compare=False)
@@ -220,13 +244,131 @@ def _cluster_of(catalog: Catalog, target: Vec) -> Cluster | None:
     return None
 
 
-def build_catalog(group: WeylGroup) -> Catalog:
-    """Evaluate every face choice, keep the maximal cones, extract the primes.
+def _choice_at(table: IndexTable, real: np.ndarray, n: Vec) -> Vec | None:
+    """The argument at which each relation takes its minimum in the datum
+    with Lusztig data n along the reference word, or None at a tie.
 
-    The double description runs only on choices whose nullspace has m
-    dimensions; every other choice's cone and dimension come from one product
-    of the check rows with the maximal cones' rays.
+    ``real[r, k]`` says whether relation r has an argument k (a hexagon's
+    check columns repeat its last)."""
+    zero = (by_relation(table, check_sums(table, table.assemble(n))) == 0) & real
+    if (zero.sum(1) != 1).any():
+        return None
+    return tuple(zero.argmax(1).tolist())
+
+
+class _Cone(NamedTuple):
+    """A maximal cone of the walk: its certified back map and chart rows."""
+
+    back: np.ndarray  # int64 (values, m): the datum of n is back @ n on the cone
+    rows: tuple[Vec, ...]  # the distinct primitive nonzero rows of checks @ back, sorted
+
+
+def _cone(table, checks, edge, pins, chosen, point: Vec) -> _Cone:
+    """The maximal cone whose interior holds the tie-free ``point``, chosen
+    rows at the columns ``chosen``.
+
+    The program is linear on the cone, so its back map has the columns
+    assemble(K p + e_k) - assemble(K p), integers, once K p + e_k stays in
+    the cone; K doubles until the map is certified: the edge rows along the
+    reference word read n back (length rows @ back = I), and the bottom
+    vertex's values and the chosen rows vanish.  Those make back @ n a valid
+    datum with Lusztig data n wherever the chart rows admit n.
     """
+    m = len(point)
+    for _ in range(_PROBES):
+        base = table.assemble(point)
+        steps = [table.assemble((*point[:k], point[k] + 1, *point[k + 1 :])) for k in range(m)]
+        back = np.array([[a - b for a, b in zip(s, base)] for s in steps], dtype=np.int64).T
+        product = cones.matmul(checks, back)
+        if (
+            (product[edge] == np.eye(m, dtype=np.int64)).all()
+            and not back[pins].any()
+            and not product[chosen].any()
+        ):
+            g = np.gcd.reduce(product, axis=1)
+            rows = product[g > 0] // g[g > 0, None]
+            return _Cone(back, tuple(sorted(set(map(tuple, rows.tolist())))))
+        point = tuple(2 * v for v in point)
+    raise RuntimeError(f"no certified back map near the Lusztig data {point}")
+
+
+def _walk(group: WeylGroup, table: IndexTable, checks, edge, layout, relations):
+    """The maximal cones in the Lusztig chart, breadth first across their
+    facets, as ``{choice: (cone, rays)}`` with the chart rays.
+
+    The cone of a choice is where its relations take their minima at the
+    chosen arguments.  The walk starts at a generic interior point, whose
+    choice reads off the check rows at its datum.  Each cone gets one double
+    description; every facet not on an orthant wall n_k = 0 is crossed once,
+    by probing K c - f past its row f, where c is the sum of the facet's
+    rays, K doubling until the point has no tie and the cone found there
+    admits c.  The cones meet face to face, so that cone shares the facet.
+    A cone met on the way, at a tie-free point, is maximal and kept too.
+    """
+    m = group.m
+    real = np.arange(RELATION_ARGS) < np.array([rel.n_args for rel in relations])[:, None]
+    pins = table.chamber_array[0]
+    rng = random.Random(0)
+    for _ in range(_PROBES):
+        start = tuple(rng.randrange(1, 1 << 16) for _ in range(m))
+        choice = _choice_at(table, real, start)
+        if choice is not None:
+            break
+    else:
+        raise RuntimeError("no generic Lusztig datum found to start the walk")
+    relation = np.arange(len(relations))
+    cones_of: dict[Vec, _Cone] = {}
+    queue: deque[Vec] = deque()
+
+    def found_at(choice, point):
+        if choice not in cones_of:
+            chosen = layout[relation, np.array(choice, dtype=np.intp)]
+            cones_of[choice] = _cone(table, checks, edge, pins, chosen, point)
+            queue.append(choice)
+        return cones_of[choice]
+
+    found_at(choice, start)
+    out = {}
+    crossed: set[Vec] = set()  # the ray sums of the facets crossed
+    while queue:
+        choice = queue.popleft()
+        rows = cones_of[choice].rows
+        rays = cones.extreme_rays(list(rows), m)
+        for ray in rays:  # in the chart, a ray is its own edge lengths
+            if any(v < 0 for v in ray) or cones.primitive(ray) != ray:
+                raise RuntimeError(
+                    f"choice {choice}: ray with edge lengths {ray} is not a primitive "
+                    "nonnegative vector"
+                )
+        if cones.rank(rays) != m:
+            raise RuntimeError(f"choice {choice}: the rays {rays} span less than {m} dimensions")
+        out[choice] = cones_of[choice], rays
+        rays = np.array(rays, dtype=np.int64)
+        # the facets: the rows whose zero rays no other row's strictly contain
+        zero = cones.matmul(rows, rays.T) == 0
+        count = zero.sum(1)
+        missed = zero.astype(np.int64) @ (~zero).T.astype(np.int64)  # [i, j]: |Z_i - Z_j|
+        facets = ~((missed == 0) & (count[None, :] > count[:, None])).any(1)
+        for f, on in zip(np.array(rows)[facets].tolist(), zero[facets]):
+            c = tuple(rays[on].sum(0).tolist())
+            if sum(map(bool, f)) == 1 or c in crossed:  # an orthant wall, or crossed
+                continue
+            crossed.add(c)
+            K = 1
+            for _ in range(_PROBES):
+                probe = tuple(K * a - b for a, b in zip(c, f))
+                other = _choice_at(table, real, probe) if min(probe) > 0 else None
+                if other is not None and (cones.matmul(found_at(other, probe).rows, c) >= 0).all():
+                    break
+                K *= 2
+            else:
+                raise RuntimeError(f"choice {choice}: no cone across its facet {tuple(f)}")
+    return out
+
+
+def build_catalog(group: WeylGroup) -> Catalog:
+    """Walk the maximal cones, extract the primes, and give every other
+    choice the dimension of its face of them."""
     if group._catalog is not None:
         return group._catalog
     table = index_table(group)
@@ -241,88 +383,60 @@ def build_catalog(group: WeylGroup) -> Catalog:
     size = len(group.chamber_weights())
     checks = _check_matrix(table, size)
     # the edge lengths along the reference word: its Lusztig data
-    length_rows = checks[_edge_columns(group, group.reference_word)]
-    # per relation, the check columns of its arguments
-    layout = by_relation(table, np.arange(len(checks))).tolist()
-    args = [columns[: rel.n_args] for columns, rel in zip(layout, relations)]
-    pins = np.eye(size, dtype=np.int64)[table.chamber_array[0]].tolist()
-
-    dims: list[int] = []
-    maximal = []  # (choice, ineq, basis, rays_m)
-    faces = []  # (position in dims, choice) of the choices left to the faces below
-    # one elimination shared along the tree of choices, visited in product
-    # order; only a choice whose nullspace has m dimensions can be maximal
-    choices = itertools.product(*[range(rel.n_args) for rel in relations])
-    bases = cones.product_nullspaces(
-        pins, [checks[columns].tolist() for columns in args], size, least=group.m
-    )
-    for choice, basis in zip(choices, bases, strict=True):
-        if basis is not None:
-            # the edge rows, then the other arguments' rows arg_t - lhs, which
-            # read as arg_t - arg_k on the basis, where the chosen row is zero
-            others = (c for columns, k in zip(args, choice) for c in columns if c != columns[k])
-            ineq = checks[[*range(table.n_edges), *others]]
-            chart_rows = cones.matmul(ineq, np.transpose(basis)).tolist()
-            rays_x = cones.extreme_rays(chart_rows, len(basis))
-            # x -> x . basis is injective, so the rays span as much in the chart
-            if rays_x and cones.rank(rays_x) == group.m:
-                rays_m = [cones.primitive(r) for r in cones.matmul(rays_x, basis).tolist()]
-                maximal.append((choice, ineq, basis, rays_m))
-                dims.append(group.m)
-                continue
-        faces.append((len(dims), choice))
-        dims.append(0)
+    edge = _edge_columns(group, group.reference_word)
+    length_rows = checks[edge]
+    # [r, k]: the check column of argument k of relation r
+    layout = by_relation(table, np.arange(len(checks)))
+    walked = _walk(group, table, checks, edge, layout, relations)
+    maximal = []  # (choice, back, rows_n, rays_n, rays_m), in product order
+    pool_rays: dict[Vec, Vec] = {}  # the maximal cones' distinct rays, values to chart
+    for choice in sorted(walked):
+        cone, rays_n = walked[choice]
+        pairs = sorted(zip(map(tuple, cones.matmul(rays_n, cone.back.T).tolist()), rays_n))
+        pool_rays.update(pairs)
+        maximal.append((choice, cone.back, cone.rows, rays_n, [ray for ray, _ in pairs]))
 
     # Every other cone is a face of the maximal ones: they cover the valid
     # data and every check row is >= 0 on them, so a cone meets each maximal
     # cone where its chosen rows vanish, and it is spanned by the maximal
     # cones' rays (the pool) on which its chosen rows are zero.
-    pool = np.array(
-        list(dict.fromkeys(ray for *_, rays_m in maximal for ray in rays_m)), dtype=np.int64
-    ).reshape(-1, size)
+    pool = np.array(list(pool_rays), dtype=np.int64).reshape(-1, size)
+    pool_n = np.array(list(pool_rays.values()), dtype=np.int64).reshape(-1, group.m)
     values = cones.matmul(checks, pool.T)
     escapes = np.argwhere(values < 0)
     if escapes.size:
         row, j = escapes[0]
         raise RuntimeError(f"maximal cone ray {tuple(pool[j].tolist())} fails check row {row}")
-    chosen = np.array(
-        [[columns[k] for columns, k in zip(args, choice)] for _, choice in faces], dtype=np.intp
-    ).reshape(len(faces), len(relations))
+    faces = [
+        (t, choice)
+        for t, choice in enumerate(itertools.product(*[range(rel.n_args) for rel in relations]))
+        if choice not in walked
+    ]
+    picks = np.array([c for _, c in faces], dtype=np.intp).reshape(len(faces), len(relations))
+    chosen = layout[np.arange(len(relations)), picks]
     # masks[d]: the pool rays of distinct face d; at[f]: the face of faces[f]
     masks, at = np.unique((values[chosen] == 0).all(axis=1), axis=0, return_inverse=True)
     at = at.reshape(-1).tolist()  # numpy 2.0.0 gives the inverse another shape
-    ranks = [cones.rank(pool[mask].tolist()) for mask in masks]
-    for (position, _), d in zip(faces, at):
+    # ranks in the chart, m wide: the chart map is injective on the valid data
+    ranks = [cones.rank(pool_n[mask].tolist()) for mask in masks]
+    dims = [group.m] * n_choices
+    for (position, choice), d in zip(faces, at):
+        if ranks[d] == group.m:
+            raise RuntimeError(f"choice {choice} spans a maximal cone that the walk missed")
         dims[position] = ranks[d]
 
     prime_data: dict[tuple[int, ...], BZDatum] = {}
     assembled: dict[Vec, BZDatum] = {}  # by generator: clusters share most of theirs
     raw_clusters = []
-    for choice, ineq, basis, rays_m in maximal:
-        # chart back-map: value vector = back @ edge-length vector / den
-        den, num = cones.inverse(cones.matmul(length_rows, np.transpose(basis)).tolist())
-        back = cones.matmul(np.transpose(basis), num)
-        rows_n = cones.matmul(ineq, back).tolist()
-        rows_n = tuple(sorted({cones.primitive(r) for r in rows_n if any(r)}))
-        rays_n = []
-        for ray, rn in zip(rays_m, cones.matmul(rays_m, np.transpose(length_rows)).tolist()):
-            rn = tuple(rn)
-            if any(v < 0 for v in rn) or cones.primitive(rn) != rn:
-                raise RuntimeError(
-                    f"choice {choice}: ray {ray} has edge lengths {rn}, "
-                    "not a primitive nonnegative vector"
-                )
-            rays_n.append(rn)
+    for choice, back, rows_n, rays_n, rays_m in maximal:
         gens = cones.hilbert_basis(rays_n, rows_n)
         gen_values = cones.matmul(np.reshape(gens, (len(gens), group.m)), back.T).tolist()
         values = []
-        for g, scaled in zip(gens, gen_values):
-            if any(v % den for v in scaled):
-                raise RuntimeError(f"choice {choice}: generator {g} maps to non-integer values")
+        for g, value in zip(gens, gen_values):
             datum = assembled.get(g)
             if datum is None:
                 datum = assembled[g] = bz.from_lusztig(group, group.reference_word, g)
-            if datum.values != tuple(v // den for v in scaled):
+            if datum.values != tuple(value):
                 raise RuntimeError(
                     f"choice {choice}: generator {g} maps to values that differ "
                     "from its assembly along the reference word"
@@ -366,8 +480,7 @@ def build_catalog(group: WeylGroup) -> Catalog:
     # pool rays are valid data, so the chart rows test their edge lengths
     # along the reference word
     if faces:
-        pool_n = cones.matmul(pool, np.transpose(length_rows)).tolist()
-        admits = np.array([_admitting(catalog, n) for n in pool_n], dtype=bool)
+        admits = np.array([_admitting(catalog, n) for n in pool_n.tolist()], dtype=bool)
         admits = admits.reshape(len(pool_n), len(clusters)).T
         # covered[d]: some maximal cone admits every pool ray of face d
         covered = (~masks[:, None, :] | admits[None, :, :]).all(axis=2).any(axis=1)

@@ -19,12 +19,13 @@ each min-relation lhs = min(args) of a hexagonal or octagonal 2-face, a row
 arg_k - lhs per argument k, laid out as :func:`by_relation` reads them (a
 hexagon repeats its last).  The relations are written once, in
 :data:`FACE_RELATIONS`, over a face's chamber weights A..H.
-:func:`bz.validate` sums every column: a datum is valid when the edge lengths
-are nonnegative and the least sum over each relation's columns, its residual
-min(args) - lhs, is zero.  :func:`primes.build_catalog` reads the same rows:
-a choice of one argument per relation cuts out the cone where the chosen
-argument's row is zero and the edge rows and the other arguments' rows are
-nonnegative.
+:func:`bz.validate` sums every column (:func:`check_sums`): a datum is valid
+when the edge lengths are nonnegative and the least sum over each relation's
+columns, its residual min(args) - lhs, is zero.  :func:`primes.build_catalog`
+reads the same rows: a choice of one argument per relation cuts out the cone
+where the chosen argument's row is zero and the edge rows and the other
+arguments' rows are nonnegative, and the zero rows of a datum's sums name
+the choice whose cone holds it.
 
 Each block of 2-faces (``group._face_blocks``) gathers its chamber indices
 A..H as one int array, which fills its relations' check columns; ``faces``
@@ -60,6 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cartan import CartanDatum
+from .cones import exact_dtype
 from .weyl import WeylGroup
 
 # sparse integer row: the value is sum(coef * x[index] for index, coef in row)
@@ -154,6 +156,17 @@ def by_relation(table: IndexTable, per_column: np.ndarray) -> np.ndarray:
     arg_k - lhs of relation r.  Applied to the check sums it gives each
     relation's residuals, and applied to the column numbers the columns."""
     return per_column[table.n_edges :].reshape(RELATION_ARGS, -1).T
+
+
+def check_sums(table: IndexTable, M: tuple[int, ...]) -> np.ndarray:
+    """Every check row's value at the values tuple M, one per column, from
+    one product.  Each is bounded by max|M| times the largest absolute row
+    sum, which picks the dtype (:func:`cones.exact_dtype`)."""
+    dtype = exact_dtype(max(max(M), -min(M)), table.check_norm)
+    return (
+        np.array(M, dtype=dtype)[table.check_index]
+        * table.check_coef.astype(dtype, copy=False)
+    ).sum(0)
 
 
 def _build(group: WeylGroup) -> IndexTable:

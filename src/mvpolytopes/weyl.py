@@ -592,7 +592,7 @@ class WeylGroup:
         if value is None:
             if min(key) < 0:
                 return 0  # kept out of the memo, which the alternating sums would flood
-            target = np.array(key, dtype=np.int64)
+            target = _kernels.as_target(key, "kpf at the coweight")
             value = self._kpf[key] = int(
                 _kernels.count_nonneg_combinations(self._coroot_rows, target)
             )

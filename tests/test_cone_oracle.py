@@ -520,39 +520,6 @@ def test_pushing_rows_one_at_a_time_gives_the_whole_elimination(rows_width):
     assert (kept, *state) == cones._eliminate(rows, width)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 6).flatmap(
-        lambda w: st.tuples(
-            st.just(w),
-            st.lists(st.lists(st.integers(-2, 2), min_size=w, max_size=w), max_size=3),
-            st.lists(
-                st.lists(
-                    st.lists(st.integers(-2, 2), min_size=w, max_size=w),
-                    min_size=1,
-                    max_size=3,
-                ),
-                max_size=3,
-            ),
-        )
-    ),
-    st.integers(0, 7),
-)
-def test_product_nullspaces_match_each_leaf(tree, least):
-    """The bases built along the product tree are those of each leaf's rows,
-    and None at the leaves whose nullspace has fewer than ``least``
-    dimensions, also where the walk stopped above them."""
-    width, fixed, levels = tree
-    got = list(cones.product_nullspaces(fixed, levels, width, least))
-    leaves = [fixed + list(choice) for choice in itertools.product(*levels)]
-    want = [fraction_nullspace(rows, width) for rows in leaves]
-    assert got == [basis if len(basis) >= least else None for basis in want]
-    assert [basis for basis in got if basis is not None] == [
-        cones.nullspace(rows, width) for rows in leaves if width - fraction_rank(rows) >= least
-    ]
-    assert list(cones.product_nullspaces(fixed, levels, width)) == want
-
-
 def test_matmul_refuses_products_that_could_overflow():
     small = 2**31 - 1
     assert cones.matmul([[small]], [[small]]).tolist() == [[small * small]]
@@ -585,9 +552,13 @@ def test_catalog_matches_fraction_oracle(family, rank):
     assert [(r.face, r.index, r.n_args) for r in got.relations] == want["relations"]
     assert got.n_choices == want["n_choices"]
     assert got.dims == want["dims"]
+    # the walk finds each cluster's rays in another order; rays_m is sorted
     assert [
         (c.choice, c.labels, c.gens_n, c.rays_m, c.ineq_rows_n) for c in got.clusters
-    ] == want["clusters"]
+    ] == [
+        (choice, labels, gens, tuple(sorted(rays_m)), rows)
+        for choice, labels, gens, rays_m, rows in want["clusters"]
+    ]
     assert [(p.label, p.datum.values) for p in got.primes] == want["primes"]
 
 
@@ -667,7 +638,12 @@ def test_smaller_cones_are_faces_spanned_by_maximal_cone_rays(family, rank, n_sm
         assert fraction_rank(selected) == dim < group.m, choice
 
 
-def test_fresh_a3_build_runs_the_double_description_on_the_maximal_cones_only(monkeypatch):
+@pytest.mark.parametrize(
+    "family,rank,n_maximal", [("A", 2, 2), ("B", 2, 4), ("C", 2, 4), ("A", 3, 13), ("D", 3, 13)]
+)
+def test_fresh_build_runs_the_double_description_on_the_maximal_cones_only(
+    family, rank, n_maximal, monkeypatch
+):
     calls = []
     extreme_rays = cones.extreme_rays
 
@@ -676,8 +652,41 @@ def test_fresh_a3_build_runs_the_double_description_on_the_maximal_cones_only(mo
         return extreme_rays(rows, dim)
 
     monkeypatch.setattr(cones, "extreme_rays", recorded)
-    catalog = primes.build_catalog(WeylGroup(build_cartan("A", 3)))
-    assert len(calls) == catalog.n_maximal == 13
+    group = WeylGroup(build_cartan(family, rank))
+    catalog = primes.build_catalog(group)
+    assert calls == [group.m] * catalog.n_maximal
+    assert catalog.n_maximal == n_maximal
+
+
+@pytest.mark.parametrize("family,rank", CATALOG_GROUPS)
+def test_clusters_tile_the_orthant(family, rank):
+    """Each facet of a cluster's chart cone off the orthant walls n_k = 0 is
+    a facet of exactly one other cluster, with the opposite normal: the
+    clusters cover the orthant and meet face to face.  Facets are the chart
+    rows whose zero rays span m - 1 dimensions, the rays the value-space rays
+    read along the reference word."""
+    group = weyl_group(build_cartan(family, rank))
+    cat = primes.build_catalog(group)
+    length_rows = length_rows_of(group)
+    facets = []  # per cluster: {normal: its zero rays}
+    for c in cat.clusters:
+        rays_n = [tuple(dot(lrow, ray) for lrow in length_rows) for ray in c.rays_m]
+        found = {}
+        for row in c.ineq_rows_n:
+            zero = frozenset(ray for ray in rays_n if dot(row, ray) == 0)
+            if zero and fraction_rank(list(zero)) == group.m - 1:
+                found[row] = zero
+        facets.append(found)
+    for t, found in enumerate(facets):
+        for row, zero in found.items():
+            if sorted(row) == [0] * (group.m - 1) + [1]:  # an orthant wall
+                continue
+            across = [
+                s
+                for s, other in enumerate(facets)
+                if s != t and other.get(tuple(-v for v in row)) == zero
+            ]
+            assert len(across) == 1, (cat.clusters[t].choice, row)
 
 
 # -- Hilbert bases and decompositions against the pairwise and search oracles ----

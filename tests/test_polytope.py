@@ -172,6 +172,24 @@ def test_coweight_routes_refuse_other_vectors(a2, b2, name):
         route(a2, b2.cartan.coweight((1, 1)))
 
 
+KERNEL_ROUTES = {
+    "kpf": lambda g, mu: g.kpf(mu),
+    "enumerate_mv": lambda g, mu: polytope.enumerate_mv(g, mu),
+    "enumerate_lusztig": lambda g, mu: lusztig.enumerate_lusztig(g, g.reference_word, mu),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ROUTES))
+@pytest.mark.parametrize("big", [2**63, 2**70], ids=["2^63", "2^70"])
+def test_kernel_routes_name_a_coordinate_past_int64(a2, name, big):
+    """The kernels count in int64, so a coordinate past it is refused with a
+    ValueError that names it, not a bare OverflowError."""
+    route = KERNEL_ROUTES[name]
+    with pytest.raises(ValueError, match=rf"^.* \({big}, 0\): coordinate {big} does not fit"):
+        route(a2, a2.cartan.coweight((big, 0)))
+    assert route(a2, a2.cartan.coweight((1, 1)))
+
+
 # -- negation --------------------------------------------------------------------
 
 NEGATION_GROUPS = [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3), ("A", 4), ("D", 4)]
