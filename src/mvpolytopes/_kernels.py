@@ -1,12 +1,11 @@
-"""Integer kernels: the partition-function enumeration and the box filter.
+"""Integer kernels: the partition-function count and enumeration.
 
-Both are vectorized numpy and emit rows in lexicographically ascending
-order, so results are deterministic and callers can compare them directly.
+Both are vectorized numpy; the enumeration emits rows in lexicographically
+ascending order, so results are deterministic and callers can compare them
+directly.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -14,8 +13,6 @@ import numpy as np
 # reach 20,301 rows and the benchmark workloads 80; a larger request (say a
 # coordinate of 10**12) is refused before numpy tries to allocate it.
 MAX_ROWS = 1 << 22
-# Box points the box filter decodes and tests at a time.
-BOX_CHUNK = 1 << 16
 
 
 def resolve_backend() -> str:
@@ -111,19 +108,3 @@ def enumerate_nonneg_combinations(parts, target) -> np.ndarray:
     done = (rems == 0).all(axis=1)
     return np.ascontiguousarray(prefs[done])
 
-
-def filter_box_points(bounds, ineqs) -> np.ndarray:
-    """Lattice points x with 0 <= x <= bounds and ineqs @ x >= 0, lex ascending,
-    decoded and tested ``BOX_CHUNK`` box points at a time."""
-    bounds, ineqs = _as_i64(bounds), _as_i64(ineqs)
-    r = bounds.shape[0]
-    if ineqs.ndim != 2:
-        ineqs = ineqs.reshape(-1, r)
-    dims = (bounds + 1).tolist()
-    total = math.prod(dims)
-    keep_rows = [np.zeros((0, r), dtype=np.int64)]  # so that an empty box concatenates
-    for start in range(0, total, BOX_CHUNK):
-        idxs = np.arange(start, min(start + BOX_CHUNK, total), dtype=np.int64)
-        x = np.stack(np.unravel_index(idxs, dims), axis=1).astype(np.int64, copy=False)
-        keep_rows.append(x[(x @ ineqs.T >= 0).all(axis=1)])
-    return np.concatenate(keep_rows, axis=0)

@@ -15,18 +15,17 @@ method revisited*, 1996).  Its starting rays come from the pass that picks
 the first independent rows (``_invert_first``), which carries the identity
 along.  :func:`primes.build_catalog` runs it once per maximal cone of its
 fan walk, on the cone's rows in the Lusztig chart.  ``hilbert_basis``
-marks the pairwise sums of its candidates on int64 arrays, by their
-mixed-radix codes in the box.
+triangulates the cone on its rays, with ray bitmasks as faces, and takes
+its candidates from the simplices' parallelepipeds, which one batched
+elimination of the simplices (``_adjugates``) gives.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 import numpy as np
-
-from . import _kernels
 
 Vec = tuple[int, ...]
 
@@ -245,21 +244,87 @@ def extreme_rays(ineq_rows: list[Vec], dim: int) -> list[Vec]:
     return rays
 
 
-# Candidate pairs hilbert_basis sums at a time: 0.13 MB per int64 temporary.
-_PAIR_CHUNK = 1 << 14
+def _maximal(masks) -> list[int]:
+    """The bitmasks that no other one among ``masks`` strictly contains, sorted."""
+    return sorted(z for z in masks if not any(z != y and z & ~y == 0 for y in masks))
+
+
+def _pulled(face: int, facets: list[int], dim: int, memo: dict) -> list[int]:
+    """The pulling triangulation of a face of dimension ``dim``, as ray
+    bitmasks: each of its facets not holding its first ray, triangulated the
+    same way, with that ray joined.  A facet's own facets are the maximal
+    ones among its meets with the other facets.  Faces recur, so they are
+    kept in ``memo``."""
+    if face.bit_count() == dim:  # simplicial
+        return [face]
+    if face not in memo:
+        low = face & -face
+        memo[face] = [
+            simplex | low
+            for f in facets
+            if not f & low
+            for simplex in _pulled(f, _maximal({f & g for g in facets if g != f}), dim - 1, memo)
+        ]
+    return memo[face]
+
+
+def _adjugates(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, adj)`` for a stack of nonsingular integer matrices: ``d[t]`` is
+    the determinant of ``mats[t]`` up to sign, and ``adj[t]`` is ``d[t]``
+    times its inverse.
+
+    One fraction-free Gauss-Jordan elimination of ``[A | I]`` runs on the
+    whole stack, pivoting on the first nonzero entry of each column.  Every
+    entry is a minor, at most the product of A's row sums of |a|, so it runs
+    in int64 where :func:`exact_dtype` allows and on Python ints past that.
+    """
+    s, m, _ = mats.shape
+    bound = max((prod(r) for r in np.abs(mats).sum(axis=2).tolist()), default=1)
+    dtype = exact_dtype(bound, 2 * bound)
+    a = np.concatenate([mats, np.broadcast_to(np.eye(m, dtype=np.int64), mats.shape)], axis=2)
+    a = a.astype(dtype)
+    at = np.arange(s)
+    prev = np.ones((s, 1, 1), dtype=dtype)
+    for k in range(m):
+        p = k + (a[:, k:, k] != 0).argmax(axis=1)
+        a[at, k], a[at, p] = a[at, p], a[at, k].copy()
+        pivot = a[:, k].copy()
+        if not pivot[:, k].all():
+            raise ValueError("matrix is singular")
+        a = (pivot[:, None, k, None] * a - a[:, :, k, None] * pivot[:, None, :]) // prev
+        a[:, k] = pivot
+        prev = pivot[:, None, k, None]
+    return prev.ravel(), a[:, :, m:]
+
+
+def _box_points(cols: list[Vec], den: int, adj) -> list[Vec]:
+    """The nonzero lattice points sum_i l_i cols[i] with every l_i in [0, 1),
+    where ``adj`` is +-den times the inverse of the matrix of columns
+    ``cols``.  Their coefficient vectors times den are the subgroup of
+    (Z/den)^m that the columns of adj generate."""
+    group = {(0,) * len(cols)}
+    for gen in zip(*adj):  # add gen until the group is closed under it
+        while (more := {tuple((a + g) % den for a, g in zip(p, gen)) for p in group}) - group:
+            group |= more
+    rows = list(zip(*cols))
+    return [tuple(sum(map(mul, row, c)) // den for row in rows) for c in group if any(c)]
 
 
 def hilbert_basis(rays: list[Vec], ineq_rows: list[Vec]) -> list[Vec]:
-    """Minimal generating set of the monoid of lattice points of the cone.
+    """Minimal generating set of the monoid of lattice points of the cone,
+    sorted.
 
-    The cone must be pointed with componentwise-nonnegative rays (true in the
-    edge-length chart, where coordinates are themselves edge inequalities).
-    Simplicial unimodular cones shortcut to their rays; otherwise candidates
-    are the nonzero lattice points of the box bounded by the ray sum, which
-    contains the zonotope where all irreducible elements live.  A candidate
-    is reducible exactly when it is the sum of two candidates: the pairwise
-    sums that stay in the box are matched to candidates by their mixed-radix
-    box codes, a chunk of pairs at a time.
+    The cone is {x : A x >= 0} for the rows A, full-dimensional and pointed
+    with the primitive extreme rays ``rays``, componentwise nonnegative (true
+    in the edge-length chart, where coordinates are themselves edge
+    inequalities).  Simplicial unimodular cones shortcut to their rays.
+    Otherwise the cone is triangulated on its rays by pulling (``_pulled``),
+    its facets the maximal zero sets of the rows; every irreducible element
+    is a ray or a nonzero point of the half-open parallelepiped of some
+    simplex (``_box_points``), d - 1 of them for |det| = d.  A candidate x
+    among those is reducible exactly when x - c lies in the cone for another
+    candidate c; rays never are (Bruns and Ichim, *Normaliz: algorithms for
+    affine monoids and rational cones*, J. Algebra 324, 2010).
     """
     if not rays:
         return []
@@ -268,21 +333,23 @@ def hilbert_basis(rays: list[Vec], ineq_rows: list[Vec]) -> list[Vec]:
         raise ValueError("hilbert_basis needs nonnegative rays")
     if len(rays) == dim and abs(det(rays)) == 1:
         return sorted(rays)
-    bounds = np.array([sum(r[j] for r in rays) for j in range(dim)], dtype=np.int64)
-    ineqs = np.array(ineq_rows, dtype=np.int64).reshape(-1, dim)
-    pts = _kernels.filter_box_points(bounds, ineqs)
-    pts = pts[pts.any(axis=1)]  # lex ascending, so codes ascend too
-    radix = np.cumprod([1, *(bounds[:0:-1] + 1)])[::-1]
-    codes = pts @ radix
-    cols = pts.T.copy()
-    reducible = np.zeros(len(pts), dtype=bool)
-    step = max(1, _PAIR_CHUNK // max(len(pts), 1))
-    for i in range(0, len(pts), step):
-        # pairs (a, b) with a in this chunk and b not before it
-        inside = np.ones((min(step, len(pts) - i), len(pts) - i), dtype=bool)
-        for col, bound in zip(cols, bounds):
-            inside &= col[i : i + step, None] + col[None, i:] <= bound
-        sums = (codes[i : i + step, None] + codes[None, i:])[inside]
-        at = np.minimum(np.searchsorted(codes, sums), len(codes) - 1)
-        reducible[at[codes[at] == sums]] = True
-    return [tuple(int(v) for v in g) for g in pts[~reducible]]
+    rows = np.array([row for row in ineq_rows if any(row)], dtype=np.int64).reshape(-1, dim)
+    ray_array = np.array(rays, dtype=np.int64)
+    bits = [1 << j for j in range(len(rays))]
+    zero = (matmul(rows, ray_array.T) == 0).tolist()
+    masks = {sum(b for b, z in zip(bits, row) if z) for row in zero}
+    if sum(bits) in masks:
+        raise ValueError("hilbert_basis needs a full-dimensional cone")
+    simplices = [
+        [j for j, b in enumerate(bits) if simplex & b]
+        for simplex in _pulled(sum(bits), _maximal(masks), dim, {})
+    ]
+    dets, adjs = _adjugates(ray_array[simplices].transpose(0, 2, 1))
+    points: dict[Vec, None] = {}
+    for simplex, d, adj in zip(simplices, dets.tolist(), adjs.tolist()):
+        if abs(d) > 1:
+            points.update(dict.fromkeys(_box_points([rays[j] for j in simplex], abs(d), adj)))
+    # the rows span, so no other candidate has a candidate's values
+    values = matmul(np.array([*rays, *points], dtype=np.int64), rows.T)
+    below = [(values[t] >= values).all(axis=1).sum() for t in range(len(rays), len(values))]
+    return sorted([*rays, *(x for x, n in zip(points, below) if n == 1)])

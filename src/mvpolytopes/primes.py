@@ -22,10 +22,9 @@ the orthant walls n_k = 0.  The assembly program of the index table is linear
 on a cone, so m + 1 of its runs give the cone's integer back map from n to
 the values, certified by the check rows before use, and the check rows times
 it are the cone's chart rows; one double description per maximal cone gives
-its rays.  The maximal cones cover the valid data and every check row is
->= 0 on them, so every other choice's cone is a face of them: it is spanned
-by the maximal cones' rays on which its chosen rows vanish, and its
-dimension is their rank.
+its rays, and one Hilbert basis per maximal cone its primes.  Only the
+maximal cones are ever visited, so the number of face choices (about
+1.4e8 in B3 and C3) costs nothing; ``MAX_M`` bounds the walk instead.
 
 :func:`decompose` reads a datum's Lusztig data n along the reference word
 off the catalog's edge rows, then finds its cluster in two numpy calls: one
@@ -39,10 +38,8 @@ that their multiples sum back to the datum, finish it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from operator import mul
@@ -68,11 +65,10 @@ from .weyl import Face, WeylGroup
 
 Vec = tuple[int, ...]
 
-# Face choices build_catalog accepts at most.  Rank 2, A3 and D3 (at most
-# 256) fit; B3 and C3 have about 1.4e8 choices, and every larger group has
-# more.  The walk visits only the maximal cones, but build_catalog still
-# gives every choice its dimension, from one mask over their rays each.
-MAX_CHOICES = 10_000
+# Positive roots m build_catalog accepts at most: A1-A4, B2, C2, B3, C3 and D3
+# (m <= 10) build in about 1.5 s or less.  D4 (m = 12) has 11,116 maximal
+# cones, which the walk keeps in memory; B4, C4 and rank 5 have more.
+MAX_M = 10
 
 # Points a search of build_catalog tries before it gives up: the random
 # starts of the walk, and the doublings of a probe or of a back map's point.
@@ -121,7 +117,6 @@ class Cluster:
 class Catalog:
     cartan: CartanDatum
     n_choices: int
-    dims: tuple[int, ...]  # cone dimension per choice, in choice order
     clusters: tuple[Cluster, ...]
     primes: tuple[PrimePolytope, ...]
     relations: tuple[Relation, ...]
@@ -367,68 +362,35 @@ def _walk(group: WeylGroup, table: IndexTable, checks, edge, layout, relations):
 
 
 def build_catalog(group: WeylGroup) -> Catalog:
-    """Walk the maximal cones, extract the primes, and give every other
-    choice the dimension of its face of them."""
+    """Walk the maximal cones and extract the primes from their Hilbert
+    bases.  Groups with more than ``MAX_M`` positive roots are refused
+    before the walk."""
     if group._catalog is not None:
         return group._catalog
+    if group.m > MAX_M:
+        raise ValueError(
+            f"{group.cartan.family}{group.rank} has {group.m} positive roots, above the "
+            f"prime catalog limit of {MAX_M}"
+        )
     table = index_table(group)
     relations = tuple(
         Relation(face, k, len(args))
         for face in group.two_faces(("hexagon", "octagon"))
         for k, (_, args) in enumerate(FACE_RELATIONS[face.kind])
     )
-    n_choices = math.prod(rel.n_args for rel in relations)
-    if n_choices > MAX_CHOICES:
-        raise ValueError(f"{n_choices} face choices exceed the limit of {MAX_CHOICES}")
-    size = len(group.chamber_weights())
-    checks = _check_matrix(table, size)
+    checks = _check_matrix(table, len(group.chamber_weights()))
     # the edge lengths along the reference word: its Lusztig data
     edge = _edge_columns(group, group.reference_word)
     length_rows = checks[edge]
     # [r, k]: the check column of argument k of relation r
     layout = by_relation(table, np.arange(len(checks)))
     walked = _walk(group, table, checks, edge, layout, relations)
-    maximal = []  # (choice, back, rows_n, rays_n, rays_m), in product order
-    pool_rays: dict[Vec, Vec] = {}  # the maximal cones' distinct rays, values to chart
-    for choice in sorted(walked):
-        cone, rays_n = walked[choice]
-        pairs = sorted(zip(map(tuple, cones.matmul(rays_n, cone.back.T).tolist()), rays_n))
-        pool_rays.update(pairs)
-        maximal.append((choice, cone.back, cone.rows, rays_n, [ray for ray, _ in pairs]))
-
-    # Every other cone is a face of the maximal ones: they cover the valid
-    # data and every check row is >= 0 on them, so a cone meets each maximal
-    # cone where its chosen rows vanish, and it is spanned by the maximal
-    # cones' rays (the pool) on which its chosen rows are zero.
-    pool = np.array(list(pool_rays), dtype=np.int64).reshape(-1, size)
-    pool_n = np.array(list(pool_rays.values()), dtype=np.int64).reshape(-1, group.m)
-    values = cones.matmul(checks, pool.T)
-    escapes = np.argwhere(values < 0)
-    if escapes.size:
-        row, j = escapes[0]
-        raise RuntimeError(f"maximal cone ray {tuple(pool[j].tolist())} fails check row {row}")
-    faces = [
-        (t, choice)
-        for t, choice in enumerate(itertools.product(*[range(rel.n_args) for rel in relations]))
-        if choice not in walked
-    ]
-    picks = np.array([c for _, c in faces], dtype=np.intp).reshape(len(faces), len(relations))
-    chosen = layout[np.arange(len(relations)), picks]
-    # masks[d]: the pool rays of distinct face d; at[f]: the face of faces[f]
-    masks, at = np.unique((values[chosen] == 0).all(axis=1), axis=0, return_inverse=True)
-    at = at.reshape(-1).tolist()  # numpy 2.0.0 gives the inverse another shape
-    # ranks in the chart, m wide: the chart map is injective on the valid data
-    ranks = [cones.rank(pool_n[mask].tolist()) for mask in masks]
-    dims = [group.m] * n_choices
-    for (position, choice), d in zip(faces, at):
-        if ranks[d] == group.m:
-            raise RuntimeError(f"choice {choice} spans a maximal cone that the walk missed")
-        dims[position] = ranks[d]
-
     prime_data: dict[tuple[int, ...], BZDatum] = {}
     assembled: dict[Vec, BZDatum] = {}  # by generator: clusters share most of theirs
     raw_clusters = []
-    for choice, back, rows_n, rays_n, rays_m in maximal:
+    for choice in sorted(walked):
+        (back, rows_n), rays_n = walked[choice]
+        rays_m = sorted(map(tuple, cones.matmul(rays_n, back.T).tolist()))
         gens = cones.hilbert_basis(rays_n, rows_n)
         gen_values = cones.matmul(np.reshape(gens, (len(gens), group.m)), back.T).tolist()
         values = []
@@ -466,8 +428,7 @@ def build_catalog(group: WeylGroup) -> Catalog:
 
     catalog = Catalog(
         cartan=group.cartan,
-        n_choices=n_choices,
-        dims=tuple(dims),
+        n_choices=math.prod(rel.n_args for rel in relations),
         clusters=tuple(clusters),
         primes=primes,
         relations=relations,
@@ -476,19 +437,6 @@ def build_catalog(group: WeylGroup) -> Catalog:
         ),
         bottom=tuple(table.chamber_array[0].tolist()),
     )
-    # every lower-dimensional cone should sit inside some maximal one: its
-    # pool rays are valid data, so the chart rows test their edge lengths
-    # along the reference word
-    if faces:
-        admits = np.array([_admitting(catalog, n) for n in pool_n.tolist()], dtype=bool)
-        admits = admits.reshape(len(pool_n), len(clusters)).T
-        # covered[d]: some maximal cone admits every pool ray of face d
-        covered = (~masks[:, None, :] | admits[None, :, :]).all(axis=2).any(axis=1)
-        for (position, choice), d in zip(faces, at):
-            if dims[position] and not covered[d]:
-                warnings.warn(
-                    f"choice {choice} spans a cone outside every maximal cone", stacklevel=2
-                )
     group._catalog = catalog
     return catalog
 

@@ -16,14 +16,16 @@ and read the table's check rows; its rows come from ``Weight`` objects
 ``search_decompose`` finds the first cluster whose chart rows admit the
 Lusztig data and searches every generator, largest multiple first, pruning
 remainders outside the cone: both as ``cones`` and ``primes`` ran them
-before they moved onto int64 arrays.  None of them calls the
-fraction-free elimination, ``cones.extreme_rays``, ``cones.hilbert_basis``
-or ``cones.matmul``.
+before they moved onto int64 arrays.  ``box_hilbert_basis`` is the box
+route on int64 arrays that ``cones.hilbert_basis`` ran before it
+triangulated the cone.  None of them calls the fraction-free elimination,
+``cones.extreme_rays``, ``cones.hilbert_basis`` or ``cones.matmul``.
 """
 
+import functools
 import itertools
+import math
 import time
-import warnings
 from fractions import Fraction
 from math import gcd
 
@@ -257,6 +259,44 @@ def pairwise_hilbert_basis(rays, ineq_rows):
     return basis
 
 
+def box_hilbert_basis(rays, ineq_rows):
+    """The basis ``pairwise_hilbert_basis`` finds, on int64 arrays: the box
+    is listed a chunk of codes at a time, and a candidate is reducible
+    exactly when it is the sum of two candidates, found by matching the
+    pairwise sums that stay in the box to the candidates' mixed-radix box
+    codes, a chunk of pairs at a time."""
+    if not rays:
+        return []
+    dim = len(rays[0])
+    if len(rays) == dim and abs(fraction_det(rays)) == 1:
+        return sorted(rays)
+    bounds = np.array([sum(r[j] for r in rays) for j in range(dim)], dtype=np.int64)
+    ineqs = np.array(ineq_rows, dtype=np.int64).reshape(-1, dim)
+    shape = (bounds + 1).tolist()
+    total = math.prod(shape)
+    kept = [np.zeros((0, dim), dtype=np.int64)]
+    for start in range(0, total, 1 << 16):
+        codes = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        x = np.stack(np.unravel_index(codes, shape), axis=1).astype(np.int64)
+        kept.append(x[(x @ ineqs.T >= 0).all(axis=1)])
+    pts = np.concatenate(kept)
+    pts = pts[pts.any(axis=1)]  # lex ascending, so codes ascend too
+    radix = np.cumprod([1, *(bounds[:0:-1] + 1)])[::-1]
+    codes = pts @ radix
+    cols = pts.T.copy()
+    reducible = np.zeros(len(pts), dtype=bool)
+    step = max(1, (1 << 14) // max(len(pts), 1))
+    for i in range(0, len(pts), step):
+        # pairs (a, b) with a in this chunk and b not before it
+        inside = np.ones((min(step, len(pts) - i), len(pts) - i), dtype=bool)
+        for col, bound in zip(cols, bounds):
+            inside &= col[i : i + step, None] + col[None, i:] <= bound
+        sums = (codes[i : i + step, None] + codes[None, i:])[inside]
+        at = np.minimum(np.searchsorted(codes, sums), len(codes) - 1)
+        reducible[at[codes[at] == sums]] = True
+    return [tuple(int(v) for v in g) for g in pts[~reducible]]
+
+
 def in_cone(rows, n):
     """True when every chart row admits n: row . n >= 0."""
     return all(dot(row, n) >= 0 for row in rows)
@@ -327,7 +367,10 @@ def choice_rows(group, relations, choice):
 
 
 def oracle_catalog(group):
-    """The brute-force catalog with Fraction elimination and back-map."""
+    """The brute-force catalog with Fraction elimination and back-map, over
+    every choice: each choice's cone dimension, and the value-space rays of
+    the cones of positive dimension below m (``faces``) and of those outside
+    every maximal cone (``uncovered``)."""
     relations = value_relations(group)
     size = len(group.chamber_weights())
     length_rows = length_rows_of(group)
@@ -376,7 +419,7 @@ def oracle_catalog(group):
             if any(image):
                 rows_n.append(clear_denominators(image))
         rays_n = [tuple(dot(lrow, ray) for lrow in length_rows) for ray in rays_m]
-        gens = cones.hilbert_basis(rays_n, rows_n)
+        gens = box_hilbert_basis(rays_n, rows_n)
         values = []
         for g in gens:
             back = [sum(R[t][k] * g[k] for k in range(group.m)) for t in range(size)]
@@ -406,8 +449,15 @@ def oracle_catalog(group):
         "dims": tuple(dims),
         "clusters": out_clusters,
         "primes": [(labels[v], v) for v in ordered],
+        "faces": nonmax,
         "uncovered": uncovered,
     }
+
+
+@functools.cache
+def oracle_of(family, rank):
+    """``oracle_catalog`` of the shared group, once per Cartan datum."""
+    return oracle_catalog(weyl_group(build_cartan(family, rank)))
 
 
 # -- elimination -----------------------------------------------------------------
@@ -445,6 +495,34 @@ def test_det_and_inverse_match_fraction_elimination(mat):
     den, num = cones.inverse(mat)
     assert den > 0
     assert [[Fraction(v, den) for v in row] for row in num] == want
+
+
+stacks = st.tuples(
+    st.integers(1, 6).flatmap(
+        lambda q: st.lists(
+            st.lists(st.lists(st.integers(-3, 3), min_size=q, max_size=q), min_size=q, max_size=q),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+    st.sampled_from([1, 2**20, 2**40]),  # 2**40 takes the Python-int path
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks)
+def test_batched_adjugates_match_fraction_elimination(stack_scale):
+    stack, scale = stack_scale
+    mats = np.array(stack, dtype=np.int64) * scale
+    dets = [fraction_det(m) for m in mats.tolist()]
+    if not all(dets):
+        with pytest.raises(ValueError, match="singular"):
+            cones._adjugates(mats)
+        return
+    d, adj = cones._adjugates(mats)
+    assert [abs(v) for v in d.tolist()] == [abs(v) for v in dets]
+    for dt, at, m in zip(d.tolist(), adj.tolist(), mats.tolist()):
+        assert [[Fraction(v, dt) for v in row] for row in at] == fraction_invert(m)
 
 
 rows_dim = st.integers(1, 5).flatmap(
@@ -537,21 +615,19 @@ def test_matmul_refuses_products_that_could_overflow():
 
 
 CATALOG_GROUPS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("D", 3)]
+# catalogs with too many choices for the oracle: about 1.4e8 in B3 and C3
+WALK_GROUPS = [("B", 3), ("C", 3), ("A", 4)]
 
 
 @pytest.mark.parametrize("family,rank", CATALOG_GROUPS)
 def test_catalog_matches_fraction_oracle(family, rank):
     group = weyl_group(build_cartan(family, rank))
-    want = oracle_catalog(group)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = primes.build_catalog(group)
-    assert [str(w.message) for w in caught] == [
-        f"choice {c} spans a cone outside every maximal cone" for c in want["uncovered"]
-    ]
+    want = oracle_of(family, rank)
+    got = primes.build_catalog(group)
+    assert want["uncovered"] == []
     assert [(r.face, r.index, r.n_args) for r in got.relations] == want["relations"]
     assert got.n_choices == want["n_choices"]
-    assert got.dims == want["dims"]
+    assert want["dims"].count(group.m) == got.n_maximal
     # the walk finds each cluster's rays in another order; rays_m is sorted
     assert [
         (c.choice, c.labels, c.gens_n, c.rays_m, c.ineq_rows_n) for c in got.clusters
@@ -599,11 +675,17 @@ def test_chart_rows_contain_the_rays_value_space_rows_contain(family, rank):
 
 @pytest.mark.parametrize("family,rank", CATALOG_GROUPS)
 def test_fresh_catalog_build_finds_every_cone_covered(family, rank):
-    """The chart coverage check warns about no cone; a fresh group bypasses
-    the catalog memo that earlier builds on the shared group fill."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        primes.build_catalog(WeylGroup(build_cartan(family, rank)))
+    """Every cone of positive dimension below m sits in one cluster: some
+    cluster's chart rows admit the Lusztig data of all its rays.  A fresh
+    group bypasses the catalog memo that earlier builds on the shared group
+    fill."""
+    group = WeylGroup(build_cartan(family, rank))
+    cat = primes.build_catalog(group)
+    length_rows = length_rows_of(group)
+    for choice, rays_m in oracle_of(family, rank)["faces"]:
+        rays_n = [tuple(dot(lrow, ray) for lrow in length_rows) for ray in rays_m]
+        admits = np.array([primes._admitting(cat, n) for n in rays_n])
+        assert admits.all(axis=0).any(), choice
 
 
 @pytest.mark.parametrize(
@@ -613,7 +695,7 @@ def test_smaller_cones_are_faces_spanned_by_maximal_cone_rays(family, rank, n_sm
     """For every choice whose cone is not maximal, the maximal cones' rays on
     which its equations vanish satisfy its inequalities, include every
     extreme ray of the double description over all its rows, and span the
-    dimension the catalog records."""
+    dimension the Fraction oracle finds."""
     group = weyl_group(build_cartan(family, rank))
     cat = primes.build_catalog(group)
     pool = {ray for c in cat.clusters for ray in c.rays_m}
@@ -622,7 +704,7 @@ def test_smaller_cones_are_faces_spanned_by_maximal_cone_rays(family, rank, n_sm
     maximal = {c.choice for c in cat.clusters}
     choices = list(itertools.product(*[range(r.n_args) for r in cat.relations]))
     assert len(choices) - len(maximal) == n_smaller
-    for choice, dim in zip(choices, cat.dims, strict=True):
+    for choice, dim in zip(choices, oracle_of(family, rank)["dims"], strict=True):
         if choice in maximal:
             continue
         eq, ineq = choice_rows(group, relations, choice)
@@ -639,7 +721,17 @@ def test_smaller_cones_are_faces_spanned_by_maximal_cone_rays(family, rank, n_sm
 
 
 @pytest.mark.parametrize(
-    "family,rank,n_maximal", [("A", 2, 2), ("B", 2, 4), ("C", 2, 4), ("A", 3, 13), ("D", 3, 13)]
+    "family,rank,n_maximal",
+    [
+        ("A", 2, 2),
+        ("B", 2, 4),
+        ("C", 2, 4),
+        ("A", 3, 13),
+        ("D", 3, 13),
+        ("B", 3, 415),
+        ("C", 3, 415),
+        ("A", 4, 434),
+    ],
 )
 def test_fresh_build_runs_the_double_description_on_the_maximal_cones_only(
     family, rank, n_maximal, monkeypatch
@@ -658,7 +750,7 @@ def test_fresh_build_runs_the_double_description_on_the_maximal_cones_only(
     assert catalog.n_maximal == n_maximal
 
 
-@pytest.mark.parametrize("family,rank", CATALOG_GROUPS)
+@pytest.mark.parametrize("family,rank", CATALOG_GROUPS + WALK_GROUPS)
 def test_clusters_tile_the_orthant(family, rank):
     """Each facet of a cluster's chart cone off the orthant walls n_k = 0 is
     a facet of exactly one other cluster, with the opposite normal: the
@@ -668,24 +760,25 @@ def test_clusters_tile_the_orthant(family, rank):
     group = weyl_group(build_cartan(family, rank))
     cat = primes.build_catalog(group)
     length_rows = length_rows_of(group)
-    facets = []  # per cluster: {normal: its zero rays}
+    rank_of = functools.cache(lambda zero: cones.rank(sorted(zero)))
+    facets = []  # per cluster: (normal, its zero rays)
     for c in cat.clusters:
         rays_n = [tuple(dot(lrow, ray) for lrow in length_rows) for ray in c.rays_m]
-        found = {}
+        found = []
         for row in c.ineq_rows_n:
             zero = frozenset(ray for ray in rays_n if dot(row, ray) == 0)
-            if zero and fraction_rank(list(zero)) == group.m - 1:
-                found[row] = zero
+            if len(zero) >= group.m - 1 and rank_of(zero) == group.m - 1:
+                found.append((row, zero))
         facets.append(found)
+    holders = {}  # (normal, zero rays): the clusters with that facet
     for t, found in enumerate(facets):
-        for row, zero in found.items():
+        for facet in found:
+            holders.setdefault(facet, []).append(t)
+    for t, found in enumerate(facets):
+        for row, zero in found:
             if sorted(row) == [0] * (group.m - 1) + [1]:  # an orthant wall
                 continue
-            across = [
-                s
-                for s, other in enumerate(facets)
-                if s != t and other.get(tuple(-v for v in row)) == zero
-            ]
+            across = [s for s in holders.get((tuple(-v for v in row), zero), []) if s != t]
             assert len(across) == 1, (cat.clusters[t].choice, row)
 
 
@@ -708,6 +801,34 @@ def test_hilbert_basis_matches_pairwise_oracle_in_catalog_builds(family, rank, m
         assert sumset(rays, ineq_rows) == pairwise_hilbert_basis(rays, ineq_rows)
 
 
+@pytest.mark.parametrize(
+    "family,rank,boxes",
+    [("B", 3, [34560, 34560, 34560, 38880]), ("C", 3, [28800, 34560, 34560])],
+)
+def test_hilbert_basis_matches_box_oracle_on_the_smallest_boxes(family, rank, boxes):
+    """The three clusters with the fewest points in the box under their ray
+    sum, among those that are not simplicial and unimodular, and in B3 the
+    one with the fewest among those with more generators than rays (in C3
+    that box holds 103,680 points, about 3.5 s for the oracle)."""
+    group = weyl_group(build_cartan(family, rank))
+    length_rows = length_rows_of(group)
+    sized = []
+    for c in primes.build_catalog(group).clusters:
+        rays = [tuple(dot(lrow, ray) for lrow in length_rows) for ray in c.rays_m]
+        if len(rays) == group.m and abs(fraction_det(rays)) == 1:
+            continue
+        sized.append((math.prod(sum(col) + 1 for col in zip(*rays)), rays, c))
+    sized.sort(key=lambda item: item[0])
+    picked = sized[:3]
+    if len(boxes) > 3:
+        picked.append(next(item for item in sized if len(item[2].gens_n) > len(item[1])))
+    assert [box for box, _, _ in picked] == boxes
+    for _, rays, c in picked:
+        want = box_hilbert_basis(rays, list(c.ineq_rows_n))
+        assert cones.hilbert_basis(rays, list(c.ineq_rows_n)) == want
+        assert sorted(c.gens_n) == want
+
+
 nonneg_spans = st.integers(2, 4).flatmap(
     lambda d: st.lists(
         st.lists(st.integers(0, 3), min_size=d, max_size=d), min_size=d, max_size=6
@@ -726,6 +847,26 @@ def test_hilbert_basis_matches_pairwise_oracle_on_small_cones(gens_dim):
     rays = cones.extreme_rays(rows, dim)
     assume(np.prod([sum(r[j] for r in rays) + 1 for j in range(dim)]) <= 600)
     assert cones.hilbert_basis(rays, rows) == pairwise_hilbert_basis(rays, rows)
+
+
+wider_spans = st.integers(4, 6).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(0, 2), min_size=d, max_size=d), min_size=d + 1, max_size=8
+    ).map(lambda gens: (gens, d))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wider_spans)
+def test_hilbert_basis_matches_box_oracle_on_random_cones(gens_dim):
+    """Dimensions 4 to 6, where the pulling triangulation recurses through
+    faces of faces, and boxes of up to 40,000 points."""
+    gens, dim = gens_dim
+    assume(fraction_rank(gens) == dim)
+    rows = cones.extreme_rays(gens, dim)
+    rays = cones.extreme_rays(rows, dim)
+    assume(math.prod(sum(r[j] for r in rays) + 1 for j in range(dim)) <= 40_000)
+    assert cones.hilbert_basis(rays, rows) == box_hilbert_basis(rays, rows)
 
 
 def _parts(catalog, found):

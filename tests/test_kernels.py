@@ -30,14 +30,6 @@ def brute_combinations(parts, target):
     return sorted(out)
 
 
-def brute_box(bounds, ineqs):
-    out = []
-    for x in itertools.product(*(range(b + 1) for b in bounds)):
-        if all(sum(q * v for q, v in zip(row, x)) >= 0 for row in ineqs):
-            out.append(x)
-    return sorted(out)
-
-
 def test_combinations_frozen_a2():
     parts = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.int64)
     target = np.array([1, 1], dtype=np.int64)
@@ -50,13 +42,6 @@ def test_combinations_empty_target():
     parts = np.array([[1, 0], [0, 1]], dtype=np.int64)
     assert K.count_nonneg_combinations(parts, np.array([0, 0])) == 1
     assert K.count_nonneg_combinations(parts, np.array([-1, 0])) == 0
-
-
-def test_box_frozen():
-    bounds = np.array([2, 2], dtype=np.int64)
-    ineqs = np.array([[1, -1]], dtype=np.int64)  # x >= y
-    pts = K.filter_box_points(bounds, ineqs)
-    assert pts.tolist() == [[0, 0], [1, 0], [1, 1], [2, 0], [2, 1], [2, 2]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,29 +65,6 @@ def test_combinations_match_bruteforce_and_each_other(parts_target):
     rows = K.enumerate_nonneg_combinations(p, t)
     assert [tuple(r) for r in rows.tolist()] == expected
     assert K.count_nonneg_combinations(p, t) == len(expected)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda r: st.tuples(
-            st.lists(st.integers(0, 3), min_size=r, max_size=r),
-            st.lists(
-                st.lists(st.integers(-2, 2), min_size=r, max_size=r),
-                min_size=0,
-                max_size=4,
-            ),
-        )
-    )
-)
-def test_box_matches_bruteforce_and_each_other(bounds_ineqs):
-    bounds, ineqs = bounds_ineqs
-    b = np.array(bounds, dtype=np.int64)
-    q = np.array(ineqs, dtype=np.int64).reshape(len(ineqs), len(bounds))
-    expected = brute_box(bounds, ineqs)
-    pts = K.filter_box_points(b, q)
-    assert [tuple(r) for r in pts.tolist()] == expected
-
 
 
 def test_count_without_materialising_rows():

@@ -25,7 +25,6 @@ from test_cone_oracle import choice_rows, value_relations
 def test_a2_catalog_shape(a2):
     cat = primes.build_catalog(a2)
     assert cat.n_choices == 2
-    assert cat.dims == (3, 3)
     assert cat.n_maximal == 2
     assert len(cat.primes) == 4
     assert [p.label for p in cat.primes] == ["P1", "P2", "P3", "P4"]
@@ -143,9 +142,37 @@ def test_relations_recorded(b2):
     assert kinds == {"octagon"}
 
 
-def test_choice_guard(b3):
-    with pytest.raises(ValueError, match="limit"):
-        primes.build_catalog(b3)
+def test_choice_guard(monkeypatch):
+    """D4, B4 and C4 have more than MAX_M positive roots: refused before
+    the index table, let alone the walk."""
+
+    def refused(group):
+        raise AssertionError("the guard let the build start")
+
+    monkeypatch.setattr(primes, "index_table", refused)
+    for family, rank, m in [("D", 4, 12), ("B", 4, 16), ("C", 4, 16)]:
+        group = WeylGroup(build_cartan(family, rank))
+        with pytest.raises(ValueError, match=f"{m} positive roots, above the prime catalog limit"):
+            primes.build_catalog(group)
+        assert group._catalog is None
+
+
+def test_cli_refuses_a_catalog_above_the_limit(capsys):
+    assert main(["primes", "D", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: D4 has 12 positive roots, above the prime catalog limit of 10\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family,rank,n_maximal,n_primes", [("B", 3, 415, 100), ("C", 3, 415, 98), ("A", 4, 434, 40)]
+)
+def test_rank3_and_a4_catalog_counts(family, rank, n_maximal, n_primes):
+    cat = primes.build_catalog(weyl_group(build_cartan(family, rank)))
+    assert cat.n_maximal == n_maximal
+    assert len(cat.primes) == n_primes
 
 
 @pytest.mark.parametrize("family", ["C", "A"])
@@ -366,6 +393,9 @@ PRIMES_SHA256 = {
     ("C", 2): "c1d0a7d49b278e390a4167b316f7771a356821869e9b2db73744da34eaf4631c",
     ("A", 3): "cda7301e978e615895a8a975d8ccfea5f3872581aeee5933fb632718b8dfeef4",
     ("D", 3): "ed6ac473bb01d216e751d646963a37b0afc4ec3de4629b2180db708d4fcf874d",
+    ("B", 3): "b893b3166eaee0d8348e640fb235a0d9994988575cda4ff09a788753eb941766",
+    ("C", 3): "1cdf01c302e7395f8a7a8c28ee2d032c3c6e30047dbf0a136f21a3c193a70f20",
+    ("A", 4): "ab73e03fa619d6c9d20f3309764204899465d48109442f8fa67b370924fd0d45",
 }
 
 
