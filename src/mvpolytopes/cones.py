@@ -16,13 +16,13 @@ the first independent rows (``_invert_first``), which carries the identity
 along.  :func:`primes.build_catalog` runs it once per maximal cone of its
 fan walk, on the cone's rows in the Lusztig chart.  ``hilbert_basis``
 triangulates the cone on its rays, with ray bitmasks as faces, and takes
-its candidates from the simplices' parallelepipeds, which one batched
-elimination of the simplices (``_adjugates``) gives.
+its candidates from the simplices' parallelepipeds, which the inverse of
+each simplex (``inverse``) generates.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 from operator import mul
 
 import numpy as np
@@ -268,40 +268,11 @@ def _pulled(face: int, facets: list[int], dim: int, memo: dict) -> list[int]:
     return memo[face]
 
 
-def _adjugates(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(d, adj)`` for a stack of nonsingular integer matrices: ``d[t]`` is
-    the determinant of ``mats[t]`` up to sign, and ``adj[t]`` is ``d[t]``
-    times its inverse.
-
-    One fraction-free Gauss-Jordan elimination of ``[A | I]`` runs on the
-    whole stack, pivoting on the first nonzero entry of each column.  Every
-    entry is a minor, at most the product of A's row sums of |a|, so it runs
-    in int64 where :func:`exact_dtype` allows and on Python ints past that.
-    """
-    s, m, _ = mats.shape
-    bound = max((prod(r) for r in np.abs(mats).sum(axis=2).tolist()), default=1)
-    dtype = exact_dtype(bound, 2 * bound)
-    a = np.concatenate([mats, np.broadcast_to(np.eye(m, dtype=np.int64), mats.shape)], axis=2)
-    a = a.astype(dtype)
-    at = np.arange(s)
-    prev = np.ones((s, 1, 1), dtype=dtype)
-    for k in range(m):
-        p = k + (a[:, k:, k] != 0).argmax(axis=1)
-        a[at, k], a[at, p] = a[at, p], a[at, k].copy()
-        pivot = a[:, k].copy()
-        if not pivot[:, k].all():
-            raise ValueError("matrix is singular")
-        a = (pivot[:, None, k, None] * a - a[:, :, k, None] * pivot[:, None, :]) // prev
-        a[:, k] = pivot
-        prev = pivot[:, None, k, None]
-    return prev.ravel(), a[:, :, m:]
-
-
 def _box_points(cols: list[Vec], den: int, adj) -> list[Vec]:
     """The nonzero lattice points sum_i l_i cols[i] with every l_i in [0, 1),
-    where ``adj`` is +-den times the inverse of the matrix of columns
-    ``cols``.  Their coefficient vectors times den are the subgroup of
-    (Z/den)^m that the columns of adj generate."""
+    where ``adj / den`` is the inverse of the matrix of columns ``cols``.
+    Their coefficient vectors times den are the subgroup of (Z/den)^m that
+    the columns of adj generate."""
     group = {(0,) * len(cols)}
     for gen in zip(*adj):  # add gen until the group is closed under it
         while (more := {tuple((a + g) % den for a, g in zip(p, gen)) for p in group}) - group:
@@ -344,11 +315,12 @@ def hilbert_basis(rays: list[Vec], ineq_rows: list[Vec]) -> list[Vec]:
         [j for j, b in enumerate(bits) if simplex & b]
         for simplex in _pulled(sum(bits), _maximal(masks), dim, {})
     ]
-    dets, adjs = _adjugates(ray_array[simplices].transpose(0, 2, 1))
     points: dict[Vec, None] = {}
-    for simplex, d, adj in zip(simplices, dets.tolist(), adjs.tolist()):
-        if abs(d) > 1:
-            points.update(dict.fromkeys(_box_points([rays[j] for j in simplex], abs(d), adj)))
+    for simplex in simplices:
+        cols = [rays[j] for j in simplex]
+        den, num = inverse(list(zip(*cols)))
+        if den > 1:
+            points.update(dict.fromkeys(_box_points(cols, den, num)))
     # the rows span, so no other candidate has a candidate's values
     values = matmul(np.array([*rays, *points], dtype=np.int64), rows.T)
     below = [(values[t] >= values).all(axis=1).sum() for t in range(len(rays), len(values))]

@@ -497,34 +497,6 @@ def test_det_and_inverse_match_fraction_elimination(mat):
     assert [[Fraction(v, den) for v in row] for row in num] == want
 
 
-stacks = st.tuples(
-    st.integers(1, 6).flatmap(
-        lambda q: st.lists(
-            st.lists(st.lists(st.integers(-3, 3), min_size=q, max_size=q), min_size=q, max_size=q),
-            min_size=1,
-            max_size=4,
-        )
-    ),
-    st.sampled_from([1, 2**20, 2**40]),  # 2**40 takes the Python-int path
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(stacks)
-def test_batched_adjugates_match_fraction_elimination(stack_scale):
-    stack, scale = stack_scale
-    mats = np.array(stack, dtype=np.int64) * scale
-    dets = [fraction_det(m) for m in mats.tolist()]
-    if not all(dets):
-        with pytest.raises(ValueError, match="singular"):
-            cones._adjugates(mats)
-        return
-    d, adj = cones._adjugates(mats)
-    assert [abs(v) for v in d.tolist()] == [abs(v) for v in dets]
-    for dt, at, m in zip(d.tolist(), adj.tolist(), mats.tolist()):
-        assert [[Fraction(v, dt) for v in row] for row in at] == fraction_invert(m)
-
-
 rows_dim = st.integers(1, 5).flatmap(
     lambda d: st.lists(
         st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=8

@@ -166,15 +166,6 @@ def test_cli_refuses_a_catalog_above_the_limit(capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "family,rank,n_maximal,n_primes", [("B", 3, 415, 100), ("C", 3, 415, 98), ("A", 4, 434, 40)]
-)
-def test_rank3_and_a4_catalog_counts(family, rank, n_maximal, n_primes):
-    cat = primes.build_catalog(weyl_group(build_cartan(family, rank)))
-    assert cat.n_maximal == n_maximal
-    assert len(cat.primes) == n_primes
-
-
 @pytest.mark.parametrize("family", ["C", "A"])
 def test_decompose_rejects_a_catalog_of_another_cartan_datum(b2, family):
     group = weyl_group(build_cartan(family, 2))
