@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lusztig
 from .cartan import CartanDatum, _integers
-from .tables import FACE_RELATIONS, IndexTable, Row, by_relation, check_sums, index_table
+from .tables import FACE_RELATIONS, IndexTable, by_relation, check_sums, index_table
 from .weyl import FACE_KINDS, WeylElement, WeylGroup, weyl_group
 
 
@@ -95,13 +95,6 @@ def _values(group: WeylGroup, datum: BZDatum) -> tuple[int, ...]:
 
 
 # -- edge inequalities --------------------------------------------------------
-
-
-def _dot(row: Row, x) -> int:
-    total = 0
-    for t, c in row:
-        total += c * x[t]
-    return total
 
 
 def edge_length(group: WeylGroup, datum: BZDatum, w: WeylElement, i: int) -> int:

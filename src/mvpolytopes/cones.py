@@ -1,4 +1,4 @@
-"""Exact polyhedral-cone routines: nullspaces, extreme rays by double
+"""Exact polyhedral-cone routines: ranks and inverses, extreme rays by double
 description, and Hilbert bases of pointed rational cones with nonnegative rays.
 
 Everything runs over integers.  Elimination is fraction-free (Bareiss), so a
@@ -88,21 +88,6 @@ def _eliminate(rows, width: int):
 def rank(rows) -> int:
     rows = list(rows)
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
-
-
-def nullspace(rows, width: int) -> list[Vec]:
-    """Primitive integer basis of {x : row . x = 0 for all rows}, one vector per
-    free column of the reduced row echelon form, with +1 direction there."""
-    _, pivots, reduced, d = _eliminate(rows, width)
-    sign = 1 if d > 0 else -1
-    basis = []
-    for f in sorted(set(range(width)) - set(pivots)):
-        vec = [0] * width
-        vec[f] = d
-        for p, red in zip(pivots, reduced):
-            vec[p] = -red[f]
-        basis.append(primitive([sign * v for v in vec]))
-    return basis
 
 
 def _invert_first(rows, dim: int):

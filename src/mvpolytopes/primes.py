@@ -26,13 +26,15 @@ its rays, and one Hilbert basis per maximal cone its primes.  Only the
 maximal cones are ever visited, so the number of face choices (about
 1.4e8 in B3 and C3) costs nothing; ``MAX_M`` bounds the walk instead.
 
-:func:`decompose` reads a datum's Lusztig data n along the reference word
-off the catalog's edge rows, then finds its cluster in two numpy calls: one
-int64 product of every cluster's chart rows, stacked, with n, and one
-``np.minimum.reduceat`` for the least value per cluster; the first cluster
-whose least value is nonnegative admits n.  The product runs in int64 while
-max(n) times the largest row norm stays below 2**62 (:func:`cones.exact_dtype`),
-and on Python ints past that.  The cluster's generator counts, and the check
+:func:`decompose` reads everything off the datum's check sums, the one
+product :func:`bz.validate` also runs.  A valid datum lies in the cone of a
+choice exactly when each relation takes its minimum at the chosen argument,
+that is, when the chosen columns' sums are zero; so its cluster is the first
+in catalog order whose chosen columns are all zero, one gather from the
+catalog's ``(clusters, R)`` array of chosen columns.  A datum on a wall
+between cones has several zero arguments and lies in every cluster whose
+choice picks one of them.  The sums of the edge columns along the reference
+word are its Lusztig data n.  The cluster's generator counts, and the check
 that their multiples sum back to the datum, finish it.
 """
 
@@ -50,12 +52,10 @@ import numpy as np
 from . import bz, cones, polytope
 from .bz import BZDatum
 from .cartan import CartanDatum
-from .cones import exact_dtype
 from .tables import (
     FACE_RELATIONS,
     RELATION_ARGS,
     IndexTable,
-    Row,
     _edge_columns,
     by_relation,
     check_sums,
@@ -120,25 +120,16 @@ class Catalog:
     clusters: tuple[Cluster, ...]
     primes: tuple[PrimePolytope, ...]
     relations: tuple[Relation, ...]
-    # the edge rows along the reference word, sparse over the values tuple:
-    # row k dotted with a datum's values is its Lusztig datum n_k
-    lengths: tuple[Row, ...] = field(repr=False, compare=False)
-    # the chamber indices of Lambda_1..Lambda_r, the bottom vertex's chamber
-    # weights
-    bottom: tuple[int, ...] = field(repr=False, compare=False)
-    # derived from clusters: their chart rows stacked, where each starts, and
-    # the largest sum of |coef| of a row; and from primes, each by its label
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _starts: np.ndarray = field(init=False, repr=False, compare=False)
-    _norm: int = field(init=False, repr=False, compare=False)
+    # derived from clusters: the relation column k R + r of each one's chosen
+    # argument k per relation r, as an intp (clusters, R) array; and from
+    # primes, each by its label
+    _chosen: np.ndarray = field(init=False, repr=False, compare=False)
     _by_label: dict[str, PrimePolytope] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = [row for c in self.clusters for row in c.ineq_rows_n]
-        starts = np.cumsum([0, *(len(c.ineq_rows_n) for c in self.clusters)])[:-1]
-        object.__setattr__(self, "_rows", np.array(rows, dtype=np.int64))
-        object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_norm", max((sum(map(abs, r)) for r in rows), default=0))
+        shape = (len(self.clusters), len(self.relations))
+        choices = np.array([c.choice for c in self.clusters], dtype=np.intp).reshape(shape)
+        object.__setattr__(self, "_chosen", choices * shape[1] + np.arange(shape[1]))
         object.__setattr__(self, "_by_label", {p.label: p for p in self.primes})
 
     @property
@@ -214,41 +205,26 @@ def _check_matrix(table: IndexTable, size: int) -> np.ndarray:
     return checks
 
 
-def _admitting(catalog: Catalog, n) -> np.ndarray:
-    """Boolean (clusters,) array: cluster t's chart rows admit the Lusztig
-    datum n.
-
-    One product of the stacked chart rows with n, then the least value per
-    cluster.  n is nonnegative, so the product's dtype
-    (:func:`cones.exact_dtype`) follows from its maximum and the rows' norm:
-    int64 below the bound, Python ints past it.  The catalog has a cluster.
-    """
-    dtype = exact_dtype(max(n), catalog._norm)
-    values = catalog._rows.astype(dtype, copy=False) @ np.array(n, dtype=dtype)
-    return np.minimum.reduceat(values, catalog._starts) >= 0
-
-
-def _cluster_of(catalog: Catalog, target: Vec) -> Cluster | None:
-    """The first cluster whose chart rows admit the Lusztig datum ``target``,
-    or None."""
-    if catalog.clusters:
-        admits = _admitting(catalog, target)
-        t = admits.argmax()  # the first admitting cluster, if any admits
-        if admits[t]:
-            return catalog.clusters[t]
-    return None
+def _gaps(table: IndexTable, sums: np.ndarray) -> np.ndarray:
+    """The relation columns of the check sums as ``(RELATION_ARGS, R)``: [k, r]
+    is arg_k - lhs of relation r, how far argument k lies above the minimum.
+    In a valid datum every gap is nonnegative, and argument k attains the
+    minimum exactly where its gap is zero.  This is
+    :func:`tables.by_relation`'s layout transposed, so that flat position
+    k R + r is check column E + k R + r, the numbering of ``Catalog._chosen``."""
+    return sums[table.n_edges :].reshape(RELATION_ARGS, -1)
 
 
 def _choice_at(table: IndexTable, real: np.ndarray, n: Vec) -> Vec | None:
     """The argument at which each relation takes its minimum in the datum
     with Lusztig data n along the reference word, or None at a tie.
 
-    ``real[r, k]`` says whether relation r has an argument k (a hexagon's
+    ``real[k, r]`` says whether relation r has an argument k (a hexagon's
     check columns repeat its last)."""
-    zero = (by_relation(table, check_sums(table, table.assemble(n))) == 0) & real
-    if (zero.sum(1) != 1).any():
+    zero = (_gaps(table, check_sums(table, table.assemble(n))) == 0) & real
+    if (zero.sum(0) != 1).any():
         return None
-    return tuple(zero.argmax(1).tolist())
+    return tuple(zero.argmax(0).tolist())
 
 
 class _Cone(NamedTuple):
@@ -301,7 +277,7 @@ def _walk(group: WeylGroup, table: IndexTable, checks, edge, layout, relations):
     A cone met on the way, at a tie-free point, is maximal and kept too.
     """
     m = group.m
-    real = np.arange(RELATION_ARGS) < np.array([rel.n_args for rel in relations])[:, None]
+    real = np.arange(RELATION_ARGS)[:, None] < np.array([rel.n_args for rel in relations])
     pins = table.chamber_array[0]
     rng = random.Random(0)
     for _ in range(_PROBES):
@@ -381,7 +357,6 @@ def build_catalog(group: WeylGroup) -> Catalog:
     checks = _check_matrix(table, len(group.chamber_weights()))
     # the edge lengths along the reference word: its Lusztig data
     edge = _edge_columns(group, group.reference_word)
-    length_rows = checks[edge]
     # [r, k]: the check column of argument k of relation r
     layout = by_relation(table, np.arange(len(checks)))
     walked = _walk(group, table, checks, edge, layout, relations)
@@ -432,10 +407,6 @@ def build_catalog(group: WeylGroup) -> Catalog:
         clusters=tuple(clusters),
         primes=primes,
         relations=relations,
-        lengths=tuple(
-            tuple((x, c) for x, c in enumerate(row) if c) for row in length_rows.tolist()
-        ),
-        bottom=tuple(table.chamber_array[0].tolist()),
     )
     group._catalog = catalog
     return catalog
@@ -450,25 +421,22 @@ def decompose(
 ) -> tuple[tuple[PrimePolytope, int], ...]:
     """Write a polytope as a Minkowski sum of primes with multiplicities.
 
-    The datum must be normalized (bottom vertex at the origin) and valid.  A
-    valid datum is fixed by its Lusztig data n along the reference word, so it
-    lies in a maximal cone exactly when that cone's chart rows admit n.  The
-    catalog holds what every datum reads: the bottom vertex's chamber indices,
-    the edge rows along the reference word and the primes by label.
+    The datum must be normalized (bottom vertex at the origin) and valid; its
+    cluster and Lusztig data come from its check sums (:func:`_locate`).
     """
     M = bz._values(group, datum)
     if catalog is None:
         catalog = build_catalog(group)
     elif catalog.cartan != group.cartan:
         raise ValueError("catalog belongs to a different Cartan datum")
+    table = index_table(group)
     # mu1 = sum_i M_{Lambda_i} alpha_i^vee vanishes iff every M_{Lambda_i} does
-    if any([M[x] for x in catalog.bottom]):
+    if any([M[x] for x in table.chamber_array[0].tolist()]):
         raise ValueError("decompose needs a normalized datum (bottom vertex 0)")
     report = bz.validate(group, datum)
     if not report.is_valid:
         raise ValueError("cannot decompose invalid data: " + "; ".join(report.lines()))
-    target = tuple([bz._dot(row, M) for row in catalog.lengths])
-    cluster = _cluster_of(catalog, target)
+    target, cluster = _locate(group, table, catalog, M)
     if cluster is None:
         raise RuntimeError(f"no maximal cone contains the datum with {_where(group, target)}")
     counts = cluster._solver.solve(target)
@@ -491,6 +459,25 @@ def decompose(
             f"not to the datum {M} with {_where(group, target, cluster)}"
         )
     return tuple(out)
+
+
+def _locate(
+    group: WeylGroup, table: IndexTable, catalog: Catalog, M: tuple[int, ...]
+) -> tuple[Vec, Cluster | None]:
+    """The Lusztig data n along the reference word of the valid values M,
+    and the first cluster in catalog order whose chosen arguments all attain
+    their relations' minima there (zero gaps, :func:`_gaps`), or None; both
+    from one product of check sums."""
+    sums = check_sums(table, M)
+    # the assembly program's m edge steps come first: step k solves the
+    # edge (w_{k-1}, i_k) of the reference word, whose length is n_k
+    target = tuple(sums[table.program.columns[: group.m, 0]].tolist())
+    if catalog.clusters:
+        missed = _gaps(table, sums).take(catalog._chosen).any(1)
+        t = missed.argmin()  # the first cluster whose chosen gaps all vanish, if one's do
+        if not missed[t]:
+            return target, catalog.clusters[t]
+    return target, None
 
 
 def _where(group: WeylGroup, target, cluster: Cluster | None = None) -> str:

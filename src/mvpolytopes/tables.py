@@ -162,11 +162,9 @@ def check_sums(table: IndexTable, M: tuple[int, ...]) -> np.ndarray:
     """Every check row's value at the values tuple M, one per column, from
     one product.  Each is bounded by max|M| times the largest absolute row
     sum, which picks the dtype (:func:`cones.exact_dtype`)."""
-    dtype = exact_dtype(max(max(M), -min(M)), table.check_norm)
-    return (
-        np.array(M, dtype=dtype)[table.check_index]
-        * table.check_coef.astype(dtype, copy=False)
-    ).sum(0)
+    values = np.array(M, dtype=exact_dtype(max(max(M), -min(M)), table.check_norm))
+    # on Python ints the int64 coefficients are taken as Python ints too
+    return (values[table.check_index] * table.check_coef).sum(0)
 
 
 def _build(group: WeylGroup) -> IndexTable:

@@ -193,7 +193,6 @@ class WeylGroup:
         self.rank = cartan.rank
         self._letters = frozenset(range(1, self.rank + 1))
         self._build()
-        self._reduced_words: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._braid_graph: BraidGraph | None = None
         self._chambers: tuple[ChamberWeight, ...] | None = None
         self._faces: tuple[Face, ...] | None = None
@@ -352,25 +351,7 @@ class WeylGroup:
         self.cartan._check_index(i)
         return Coweight(self.cartan, tuple(self._comats[self._row(w), :, i - 1].tolist()))
 
-    # -- reduced words and word data ------------------------------------
-
-    def reduced_words(self, w: WeylElement) -> tuple[tuple[int, ...], ...]:
-        """All reduced words of w, lexicographically sorted.
-
-        The words of w are the words of w s_i followed by i, over the right
-        descents i of w (those with l(w s_i) < l(w)).
-        """
-        memo, t = self._reduced_words, self._row(w)
-        if t not in memo:
-            els = self._elements
-            lower = [
-                (i, els[u])
-                for i, u in enumerate(self._right_array[t].tolist(), 1)
-                if els[u].length < w.length
-            ]
-            words = sorted(head + (i,) for i, u in lower for head in self.reduced_words(u))
-            memo[t] = tuple(words) if lower else ((),)  # the identity has no descents
-        return memo[t]
+    # -- the reference word and word data -------------------------------
 
     @property
     def reference_word(self) -> tuple[int, ...]:
@@ -473,10 +454,6 @@ class WeylGroup:
     def chamber_index(self, coords: tuple[int, ...]) -> int:
         self.chamber_weights()
         return self._chamber_index[coords]
-
-    def weyl_orbit(self, lam: Weight) -> tuple[Weight, ...]:
-        images = self._mats @ np.array(self._coords(lam, Weight), dtype=object)
-        return tuple(Weight(self.cartan, c) for c in sorted(set(map(tuple, images.tolist()))))
 
     # -- 2-faces ----------------------------------------------------------
 

@@ -2,7 +2,7 @@
 assembly program against the transport plan it replaced.
 
 ``loop_braid_graph`` lists the reduced words of w0 with
-``WeylGroup.reduced_words`` and finds every braid move by slicing each word
+``test_weyl.reduced_words`` and finds every braid move by slicing each word
 in Python; ``loop_parents`` grows ``lusztig.parent_tree`` breadth first over
 that adjacency.  ``loop_plan`` grows a transport plan over it, on tuples and
 bit masks: a chain of braid moves from the reference word through stops
@@ -25,6 +25,7 @@ from mvpolytopes.cartan import build_cartan
 from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import BraidEdge, WeylGroup, weyl_group
 from test_assembly_oracle import n_to_partial_M, random_data
+from test_weyl import reduced_words
 
 GROUPS = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -38,7 +39,7 @@ def loop_braid_graph(group):
     """(words, adjacency): the reduced words of w0 in lexicographic order and,
     per word, its braid moves in order of position."""
     a = group.cartan.a
-    words = group.reduced_words(group.w0)
+    words = reduced_words(group, group.w0)
     node_set = set(words)
     adjacency = {}
     for word in words:

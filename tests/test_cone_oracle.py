@@ -16,7 +16,10 @@ and read the table's check rows; its rows come from ``Weight`` objects
 ``search_decompose`` finds the first cluster whose chart rows admit the
 Lusztig data and searches every generator, largest multiple first, pruning
 remainders outside the cone: both as ``cones`` and ``primes`` ran them
-before they moved onto int64 arrays.  ``box_hilbert_basis`` is the box
+before they moved onto int64 arrays.  ``admitting`` and ``cluster_of`` find
+that cluster as ``decompose`` did before it read the datum's check sums:
+one product of every cluster's chart rows, stacked (``stack_of``), with the
+Lusztig data, and the least value per cluster.  ``box_hilbert_basis`` is the box
 route on int64 arrays that ``cones.hilbert_basis`` ran before it
 triangulated the cone.  None of them calls the fraction-free elimination,
 ``cones.extreme_rays``, ``cones.hilbert_basis`` or ``cones.matmul``.
@@ -28,6 +31,7 @@ import math
 import time
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -36,6 +40,8 @@ from hypothesis import strategies as st
 
 from mvpolytopes import bz, cones, polytope, primes
 from mvpolytopes.cartan import build_cartan
+from mvpolytopes.cones import exact_dtype
+from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
 from test_assembly_oracle import edge_pairs, edge_row, relation_rows
 
@@ -331,6 +337,46 @@ def search_decompose(catalog, n):
     return t, counts
 
 
+class Stack(NamedTuple):
+    """Every cluster's chart rows stacked as int64, where each cluster's rows
+    start, and the largest sum of |coef| of a row."""
+
+    rows: np.ndarray
+    starts: np.ndarray
+    norm: int
+
+
+def stack_of(catalog) -> Stack:
+    rows = [row for c in catalog.clusters for row in c.ineq_rows_n]
+    starts = np.cumsum([0, *(len(c.ineq_rows_n) for c in catalog.clusters)])[:-1]
+    norm = max((sum(map(abs, r)) for r in rows), default=0)
+    return Stack(np.array(rows, dtype=np.int64), starts, norm)
+
+
+def admitting(stack: Stack, n) -> np.ndarray:
+    """Boolean (clusters,) array: cluster t's chart rows admit the Lusztig
+    datum n.
+
+    One product of the stacked chart rows with n, then the least value per
+    cluster.  n is nonnegative, so the product's dtype
+    (:func:`cones.exact_dtype`) follows from its maximum and the rows' norm:
+    int64 below the bound, Python ints past it.  The stack has a cluster.
+    """
+    dtype = exact_dtype(max(n), stack.norm)
+    values = stack.rows.astype(dtype, copy=False) @ np.array(n, dtype=dtype)
+    return np.minimum.reduceat(values, stack.starts) >= 0
+
+
+def cluster_of(catalog, stack: Stack, n):
+    """The first cluster whose chart rows admit the Lusztig datum n, or None."""
+    if catalog.clusters:
+        admits = admitting(stack, n)
+        t = admits.argmax()  # the first admitting cluster, if any admits
+        if admits[t]:
+            return catalog.clusters[t]
+    return None
+
+
 def value_relations(group):
     """Dense ``(lhs, args)`` rows of every hexagon and octagon relation, in
     ``group.two_faces`` order and then ``tables.FACE_RELATIONS`` order."""
@@ -476,10 +522,9 @@ squares = st.integers(1, 8).flatmap(
 
 @settings(max_examples=150, deadline=None)
 @given(matrices)
-def test_rank_and_nullspace_match_fraction_elimination(rows_width):
-    rows, width = rows_width
+def test_rank_matches_fraction_elimination(rows_width):
+    rows, _ = rows_width
     assert cones.rank(rows) == fraction_rank(rows)
-    assert cones.nullspace(rows, width) == fraction_nullspace(rows, width)
 
 
 @settings(max_examples=150, deadline=None)
@@ -619,6 +664,7 @@ def test_chart_rows_contain_the_rays_value_space_rows_contain(family, rank):
     size = len(group.chamber_weights())
     length_rows = length_rows_of(group)
     relations = value_relations(group)
+    stack = stack_of(cat)
     value_rows = []
     for c in cat.clusters:
         eq, ineq = choice_rows(group, relations, c.choice)
@@ -637,7 +683,7 @@ def test_chart_rows_contain_the_rays_value_space_rows_contain(family, rank):
             for t, (eq_c, ineq_c) in enumerate(value_rows)
             if (eq_c @ rays_m.T == 0).all() and (ineq_c @ rays_m.T >= 0).all()
         ]
-        admits = np.array([primes._admitting(cat, n) for n in rays_n])
+        admits = np.array([admitting(stack, n) for n in rays_n])
         by_chart = np.flatnonzero(admits.all(axis=0)).tolist()
         assert by_chart == by_values, choice
         assert by_chart == [
@@ -653,10 +699,11 @@ def test_fresh_catalog_build_finds_every_cone_covered(family, rank):
     fill."""
     group = WeylGroup(build_cartan(family, rank))
     cat = primes.build_catalog(group)
+    stack = stack_of(cat)
     length_rows = length_rows_of(group)
     for choice, rays_m in oracle_of(family, rank)["faces"]:
         rays_n = [tuple(dot(lrow, ray) for lrow in length_rows) for ray in rays_m]
-        admits = np.array([primes._admitting(cat, n) for n in rays_n])
+        admits = np.array([admitting(stack, n) for n in rays_n])
         assert admits.all(axis=0).any(), choice
 
 
@@ -870,6 +917,25 @@ def test_decompose_matches_search_oracle(family, rank, n_wide):
     wide = [t for t, c in enumerate(catalog.clusters) if len(c.gens_n) > group.m]
     assert len(wide) == n_wide
     assert all(hits[t] for t in wide), hits
+
+
+@pytest.mark.parametrize("family,rank", CATALOG_GROUPS[1:] + WALK_GROUPS)
+def test_lookup_finds_the_first_admitting_cluster(family, rank):
+    """decompose's lookup by chosen columns against the stacked chart rows on
+    200 seeded data with entries 0 to 5: the same Lusztig data, and the same
+    first cluster in catalog order, also on the data that lie in several
+    clusters (ties), of which there are some."""
+    group = weyl_group(build_cartan(family, rank))
+    table = index_table(group)
+    catalog = primes.build_catalog(group)
+    stack = stack_of(catalog)
+    tied = 0
+    for n, datum in _pool(group, 200, 20261020):
+        target, cluster = primes._locate(group, table, catalog, datum.values)
+        assert target == n
+        assert cluster is cluster_of(catalog, stack, n), n
+        tied += int(admitting(stack, n).sum()) > 1
+    assert tied > 0
 
 
 small_generators = st.integers(1, 3).flatmap(

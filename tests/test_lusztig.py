@@ -11,6 +11,7 @@ from mvpolytopes.cartan import build_cartan
 from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import BraidEdge, WeylGroup
 from test_assembly_oracle import coweight_of
+from test_weyl import reduced_words
 
 
 def edges_of(group):
@@ -175,7 +176,7 @@ def test_transitions_preserve_coweight_a3(a3ns):
 
 
 def test_transport_path_independent_spot(a3):
-    words = a3.reduced_words(a3.w0)
+    words = reduced_words(a3, a3.w0)
     src = a3.reference_word
     n = (1, 0, 2, 1, 0, 3)
     for dst in words:
@@ -187,7 +188,7 @@ def test_transport_path_independent_spot(a3):
 
 
 def test_word_path_connects_all_words(a3):
-    words = a3.reduced_words(a3.w0)
+    words = reduced_words(a3, a3.w0)
     src = a3.reference_word
     for dst in words:
         path = lusztig.word_path(a3, src, dst)

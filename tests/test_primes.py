@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +17,9 @@ from mvpolytopes import bz, polytope, primes
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.cli import main
 from mvpolytopes.cones import exact_dtype
+from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
-from test_cone_oracle import choice_rows, value_relations
+from test_cone_oracle import admitting, choice_rows, cluster_of, stack_of, value_relations
 
 
 def test_a2_catalog_shape(a2):
@@ -333,35 +333,41 @@ def test_decompose_errors_name_the_lusztig_data_and_the_cluster(family, rank):
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("A", 3)])
 def test_admitting_is_exact_at_the_int64_bound(family, rank):
-    """Data that fill a chart row with b where its coefficient is positive and
-    0 elsewhere, so they stay nonnegative, for b on both sides of the int64
-    bound of the product, at a row value of 2**63, and past int64."""
-    cat = primes.build_catalog(weyl_group(build_cartan(family, rank)))
-    rows = cat._rows.tolist()
-    assert cat._norm == max(sum(map(abs, row)) for row in rows)
+    """decompose's lookup against the stacked oracle on data whose Lusztig
+    data fill a chart row with b where its coefficient is positive and 0
+    elsewhere, so they stay nonnegative, for b just under and just over the
+    int64 bound of the check sums, at a chart row value of 2**63, and past
+    int64."""
+    group = weyl_group(build_cartan(family, rank))
+    table = index_table(group)
+    cat = primes.build_catalog(group)
+    stack = stack_of(cat)
+    rows = stack.rows.tolist()
     top = max(sum(c for c in row if c > 0) for row in rows)
-    bounds = [((1 << 62) - 1) // cat._norm, -(-(1 << 62) // cat._norm), -(-(1 << 63) // top)]
-    # the first two bounds sit just under and just over the int64 limit of
-    # decompose's single-datum lookup
-    assert [exact_dtype(b, cat._norm) for b in bounds[:2]] == [np.int64, object]
-    for b in [*bounds, 1 << 70]:
-        ns = [tuple(b if c > 0 else 0 for c in row) for row in rows]
-        want = [
-            [all(sum(map(mul, r, n)) >= 0 for r in c.ineq_rows_n) for n in ns]
-            for c in cat.clusters
+    for pattern in sorted({tuple(int(c > 0) for c in row) for row in rows}):
+        # assembly is positively homogeneous, so the values of b * pattern
+        # reach b * peak in absolute value
+        peak = max(map(abs, table.assemble(pattern)))
+        limit = peak * table.check_norm
+        bounds = [((1 << 62) - 1) // limit, -(-(1 << 62) // limit), -(-(1 << 63) // top)]
+        assert [exact_dtype(b * peak, table.check_norm) for b in bounds[:2]] == [
+            np.int64,
+            object,
         ]
-        assert [primes._admitting(cat, n).tolist() for n in ns] == [*map(list, zip(*want))]
-        # the same on Python ints, which _admitting uses past the bound
-        on_objects = np.minimum.reduceat(
-            cat._rows.astype(object) @ np.array(ns, dtype=object).T, cat._starts, axis=0
-        ) >= 0
-        assert on_objects.tolist() == want
-        for j, n in enumerate(ns):
-            first = next((c for c, admits in zip(cat.clusters, on_objects[:, j]) if admits), None)
-            got = primes._cluster_of(cat, n)
-            assert got is first
-            if first is not None:
-                assert got._solver.solve(n) == first._solver.solve(n)
+        for b in [*bounds, 1 << 70]:
+            n = tuple(b * v for v in pattern)
+            M = table.assemble(n)
+            assert max(map(abs, M)) == b * peak
+            want = cluster_of(cat, stack, n)
+            # the oracle on Python ints, which it switches to past its own bound
+            on_objects = np.minimum.reduceat(
+                stack.rows.astype(object) @ np.array(n, dtype=object), stack.starts
+            ) >= 0
+            assert admitting(stack, n).tolist() == on_objects.tolist()
+            assert want is next(c for c, a in zip(cat.clusters, on_objects) if a)
+            assert primes._locate(group, table, cat, M) == (n, want)
+            parts = primes.decompose(group, bz.BZDatum(group.cartan, M), cat)
+            assert {p.label for p, _ in parts} <= set(want.labels)
 
 
 def test_derived_lookup_and_solve_data_follow_replace(b2):
@@ -370,11 +376,12 @@ def test_derived_lookup_and_solve_data_follow_replace(b2):
     narrow = dataclasses.replace(wide, labels=wide.labels[1:], gens_n=wide.gens_n[1:])
     assert narrow._solver.free == () and wide._solver.free == wide.gens_n[:1]
     single = dataclasses.replace(cat, clusters=(narrow,))
-    assert single._rows.tolist() == [list(row) for row in narrow.ineq_rows_n]
+    R = len(cat.relations)
+    assert single._chosen.tolist() == [[k * R + r for r, k in enumerate(narrow.choice)]]
     with pytest.raises(ValueError):
         dataclasses.replace(wide, _solver=narrow._solver)
     with pytest.raises(ValueError):
-        dataclasses.replace(cat, _rows=single._rows)
+        dataclasses.replace(cat, _chosen=single._chosen)
 
 
 PRIMES_SHA256 = {
