@@ -165,17 +165,17 @@ def validate(group: WeylGroup, datum: BZDatum) -> ValidationReport:
     """
     M = _values(group, datum)
     if datum._report is None:
-        object.__setattr__(datum, "_report", _check(group, index_table(group), M))
+        table = index_table(group)
+        object.__setattr__(datum, "_report", _report(group, table, check_sums(table, M)))
     return datum._report
 
 
-def _check(group: WeylGroup, table: IndexTable, M: tuple[int, ...]) -> ValidationReport:
-    """The report of the values M, from one product over the check rows
-    (:func:`tables.check_sums`).  A violated edge is named from
+def _report(group: WeylGroup, table: IndexTable, sums: np.ndarray) -> ValidationReport:
+    """The report of a datum from its check sums (:func:`tables.check_sums`,
+    one product over the check rows).  A violated edge is named from
     ``group._ascents``, whose row-major order is the edge block's, and a
     violated face from its (t, i, j) row in ``table.faces``.
     """
-    sums = check_sums(table, M)
     lengths = sums[: table.n_edges]
     # per relation lhs = min(args), the residual min(args) - lhs
     residuals = by_relation(table, sums).min(1)

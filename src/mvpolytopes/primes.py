@@ -26,16 +26,20 @@ its rays, and one Hilbert basis per maximal cone its primes.  Only the
 maximal cones are ever visited, so the number of face choices (about
 1.4e8 in B3 and C3) costs nothing; ``MAX_M`` bounds the walk instead.
 
-:func:`decompose` reads everything off the datum's check sums, the one
-product :func:`bz.validate` also runs.  A valid datum lies in the cone of a
-choice exactly when each relation takes its minimum at the chosen argument,
-that is, when the chosen columns' sums are zero; so its cluster is the first
-in catalog order whose chosen columns are all zero, one gather from the
-catalog's ``(clusters, R)`` array of chosen columns.  A datum on a wall
-between cones has several zero arguments and lies in every cluster whose
-choice picks one of them.  The sums of the edge columns along the reference
-word are its Lusztig data n.  The cluster's generator counts, and the check
-that their multiples sum back to the datum, finish it.
+:func:`decompose` computes the datum's check sums once, the product
+:func:`bz.validate` runs, and reads everything off them: the validation
+report, kept on the datum as ``validate`` keeps it, and the cluster.  A valid
+datum lies in the cone of a choice exactly when each relation takes its
+minimum at the chosen argument, that is, when the chosen columns' sums are
+zero; so its cluster is the first in catalog order whose chosen columns are
+all zero, one gather from the catalog's ``(clusters, R)`` array of chosen
+columns.  A datum on a wall between cones has several zero arguments and lies
+in every cluster whose choice picks one of them.  The sums of the edge
+columns along the reference word are its Lusztig data n.  The cluster's
+generator counts (:class:`_Solver`: a closed form where the last m generators
+are independent, else a search pruned by the cluster's chart rows) and the
+certificate finish it: one product of the counts with the cluster's
+``(generators, chamber weights)`` matrix of prime values must give the datum.
 """
 
 from __future__ import annotations
@@ -106,11 +110,11 @@ class Cluster:
     gens_n: tuple[Vec, ...]  # generator edge-length vectors, aligned with labels
     rays_m: tuple[Vec, ...]  # the extreme rays in value space, sorted
     ineq_rows_n: tuple[Vec, ...]
-    # derived from gens_n, see _Solver
+    # derived from gens_n and ineq_rows_n, see _Solver
     _solver: "_Solver" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_solver", _Solver(self.gens_n))
+        object.__setattr__(self, "_solver", _Solver(self.gens_n, self.ineq_rows_n))
 
 
 @dataclass(frozen=True)
@@ -121,16 +125,32 @@ class Catalog:
     primes: tuple[PrimePolytope, ...]
     relations: tuple[Relation, ...]
     # derived from clusters: the relation column k R + r of each one's chosen
-    # argument k per relation r, as an intp (clusters, R) array; and from
-    # primes, each by its label
+    # argument k per relation r, as an intp (clusters, R) array; from primes,
+    # each by its label; and from both, per cluster the read-only int64
+    # (generators, chamber weights) matrix of its primes' values in label
+    # order, with its largest column sum of absolute values
     _chosen: np.ndarray = field(init=False, repr=False, compare=False)
     _by_label: dict[str, PrimePolytope] = field(init=False, repr=False, compare=False)
+    _gen_values: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _gen_norms: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = (len(self.clusters), len(self.relations))
         choices = np.array([c.choice for c in self.clusters], dtype=np.intp).reshape(shape)
         object.__setattr__(self, "_chosen", choices * shape[1] + np.arange(shape[1]))
-        object.__setattr__(self, "_by_label", {p.label: p for p in self.primes})
+        by_label = {p.label: p for p in self.primes}
+        object.__setattr__(self, "_by_label", by_label)
+        size = len(self.primes[0].datum.values) if self.primes else 0
+        matrices = []
+        for c in self.clusters:
+            values = [by_label[label].datum.values for label in c.labels]
+            values = np.array(values, dtype=np.int64).reshape(len(values), size)
+            values.flags.writeable = False
+            matrices.append(values)
+        object.__setattr__(self, "_gen_values", tuple(matrices))
+        object.__setattr__(
+            self, "_gen_norms", tuple(int(np.abs(g).sum(0).max(initial=0)) for g in matrices)
+        )
 
     @property
     def n_maximal(self) -> int:
@@ -144,13 +164,16 @@ class _Solver:
     every cluster of A2, B2, A3 and D3, with ``den`` 1 or 2), they are the
     tail, solved with one integer inverse ``(den, num)``: the counts of the
     tail are ``num . rem / den`` for the remainder ``rem`` the leading (free)
-    generators leave.  Otherwise every generator is free and the tail empty.
+    generators leave.  Otherwise every generator is free and the tail empty,
+    and the cone's chart rows ``rows`` prune the search: the generators lie
+    in the cone (``rows . g >= 0``), so a remainder outside it is no sum of
+    multiples of them, and no multiple is tried that would leave one.
     Free generators are tried largest multiple first, so the counts are the
     lexicographically largest solution; since the tail solution is unique,
     the last free generator's largest feasible multiple comes in closed form.
     """
 
-    def __init__(self, gens: tuple[Vec, ...]):
+    def __init__(self, gens: tuple[Vec, ...], rows: tuple[Vec, ...]):
         m = len(gens[0]) if gens else 0
         tail = gens[len(gens) - m :] if len(gens) >= m else ()
         try:
@@ -159,34 +182,48 @@ class _Solver:
             tail, den, num = (), 1, []
         self.free = gens[: len(gens) - len(tail)]
         self.den = den
-        self.num = num
-        # num . g per free generator: what one more g takes off num . rem
-        self.steps = [[sum(map(mul, row, g)) for row in num] for g in self.free]
+        self.tail = bool(num)
+        # the rows whose values a = rows . rem the search carries: the tail's
+        # num, or else the cone's chart rows
+        self.rows = num if self.tail else list(rows)
+        # row . g per free generator: what one more g takes off a
+        self.steps = [[sum(map(mul, row, g)) for row in self.rows] for g in self.free]
 
     def solve(self, target: Vec) -> list[int] | None:
         """The counts, free generators first, or None when there are none."""
-        return self._search(0, target, [sum(map(mul, row, target)) for row in self.num])
+        return self._search(0, target, [sum(map(mul, row, target)) for row in self.rows])
 
     def _search(self, pos: int, rem, a: list[int]) -> list[int] | None:
-        # a = num . rem, so the tail's counts are a / den
+        # with a tail, a = num . rem, so the tail's counts are a / den
         den = self.den
         if pos == len(self.free):
-            if not self.num:
+            if not self.tail:
                 return None if any(rem) else []
-            if any(v < 0 or v % den for v in a):
+            if min(a) < 0 or (den > 1 and any(v % den for v in a)):
                 return None
-            return [v // den for v in a]
+            return a if den == 1 else [v // den for v in a]
         g, b = self.free[pos], self.steps[pos]
-        hi = min(r // v for r, v in zip(rem, g) if v > 0)
-        lo = 0
-        if pos == len(self.free) - 1:
-            # the tail needs a - c b >= 0, which bounds c from above where
-            # b > 0, and divisible by den, a congruence of period den: the
-            # largest feasible c is among the den values up to the bound, or
-            # there is none
-            hi = min([hi, *(av // bv for av, bv in zip(a, b) if bv > 0)])
-            lo = max(0, hi - den + 1)
-        for c in range(hi, lo - 1, -1):
+        if self.tail and pos == len(self.free) - 1:
+            # the tail needs a - c b >= 0 and divisible by den.  The first
+            # bounds c from above where b > 0, and some b is: g and the tail
+            # generators are nonzero and nonnegative, so some coefficient b / den
+            # of g in the tail is positive.  The second is a congruence of
+            # period den, so the largest feasible c is among the den values up
+            # to the bound, or there is none.  Nonnegative tail counts sum to a
+            # nonnegative remainder, so rem needs no bound here, and the tail
+            # does not read it.
+            hi = min([av // bv for av, bv in zip(a, b) if bv > 0])
+            for c in range(hi, max(0, hi - den + 1) - 1, -1):
+                counts = self._search(pos + 1, rem, [av - c * bv for av, bv in zip(a, b)])
+                if counts is not None:
+                    return [c, *counts]
+            return None
+        hi = min([r // v for r, v in zip(rem, g) if v > 0])
+        if not self.tail:
+            # every generator lies in the cone, so what the later ones sum to
+            # does too: a - c b >= 0, which bounds c from above where b > 0
+            hi = min([hi, *[av // bv for av, bv in zip(a, b) if bv > 0]])
+        for c in range(hi, -1, -1):
             counts = self._search(
                 pos + 1,
                 [r - c * v for r, v in zip(rem, g)],
@@ -422,23 +459,29 @@ def decompose(
     """Write a polytope as a Minkowski sum of primes with multiplicities.
 
     The datum must be normalized (bottom vertex at the origin) and valid; its
-    cluster and Lusztig data come from its check sums (:func:`_locate`).
+    validation report, cluster and Lusztig data come from one product of
+    check sums (:func:`_locate`), and the certificate from one more.
     """
     M = bz._values(group, datum)
     if catalog is None:
         catalog = build_catalog(group)
-    elif catalog.cartan != group.cartan:
+    elif catalog.cartan is not group.cartan and catalog.cartan != group.cartan:
         raise ValueError("catalog belongs to a different Cartan datum")
     table = index_table(group)
     # mu1 = sum_i M_{Lambda_i} alpha_i^vee vanishes iff every M_{Lambda_i} does
     if any([M[x] for x in table.chamber_array[0].tolist()]):
         raise ValueError("decompose needs a normalized datum (bottom vertex 0)")
-    report = bz.validate(group, datum)
+    sums = check_sums(table, M)
+    report = datum._report
+    if report is None:  # kept on the datum, as bz.validate keeps it
+        report = bz._report(group, table, sums)
+        object.__setattr__(datum, "_report", report)
     if not report.is_valid:
         raise ValueError("cannot decompose invalid data: " + "; ".join(report.lines()))
-    target, cluster = _locate(group, table, catalog, M)
-    if cluster is None:
+    target, t = _locate(group, table, catalog, sums)
+    if t is None:
         raise RuntimeError(f"no maximal cone contains the datum with {_where(group, target)}")
+    cluster = catalog.clusters[t]
     counts = cluster._solver.solve(target)
     if counts is None:
         raise RuntimeError(
@@ -446,37 +489,37 @@ def decompose(
             + _where(group, target, cluster)
         )
     by_label = catalog._by_label
-    out = []
-    total = [0] * len(M)
-    for label, count in zip(cluster.labels, counts):
-        if count:
-            prime = by_label[label]
-            out.append((prime, count))
-            total = [t + count * v for t, v in zip(total, prime.datum.values)]
-    if tuple(total) != M:
+    out = tuple(
+        (by_label[label], count) for label, count in zip(cluster.labels, counts) if count
+    )
+    # the certificate: the multiples of the primes' values sum to the datum;
+    # each sum is at most the largest count times a column's |value| sum
+    dtype = cones.exact_dtype(max(counts, default=0), catalog._gen_norms[t])
+    values = catalog._gen_values[t].astype(dtype, copy=False)
+    total = tuple((np.array(counts, dtype=dtype) @ values).tolist())
+    if total != M:
         raise RuntimeError(
-            f"prime multiples {[(p.label, c) for p, c in out]} sum to {tuple(total)}, "
+            f"prime multiples {[(p.label, c) for p, c in out]} sum to {total}, "
             f"not to the datum {M} with {_where(group, target, cluster)}"
         )
-    return tuple(out)
+    return out
 
 
 def _locate(
-    group: WeylGroup, table: IndexTable, catalog: Catalog, M: tuple[int, ...]
-) -> tuple[Vec, Cluster | None]:
-    """The Lusztig data n along the reference word of the valid values M,
-    and the first cluster in catalog order whose chosen arguments all attain
-    their relations' minima there (zero gaps, :func:`_gaps`), or None; both
-    from one product of check sums."""
-    sums = check_sums(table, M)
+    group: WeylGroup, table: IndexTable, catalog: Catalog, sums: np.ndarray
+) -> tuple[Vec, int | None]:
+    """The Lusztig data n along the reference word of a valid datum with check
+    sums ``sums``, and the index of the first cluster in catalog order whose
+    chosen arguments all attain their relations' minima there (zero gaps,
+    :func:`_gaps`), or None."""
     # the assembly program's m edge steps come first: step k solves the
     # edge (w_{k-1}, i_k) of the reference word, whose length is n_k
     target = tuple(sums[table.program.columns[: group.m, 0]].tolist())
     if catalog.clusters:
         missed = _gaps(table, sums).take(catalog._chosen).any(1)
-        t = missed.argmin()  # the first cluster whose chosen gaps all vanish, if one's do
+        t = int(missed.argmin())  # the first cluster whose chosen gaps all vanish, if one's do
         if not missed[t]:
-            return target, catalog.clusters[t]
+            return target, t
     return target, None
 
 

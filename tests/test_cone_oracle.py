@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 from mvpolytopes import bz, cones, polytope, primes
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.cones import exact_dtype
-from mvpolytopes.tables import index_table
+from mvpolytopes.tables import check_sums, index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
 from test_assembly_oracle import edge_pairs, edge_row, relation_rows
 
@@ -919,6 +919,25 @@ def test_decompose_matches_search_oracle(family, rank, n_wide):
     assert all(hits[t] for t in wide), hits
 
 
+@pytest.mark.parametrize("family,rank", WALK_GROUPS)
+def test_decompose_matches_search_oracle_at_rank_3_and_4(family, rank):
+    """300 seeded data with entries 0 to 5, on the catalogs the tiling test
+    builds anyway: the same primes and multiples as the search, summing back
+    to the datum, also in the clusters whose last m generators are dependent,
+    where the solver's search is pruned by the chart rows."""
+    group = weyl_group(build_cartan(family, rank))
+    catalog = primes.build_catalog(group)
+    dependent = 0
+    for n, datum in _pool(group, 300, 20261021):
+        found = search_decompose(catalog, n)
+        parts = primes.decompose(group, datum, catalog)
+        assert parts == _parts(catalog, found), n
+        scaled = (polytope.scale(group, p.datum, c) for p, c in parts)
+        assert polytope.minkowski_sum(group, *scaled) == datum
+        dependent += not catalog.clusters[found[0]]._solver.tail
+    assert dependent > 0
+
+
 @pytest.mark.parametrize("family,rank", CATALOG_GROUPS[1:] + WALK_GROUPS)
 def test_lookup_finds_the_first_admitting_cluster(family, rank):
     """decompose's lookup by chosen columns against the stacked chart rows on
@@ -931,9 +950,9 @@ def test_lookup_finds_the_first_admitting_cluster(family, rank):
     stack = stack_of(catalog)
     tied = 0
     for n, datum in _pool(group, 200, 20261020):
-        target, cluster = primes._locate(group, table, catalog, datum.values)
+        target, t = primes._locate(group, table, catalog, check_sums(table, datum.values))
         assert target == n
-        assert cluster is cluster_of(catalog, stack, n), n
+        assert catalog.clusters[t] is cluster_of(catalog, stack, n), n
         tied += int(admitting(stack, n).sum()) > 1
     assert tied > 0
 
@@ -961,7 +980,7 @@ def test_solver_counts_are_the_search_oracle_counts(gens_mults_extra):
     )
     counts = [0] * len(gens)
     want = counts if _search((), gens, counts, 0, target) else None
-    assert primes._Solver(tuple(gens)).solve(target) == want
+    assert primes._Solver(tuple(gens), ()).solve(target) == want
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])

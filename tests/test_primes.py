@@ -17,7 +17,7 @@ from mvpolytopes import bz, polytope, primes
 from mvpolytopes.cartan import build_cartan
 from mvpolytopes.cli import main
 from mvpolytopes.cones import exact_dtype
-from mvpolytopes.tables import index_table
+from mvpolytopes.tables import check_sums, index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
 from test_cone_oracle import admitting, choice_rows, cluster_of, stack_of, value_relations
 
@@ -133,6 +133,33 @@ def test_decompose_rejects_unnormalized_and_invalid(a2):
     )
     with pytest.raises(ValueError):
         primes.decompose(a2, bad)
+
+
+def test_decompose_runs_one_check_sum_product_and_keeps_the_report(b2, monkeypatch):
+    """A fresh datum is validated and located from one product, and keeps the
+    report validate would have made; a validated one is not validated again."""
+    cat = primes.build_catalog(b2)
+    made = bz.from_lusztig(b2, b2.reference_word, (1, 0, 2, 1))
+    products = []
+
+    def counted(table, M):
+        products.append(M)
+        return check_sums(table, M)
+
+    monkeypatch.setattr(primes, "check_sums", counted)
+    monkeypatch.setattr(bz, "check_sums", counted)
+    fresh = bz.BZDatum(b2.cartan, polytope.normalize(b2, made).values)
+    parts = primes.decompose(b2, fresh, cat)
+    assert len(products) == 1 and fresh._report is bz.validate(b2, fresh)
+    assert fresh._report.is_valid and len(products) == 1
+    assert primes.decompose(b2, fresh, cat) == parts and len(products) == 2
+    values = list(fresh.values)
+    values[-1] += 1
+    bad, again = (bz.BZDatum(b2.cartan, tuple(values)) for _ in range(2))
+    with pytest.raises(ValueError, match="cannot decompose invalid data"):
+        primes.decompose(b2, bad, cat)
+    assert len(products) == 3 and not bad._report.is_valid
+    assert bad._report == bz.validate(b2, again) and len(products) == 4
 
 
 def test_relations_recorded(b2):
@@ -365,7 +392,8 @@ def test_admitting_is_exact_at_the_int64_bound(family, rank):
             ) >= 0
             assert admitting(stack, n).tolist() == on_objects.tolist()
             assert want is next(c for c, a in zip(cat.clusters, on_objects) if a)
-            assert primes._locate(group, table, cat, M) == (n, want)
+            t = cat.clusters.index(want)
+            assert primes._locate(group, table, cat, check_sums(table, M)) == (n, t)
             parts = primes.decompose(group, bz.BZDatum(group.cartan, M), cat)
             assert {p.label for p, _ in parts} <= set(want.labels)
 
@@ -375,13 +403,31 @@ def test_derived_lookup_and_solve_data_follow_replace(b2):
     wide = next(c for c in cat.clusters if len(c.gens_n) > b2.m)
     narrow = dataclasses.replace(wide, labels=wide.labels[1:], gens_n=wide.gens_n[1:])
     assert narrow._solver.free == () and wide._solver.free == wide.gens_n[:1]
+    assert narrow._solver.tail and wide._solver.tail
+    # the last m generators repeat one: no tail, and the chart rows bound the search
+    repeated = dataclasses.replace(wide, gens_n=wide.gens_n[1:-1] + wide.gens_n[:1] * 2)
+    assert not repeated._solver.tail and repeated._solver.free == repeated.gens_n
+    assert repeated._solver.rows == list(wide.ineq_rows_n)
+    unpruned = dataclasses.replace(repeated, ineq_rows_n=())
+    assert unpruned._solver.rows == [] and unpruned._solver.steps == [[]] * len(wide.gens_n)
     single = dataclasses.replace(cat, clusters=(narrow,))
     R = len(cat.relations)
     assert single._chosen.tolist() == [[k * R + r for r, k in enumerate(narrow.choice)]]
+    # the generator-value matrices follow the clusters' labels
+    for c in (cat, single):
+        assert len(c._gen_values) == len(c._gen_norms) == len(c.clusters)
+        for cluster, values, norm in zip(c.clusters, c._gen_values, c._gen_norms):
+            want = [cat._by_label[label].datum.values for label in cluster.labels]
+            assert values.dtype == np.int64 and not values.flags.writeable
+            assert values.tolist() == list(map(list, want))
+            assert norm == max(sum(abs(row[j]) for row in want) for j in range(len(want[0])))
+    assert single._gen_values[0].tolist() == cat._gen_values[cat.clusters.index(wide)][1:].tolist()
     with pytest.raises(ValueError):
         dataclasses.replace(wide, _solver=narrow._solver)
     with pytest.raises(ValueError):
         dataclasses.replace(cat, _chosen=single._chosen)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cat, _gen_values=single._gen_values)
 
 
 PRIMES_SHA256 = {
