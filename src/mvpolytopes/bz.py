@@ -178,7 +178,7 @@ def _report(group: WeylGroup, table: IndexTable, sums: np.ndarray) -> Validation
     """
     lengths = sums[: table.n_edges]
     # per relation lhs = min(args), the residual min(args) - lhs
-    residuals = by_relation(table, sums).min(1)
+    residuals = by_relation(table, sums).min(0)
     if lengths.min() >= 0 and not residuals.any():
         return _VALID
     t, i = np.nonzero(group._ascents)

@@ -56,15 +56,7 @@ import numpy as np
 from . import bz, cones, polytope
 from .bz import BZDatum
 from .cartan import CartanDatum
-from .tables import (
-    FACE_RELATIONS,
-    RELATION_ARGS,
-    IndexTable,
-    _edge_columns,
-    by_relation,
-    check_sums,
-    index_table,
-)
+from .tables import FACE_RELATIONS, RELATION_ARGS, IndexTable, by_relation, check_sums, index_table
 from .weyl import Face, WeylGroup
 
 Vec = tuple[int, ...]
@@ -108,7 +100,6 @@ class Cluster:
     choice: Vec  # chosen argument per relation
     labels: tuple[str, ...]
     gens_n: tuple[Vec, ...]  # generator edge-length vectors, aligned with labels
-    rays_m: tuple[Vec, ...]  # the extreme rays in value space, sorted
     ineq_rows_n: tuple[Vec, ...]
     # derived from gens_n and ineq_rows_n, see _Solver
     _solver: "_Solver" = field(init=False, repr=False, compare=False)
@@ -234,31 +225,14 @@ class _Solver:
         return None
 
 
-def _check_matrix(table: IndexTable, size: int) -> np.ndarray:
-    """The table's check rows as dense int64 rows over the values tuple."""
-    checks = np.zeros((table.check_coef.shape[1], size), dtype=np.int64)
-    columns = np.arange(checks.shape[0])[None, :]
-    np.add.at(checks, (columns, table.check_index), table.check_coef)
-    return checks
-
-
-def _gaps(table: IndexTable, sums: np.ndarray) -> np.ndarray:
-    """The relation columns of the check sums as ``(RELATION_ARGS, R)``: [k, r]
-    is arg_k - lhs of relation r, how far argument k lies above the minimum.
-    In a valid datum every gap is nonnegative, and argument k attains the
-    minimum exactly where its gap is zero.  This is
-    :func:`tables.by_relation`'s layout transposed, so that flat position
-    k R + r is check column E + k R + r, the numbering of ``Catalog._chosen``."""
-    return sums[table.n_edges :].reshape(RELATION_ARGS, -1)
-
-
 def _choice_at(table: IndexTable, real: np.ndarray, n: Vec) -> Vec | None:
     """The argument at which each relation takes its minimum in the datum
     with Lusztig data n along the reference word, or None at a tie.
 
     ``real[k, r]`` says whether relation r has an argument k (a hexagon's
-    check columns repeat its last)."""
-    zero = (_gaps(table, check_sums(table, table.assemble(n))) == 0) & real
+    check columns repeat its last).  A relation's minimum is at argument k
+    exactly where its gap arg_k - lhs (:func:`tables.by_relation`) is zero."""
+    zero = (by_relation(table, check_sums(table, table.assemble(n))) == 0) & real
     if (zero.sum(0) != 1).any():
         return None
     return tuple(zero.argmax(0).tolist())
@@ -268,10 +242,10 @@ class _Cone(NamedTuple):
     """A maximal cone of the walk: its certified back map and chart rows."""
 
     back: np.ndarray  # int64 (values, m): the datum of n is back @ n on the cone
-    rows: tuple[Vec, ...]  # the distinct primitive nonzero rows of checks @ back, sorted
+    rows: tuple[Vec, ...]  # the distinct primitive nonzero check rows at back, sorted
 
 
-def _cone(table, checks, edge, pins, chosen, point: Vec) -> _Cone:
+def _cone(table, edge, pins, chosen, point: Vec) -> _Cone:
     """The maximal cone whose interior holds the tie-free ``point``, chosen
     rows at the columns ``chosen``.
 
@@ -280,14 +254,20 @@ def _cone(table, checks, edge, pins, chosen, point: Vec) -> _Cone:
     the cone; K doubles until the map is certified: the edge rows along the
     reference word read n back (length rows @ back = I), and the bottom
     vertex's values and the chosen rows vanish.  Those make back @ n a valid
-    datum with Lusztig data n wherever the chart rows admit n.
+    datum with Lusztig data n wherever the chart rows admit n.  The check rows
+    are evaluated at the m columns of back through the table's gather pair,
+    in int64; each entry is at most max|back| times ``check_norm``, and past
+    :func:`cones.exact_dtype`'s bound for that it raises OverflowError.
     """
     m = len(point)
     for _ in range(_PROBES):
         base = table.assemble(point)
         steps = [table.assemble((*point[:k], point[k] + 1, *point[k + 1 :])) for k in range(m)]
         back = np.array([[a - b for a, b in zip(s, base)] for s in steps], dtype=np.int64).T
-        product = cones.matmul(checks, back)
+        size = cones._absmax(back)
+        if cones.exact_dtype(size, table.check_norm) is object:
+            raise OverflowError(f"int64 product bound {size * table.check_norm} reaches 2**62")
+        product = (back[table.check_index] * table.check_coef[:, :, None]).sum(0)
         if (
             (product[edge] == np.eye(m, dtype=np.int64)).all()
             and not back[pins].any()
@@ -300,7 +280,7 @@ def _cone(table, checks, edge, pins, chosen, point: Vec) -> _Cone:
     raise RuntimeError(f"no certified back map near the Lusztig data {point}")
 
 
-def _walk(group: WeylGroup, table: IndexTable, checks, edge, layout, relations):
+def _walk(group: WeylGroup, table: IndexTable, edge, layout, relations):
     """The maximal cones in the Lusztig chart, breadth first across their
     facets, as ``{choice: (cone, rays)}`` with the chart rays.
 
@@ -330,8 +310,8 @@ def _walk(group: WeylGroup, table: IndexTable, checks, edge, layout, relations):
 
     def found_at(choice, point):
         if choice not in cones_of:
-            chosen = layout[relation, np.array(choice, dtype=np.intp)]
-            cones_of[choice] = _cone(table, checks, edge, pins, chosen, point)
+            chosen = layout[np.array(choice, dtype=np.intp), relation]
+            cones_of[choice] = _cone(table, edge, pins, chosen, point)
             queue.append(choice)
         return cones_of[choice]
 
@@ -391,21 +371,20 @@ def build_catalog(group: WeylGroup) -> Catalog:
         for face in group.two_faces(("hexagon", "octagon"))
         for k, (_, args) in enumerate(FACE_RELATIONS[face.kind])
     )
-    checks = _check_matrix(table, len(group.chamber_weights()))
-    # the edge lengths along the reference word: its Lusztig data
-    edge = _edge_columns(group, group.reference_word)
-    # [r, k]: the check column of argument k of relation r
-    layout = by_relation(table, np.arange(len(checks)))
-    walked = _walk(group, table, checks, edge, layout, relations)
-    prime_data: dict[tuple[int, ...], BZDatum] = {}
-    assembled: dict[Vec, BZDatum] = {}  # by generator: clusters share most of theirs
+    # the edge lengths along the reference word, its Lusztig data: the check
+    # columns the program's m edge steps solve
+    edge = table.program.columns[: group.m, 0]
+    # [k, r]: the check column of argument k of relation r
+    layout = by_relation(table, np.arange(table.check_index.shape[1]))
+    walked = _walk(group, table, edge, layout, relations)
+    # the primes, by generator: clusters share most of theirs, and distinct
+    # Lusztig data along the reference word give distinct polytopes
+    assembled: dict[Vec, BZDatum] = {}
     raw_clusters = []
     for choice in sorted(walked):
         (back, rows_n), rays_n = walked[choice]
-        rays_m = sorted(map(tuple, cones.matmul(rays_n, back.T).tolist()))
         gens = cones.hilbert_basis(rays_n, rows_n)
         gen_values = cones.matmul(np.reshape(gens, (len(gens), group.m)), back.T).tolist()
-        values = []
         for g, value in zip(gens, gen_values):
             datum = assembled.get(g)
             if datum is None:
@@ -415,25 +394,22 @@ def build_catalog(group: WeylGroup) -> Catalog:
                     f"choice {choice}: generator {g} maps to values that differ "
                     "from its assembly along the reference word"
                 )
-            values.append(datum.values)
-            prime_data.setdefault(datum.values, datum)
-        raw_clusters.append((choice, rays_m, rows_n, gens, values))
+        raw_clusters.append((choice, rows_n, gens))
 
-    coweights = {v: polytope.coweight(group, d).coords for v, d in prime_data.items()}
-    ordered = sorted(prime_data, key=lambda v: (coweights[v], v))
-    position = {v: t for t, v in enumerate(ordered)}
+    coweights = {g: polytope.coweight(group, d).coords for g, d in assembled.items()}
+    ordered = sorted(assembled, key=lambda g: (coweights[g], assembled[g].values))
+    position = {g: t for t, g in enumerate(ordered)}
     primes = tuple(
-        PrimePolytope(f"P{t + 1}", prime_data[v], coweights[v]) for t, v in enumerate(ordered)
+        PrimePolytope(f"P{t + 1}", assembled[g], coweights[g]) for t, g in enumerate(ordered)
     )
     clusters = []
-    for choice, rays_m, rows_n, gens, values in raw_clusters:
-        pairs = sorted((position[v], g) for g, v in zip(gens, values))
+    for choice, rows_n, gens in raw_clusters:
+        pairs = sorted((position[g], g) for g in gens)
         clusters.append(
             Cluster(
                 choice=tuple(choice),
                 labels=tuple(primes[t].label for t, _ in pairs),
                 gens_n=tuple(g for _, g in pairs),
-                rays_m=tuple(rays_m),
                 ineq_rows_n=rows_n,
             )
         )
@@ -510,13 +486,13 @@ def _locate(
 ) -> tuple[Vec, int | None]:
     """The Lusztig data n along the reference word of a valid datum with check
     sums ``sums``, and the index of the first cluster in catalog order whose
-    chosen arguments all attain their relations' minima there (zero gaps,
-    :func:`_gaps`), or None."""
+    chosen arguments all attain their relations' minima there (zero gaps
+    arg_k - lhs, :func:`tables.by_relation`), or None."""
     # the assembly program's m edge steps come first: step k solves the
     # edge (w_{k-1}, i_k) of the reference word, whose length is n_k
     target = tuple(sums[table.program.columns[: group.m, 0]].tolist())
     if catalog.clusters:
-        missed = _gaps(table, sums).take(catalog._chosen).any(1)
+        missed = by_relation(table, sums).take(catalog._chosen).any(1)
         t = int(missed.argmin())  # the first cluster whose chosen gaps all vanish, if one's do
         if not missed[t]:
             return target, t

@@ -16,8 +16,9 @@ first, one row per ascent (w, i), l(w s_i) > l(w), whose value is the edge
 length; it follows the row-major order of ``group._ascents``, so the column
 of (w, i) counts the ascents before it (:func:`_edge_columns`).  Then, for
 each min-relation lhs = min(args) of a hexagonal or octagonal 2-face, a row
-arg_k - lhs per argument k, laid out as :func:`by_relation` reads them (a
-hexagon repeats its last).  The relations are written once, in
+arg_k - lhs per argument k (a hexagon repeats its last), argument-major:
+:func:`by_relation` reads them as an ``(RELATION_ARGS, R)`` view, the only
+view of these columns.  The relations are written once, in
 :data:`FACE_RELATIONS`, over a face's chamber weights A..H.
 :func:`bz.validate` sums every column (:func:`check_sums`): a datum is valid
 when the edge lengths are nonnegative and the least sum over each relation's
@@ -121,8 +122,8 @@ class IndexTable:
     # [i - 1]: (j - 1, a_ji) for each j != i with a_ji != 0, Cartan column i
     cartan_columns: tuple[tuple[tuple[int, int], ...], ...]
     # intp (F, 3): (t, i, j) of the hexagons and octagons in group.two_faces
-    # order; their relations, in FACE_RELATIONS order per face, are the rows
-    # of ``by_relation``
+    # order; their relations, in FACE_RELATIONS order per face, are the
+    # columns r of ``by_relation``
     faces: np.ndarray
     negation: tuple[int, ...]  # [x]: chamber index of -gamma for chamber weight x
     program: Program  # shared by every table of the Cartan datum, as is ``assemble``
@@ -151,11 +152,13 @@ def index_table(group: WeylGroup) -> IndexTable:
 
 
 def by_relation(table: IndexTable, per_column: np.ndarray) -> np.ndarray:
-    """The relation columns of an array with one entry per check row, as an
-    ``(R, RELATION_ARGS)`` view whose entry [r][k] belongs to the row
-    arg_k - lhs of relation r.  Applied to the check sums it gives each
-    relation's residuals, and applied to the column numbers the columns."""
-    return per_column[table.n_edges :].reshape(RELATION_ARGS, -1).T
+    """The relation columns of an array with one entry per check row, as a
+    contiguous ``(RELATION_ARGS, R)`` view whose entry [k, r] belongs to the
+    row arg_k - lhs of relation r, so flat position k R + r is check column
+    E + k R + r.  Applied to the check sums it gives each relation's gaps,
+    how far argument k lies above the minimum (each relation's residual is
+    the least of its column), and applied to the column numbers the columns."""
+    return per_column[table.n_edges :].reshape(RELATION_ARGS, -1)
 
 
 def check_sums(table: IndexTable, M: tuple[int, ...]) -> np.ndarray:

@@ -10,19 +10,19 @@ both stacks; it carries its word and length but no copy of its action.  The
 right table comes from the walk's steps and is held once, as the int
 ``(|W|, r)`` array ``_right_array``: a step of a walk reads one entry with
 ``.item(t, i - 1)``, and a loop over the whole table takes a local
-``.tolist()`` that it does not keep.  Chamber weights, chamber indices, orbits,
-the index table's ``coaction`` and a word's data, its coroots and gammas as
-int ``(m, r)`` arrays, are read off the stacks.  ``Weight`` and ``Coweight``
-objects are made only at the API boundary: in ``w_lambda``, ``w_coroot``,
-``positive_*``, ``two_rho``, ``apply`` and the chamber weights.  The stacks are
-allocated at |W|, known in closed form from the Cartan type.
+``.tolist()`` that it does not keep.  Chamber weights, chamber indices, the
+index table's ``coaction`` and a word's coroots, an int ``(m, r)`` array,
+are read off the stacks.  ``Weight`` and ``Coweight`` objects are made only
+at the API boundary: in ``w_lambda``, ``w_coroot``, ``positive_*``,
+``two_rho``, ``apply`` and the chamber weights.  The stacks are allocated at
+|W|, known in closed form from the Cartan type.
 
 The braid graph is arrays too: the reduced words of w0 are found as the rows
 of an int ``(N, m)`` matrix, grown a letter a level through the right table,
 and kept as tuples; each braid move is a row of the ``(src, k, d, dst)`` move
 arrays, found by one window match per position k and looked up by the
-flipped word's radix-r key.  ``BraidEdge`` objects are made only where asked
-for: by ``BraidGraph.adjacency`` and by :func:`lusztig.parent_tree`.
+flipped word's radix-r key.  ``BraidEdge`` objects are made only by
+:mod:`lusztig`, for the moves of its parent tree and word paths.
 
 So are the 2-faces: ``_face_blocks`` gives per pair (i, j) the kind, the
 oriented pair and the int array of the faces' elements, which the index table
@@ -35,9 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -127,13 +125,11 @@ class Face:
 
 @dataclass(frozen=True)
 class WordData:
-    """Prefix path of a reduced word for w0, and its coroots and gammas as
-    rows of read-only int64 ``(m, r)`` arrays, which equality skips."""
+    """A reduced word for w0 and its coroots, as the rows of a read-only
+    int64 ``(m, r)`` array, which equality skips."""
 
     word: tuple[int, ...]
-    prefixes: tuple[WeylElement, ...]  # w_0 = e, w_1, ..., w_m
     coroots: np.ndarray = field(repr=False, compare=False)  # beta_k = w_{k-1} . alpha_{i_k}^vee
-    gammas: np.ndarray = field(repr=False, compare=False)  # gamma_k = w_k . Lambda_{i_k}
 
 
 @dataclass(frozen=True)
@@ -161,8 +157,6 @@ class BraidGraph:
     ``words`` are in lexicographic order.  Braid move e flips positions
     k[e]..k[e] + d[e] - 1 of word src[e] to give word dst[e]; the moves are
     sorted by (src, k), so word x's moves are ``starts[x]:starts[x + 1]``.
-    ``adjacency`` maps each word to those moves as :class:`BraidEdge`
-    objects, made on first access.
     """
 
     words: tuple[tuple[int, ...], ...]
@@ -171,18 +165,6 @@ class BraidGraph:
     d: np.ndarray = field(repr=False, compare=False)
     dst: np.ndarray = field(repr=False, compare=False)
     starts: np.ndarray = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def adjacency(self) -> Mapping[tuple[int, ...], tuple[BraidEdge, ...]]:
-        words = self.words
-        edges = [
-            BraidEdge(words[s], words[t], k, d)
-            for s, k, d, t in zip(*(a.tolist() for a in (self.src, self.k, self.d, self.dst)))
-        ]
-        starts = self.starts.tolist()
-        return MappingProxyType(
-            {word: tuple(edges[starts[x] : starts[x + 1]]) for x, word in enumerate(words)}
-        )
 
 
 class WeylGroup:
@@ -376,17 +358,15 @@ class WeylGroup:
         return path
 
     def word_data(self, word) -> WordData:
-        """The prefixes of a reduced word for w0, and its coroots and gammas
-        gathered as rows from the action stacks, made anew."""
+        """A reduced word for w0 and its coroots, gathered as rows from the
+        coweight action stack, made anew."""
         word = tuple(word)
         path = self._prefixes(word)
-        at, letters = np.array(path), np.subtract(word, 1)
-        coroots = self._comats[at[:-1], :, letters]
-        gammas = self._mats[at[1:], :, letters]
+        coroots = self._comats[path[:-1], :, np.subtract(word, 1)]
         if len(set(map(tuple, coroots.tolist()))) != self.m:
             raise RuntimeError(f"reduced word {word} repeats a coroot in its coroot sequence")
-        coroots.flags.writeable = gammas.flags.writeable = False
-        return WordData(word, tuple([self._elements[t] for t in path]), coroots, gammas)
+        coroots.flags.writeable = False
+        return WordData(word, coroots)
 
     @functools.cached_property
     def _coroot_rows(self) -> np.ndarray:

@@ -13,6 +13,7 @@ from mvpolytopes.cartan import build_cartan, pairing
 from mvpolytopes.weyl import weyl_group
 from test_assembly_oracle import coweight_of, edge_pairs, edge_row
 from test_sln import collapse_relations_hold
+from test_weyl import braid_adjacency
 
 
 def report(name, ok, detail):
@@ -54,8 +55,9 @@ def test_braid_coherence():
     g = weyl_group(build_cartan("A", 3))
     ref = g.reference_word
     graph = g.braid_graph()
+    adjacency = braid_adjacency(graph)
     rng = np.random.default_rng(7)
-    edges = [e for word in graph.words for e in graph.adjacency[word]]
+    edges = [e for word in graph.words for e in adjacency[word]]
     for _ in range(200):
         n = tuple(int(v) for v in rng.integers(0, 5, size=g.m))
         mu = coweight_of(g, ref, n).coords
@@ -66,7 +68,7 @@ def test_braid_coherence():
             # transported value at the target word
             assert stepped == at[e.dst]
             back = next(
-                b for b in graph.adjacency[e.dst] if b.dst == e.src and b.k == e.k
+                b for b in adjacency[e.dst] if b.dst == e.src and b.k == e.k
             )
             assert lusztig.braid_transition(g, back, stepped) == at[e.src]
             assert coweight_of(g, e.dst, stepped).coords == mu

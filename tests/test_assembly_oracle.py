@@ -34,9 +34,9 @@ from hypothesis import strategies as st
 
 from mvpolytopes import bz, lusztig, polytope, primes, serialize, tables
 from mvpolytopes.cartan import build_cartan
-from mvpolytopes.tables import index_table
+from mvpolytopes.tables import check_sums, index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
-from test_weyl import reduced_words
+from test_weyl import braid_adjacency, gammas, prefixes, reduced_words
 
 # -- references ------------------------------------------------------------------
 
@@ -281,12 +281,11 @@ def n_to_partial_M(group, word, n):
     origin).
     """
     word, n = tuple(word), lusztig._checked(group, n)
-    data = group.word_data(word)
     out = {}
     for i in range(1, group.rank + 1):
         out[group.cartan.fundamental_weight(i).coords] = 0
-    coroots = data.coroots.tolist()
-    for k, gamma in enumerate(map(tuple, data.gammas.tolist())):
+    coroots = group.word_data(word).coroots.tolist()
+    for k, gamma in enumerate(map(tuple, gammas(group, word).tolist())):
         val = 0
         for l in range(k + 1):
             val += n[l] * sum(a * b for a, b in zip(coroots[l], gamma))
@@ -302,8 +301,8 @@ def n_to_partial_M(group, word, n):
 def bfs_from_lusztig(group, word, n):
     """Assemble by propagating n across the whole braid graph."""
     word = tuple(word)
-    graph = group.braid_graph()
-    if word not in graph.adjacency:
+    adjacency = braid_adjacency(group.braid_graph())
+    if word not in adjacency:
         raise ValueError(f"{word} is not a reduced word for the longest element")
     total = len(group.chamber_weights())
     values = {}
@@ -321,7 +320,7 @@ def bfs_from_lusztig(group, word, n):
     queue = deque([word])
     while queue:
         src = queue.popleft()
-        for e in graph.adjacency[src]:
+        for e in adjacency[src]:
             known = e.dst in n_by_word
             if not known and len(values) == total:
                 continue
@@ -347,7 +346,7 @@ def bfs_from_lusztig(group, word, n):
 
 def shortest_word_path(group, src, dst):
     """A shortest chain of braid moves from ``src`` to ``dst``."""
-    adjacency = group.braid_graph().adjacency
+    adjacency = braid_adjacency(group.braid_graph())
     via = {src: None}
     queue = deque([src])
     while dst not in via:
@@ -414,8 +413,8 @@ def test_plan_matches_bfs_oracle_every_word_b2(b2):
 def off_reference_word(group):
     """The chamber weights neither Lambda_i nor a gamma_k of the reference word."""
     lambdas = [group.cartan.fundamental_weight(i).coords for i in range(1, group.rank + 1)]
-    gammas = list(map(tuple, group.word_data(group.reference_word).gammas.tolist()))
-    on = {group.chamber_index(c) for c in lambdas + gammas}
+    gamma = list(map(tuple, gammas(group, group.reference_word).tolist()))
+    on = {group.chamber_index(c) for c in lambdas + gamma}
     return set(range(len(group.chamber_weights()))) - on
 
 
@@ -439,15 +438,15 @@ def test_program_covers_every_chamber_weight(family, rank):
     assert program.columns.shape == (len(program.x), tables.RELATION_ARGS)
     # edge step k writes gamma_k of the reference word from its edge column
     assert program.k[: g.m].tolist() == list(range(g.m))
-    gammas = g.word_data(g.reference_word).gammas.tolist()
-    assert program.x[: g.m].tolist() == [g.chamber_index(tuple(c)) for c in gammas]
+    gamma = gammas(g, g.reference_word).tolist()
+    assert program.x[: g.m].tolist() == [g.chamber_index(tuple(c)) for c in gamma]
     edges = tables._edge_columns(g, g.reference_word)
     assert (program.columns[: g.m] == edges[:, None]).all() and not program.negated[: g.m].any()
     # the face steps read the columns of one relation each
     face = program.columns[g.m :]
     assert (program.k[g.m :] == -1).all() and (face >= table.n_edges).all()
     layout = tables.by_relation(table, np.arange(table.check_index.shape[1]))
-    assert all(tuple(c) in set(map(tuple, layout.tolist())) for c in face.tolist())
+    assert all(tuple(c) in set(map(tuple, layout.T.tolist())) for c in face.tolist())
     assert len(face) == len(off_reference_word(g)) == len(g.chamber_weights()) - g.rank - g.m
     # every value is written once, after every value its step reads, and has
     # coefficient -1 in every row its step reads
@@ -501,7 +500,7 @@ def kept_checks(group, table, kept):
     ends = np.cumsum(counts).tolist()
     relations = [r for p in kept for r in range(ends[p] - counts[p], ends[p])]
     layout = tables.by_relation(table, np.arange(table.check_index.shape[1]))
-    columns = np.r_[np.arange(table.n_edges), layout[relations].T.ravel()]
+    columns = np.r_[np.arange(table.n_edges), layout[:, relations].ravel()]
     return table.check_index[:, columns], table.check_coef[:, columns]
 
 
@@ -766,9 +765,9 @@ def test_table_constraints_match_object_reference(family, rank):
                     row = edge_row(g, w, i)
                     assert sum(a * b for a, b in zip(row, d.values)) == want
             other = g.braid_graph().words[rng.integers(len(g.braid_graph().words))]
-            data = g.word_data(other)
+            path = prefixes(g, other)
             assert bz.lusztig_data(g, d, other) == tuple(
-                reference_edge_length(g, d, data.prefixes[k], other[k]) for k in range(g.m)
+                reference_edge_length(g, d, path[k], other[k]) for k in range(g.m)
             )
     assert invalid >= 30  # perturbations reach the failing branches
 
@@ -884,9 +883,9 @@ def test_a_corrupted_step_fails_certification(family, rank):
         report = reference_validate(g, d)
         if report.is_valid:
             # another valid datum, whose Lusztig data are not n
-            data = g.word_data(g.reference_word)
+            path = prefixes(g, g.reference_word)
             back = tuple(
-                reference_edge_length(g, d, data.prefixes[k], i)
+                reference_edge_length(g, d, path[k], i)
                 for k, i in enumerate(g.reference_word)
             )
             assert back != ones
@@ -919,34 +918,49 @@ def test_report_is_kept_on_the_datum(a3):
     assert bz.validate(a3, again) == report
 
 
+def check_matrix(table, size):
+    """The table's check rows as dense int64 rows over the values tuple, one
+    per column, summed cell by cell from the gather pair."""
+    checks = np.zeros((table.check_coef.shape[1], size), dtype=np.int64)
+    columns = np.arange(checks.shape[0])[None, :]
+    np.add.at(checks, (columns, table.check_index), table.check_coef)
+    return checks
+
+
 def test_face_relations_rows_match_residuals():
-    """The densified check rows, read through ``tables.by_relation``, give
-    the reference edge lengths and 2-face residuals."""
+    """The densified check rows, read through ``tables.by_relation`` at
+    [k, r], give the reference edge lengths and 2-face residuals, and their
+    sums are ``tables.check_sums``."""
     rng = np.random.default_rng(5)
     for family, rank in [("B", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
         g = group_of(family, rank)
         table = index_table(g)
-        checks = primes._check_matrix(table, len(g.chamber_weights())).tolist()
+        checks = check_matrix(table, len(g.chamber_weights())).tolist()
         faces = g.two_faces(("hexagon", "octagon"))
         n_args = [len(args) for f in faces for _, args in tables.FACE_RELATIONS[f.kind]]
-        layout = tables.by_relation(table, np.arange(len(checks))).tolist()
-        assert np.shape(layout) == (len(n_args), tables.RELATION_ARGS)
-        assert sorted(c for columns in layout for c in columns) == list(
-            range(table.n_edges, len(checks))
-        )
+        layout = tables.by_relation(table, np.arange(len(checks)))
+        assert layout.shape == (tables.RELATION_ARGS, len(n_args))
+        # a contiguous view: flat position k R + r is check column E + k R + r
+        assert layout.flags.c_contiguous
+        assert layout.ravel().tolist() == list(range(table.n_edges, len(checks)))
         assert table.faces.tolist() == [[f.w.index, f.i, f.j] for f in faces]
         # the edge block's columns are the ascents in row-major order
         edges = [(g.elements()[t].word, i + 1) for t, i in np.argwhere(g._ascents).tolist()]
         assert edges == [(w.word, i) for w, i in edge_pairs(g)] and table.n_edges == len(edges)
-        for columns, k in zip(layout, n_args):
+        layout = layout.tolist()
+        for r, k in enumerate(n_args):
             # a relation with fewer arguments repeats its last
-            assert all(checks[c] == checks[columns[k - 1]] for c in columns[k:])
+            last = checks[layout[k - 1][r]]
+            assert all(checks[layout[t][r]] == last for t in range(k, tables.RELATION_ARGS))
         for word, n in random_data(g, rng, 3):
             d = perturbed(g, rng, bz.from_lusztig(g, word, n))
             sums = [sum(a * b for a, b in zip(row, d.values)) for row in checks]
+            assert check_sums(table, d.values).tolist() == sums
             for (w, i), c in zip(edge_pairs(g), sums):
                 assert c == reference_edge_length(g, d, w, i)
-            residuals = iter(min(sums[c] for c in cols[:k]) for cols, k in zip(layout, n_args))
+            residuals = iter(
+                min(sums[layout[t][r]] for t in range(k)) for r, k in enumerate(n_args)
+            )
             for face in faces:
                 res = tuple(next(residuals) for _ in tables.FACE_RELATIONS[face.kind])
                 assert res == row_residuals(g, d, face) == reference_residuals(g, d, face)

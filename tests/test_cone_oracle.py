@@ -22,7 +22,10 @@ one product of every cluster's chart rows, stacked (``stack_of``), with the
 Lusztig data, and the least value per cluster.  ``box_hilbert_basis`` is the box
 route on int64 arrays that ``cones.hilbert_basis`` ran before it
 triangulated the cone.  None of them calls the fraction-free elimination,
-``cones.extreme_rays``, ``cones.hilbert_basis`` or ``cones.matmul``.
+``cones.extreme_rays``, ``cones.hilbert_basis`` or ``cones.matmul``.  The
+catalog keeps a cluster's cone once, as its chart rows; ``chart_rays`` and
+``value_rays`` read its rays off them with ``cones.extreme_rays`` for the
+tests that compare rays, and are no oracles.
 """
 
 import functools
@@ -44,6 +47,7 @@ from mvpolytopes.cones import exact_dtype
 from mvpolytopes.tables import check_sums, index_table
 from mvpolytopes.weyl import WeylGroup, weyl_group
 from test_assembly_oracle import edge_pairs, edge_row, relation_rows
+from test_weyl import prefixes
 
 # -- references ------------------------------------------------------------------
 
@@ -389,8 +393,8 @@ def value_relations(group):
 
 def length_rows_of(group):
     """Dense rows of the edge lengths along the reference word."""
-    data = group.word_data(group.reference_word)
-    return [edge_row(group, w, i) for w, i in zip(data.prefixes, data.word)]
+    word = group.reference_word
+    return [edge_row(group, w, i) for w, i in zip(prefixes(group, word), word)]
 
 
 def choice_rows(group, relations, choice):
@@ -632,6 +636,18 @@ def test_matmul_refuses_products_that_could_overflow():
 
 
 CATALOG_GROUPS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("D", 3)]
+
+
+def chart_rays(group, cluster):
+    """A cluster's extreme rays in the Lusztig chart, from its chart rows."""
+    return cones.extreme_rays(list(cluster.ineq_rows_n), group.m)
+
+
+def value_rays(group, cluster):
+    """A cluster's extreme rays in value space, sorted: the assembled data of
+    its chart rays, as the program is linear on the cone."""
+    assemble = index_table(group).assemble
+    return tuple(sorted(map(assemble, chart_rays(group, cluster))))
 # catalogs with too many choices for the oracle: about 1.4e8 in B3 and C3
 WALK_GROUPS = [("B", 3), ("C", 3), ("A", 4)]
 
@@ -645,9 +661,9 @@ def test_catalog_matches_fraction_oracle(family, rank):
     assert [(r.face, r.index, r.n_args) for r in got.relations] == want["relations"]
     assert got.n_choices == want["n_choices"]
     assert want["dims"].count(group.m) == got.n_maximal
-    # the walk finds each cluster's rays in another order; rays_m is sorted
+    # the walk finds each cluster's rays in another order, so both are sorted
     assert [
-        (c.choice, c.labels, c.gens_n, c.rays_m, c.ineq_rows_n) for c in got.clusters
+        (c.choice, c.labels, c.gens_n, value_rays(group, c), c.ineq_rows_n) for c in got.clusters
     ] == [
         (choice, labels, gens, tuple(sorted(rays_m)), rows)
         for choice, labels, gens, rays_m, rows in want["clusters"]
@@ -717,7 +733,7 @@ def test_smaller_cones_are_faces_spanned_by_maximal_cone_rays(family, rank, n_sm
     dimension the Fraction oracle finds."""
     group = weyl_group(build_cartan(family, rank))
     cat = primes.build_catalog(group)
-    pool = {ray for c in cat.clusters for ray in c.rays_m}
+    pool = {ray for c in cat.clusters for ray in value_rays(group, c)}
     relations = value_relations(group)
     size = len(group.chamber_weights())
     maximal = {c.choice for c in cat.clusters}
@@ -774,15 +790,14 @@ def test_clusters_tile_the_orthant(family, rank):
     """Each facet of a cluster's chart cone off the orthant walls n_k = 0 is
     a facet of exactly one other cluster, with the opposite normal: the
     clusters cover the orthant and meet face to face.  Facets are the chart
-    rows whose zero rays span m - 1 dimensions, the rays the value-space rays
-    read along the reference word."""
+    rows whose zero rays span m - 1 dimensions, the rays the double
+    description of the chart rows."""
     group = weyl_group(build_cartan(family, rank))
     cat = primes.build_catalog(group)
-    length_rows = length_rows_of(group)
     rank_of = functools.cache(lambda zero: cones.rank(sorted(zero)))
     facets = []  # per cluster: (normal, its zero rays)
     for c in cat.clusters:
-        rays_n = [tuple(dot(lrow, ray) for lrow in length_rows) for ray in c.rays_m]
+        rays_n = chart_rays(group, c)
         found = []
         for row in c.ineq_rows_n:
             zero = frozenset(ray for ray in rays_n if dot(row, ray) == 0)
@@ -830,10 +845,9 @@ def test_hilbert_basis_matches_box_oracle_on_the_smallest_boxes(family, rank, bo
     one with the fewest among those with more generators than rays (in C3
     that box holds 103,680 points, about 3.5 s for the oracle)."""
     group = weyl_group(build_cartan(family, rank))
-    length_rows = length_rows_of(group)
     sized = []
     for c in primes.build_catalog(group).clusters:
-        rays = [tuple(dot(lrow, ray) for lrow in length_rows) for ray in c.rays_m]
+        rays = chart_rays(group, c)
         if len(rays) == group.m and abs(fraction_det(rays)) == 1:
             continue
         sized.append((math.prod(sum(col) + 1 for col in zip(*rays)), rays, c))

@@ -11,14 +11,13 @@ from mvpolytopes.cartan import build_cartan
 from mvpolytopes.tables import index_table
 from mvpolytopes.weyl import BraidEdge, WeylGroup
 from test_assembly_oracle import coweight_of
-from test_weyl import reduced_words
+from test_weyl import braid_adjacency, reduced_words
 
 
 def edges_of(group):
-    bg = group.braid_graph()
     out = []
-    for word in bg.words:
-        out.extend(bg.adjacency[word])
+    for moves in braid_adjacency(group.braid_graph()).values():
+        out.extend(moves)
     return out
 
 
@@ -169,7 +168,7 @@ def test_transitions_preserve_coweight_a3(a3ns):
     n = tuple(a3ns)
     word = a3.reference_word
     mu = coweight_of(a3, word, n)
-    for edge in a3.braid_graph().adjacency[word]:
+    for edge in braid_adjacency(a3.braid_graph())[word]:
         out = lusztig.braid_transition(a3, edge, n)
         assert all(t >= 0 for t in out)
         assert coweight_of(a3, edge.dst, out).coords == mu.coords

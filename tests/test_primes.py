@@ -292,6 +292,54 @@ def test_decompose_sums_back_on_shared_and_fresh_catalogs(fresh_catalogs, query)
     assert primes.decompose(group, datum, fresh_catalogs[key]) == parts
 
 
+@st.composite
+def cluster_multiples(draw):
+    """A group among A2, B2, A3 and D3, one of its clusters, and a multiple in
+    0..3 of each of the cluster's primes."""
+    key = draw(st.sampled_from([("A", 2), ("B", 2), ("A", 3), ("D", 3)]))
+    group = weyl_group(build_cartan(*key))
+    cluster = draw(st.sampled_from(primes.build_catalog(group).clusters))
+    return group, cluster, draw(st.tuples(*[st.integers(0, 3)] * len(cluster.labels)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cluster_multiples())
+def test_minkowski_sums_within_one_cluster_stay_valid(query):
+    """A sum of multiples of one cluster's primes is valid and decomposes back
+    to itself.  Its Lusztig data along the reference word are the same
+    multiples of the cluster's ``gens_n``, and the program, linear on the
+    cone, assembles them to the sum."""
+    group, cluster, counts = query
+    catalog = primes.build_catalog(group)
+    total = polytope.minkowski_sum(
+        group,
+        *(
+            polytope.scale(group, primes.prime_by_label(catalog, label).datum, c)
+            for label, c in zip(cluster.labels, counts)
+        ),
+    )
+    assert bz.is_valid(group, total)
+    n = tuple(sum(c * g[k] for c, g in zip(counts, cluster.gens_n)) for k in range(group.m))
+    assert bz.lusztig_data(group, total, group.reference_word) == n
+    assert index_table(group).assemble(n) == total.values
+    parts = primes.decompose(group, total, catalog)
+    back = polytope.minkowski_sum(group, *(polytope.scale(group, p.datum, c) for p, c in parts))
+    assert back == total
+
+
+def test_walk_refuses_check_rows_past_the_int64_bound(a2):
+    """A cone's chart rows are the check rows at its back map, in int64; where
+    ``exact_dtype`` refuses int64 for that product, the walk raises."""
+    table, catalog = index_table(a2), primes.build_catalog(a2)
+    cluster, chosen = catalog.clusters[0], table.n_edges + catalog._chosen[0]
+    edge, pins = table.program.columns[: a2.m, 0], table.chamber_array[0]
+    point = tuple(map(sum, zip(*cluster.gens_n)))  # inside the cone
+    assert primes._cone(table, edge, pins, chosen, point).rows == cluster.ineq_rows_n
+    wide = dataclasses.replace(table, check_norm=1 << 62)
+    with pytest.raises(OverflowError, match=r"reaches 2\*\*62"):
+        primes._cone(wide, edge, pins, chosen, point)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("D", 3)])
 def test_chart_rows_are_sorted_distinct_and_primitive(family, rank):
     for c in primes.build_catalog(weyl_group(build_cartan(family, rank))).clusters:

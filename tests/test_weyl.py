@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mvpolytopes import bz, polytope
 from mvpolytopes.cartan import CartanDatum, Weight, build_cartan
 from mvpolytopes.tables import index_table
-from mvpolytopes.weyl import WeylGroup, _row_keys, weyl_group, weyl_order
+from mvpolytopes.weyl import BraidEdge, WeylGroup, _row_keys, weyl_group, weyl_order
 
 # F4 in Bourbaki labels; build_cartan covers types A-D only
 F4 = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
@@ -37,6 +37,27 @@ def _words_of(g, t, memo):
         words = sorted(head + (i,) for i, u in lower for head in _words_of(g, u, memo))
         memo[t] = tuple(words) if lower else ((),)  # the identity has no descents
     return memo[t]
+
+
+def prefixes(g, word):
+    """The prefixes e, w_1, ..., w_m of a reduced word for w0, as elements,
+    after checking the word."""
+    return [g.elements()[t] for t in g._prefixes(tuple(word))]
+
+
+def gammas(g, word):
+    """The chamber weights gamma_k = w_k . Lambda_{i_k} of a reduced word for
+    w0, as the rows of an int64 ``(m, r)`` gather of the weight action stack."""
+    return g._mats[g._prefixes(tuple(word))[1:], :, np.subtract(word, 1)]
+
+
+def braid_adjacency(graph):
+    """Each reduced word of w0 mapped to its braid moves as ``BraidEdge``
+    objects, in move-array order, read off the graph's move arrays."""
+    words, starts = graph.words, graph.starts.tolist()
+    moves = zip(*(a.tolist() for a in (graph.src, graph.k, graph.d, graph.dst)))
+    edges = [BraidEdge(words[s], words[t], k, d) for s, k, d, t in moves]
+    return {word: tuple(edges[starts[x] : starts[x + 1]]) for x, word in enumerate(words)}
 
 
 def weyl_orbit(g, lam):
@@ -166,7 +187,7 @@ def test_positive_roots_a2(a2):
 def test_word_data_a2(a2):
     wd = a2.word_data((1, 2, 1))
     assert wd.coroots.tolist() == [[1, 0], [1, 1], [0, 1]]
-    assert wd.gammas.tolist() == [[-1, 1], [-1, 0], [0, -1]]
+    assert gammas(a2, (1, 2, 1)).tolist() == [[-1, 1], [-1, 0], [0, -1]]
     assert wd == a2.word_data([1, 2, 1]) and hash(wd) == hash(a2.word_data((1, 2, 1)))
 
 
@@ -191,12 +212,13 @@ def test_two_faces_a2_b2_a3(a2, b2, a3):
 
 def test_braid_graph_connected(a3):
     bg = a3.braid_graph()
+    adjacency = braid_adjacency(bg)
     assert len(bg.words) == 16
     seen = {bg.words[0]}
     frontier = [bg.words[0]]
     while frontier:
         w = frontier.pop()
-        for e in bg.adjacency[w]:
+        for e in adjacency[w]:
             if e.dst not in seen:
                 seen.add(e.dst)
                 frontier.append(e.dst)
@@ -337,15 +359,17 @@ def test_word_data_builds_no_vector_objects(vectors_built):
 def test_word_data_rows_are_the_column_lookups():
     g = weyl_group(build_cartan("D", 4))
     for word in g.braid_graph().words:
-        data = g.word_data(word)
-        for a in (data.coroots, data.gammas):
-            assert a.dtype == np.int64 and a.shape == (g.m, g.rank)
-            assert not a.flags.writeable
+        data, path, gamma = g.word_data(word), prefixes(g, word), gammas(g, word)
+        assert data.word == word
+        assert data.coroots.dtype == np.int64 and data.coroots.shape == (g.m, g.rank)
+        assert not data.coroots.flags.writeable
         for k, i in enumerate(word):
-            assert tuple(data.coroots[k].tolist()) == g.w_coroot(data.prefixes[k], i).coords
-            assert tuple(data.gammas[k].tolist()) == g.w_lambda(data.prefixes[k + 1], i).coords
+            assert tuple(data.coroots[k].tolist()) == g.w_coroot(path[k], i).coords
+            assert tuple(gamma[k].tolist()) == g.w_lambda(path[k + 1], i).coords
     ref = g.word_data(g.reference_word)
-    roots = [g.apply(w, g.cartan.simple_root(i)) for w, i in zip(ref.prefixes, ref.word)]
+    roots = [
+        g.apply(w, g.cartan.simple_root(i)) for w, i in zip(prefixes(g, ref.word), ref.word)
+    ]
     assert g.positive_roots == tuple(roots)
     assert g.positive_coroots == tuple(map(g.cartan.coweight, ref.coroots.tolist()))
 
