@@ -8,16 +8,23 @@ No floating point ever enters, so cone membership and ray computations are
 decisions, not approximations.
 
 Elimination is one row step (``_step``), which ``_eliminate`` folds over a
-list of rows.  The double description in ``extreme_rays`` runs on the
-distinct primitive inequality rows only, with int bitmasks as zero sets;
-repeated rows never change the rays (Fukuda and Prodon, *Double description
+list of rows.  A step leaves a reduced row as it is when the row is zero at
+the new pivot and the new pivot equals the last one, since the Bareiss
+update would multiply it by their quotient, 1; on sparse rows, such as the
+unit rows of an orthant, most updates are of that kind.  The double
+description in ``extreme_rays`` adds the inequality rows sparsest first:
+fewest nonzero entries, then fewest negative ones.  The order decides how
+many intermediate rays it makes (Fukuda and Prodon, *Double description
 method revisited*, 1996).  Its starting rays come from the pass that picks
 the first independent rows (``_invert_first``), which carries the identity
-along.  :func:`primes.build_catalog` runs it once per maximal cone of its
-fan walk, on the cone's rows in the Lusztig chart.  ``hilbert_basis``
-triangulates the cone on its rays, with ray bitmasks as faces, and takes
-its candidates from the simplices' parallelepipeds, which the inverse of
-each simplex (``inverse``) generates.
+along; zero sets are int bitmasks, and zero rows and repeated rows join
+them without changing the rays.  :func:`primes.build_catalog` runs it once
+per maximal cone of its fan walk, on the cone's distinct primitive rows in
+the Lusztig chart.  Those hold the unit rows of the nonnegative orthant,
+which come first, so the start is the orthant and its pass does no
+elimination.  ``hilbert_basis`` triangulates the cone on its rays, with ray
+bitmasks as faces, and takes its candidates from the simplices'
+parallelepipeds, which the inverse of each simplex (``inverse``) generates.
 """
 
 from __future__ import annotations
@@ -47,15 +54,23 @@ def _step(pivots: tuple[int, ...], reduced: list[list[int]], d: int, row, limit=
     left as it was, so a caller can keep it when the row is dependent.
     """
     row = [int(v) for v in row]
-    new = [d * v for v in row]
+    new = row if d == 1 else [d * v for v in row]
     for p, red in zip(pivots, reduced):
         if row[p]:
             new = [x - row[p] * y for x, y in zip(new, red)]
-    c = next((j for j, v in enumerate(new[:limit]) if v), None)
-    if c is None:
+    for c, v in enumerate(new[:limit]):
+        if v:
+            break
+    else:
         return None
     piv = new[c]
-    reduced = [[(piv * x - red[c] * y) // d for x, y in zip(red, new)] for red in reduced]
+    # a row with a zero at the new pivot scales by piv / d, which is 1 when piv is d
+    reduced = [
+        red
+        if piv == d and not red[c]
+        else [(piv * x - red[c] * y) // d for x, y in zip(red, new)]
+        for red in reduced
+    ]
     reduced.append(new)
     return (*pivots, c), reduced, piv
 
@@ -164,31 +179,29 @@ def _absmax(a: np.ndarray) -> int:
     return int(np.abs(a).view(np.uint64).max()) if a.size else 0
 
 
-def _distinct(rows) -> list[Vec]:
-    """The distinct primitive forms of the nonzero rows, first occurrences in
-    order: zero rows and later positive multiples of a row are dropped."""
-    out: dict[Vec, None] = {}
-    for row in dict.fromkeys(map(tuple, rows)):
-        if any(row):
-            out.setdefault(primitive(row), None)
-    return list(out)
+def _sparsity(row) -> tuple[int, int]:
+    """The insertion key of a row: its nonzero entries, then its negative ones."""
+    return len(row) - row.count(0), len([v for v in row if v < 0])
 
 
 def extreme_rays(ineq_rows: list[Vec], dim: int) -> list[Vec]:
     """Extreme rays of the pointed cone {x in R^dim : A x >= 0}.
 
-    Double description with combinatorial adjacency, run on the distinct
-    primitive rows of A (``_distinct``).  A dropped zero row would join every
-    zero set, and a dropped positive multiple of an earlier row exactly the
-    zero sets holding that row; neither changes an adjacency test, so the
-    rays and their order are those of the full list.  Zero sets are int
-    bitmasks over the distinct rows, kept exact by the incremental update.
-    Raises when the cone is not pointed (rank of A below dim); the closing
-    check tests every row passed in.
+    Double description with combinatorial adjacency, adding the rows of A
+    (tuples of Python ints) sparsest first (``_sparsity``), rows of equal
+    sparsity in the order given.  The start is the simplex of the first
+    ``dim`` independent rows; in a cone of the nonnegative orthant whose rows
+    hold the unit rows, those come first and the start is the orthant.  A
+    zero row joins every zero set, and a positive multiple of an earlier row
+    exactly the zero sets holding that row; neither changes an adjacency
+    test or the start, so the rays and their order are those of the rows
+    without them.  Zero sets are int bitmasks over the rows in insertion
+    order, kept exact by the incremental update.  Raises when the cone is
+    not pointed (rank of A below dim); the closing check tests every row.
     """
     if dim == 0:
         return []
-    rows = _distinct(ineq_rows)
+    rows = sorted(ineq_rows, key=_sparsity)
     chosen, _, num = _invert_first(rows, dim)
     if num is None:
         raise ValueError("cone is not pointed")

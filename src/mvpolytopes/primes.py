@@ -62,8 +62,10 @@ from .weyl import Face, WeylGroup
 Vec = tuple[int, ...]
 
 # Positive roots m build_catalog accepts at most: A1-A4, B2, C2, B3, C3 and D3
-# (m <= 10) build in about 1.5 s or less.  D4 (m = 12) has 11,116 maximal
-# cones, which the walk keeps in memory; B4, C4 and rank 5 have more.
+# (m <= 10) build in a fresh interpreter in a median of 1.4 s or less (B3,
+# the slowest, 1.2-1.6 s over 10 runs on 2 CPUs).  D4 (m = 12) has 11,116
+# maximal cones, which the walk keeps in memory (about 32 s and 243 MB for
+# the walk alone); B4, C4 and rank 5 have more.
 MAX_M = 10
 
 # Points a search of build_catalog tries before it gives up: the random
@@ -287,11 +289,13 @@ def _walk(group: WeylGroup, table: IndexTable, edge, layout, relations):
     The cone of a choice is where its relations take their minima at the
     chosen arguments.  The walk starts at a generic interior point, whose
     choice reads off the check rows at its datum.  Each cone gets one double
-    description; every facet not on an orthant wall n_k = 0 is crossed once,
-    by probing K c - f past its row f, where c is the sum of the facet's
-    rays, K doubling until the point has no tie and the cone found there
-    admits c.  The cones meet face to face, so that cone shares the facet.
-    A cone met on the way, at a tie-free point, is maximal and kept too.
+    description, whose rays must span m dimensions: no nonzero chart row may
+    vanish on all of them.  Every facet not on an orthant wall n_k = 0 is
+    crossed once, by probing K c - f past its row f, where c is the sum of
+    the facet's rays, K doubling until the point has no tie and the cone
+    found there admits c.  The cones meet face to face, so that cone shares
+    the facet.  A cone met on the way, at a tie-free point, is maximal and
+    kept too.
     """
     m = group.m
     real = np.arange(RELATION_ARGS)[:, None] < np.array([rel.n_args for rel in relations])
@@ -328,17 +332,19 @@ def _walk(group: WeylGroup, table: IndexTable, edge, layout, relations):
                     f"choice {choice}: ray with edge lengths {ray} is not a primitive "
                     "nonnegative vector"
                 )
-        if cones.rank(rays) != m:
+        ray_array = np.array(rays, dtype=np.int64).reshape(len(rays), m)
+        zero = cones.matmul(rows, ray_array.T) == 0
+        # a nonzero row zero on every ray is an implicit equality of the cone,
+        # and one exists exactly when the rays span fewer than m dimensions
+        if zero.all(1).any():
             raise RuntimeError(f"choice {choice}: the rays {rays} span less than {m} dimensions")
         out[choice] = cones_of[choice], rays
-        rays = np.array(rays, dtype=np.int64)
         # the facets: the rows whose zero rays no other row's strictly contain
-        zero = cones.matmul(rows, rays.T) == 0
         count = zero.sum(1)
         missed = zero.astype(np.int64) @ (~zero).T.astype(np.int64)  # [i, j]: |Z_i - Z_j|
         facets = ~((missed == 0) & (count[None, :] > count[:, None])).any(1)
         for f, on in zip(np.array(rows)[facets].tolist(), zero[facets]):
-            c = tuple(rays[on].sum(0).tolist())
+            c = tuple(ray_array[on].sum(0).tolist())
             if sum(map(bool, f)) == 1 or c in crossed:  # an orthant wall, or crossed
                 continue
             crossed.add(c)

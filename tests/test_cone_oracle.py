@@ -6,12 +6,13 @@ are the elimination routines ``cones`` used before it went fraction-free,
 ones, and ``oracle_catalog`` is the brute-force catalog build on them with the
 back-map through a ``Fraction`` inverse.  ``brute_extreme_rays`` intersects
 every rank ``dim - 1`` set of inequalities.  ``frozenset_extreme_rays`` is the
-double description over every row with ``frozenset`` zero sets, and
-``choice_rows`` the dense value-space rows of one choice, with args[t] -
-args[k] for each unchosen argument t, both as the catalog build ran them
-before it dropped repeated rows, shared one elimination along the choice tree
-and read the table's check rows; its rows come from ``Weight`` objects
-(``edge_row`` and ``relation_rows``), not from the index table.
+double description over every row with ``frozenset`` zero sets, in the
+sparsest-first order of ``cones.extreme_rays``.  ``choice_rows`` gives the
+dense value-space rows of one choice, with args[t] - args[k] for each
+unchosen argument t, as the catalog build ran them before it shared one
+elimination along the choice tree and read the table's check rows; its rows
+come from ``Weight`` objects (``edge_row`` and ``relation_rows``), not from
+the index table.
 ``pairwise_hilbert_basis`` reduces the box candidates pair by pair, and
 ``search_decompose`` finds the first cluster whose chart rows admit the
 Lusztig data and searches every generator, largest multiple first, pruning
@@ -175,26 +176,57 @@ def dot(a, b):
 
 
 def brute_extreme_rays(rows, dim):
-    """Primitive rays cut out by rank dim - 1 sets of rows, inside the cone."""
+    """Primitive rays cut out by rank dim - 1 sets of rows, inside the cone.
+
+    The sets grow one row at a time, depth first, as integer echelon rows: a
+    row that reduces to zero is dependent on the set so far, and so is it in
+    every larger set, which drops them all.  A set of dim - 1 independent
+    rows leaves one free column, from which back substitution in integers
+    gives the null vector; both its signs are tried against every row."""
     if fraction_rank(rows) < dim:
         raise ValueError("cone is not pointed")
     rays = set()
-    for subset in itertools.combinations(rows, dim - 1):
-        if fraction_rank(subset) < dim - 1:
-            continue
-        (vec,) = fraction_nullspace(subset, dim)
-        for cand in (vec, tuple(-v for v in vec)):
-            if all(dot(row, cand) >= 0 for row in rows):
-                rays.add(cand)
+
+    def grow(echelon, start):
+        if len(echelon) == dim - 1:
+            (free,) = set(range(dim)) - {p for _, p in echelon}
+            x = [0] * dim
+            x[free] = 1
+            for red, p in reversed(echelon):  # red is zero at earlier pivots
+                # x[p] = -(red . x) / red[p], scaling x to keep it integral
+                s = dot(red, x)
+                g = gcd(s, red[p])
+                x = [v * (red[p] // g) for v in x]
+                x[p] = -s // g
+            vec = clear_denominators(x)
+            for cand in (vec, tuple(-v for v in vec)):
+                if all(dot(row, cand) >= 0 for row in rows):
+                    rays.add(cand)
+            return
+        for t in range(start, len(rows)):
+            red = list(rows[t])
+            for prev, p in echelon:
+                if red[p]:
+                    red = [prev[p] * a - red[p] * b for a, b in zip(red, prev)]
+            p = next((j for j, v in enumerate(red) if v), None)
+            if p is not None:
+                grow((*echelon, (red, p)), t + 1)
+
+    grow((), 0)
     return sorted(rays)
 
 
 def frozenset_extreme_rays(ineq_rows, dim):
-    """Extreme rays of {x : A x >= 0} by double description over every row in
-    order, with ``frozenset`` zero sets; the first independent rows are
-    inverted over Q."""
+    """Extreme rays of {x : A x >= 0} by double description over every row,
+    sparsest first: fewest nonzero entries, then fewest negative entries,
+    ties in the order given.  Zero sets are ``frozenset``s of positions in
+    that order; the first independent rows are inverted over Q."""
     if dim == 0:
         return []
+    ineq_rows = sorted(
+        ineq_rows,
+        key=lambda row: (sum(1 for v in row if v), sum(1 for v in row if v < 0)),
+    )
     ech, chosen = Echelon(), []
     for t, row in enumerate(ineq_rows):
         if len(chosen) < dim and ech.add(row):
@@ -531,9 +563,7 @@ def test_rank_matches_fraction_elimination(rows_width):
     assert cones.rank(rows) == fraction_rank(rows)
 
 
-@settings(max_examples=150, deadline=None)
-@given(squares)
-def test_det_and_inverse_match_fraction_elimination(mat):
+def _det_and_inverse_match(mat):
     assert cones.det(mat) == fraction_det(mat)
     try:
         want = fraction_invert(mat)
@@ -544,6 +574,31 @@ def test_det_and_inverse_match_fraction_elimination(mat):
     den, num = cones.inverse(mat)
     assert den > 0
     assert [[Fraction(v, den) for v in row] for row in num] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(squares)
+def test_det_and_inverse_match_fraction_elimination(mat):
+    _det_and_inverse_match(mat)
+
+
+# entries 0 three times in five: most Bareiss steps on such rows meet a zero
+# at the new pivot with the pivot equal to the last one, where _step keeps
+# the reduced row as it is
+sparse = st.sampled_from((0, 0, 0, 1, -1))
+sparse_matrices = st.integers(1, 10).flatmap(
+    lambda w: st.lists(st.lists(sparse, min_size=w, max_size=w), max_size=8)
+)
+sparse_squares = st.integers(1, 8).flatmap(
+    lambda q: st.lists(st.lists(sparse, min_size=q, max_size=q), min_size=q, max_size=q)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices, sparse_squares)
+def test_rank_det_and_inverse_match_fraction_elimination_on_sparse_rows(rows, mat):
+    assert cones.rank(rows) == fraction_rank(rows)
+    _det_and_inverse_match(mat)
 
 
 rows_dim = st.integers(1, 5).flatmap(
@@ -578,7 +633,7 @@ def _rays_or_unpointed(extreme_rays, rows, dim):
 @given(rows_dim, st.data())
 def test_extreme_rays_ignore_zero_rows_and_later_positive_multiples(rows_dim, data):
     """Rays and their order are those of the rows without the padding, and
-    those the double description over every row gives."""
+    those the sparsest-first double description over every row gives."""
     rows, dim = rows_dim
     padded = [tuple(r) for r in rows]
     for _ in range(data.draw(st.integers(1, 4))):
@@ -783,6 +838,25 @@ def test_fresh_build_runs_the_double_description_on_the_maximal_cones_only(
     catalog = primes.build_catalog(group)
     assert calls == [group.m] * catalog.n_maximal
     assert catalog.n_maximal == n_maximal
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("D", 3)])
+def test_walked_cones_have_the_brute_force_rays(family, rank, monkeypatch):
+    """Each double description of a fresh walk gives the rays that meeting
+    every m - 1 of the cone's chart rows gives, each ray once."""
+    described = []
+    extreme_rays = cones.extreme_rays
+
+    def recorded(rows, dim):
+        rays = extreme_rays(rows, dim)
+        described.append((rows, dim, rays))
+        return rays
+
+    monkeypatch.setattr(cones, "extreme_rays", recorded)
+    catalog = primes.build_catalog(WeylGroup(build_cartan(family, rank)))
+    assert len(described) == catalog.n_maximal
+    for rows, dim, rays in described:
+        assert sorted(rays) == brute_extreme_rays(rows, dim), rows
 
 
 @pytest.mark.parametrize("family,rank", CATALOG_GROUPS + WALK_GROUPS)

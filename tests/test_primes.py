@@ -340,6 +340,20 @@ def test_walk_refuses_check_rows_past_the_int64_bound(a2):
         primes._cone(wide, edge, pins, chosen, point)
 
 
+def test_walk_refuses_a_cone_with_an_implicit_equality(monkeypatch):
+    """Chart rows n1 - n2 >= 0 and n2 - n1 >= 0 vanish on every ray of the
+    cone they cut, so its rays span fewer than m dimensions."""
+    cone = primes._cone
+
+    def flattened(*args):
+        found = cone(*args)
+        return found._replace(rows=tuple(sorted({*found.rows, (1, -1, 0), (-1, 1, 0)})))
+
+    monkeypatch.setattr(primes, "_cone", flattened)
+    with pytest.raises(RuntimeError, match=r"^choice \(.*\): the rays .* span less than 3 dimensions$"):
+        primes.build_catalog(WeylGroup(build_cartan("A", 2)))
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("A", 3), ("D", 3)])
 def test_chart_rows_are_sorted_distinct_and_primitive(family, rank):
     for c in primes.build_catalog(weyl_group(build_cartan(family, rank))).clusters:

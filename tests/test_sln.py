@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpolytopes import bz, sln
 from mvpolytopes.cartan import build_cartan
@@ -74,6 +76,56 @@ def test_pair_of_coroot(a3):
 def test_picture_frozen_example():
     out = sln.collapse(3, 2, {(1, 2): 2, (1, 3): 1, (2, 3): 1})
     assert out == {(1, 3): 1}
+
+
+def recursion_collapse(n, k, picture):
+    """``sln.collapse`` as it ran before it carried its window sums: each
+    pair (a, b) across k sums its two windows afresh, in O(n^3) in all."""
+    vec = sln.picture_to_lusztig(n, picture)
+    p = dict(zip(sln.all_pairs(n), vec))
+    new = {}
+    for a in range(1, n + 1):
+        if a != k:
+            new[(a, k) if a < k else (k, a)] = 0
+    for width in range(1, n):
+        for a in range(1, n - width + 1):
+            b = a + width
+            if k in (a, b):
+                continue
+            if a < k < b:
+                left = sum(p[(a, r)] - new[(a, r)] for r in range(k, b))
+                right = sum(p[(s, b)] - new[(s, b)] for s in range(a + 1, k + 1))
+                val = min(left, right)
+            else:
+                val = p[(a, b)]
+            if val < 0:
+                raise RuntimeError(
+                    f"collapse of {k} gave the pair {(a, b)} the negative multiplicity {val}"
+                )
+            new[(a, b)] = val
+    return {pair: v for pair, v in new.items() if k not in pair}
+
+
+pictures = st.integers(2, 30).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(1, n),
+        st.lists(
+            st.integers(0, 6),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        ),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pictures)
+def test_collapse_matches_the_recursion_oracle(n_k_vals):
+    """The carried window sums give the recursion's pictures for n up to 30."""
+    n, k, vals = n_k_vals
+    picture = dict(zip(sln.all_pairs(n), vals))
+    assert sln.collapse(n, k, picture) == recursion_collapse(n, k, picture)
 
 
 def test_collapse_drops_k_pairs():
