@@ -12,19 +12,19 @@ list of rows.  A step leaves a reduced row as it is when the row is zero at
 the new pivot and the new pivot equals the last one, since the Bareiss
 update would multiply it by their quotient, 1; on sparse rows, such as the
 unit rows of an orthant, most updates are of that kind.  The double
-description in ``extreme_rays`` adds the inequality rows sparsest first:
-fewest nonzero entries, then fewest negative ones.  The order decides how
-many intermediate rays it makes (Fukuda and Prodon, *Double description
-method revisited*, 1996).  Its starting rays come from the pass that picks
-the first independent rows (``_invert_first``), which carries the identity
-along; zero sets are int bitmasks, and zero rows and repeated rows join
-them without changing the rays.  :func:`primes.build_catalog` runs it once
-per maximal cone of its fan walk, on the cone's distinct primitive rows in
-the Lusztig chart.  Those hold the unit rows of the nonnegative orthant,
-which come first, so the start is the orthant and its pass does no
-elimination.  ``hilbert_basis`` triangulates the cone on its rays, with ray
-bitmasks as faces, and takes its candidates from the simplices'
-parallelepipeds, which the inverse of each simplex (``inverse``) generates.
+description in ``extreme_rays`` adds the inequality rows sparsest first,
+which decides how many intermediate rays it makes (Fukuda and Prodon,
+*Double description method revisited*, 1996), and starts from the rays of
+the first independent rows (``_invert_first``, which carries the identity
+along).  :func:`primes.build_catalog` runs it once per maximal cone of its
+fan walk, on the cone's chart rows in the Lusztig chart, whose unit rows
+come first, so the start is the orthant and its pass does no elimination.
+Its closing check, the one product of the rows with the rays, also gives
+the facets, as rows and ray bitmasks.  ``hilbert_basis`` takes the rays
+and the facets: it triangulates the cone on its rays, with ray
+bitmasks as faces, takes its candidates from the simplices'
+parallelepipeds, which the inverse of each simplex (``inverse``)
+generates, and tests them on the facet rows alone.
 """
 
 from __future__ import annotations
@@ -184,23 +184,28 @@ def _sparsity(row) -> tuple[int, int]:
     return len(row) - row.count(0), len([v for v in row if v < 0])
 
 
-def extreme_rays(ineq_rows: list[Vec], dim: int) -> list[Vec]:
-    """Extreme rays of the pointed cone {x in R^dim : A x >= 0}.
+def extreme_rays(ineq_rows: list[Vec], dim: int) -> tuple[list[Vec], list[tuple[Vec, int]]]:
+    """Primitive extreme rays and facets of the pointed cone {x in R^dim :
+    A x >= 0}, as ``(rays, facets)``, each facet as ``(row, mask)``: a row
+    that cuts it out, and the bitmask of the rays on it (bit j for rays[j]).
 
     Double description with combinatorial adjacency, adding the rows of A
     (tuples of Python ints) sparsest first (``_sparsity``), rows of equal
-    sparsity in the order given.  The start is the simplex of the first
-    ``dim`` independent rows; in a cone of the nonnegative orthant whose rows
-    hold the unit rows, those come first and the start is the orthant.  A
-    zero row joins every zero set, and a positive multiple of an earlier row
-    exactly the zero sets holding that row; neither changes an adjacency
-    test or the start, so the rays and their order are those of the rows
-    without them.  Zero sets are int bitmasks over the rows in insertion
-    order, kept exact by the incremental update.  Raises when the cone is
-    not pointed (rank of A below dim); the closing check tests every row.
+    sparsity in the order given, from the simplex of the first ``dim``
+    independent rows.  A zero row joins every zero set, and a positive
+    multiple of an earlier row exactly the zero sets holding that row;
+    neither changes an adjacency test or the start, so the rays and their
+    order are those of the rows without them.  Zero sets are int bitmasks
+    over the rows in insertion order, kept exact by the incremental update.
+    Raises when the cone is not pointed (rank of A below dim).  The closing
+    check, one product of every row with every ray, raises on a negative
+    entry, and its zero sets give the facets: those of nonzero rows that no
+    other row's strictly contains, each with the first row that has it.  A
+    cone that is not full-dimensional has one such set, every ray, held by
+    its implicit equalities.
     """
     if dim == 0:
-        return []
+        return [], []
     rows = sorted(ineq_rows, key=_sparsity)
     chosen, _, num = _invert_first(rows, dim)
     if num is None:
@@ -235,11 +240,21 @@ def extreme_rays(ineq_rows: list[Vec], dim: int) -> list[Vec]:
         zerosets = (
             [zerosets[i] for i in pos] + [zerosets[i] | bit for i in zero] + new_zero
         )
-    escapes = np.argwhere(matmul(ineq_rows, np.reshape(rays, (len(rays), dim)).T) < 0)
+    given = np.array(ineq_rows, dtype=np.int64).reshape(-1, dim)
+    product = matmul(given, np.array(rays, dtype=np.int64).reshape(len(rays), dim).T)
+    escapes = np.argwhere(product < 0)
     if escapes.size:
         t, j = escapes[0]
         raise RuntimeError(f"ray {rays[j]} violates inequality {t}, {tuple(ineq_rows[t])}")
-    return rays
+    live = np.flatnonzero(given.any(1))
+    zero = product[live] == 0
+    count = zero.sum(1)
+    missed = zero.astype(np.int64) @ (~zero).T.astype(np.int64)  # [i, j]: |Z_i - Z_j|
+    # row j rules out row i when Z_i is inside Z_j and Z_j is larger or j < i
+    above = (count[None, :] > count[:, None]) | np.tri(len(zero), k=-1, dtype=bool)
+    facets = ~((missed == 0) & above).any(1)
+    masks = [sum(1 << j for j, z in enumerate(on) if z) for on in zero[facets].tolist()]
+    return rays, [(tuple(ineq_rows[t]), mask) for t, mask in zip(live[facets].tolist(), masks)]
 
 
 def _maximal(masks) -> list[int]:
@@ -279,47 +294,40 @@ def _box_points(cols: list[Vec], den: int, adj) -> list[Vec]:
     return [tuple(sum(map(mul, row, c)) // den for row in rows) for c in group if any(c)]
 
 
-def hilbert_basis(rays: list[Vec], ineq_rows: list[Vec]) -> list[Vec]:
+def hilbert_basis(rays: list[Vec], facets: list[tuple[Vec, int]]) -> list[Vec]:
     """Minimal generating set of the monoid of lattice points of the cone,
     sorted.
 
-    The cone is {x : A x >= 0} for the rows A, full-dimensional and pointed
-    with the primitive extreme rays ``rays``, componentwise nonnegative (true
-    in the edge-length chart, where coordinates are themselves edge
-    inequalities).  Simplicial unimodular cones shortcut to their rays.
-    Otherwise the cone is triangulated on its rays by pulling (``_pulled``),
-    its facets the maximal zero sets of the rows; every irreducible element
-    is a ray or a nonzero point of the half-open parallelepiped of some
-    simplex (``_box_points``), d - 1 of them for |det| = d.  A candidate x
-    among those is reducible exactly when x - c lies in the cone for another
-    candidate c; rays never are (Bruns and Ichim, *Normaliz: algorithms for
-    affine monoids and rational cones*, J. Algebra 324, 2010).
+    The cone is full-dimensional and pointed, as :func:`extreme_rays`
+    describes it, with rays componentwise nonnegative (true in the
+    edge-length chart, where coordinates are themselves edge inequalities).
+    Simplicial unimodular cones shortcut to their rays.  Otherwise the cone
+    is triangulated on its rays by pulling from its facets (``_pulled``);
+    every irreducible element is a ray or a nonzero point of the half-open
+    parallelepiped of some simplex (``_box_points``), d - 1 of them for
+    |det| = d.  A candidate x among those is reducible exactly when x - c
+    lies in the cone (the facet rows are nonnegative) for another candidate
+    c; rays never are (Bruns and Ichim, *Normaliz: algorithms for affine
+    monoids and rational cones*, J. Algebra 324, 2010).
     """
     if not rays:
         return []
     dim = len(rays[0])
     if any(v < 0 for r in rays for v in r):
         raise ValueError("hilbert_basis needs nonnegative rays")
+    every = (1 << len(rays)) - 1
+    if any(mask == every for _, mask in facets):
+        raise ValueError("hilbert_basis needs a full-dimensional cone")
     if len(rays) == dim and abs(det(rays)) == 1:
         return sorted(rays)
-    rows = np.array([row for row in ineq_rows if any(row)], dtype=np.int64).reshape(-1, dim)
-    ray_array = np.array(rays, dtype=np.int64)
-    bits = [1 << j for j in range(len(rays))]
-    zero = (matmul(rows, ray_array.T) == 0).tolist()
-    masks = {sum(b for b, z in zip(bits, row) if z) for row in zero}
-    if sum(bits) in masks:
-        raise ValueError("hilbert_basis needs a full-dimensional cone")
-    simplices = [
-        [j for j, b in enumerate(bits) if simplex & b]
-        for simplex in _pulled(sum(bits), _maximal(masks), dim, {})
-    ]
     points: dict[Vec, None] = {}
-    for simplex in simplices:
-        cols = [rays[j] for j in simplex]
+    for simplex in _pulled(every, [mask for _, mask in facets], dim, {}):
+        cols = [ray for j, ray in enumerate(rays) if simplex >> j & 1]
         den, num = inverse(list(zip(*cols)))
         if den > 1:
             points.update(dict.fromkeys(_box_points(cols, den, num)))
-    # the rows span, so no other candidate has a candidate's values
+    # the facet rows span, so no other candidate has a candidate's values
+    rows = np.array([row for row, _ in facets], dtype=np.int64).reshape(-1, dim)
     values = matmul(np.array([*rays, *points], dtype=np.int64), rows.T)
     below = [(values[t] >= values).all(axis=1).sum() for t in range(len(rays), len(values))]
     return sorted([*rays, *(x for x, n in zip(points, below) if n == 1)])

@@ -21,10 +21,11 @@ Combin. 22, 2005), from the cone of a generic datum across every facet off
 the orthant walls n_k = 0.  The assembly program of the index table is linear
 on a cone, so m + 1 of its runs give the cone's integer back map from n to
 the values, certified by the check rows before use, and the check rows times
-it are the cone's chart rows; one double description per maximal cone gives
-its rays, and one Hilbert basis per maximal cone its primes.  Only the
-maximal cones are ever visited, so the number of face choices (about
-1.4e8 in B3 and C3) costs nothing; ``MAX_M`` bounds the walk instead.
+it are the cone's chart rows.  One double description per maximal cone gives
+its rays and facets, which serve both the walk and the cone's one Hilbert
+basis, its primes.  Only the maximal cones are ever visited, so the number
+of face choices (about 1.4e8 in B3 and C3) costs nothing; ``MAX_M`` bounds
+the walk instead.
 
 :func:`decompose` computes the datum's check sums once, the product
 :func:`bz.validate` runs, and reads everything off them: the validation
@@ -241,10 +242,11 @@ def _choice_at(table: IndexTable, real: np.ndarray, n: Vec) -> Vec | None:
 
 
 class _Cone(NamedTuple):
-    """A maximal cone of the walk: its certified back map and chart rows."""
+    """A maximal cone of the walk: its certified back map and chart rows, then rays and facets."""
 
     back: np.ndarray  # int64 (values, m): the datum of n is back @ n on the cone
     rows: tuple[Vec, ...]  # the distinct primitive nonzero check rows at back, sorted
+    described: tuple | None = None  # cones.extreme_rays' rays and facets
 
 
 def _cone(table, edge, pins, chosen, point: Vec) -> _Cone:
@@ -284,18 +286,19 @@ def _cone(table, edge, pins, chosen, point: Vec) -> _Cone:
 
 def _walk(group: WeylGroup, table: IndexTable, edge, layout, relations):
     """The maximal cones in the Lusztig chart, breadth first across their
-    facets, as ``{choice: (cone, rays)}`` with the chart rays.
+    facets, as ``{choice: cone}``, each cone described.
 
     The cone of a choice is where its relations take their minima at the
     chosen arguments.  The walk starts at a generic interior point, whose
     choice reads off the check rows at its datum.  Each cone gets one double
-    description, whose rays must span m dimensions: no nonzero chart row may
-    vanish on all of them.  Every facet not on an orthant wall n_k = 0 is
-    crossed once, by probing K c - f past its row f, where c is the sum of
-    the facet's rays, K doubling until the point has no tie and the cone
-    found there admits c.  The cones meet face to face, so that cone shares
-    the facet.  A cone met on the way, at a tie-free point, is maximal and
-    kept too.
+    description; its closing check tests the rays on the chart rows, the
+    unit rows among them, so each primitive ray is its own edge lengths, and
+    the rays must span m dimensions: a facet holding them all is an implicit
+    equality.  Every facet not on an orthant wall n_k = 0 is crossed once,
+    by probing K c - f past its row f, where c is the sum of the facet's
+    rays, K doubling until the point has no tie and the cone found there
+    admits c.  The cones meet face to face, so that cone shares the facet.
+    A cone met on the way, at a tie-free point, is maximal and kept too.
     """
     m = group.m
     real = np.arange(RELATION_ARGS)[:, None] < np.array([rel.n_args for rel in relations])
@@ -309,42 +312,26 @@ def _walk(group: WeylGroup, table: IndexTable, edge, layout, relations):
     else:
         raise RuntimeError("no generic Lusztig datum found to start the walk")
     relation = np.arange(len(relations))
-    cones_of: dict[Vec, _Cone] = {}
+    walked: dict[Vec, _Cone] = {}
     queue: deque[Vec] = deque()
 
     def found_at(choice, point):
-        if choice not in cones_of:
+        if choice not in walked:
             chosen = layout[np.array(choice, dtype=np.intp), relation]
-            cones_of[choice] = _cone(table, edge, pins, chosen, point)
+            walked[choice] = _cone(table, edge, pins, chosen, point)
             queue.append(choice)
-        return cones_of[choice]
+        return walked[choice]
 
     found_at(choice, start)
-    out = {}
     crossed: set[Vec] = set()  # the ray sums of the facets crossed
     while queue:
         choice = queue.popleft()
-        rows = cones_of[choice].rows
-        rays = cones.extreme_rays(list(rows), m)
-        for ray in rays:  # in the chart, a ray is its own edge lengths
-            if any(v < 0 for v in ray) or cones.primitive(ray) != ray:
-                raise RuntimeError(
-                    f"choice {choice}: ray with edge lengths {ray} is not a primitive "
-                    "nonnegative vector"
-                )
-        ray_array = np.array(rays, dtype=np.int64).reshape(len(rays), m)
-        zero = cones.matmul(rows, ray_array.T) == 0
-        # a nonzero row zero on every ray is an implicit equality of the cone,
-        # and one exists exactly when the rays span fewer than m dimensions
-        if zero.all(1).any():
+        rays, facets = described = cones.extreme_rays(list(walked[choice].rows), m)
+        if any(on == (1 << len(rays)) - 1 for _, on in facets):
             raise RuntimeError(f"choice {choice}: the rays {rays} span less than {m} dimensions")
-        out[choice] = cones_of[choice], rays
-        # the facets: the rows whose zero rays no other row's strictly contain
-        count = zero.sum(1)
-        missed = zero.astype(np.int64) @ (~zero).T.astype(np.int64)  # [i, j]: |Z_i - Z_j|
-        facets = ~((missed == 0) & (count[None, :] > count[:, None])).any(1)
-        for f, on in zip(np.array(rows)[facets].tolist(), zero[facets]):
-            c = tuple(ray_array[on].sum(0).tolist())
+        walked[choice] = walked[choice]._replace(described=described)
+        for f, on in facets:
+            c = tuple(map(sum, zip(*(r for j, r in enumerate(rays) if on >> j & 1))))
             if sum(map(bool, f)) == 1 or c in crossed:  # an orthant wall, or crossed
                 continue
             crossed.add(c)
@@ -357,13 +344,14 @@ def _walk(group: WeylGroup, table: IndexTable, edge, layout, relations):
                 K *= 2
             else:
                 raise RuntimeError(f"choice {choice}: no cone across its facet {tuple(f)}")
-    return out
+    return walked
 
 
 def build_catalog(group: WeylGroup) -> Catalog:
-    """Walk the maximal cones and extract the primes from their Hilbert
-    bases.  Groups with more than ``MAX_M`` positive roots are refused
-    before the walk."""
+    """Walk the maximal cones and extract the primes from the Hilbert bases
+    of their rays and facets, as the walk's double descriptions give them.
+    Groups with more than ``MAX_M`` positive roots are refused before the
+    walk."""
     if group._catalog is not None:
         return group._catalog
     if group.m > MAX_M:
@@ -388,8 +376,8 @@ def build_catalog(group: WeylGroup) -> Catalog:
     assembled: dict[Vec, BZDatum] = {}
     raw_clusters = []
     for choice in sorted(walked):
-        (back, rows_n), rays_n = walked[choice]
-        gens = cones.hilbert_basis(rays_n, rows_n)
+        back, rows_n, described = walked[choice]
+        gens = cones.hilbert_basis(*described)
         gen_values = cones.matmul(np.reshape(gens, (len(gens), group.m)), back.T).tolist()
         for g, value in zip(gens, gen_values):
             datum = assembled.get(g)

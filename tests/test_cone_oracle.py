@@ -5,7 +5,8 @@ are the elimination routines ``cones`` used before it went fraction-free,
 ``clear_denominators`` turns their rational vectors into primitive integer
 ones, and ``oracle_catalog`` is the brute-force catalog build on them with the
 back-map through a ``Fraction`` inverse.  ``brute_extreme_rays`` intersects
-every rank ``dim - 1`` set of inequalities.  ``frozenset_extreme_rays`` is the
+every rank ``dim - 1`` set of inequalities, and ``brute_facets`` keeps the
+rows whose zero rays have rank ``dim - 1``.  ``frozenset_extreme_rays`` is the
 double description over every row with ``frozenset`` zero sets, in the
 sparsest-first order of ``cones.extreme_rays``.  ``choice_rows`` gives the
 dense value-space rows of one choice, with args[t] - args[k] for each
@@ -214,6 +215,29 @@ def brute_extreme_rays(rows, dim):
 
     grow((), 0)
     return sorted(rays)
+
+
+def brute_facets(rows, rays, rank_of):
+    """The facets of a full-dimensional cone with the extreme rays ``rays``,
+    from its rows: each nonzero row whose zero rays have rank dim - 1
+    (``rank_of``, on a frozenset of rays), with those rays, keyed by row."""
+    dim = len(rays[0])
+    found = {}
+    for row in map(tuple, rows):
+        zero = frozenset(ray for ray in rays if dot(row, ray) == 0)
+        if any(row) and len(zero) >= dim - 1 and rank_of(zero) == dim - 1:
+            found[row] = zero
+    return found
+
+
+def check_facets(rows, rays, facets, rank_of):
+    """The facets ``cones.extreme_rays`` gives are the brute-force facets,
+    each once, with the first row that cuts it out."""
+    first = {}
+    for row, zero in brute_facets(rows, rays, rank_of).items():
+        first.setdefault(zero, row)
+    got = [(row, frozenset(r for j, r in enumerate(rays) if mask >> j & 1)) for row, mask in facets]
+    assert sorted(got) == sorted((row, zero) for zero, row in first.items()), rows
 
 
 def frozenset_extreme_rays(ineq_rows, dim):
@@ -618,7 +642,13 @@ def test_extreme_rays_match_brute_force(rows_dim):
         with pytest.raises(ValueError, match="pointed"):
             cones.extreme_rays(rows, dim)
         return
-    assert sorted(cones.extreme_rays(rows, dim)) == want
+    rays, facets = cones.extreme_rays(rows, dim)
+    assert sorted(rays) == want
+    if fraction_rank(rays) == dim:
+        check_facets(rows, rays, facets, lambda zero: fraction_rank(list(zero)))
+    else:  # the zero set of every ray, cut out by the first implicit equality
+        equality = next(row for row in rows if any(row) and all(dot(row, r) == 0 for r in rays))
+        assert facets == [(tuple(equality), (1 << len(rays)) - 1)]
 
 
 def _rays_or_unpointed(extreme_rays, rows, dim):
@@ -632,8 +662,9 @@ def _rays_or_unpointed(extreme_rays, rows, dim):
 @settings(max_examples=200, deadline=None)
 @given(rows_dim, st.data())
 def test_extreme_rays_ignore_zero_rows_and_later_positive_multiples(rows_dim, data):
-    """Rays and their order are those of the rows without the padding, and
-    those the sparsest-first double description over every row gives."""
+    """Rays and their order, and the facets, are those of the rows without
+    the padding; the rays are those the sparsest-first double description
+    over every row gives."""
     rows, dim = rows_dim
     padded = [tuple(r) for r in rows]
     for _ in range(data.draw(st.integers(1, 4))):
@@ -646,9 +677,10 @@ def test_extreme_rays_ignore_zero_rows_and_later_positive_multiples(rows_dim, da
             extra = (0,) * dim
         padded.insert(at, extra)
     want = _rays_or_unpointed(cones.extreme_rays, rows, dim)
-    assert _rays_or_unpointed(cones.extreme_rays, padded, dim) == want
-    assert _rays_or_unpointed(frozenset_extreme_rays, padded, dim) == want
-    assert _rays_or_unpointed(frozenset_extreme_rays, rows, dim) == want
+    assert _rays_or_unpointed(cones.extreme_rays, padded, dim) == want  # facets too
+    rays = want if want == "not pointed" else want[0]
+    assert _rays_or_unpointed(frozenset_extreme_rays, padded, dim) == rays
+    assert _rays_or_unpointed(frozenset_extreme_rays, rows, dim) == rays
 
 
 @settings(max_examples=150, deadline=None)
@@ -695,7 +727,7 @@ CATALOG_GROUPS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("D", 3)]
 
 def chart_rays(group, cluster):
     """A cluster's extreme rays in the Lusztig chart, from its chart rows."""
-    return cones.extreme_rays(list(cluster.ineq_rows_n), group.m)
+    return cones.extreme_rays(list(cluster.ineq_rows_n), group.m)[0]
 
 
 def value_rays(group, cluster):
@@ -843,20 +875,23 @@ def test_fresh_build_runs_the_double_description_on_the_maximal_cones_only(
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("D", 3)])
 def test_walked_cones_have_the_brute_force_rays(family, rank, monkeypatch):
     """Each double description of a fresh walk gives the rays that meeting
-    every m - 1 of the cone's chart rows gives, each ray once."""
+    every m - 1 of the cone's chart rows gives, each ray once, and the facets
+    whose rows' zero rays have rank m - 1, each once."""
     described = []
     extreme_rays = cones.extreme_rays
 
     def recorded(rows, dim):
-        rays = extreme_rays(rows, dim)
-        described.append((rows, dim, rays))
-        return rays
+        rays, facets = extreme_rays(rows, dim)
+        described.append((rows, dim, rays, facets))
+        return rays, facets
 
     monkeypatch.setattr(cones, "extreme_rays", recorded)
     catalog = primes.build_catalog(WeylGroup(build_cartan(family, rank)))
     assert len(described) == catalog.n_maximal
-    for rows, dim, rays in described:
+    rank_of = functools.cache(lambda zero: fraction_rank(sorted(zero)))
+    for rows, dim, rays, facets in described:
         assert sorted(rays) == brute_extreme_rays(rows, dim), rows
+        check_facets(rows, rays, facets, rank_of)
 
 
 @pytest.mark.parametrize("family,rank", CATALOG_GROUPS + WALK_GROUPS)
@@ -869,15 +904,11 @@ def test_clusters_tile_the_orthant(family, rank):
     group = weyl_group(build_cartan(family, rank))
     cat = primes.build_catalog(group)
     rank_of = functools.cache(lambda zero: cones.rank(sorted(zero)))
-    facets = []  # per cluster: (normal, its zero rays)
-    for c in cat.clusters:
-        rays_n = chart_rays(group, c)
-        found = []
-        for row in c.ineq_rows_n:
-            zero = frozenset(ray for ray in rays_n if dot(row, ray) == 0)
-            if len(zero) >= group.m - 1 and rank_of(zero) == group.m - 1:
-                found.append((row, zero))
-        facets.append(found)
+    # per cluster: (normal, its zero rays)
+    facets = [
+        list(brute_facets(c.ineq_rows_n, chart_rays(group, c), rank_of).items())
+        for c in cat.clusters
+    ]
     holders = {}  # (normal, zero rays): the clusters with that facet
     for t, found in enumerate(facets):
         for facet in found:
@@ -895,18 +926,21 @@ def test_clusters_tile_the_orthant(family, rank):
 
 @pytest.mark.parametrize("family,rank", CATALOG_GROUPS)
 def test_hilbert_basis_matches_pairwise_oracle_in_catalog_builds(family, rank, monkeypatch):
+    """One Hilbert basis per cluster, in catalog order, which the pairwise
+    oracle on the cluster's chart rows confirms."""
     calls = []
     sumset = cones.hilbert_basis
 
-    def recorded(rays, ineq_rows):
-        calls.append((rays, ineq_rows))
-        return sumset(rays, ineq_rows)
+    def recorded(rays, facets):
+        calls.append((rays, facets))
+        return sumset(rays, facets)
 
     monkeypatch.setattr(cones, "hilbert_basis", recorded)
     catalog = primes.build_catalog(WeylGroup(build_cartan(family, rank)))
     assert len(calls) == catalog.n_maximal
-    for rays, ineq_rows in calls:
-        assert sumset(rays, ineq_rows) == pairwise_hilbert_basis(rays, ineq_rows)
+    for (rays, facets), c in zip(calls, catalog.clusters):
+        want = pairwise_hilbert_basis(rays, list(c.ineq_rows_n))
+        assert sumset(rays, facets) == want == sorted(c.gens_n)
 
 
 @pytest.mark.parametrize(
@@ -921,18 +955,18 @@ def test_hilbert_basis_matches_box_oracle_on_the_smallest_boxes(family, rank, bo
     group = weyl_group(build_cartan(family, rank))
     sized = []
     for c in primes.build_catalog(group).clusters:
-        rays = chart_rays(group, c)
+        rays, facets = cones.extreme_rays(list(c.ineq_rows_n), group.m)
         if len(rays) == group.m and abs(fraction_det(rays)) == 1:
             continue
-        sized.append((math.prod(sum(col) + 1 for col in zip(*rays)), rays, c))
+        sized.append((math.prod(sum(col) + 1 for col in zip(*rays)), rays, facets, c))
     sized.sort(key=lambda item: item[0])
     picked = sized[:3]
     if len(boxes) > 3:
-        picked.append(next(item for item in sized if len(item[2].gens_n) > len(item[1])))
-    assert [box for box, _, _ in picked] == boxes
-    for _, rays, c in picked:
+        picked.append(next(item for item in sized if len(item[3].gens_n) > len(item[1])))
+    assert [item[0] for item in picked] == boxes
+    for _, rays, facets, c in picked:
         want = box_hilbert_basis(rays, list(c.ineq_rows_n))
-        assert cones.hilbert_basis(rays, list(c.ineq_rows_n)) == want
+        assert cones.hilbert_basis(rays, facets) == want
         assert sorted(c.gens_n) == want
 
 
@@ -950,10 +984,10 @@ def test_hilbert_basis_matches_pairwise_oracle_on_small_cones(gens_dim):
     of the dual cone, and the cone's rays those of the facet rows."""
     gens, dim = gens_dim
     assume(fraction_rank(gens) == dim)
-    rows = cones.extreme_rays(gens, dim)
-    rays = cones.extreme_rays(rows, dim)
+    rows, _ = cones.extreme_rays(gens, dim)
+    rays, facets = cones.extreme_rays(rows, dim)
     assume(np.prod([sum(r[j] for r in rays) + 1 for j in range(dim)]) <= 600)
-    assert cones.hilbert_basis(rays, rows) == pairwise_hilbert_basis(rays, rows)
+    assert cones.hilbert_basis(rays, facets) == pairwise_hilbert_basis(rays, rows)
 
 
 wider_spans = st.integers(4, 6).flatmap(
@@ -970,10 +1004,10 @@ def test_hilbert_basis_matches_box_oracle_on_random_cones(gens_dim):
     faces of faces, and boxes of up to 40,000 points."""
     gens, dim = gens_dim
     assume(fraction_rank(gens) == dim)
-    rows = cones.extreme_rays(gens, dim)
-    rays = cones.extreme_rays(rows, dim)
+    rows, _ = cones.extreme_rays(gens, dim)
+    rays, facets = cones.extreme_rays(rows, dim)
     assume(math.prod(sum(r[j] for r in rays) + 1 for j in range(dim)) <= 40_000)
-    assert cones.hilbert_basis(rays, rows) == box_hilbert_basis(rays, rows)
+    assert cones.hilbert_basis(rays, facets) == box_hilbert_basis(rays, rows)
 
 
 def _parts(catalog, found):

@@ -40,16 +40,28 @@ def test_invert_and_det():
         cones.inverse([(1, 2), (2, 4)])
 
 
+def facet_rays(rays, facets):
+    """Each facet row with the rays its bitmask names."""
+    return {row: {r for j, r in enumerate(rays) if mask >> j & 1} for row, mask in facets}
+
+
 def test_extreme_rays_quadrant():
-    rays = cones.extreme_rays([(1, 0), (0, 1)], 2)
+    rays, facets = cones.extreme_rays([(1, 0), (0, 1)], 2)
     assert sorted(rays) == [(0, 1), (1, 0)]
+    assert facet_rays(rays, facets) == {(1, 0): {(0, 1)}, (0, 1): {(1, 0)}}
 
 
 def test_extreme_rays_ice_cream_cross_section():
     # x >= 0, y >= 0, x + y >= z, z >= 0 in R^3: 4 rays
     rows = [(1, 0, 0), (0, 1, 0), (1, 1, -1), (0, 0, 1)]
-    rays = cones.extreme_rays(rows, 3)
+    rays, facets = cones.extreme_rays(rows, 3)
     assert sorted(rays) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
+    assert facet_rays(rays, facets) == {
+        (1, 0, 0): {(0, 1, 0), (0, 1, 1)},
+        (0, 1, 0): {(1, 0, 0), (1, 0, 1)},
+        (1, 1, -1): {(0, 1, 1), (1, 0, 1)},
+        (0, 0, 1): {(0, 1, 0), (1, 0, 0)},
+    }
 
 
 def test_extreme_rays_not_pointed():
@@ -59,8 +71,18 @@ def test_extreme_rays_not_pointed():
 
 def test_extreme_rays_redundant_rows():
     rows = [(1, 0), (0, 1), (1, 1), (2, 1)]
-    rays = cones.extreme_rays(rows, 2)
+    rays, facets = cones.extreme_rays(rows, 2)
     assert sorted(rays) == [(0, 1), (1, 0)]
+    assert facet_rays(rays, facets) == {(1, 0): {(0, 1)}, (0, 1): {(1, 0)}}
+
+
+def test_extreme_rays_name_one_facet_of_every_ray_when_not_full_dimensional():
+    """z = 0 in the orthant of R^3: both rows of the equation vanish on every
+    ray, the one maximal zero set, which the first of them stands for."""
+    rows = [(1, 0, 0), (0, 0, -1), (0, 1, 0), (0, 0, 1)]
+    rays, facets = cones.extreme_rays(rows, 3)
+    assert sorted(rays) == [(0, 1, 0), (1, 0, 0)]
+    assert facets == [((0, 0, -1), 0b11)]
 
 
 def brute_rays_check(rows, dim, rays):
@@ -80,7 +102,7 @@ def brute_rays_check(rows, dim, rays):
 def test_extreme_rays_feasible_random(rows):
     rows = [tuple(r) for r in rows]
     try:
-        rays = cones.extreme_rays(rows, 3)
+        rays, _ = cones.extreme_rays(rows, 3)
     except ValueError:
         return  # not pointed, fine
     brute_rays_check(rows, 3, rays)
@@ -89,23 +111,22 @@ def test_extreme_rays_feasible_random(rows):
 
 
 def test_hilbert_basis_simplicial_unimodular():
-    rays = [(1, 0), (0, 1)]
-    hb = cones.hilbert_basis(rays, [(1, 0), (0, 1)])
+    hb = cones.hilbert_basis(*cones.extreme_rays([(1, 0), (0, 1)], 2))
     assert sorted(hb) == [(0, 1), (1, 0)]
 
 
 def test_hilbert_basis_needs_interior_point():
     # cone spanned by (1,0) and (1,2): (1,1) is irreducible but not a ray
     rays = [(1, 0), (1, 2)]
-    ineqs = [(0, 1), (2, -1)]  # y >= 0, 2x - y >= 0
-    hb = cones.hilbert_basis(rays, ineqs)
+    facets = [((0, 1), 0b01), ((2, -1), 0b10)]  # y >= 0, 2x - y >= 0
+    hb = cones.hilbert_basis(rays, facets)
     assert sorted(hb) == [(1, 0), (1, 1), (1, 2)]
 
 
 def test_hilbert_basis_every_member_generated():
-    rays = [(1, 0), (1, 3)]
-    ineqs = [(0, 1), (3, -1)]
-    hb = cones.hilbert_basis(rays, ineqs)
+    rays, facets = cones.extreme_rays([(0, 1), (3, -1)], 2)
+    assert sorted(rays) == [(1, 0), (1, 3)]
+    hb = cones.hilbert_basis(rays, facets)
     assert sorted(hb) == [(1, 0), (1, 1), (1, 2), (1, 3)]
     # every lattice point in the cone with small coordinates decomposes
     members = [
@@ -135,5 +156,13 @@ def _decomposes(target, gens):
 
 
 def test_hilbert_basis_rejects_negative_rays():
-    with pytest.raises(ValueError):
-        cones.hilbert_basis([(1, -1)], [(1, 1)])
+    # x >= 0, x + y >= 0: the rays (0, 1) and (1, -1)
+    with pytest.raises(ValueError, match="needs nonnegative rays"):
+        cones.hilbert_basis(*cones.extreme_rays([(1, 0), (1, 1)], 2))
+
+
+def test_hilbert_basis_rejects_a_cone_that_is_not_full_dimensional():
+    # the quadrant x, y >= 0 in the plane z = 0 of R^3
+    described = cones.extreme_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)], 3)
+    with pytest.raises(ValueError, match="needs a full-dimensional cone"):
+        cones.hilbert_basis(*described)

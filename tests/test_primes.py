@@ -510,3 +510,42 @@ def test_primes_output_is_frozen(family, rank, capsys):
     assert main(["primes", family, str(rank)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PRIMES_SHA256[family, rank]
+
+
+def _diagram_automorphisms(cartan):
+    """The permutations p of the simple roots, other than the identity, with
+    a[p i][p j] = a[i][j] for the Cartan matrix a."""
+    r = cartan.rank
+    return [
+        p
+        for p in itertools.permutations(range(r))
+        if p != tuple(range(r))
+        and all(cartan.a[p[i]][p[j]] == cartan.a[i][j] for i in range(r) for j in range(r))
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,rank,n_sigma",
+    [("A", 2, 1), ("B", 2, 0), ("C", 2, 0), ("A", 3, 1), ("D", 3, 1), ("B", 3, 0), ("C", 3, 0), ("A", 4, 1)],
+)
+def test_catalog_is_closed_under_its_symmetries(family, rank, n_sigma):
+    """Kashiwara's involution P -> -P, normalized, and the gather M_gamma ->
+    M_{sigma gamma} of each diagram automorphism sigma preserve MV polytopes
+    and Minkowski sums, so each maps every prime to a prime and permutes the
+    clusters' label sets."""
+    group = weyl_group(build_cartan(family, rank))
+    cat = primes.build_catalog(group)
+    label_of = {p.datum.values: p.label for p in cat.primes}
+    maps = [lambda d: polytope.normalize(group, polytope.negate(group, d)).values]
+    coords = [c.weight.coords for c in group.chamber_weights()]
+    sigmas = _diagram_automorphisms(group.cartan)
+    assert len(sigmas) == n_sigma
+    for p in sigmas:
+        # sigma sends the fundamental weight Lambda_i to Lambda_{p i}
+        at = [group.chamber_index(tuple(c[p.index(j)] for j in range(rank))) for c in coords]
+        maps.append(lambda d, at=at: tuple(d.values[y] for y in at))
+    clusters = sorted(sorted(c.labels) for c in cat.clusters)
+    for image in maps:
+        image_of = {p.label: label_of.get(image(p.datum)) for p in cat.primes}
+        assert sorted(image_of.values(), key=str) == sorted(label_of.values())
+        assert sorted(sorted(image_of[lbl] for lbl in c.labels) for c in cat.clusters) == clusters
